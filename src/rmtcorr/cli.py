@@ -241,8 +241,6 @@ def _run_suite(suite, args):
 def build_parser():
     p = argparse.ArgumentParser(prog="rmtcorr",
                                 description="finite-N spectral correlations")
-    p.add_argument("--threads", type=int, default=0,
-                   help="0 = serial deterministic mode")
     sub = p.add_subparsers(dest="command")
 
     pc = sub.add_parser("corr", help="correlation table on a grid")

@@ -10,12 +10,13 @@ diagonal variables, the eigenvalue-integral path from half-line
 oscillatory integrals and Taylor jets of the characteristic function.
 """
 
+import functools
 import math
 
 import numpy as np
 from numpy.polynomial import hermite as nph
 
-from .ensembles import correlation_terms, slot_phi_jet, jet_mul, flat_gauss_norm
+from .ensembles import correlation_terms, slot_phi_jet, jet_mul
 from .kernels import IncrementedPoint
 from .special import (SQRT_PI, OscillatorBasis, gue_kernel, gauss_moments,
                       gauss_moment_cauchy, gauss_poly_derivatives,
@@ -44,6 +45,9 @@ class CorrelationRequest:
         self.k = k
         self.points = [p if isinstance(p, IncrementedPoint) else IncrementedPoint(p)
                        for p in points]
+        if any(p.epsilon > 0 for p in self.points):
+            raise ValueError("the engine routes compute the epsilon -> 0+ limit; "
+                             "points must have epsilon = 0")
         self.variant = variant
         self.method = method
 
@@ -75,11 +79,9 @@ def _coincidence_split(points):
     for p in range(k):
         for q in range(p + 1, k):
             if abs(xs[p] - xs[q]) < DELTA_X:
-                lo = [IncrementedPoint(pt.value - 10 * DELTA_X * (i == p),
-                                       pt.side, pt.epsilon)
+                lo = [IncrementedPoint(pt.value - 10 * DELTA_X * (i == p), pt.side)
                       for i, pt in enumerate(points)]
-                hi = [IncrementedPoint(pt.value + 10 * DELTA_X * (i == p),
-                                       pt.side, pt.epsilon)
+                hi = [IncrementedPoint(pt.value + 10 * DELTA_X * (i == p), pt.side)
                       for i, pt in enumerate(points)]
                 return lo, hi
     return None
@@ -127,70 +129,85 @@ def _col_exact(N, x, v, m):
     """col_n = integral (pi v)^(-1/2) e^(-b^2/v) b^m (x - ib)^n db
     (the second kernel slot carries the i on the diagonal variable),
     by binomial expansion into Gaussian moments."""
-    g = gauss_moments(N - 1 + m)
+    # powers hoisted out of the double loop, and Python floats in place of
+    # numpy scalars: every product is the same as when formed in place
+    g = gauss_moments(N - 1 + m).tolist()
+    xp = [x ** e for e in range(N)]
+    ip = [(-1j) ** j for j in range(N)]
+    vp = [v ** ((m + j) / 2.0) for j in range(N)]
     out = np.empty(N, dtype=complex)
     for n in range(N):
         acc = 0j
         for j in range(n + 1):
-            acc += (math.comb(n, j) * x ** (n - j) * (-1j) ** j
-                    * v ** ((m + j) / 2.0) * g[m + j])
+            acc += math.comb(n, j) * xp[n - j] * ip[j] * vp[j] * g[m + j]
         out[n] = acc / SQRT_PI
     return out
 
 
+@functools.lru_cache(maxsize=2)
+def _gh_rule(order):
+    """Gauss-Hermite nodes and weights of one order.  Each rule costs an
+    eigensolve, so it is built once per process; the arrays are shared by
+    every caller and therefore read-only."""
+    u, w = nph.hermgauss(order)
+    u.setflags(write=False)
+    w.setflags(write=False)
+    return u, w
+
+
 def _col_gh(N, x, v, m, order):
     """Same column integrals by Gauss-Hermite quadrature (exact for these
-    polynomial-times-Gaussian integrands at sufficient order)."""
-    u, w = np.polynomial.hermite.hermgauss(order)
+    polynomial-times-Gaussian integrands at sufficient order), with the
+    per-process rule of that order: col = (1/sqrt(pi)) sum_j w_j b_j^m
+    (x - i b_j)^n over the nodes b_j, for all n at once."""
+    u, w = _gh_rule(order)
     b = np.sqrt(v) * u
-    out = np.empty(N, dtype=complex)
-    base = w * b ** m / SQRT_PI
-    for n in range(N):
-        out[n] = np.sum(base * (x - 1j * b) ** n)
-    return out
+    return (w * b ** m) @ np.vander(x - 1j * b, N, increasing=True) / SQRT_PI
 
 
-def _det_sum(spec, k, points, variant, col_builder):
-    """Sum over separable terms of det[(1/pi) sum_n row col]."""
+def _det_sums(spec, k, points, variant, col_fns):
+    """Sums over separable terms of det[(1/pi) sum_n row col], one sum per
+    column function.  Terms repeat slot factors, and rows do not depend on
+    the columns, so each distinct row and column factor of the point is
+    built once and shared by every term and every column function; the
+    determinants of all terms and functions are taken in one stacked call."""
     N = spec.N
-    total = 0j
-    for coef, slots in correlation_terms(spec, k):
-        rows = []
+    row = _row_rhat if variant == "Rhat" else _row_r
+    terms = correlation_terms(spec, k)
+    rows, cols = {}, {}
+    for _, slots in terms:
         for p in range(k):
-            v, m = slots[p]
-            x, L = points[p].value, points[p].side
-            if variant == "Rhat":
-                rows.append(_row_rhat(N, x, L, v, m))
-            else:
-                rows.append(_row_r(N, x, L, v, m))
-        cols = [col_builder(N, points[q].value, *slots[k + q]) for q in range(k)]
-        D = np.empty((k, k), dtype=complex)
-        for p in range(k):
-            for q in range(k):
-                D[p, q] = np.dot(rows[p], cols[q]) / np.pi
-        total += coef * np.linalg.det(D)
-    return total
+            if (p, slots[p]) not in rows:
+                rows[p, slots[p]] = row(N, points[p].value, points[p].side, *slots[p])
+            if (p, slots[k + p]) not in cols:
+                cols[p, slots[k + p]] = [col(N, points[p].value, *slots[k + p])
+                                         for col in col_fns]
+    R = np.array([[rows[p, slots[p]] for p in range(k)] for _, slots in terms])
+    C = np.array([[cols[q, slots[k + q]] for q in range(k)] for _, slots in terms])
+    dets = np.linalg.det(np.einsum("tpn,tqrn->rtpq", R, C, optimize=False))
+    return dets @ np.array([coef for coef, _ in terms]) / np.pi ** k
+
+
+_GH_COLS = (functools.partial(_col_gh, order=GH_ORDER),
+            functools.partial(_col_gh, order=2 * GH_ORDER))
 
 
 def correlations_convolution(req):
     """Reduced-density convolution of the fundamental determinant kernel,
     carried out termwise exactly: sided factors through Faddeeva boundary
-    values, moment factors through Gauss-Hermite quadrature."""
+    values, moment factors through Gauss-Hermite quadrature.
+
+    Columns come from the GH_ORDER and 2 * GH_ORDER rules, each built
+    once per process; both determinant sums share one pass over the terms
+    and one set of rows.  The value is the 2 * GH_ORDER sum and the error
+    estimate is its difference from the GH_ORDER sum."""
     spec, k = req.spec, req.k
     if 2 * k > spec.N:
         raise ValueError("need 2k <= N")
 
     def run(points):
-        def col(N, x, v, m):
-            return _col_gh(N, x, v, m, GH_ORDER)
-
-        def col2(N, x, v, m):
-            return _col_gh(N, x, v, m, 2 * GH_ORDER)
-
-        val = _det_sum(spec, k, points, req.variant, col)
-        check = _det_sum(spec, k, points, req.variant, col2)
-        err = abs(val - check)
-        val = check
+        coarse, val = _det_sums(spec, k, points, req.variant, _GH_COLS)
+        err = abs(val - coarse)
         if req.variant == "R":
             val = complex(np.real(val))
         return CorrelationResult(val, err, {"quadrature": (GH_ORDER, 2 * GH_ORDER)})
@@ -206,7 +223,7 @@ def correlations_higher_trace(req):
         raise ValueError("closed_form_higher_trace needs a trace-power or Gaussian spec")
 
     def run(points):
-        val = _det_sum(spec, k, points, req.variant, _col_exact)
+        val, = _det_sums(spec, k, points, req.variant, (_col_exact,))
         if req.variant == "R":
             val = complex(np.real(val))
         return CorrelationResult(val, 0.0, {"path": "moment-determinant"})

@@ -9,7 +9,7 @@ import math
 import numpy as np
 from scipy.integrate import quad
 
-from .special import (SQRT_PI, faddeeva_derivatives, gauss_moments)
+from .special import faddeeva_derivatives, gauss_moments
 
 DELTA_CONF = 1e-8
 

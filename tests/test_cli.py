@@ -129,6 +129,11 @@ def test_verify_pass_suites(capsys):
     assert "PASS" in out
 
 
+def test_threads_flag_is_rejected(capsys):
+    code, _, _ = run(capsys, "--threads", "2", "verify", "--suite", "pairing")
+    assert code == 2
+
+
 def test_verify_unknown_suite_exits_2(capsys):
     code, _, err = run(capsys, "verify", "--suite", "bogus")
     assert code == 2

@@ -2,9 +2,13 @@
 eigenvalue-space oracles, symmetries, generating function, and the
 time-domain transform."""
 
+import collections
+
 import numpy as np
+import numpy.polynomial.hermite as nph
 import pytest
 
+from rmtcorr import engine
 from rmtcorr.ensembles import EnsembleSpec
 from rmtcorr.engine import (CorrelationRequest, CorrelationResult, evaluate,
                             factorized_kernel, generating_function_value,
@@ -191,6 +195,60 @@ def test_coincident_points_handled():
     assert abs(res.value - near) < 1e-3
 
 
+# -- convolution quadrature ------------------------------------------------
+
+def test_gauss_hermite_rules_built_once(monkeypatch):
+    calls = collections.Counter()
+    hermgauss = nph.hermgauss
+
+    def counting(order):
+        calls[order] += 1
+        return hermgauss(order)
+
+    monkeypatch.setattr(nph, "hermgauss", counting)
+    engine._gh_rule.cache_clear()
+    g6 = EnsembleSpec.gaussian(6)
+    for x in np.linspace(-3, 3, 20):
+        r1(g6, x, "convolution", "Rhat")
+    tp41 = EnsembleSpec.higher_trace(4, 4, 1)
+    for x, y in [(0.4, -0.9), (-1.1, 0.3), (0.2, 0.2)]:
+        r2(tp41, x, y, "convolution", "Rhat")
+    assert calls == {engine.GH_ORDER: 1, 2 * engine.GH_ORDER: 1}
+    for arr in engine._gh_rule(engine.GH_ORDER):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+# Convolution values computed with the per-call Gauss-Hermite rules that
+# this route used before its rules were cached.  Same-sign points only:
+# the mixed metrics carry a known sign split between routes.
+CONVOLUTION_REFERENCE = [
+    ("g6", (0.7,), "+", "Rhat", 0.2700769305451727 + 1.0749775666115515j),
+    ("tp41", (0.7,), "+", "Rhat", 0.2399533629149673 + 0.848490091571944j),
+    ("g6", (0.4, -0.9), "++", "Rhat", -1.0359616707387982 - 0.2350525765790151j),
+    ("tp41", (0.4, -0.9), "++", "Rhat", -0.43758785776629866 - 0.2157660694695603j),
+    ("tp41", (0.4, -0.9), "++", "R", 0.663789413915169),
+    ("tp41", (0.4, 0.4), "++", "Rhat", 0.0),
+]
+
+
+@pytest.fixture(scope="module")
+def reference_specs():
+    return {"g6": EnsembleSpec.gaussian(6), "tp41": EnsembleSpec.higher_trace(4, 4, 1)}
+
+
+@pytest.mark.parametrize("name, xs, metric, variant, ref", CONVOLUTION_REFERENCE)
+def test_convolution_reference_values(reference_specs, name, xs, metric, variant, ref):
+    pts = [IncrementedPoint(x, side=1 if s == "+" else -1) for x, s in zip(xs, metric)]
+    res = evaluate(CorrelationRequest(reference_specs[name], len(xs), pts,
+                                      variant, "convolution"))
+    assert abs(res.value - ref) <= 1e-13 * abs(ref) + 1e-14
+    assert res.error_estimate <= 1e-12
+    assert res.metadata["quadrature"] == (engine.GH_ORDER, 2 * engine.GH_ORDER)
+    if xs[0] == xs[-1] and len(xs) > 1:
+        assert res.metadata["coincidence_split"]
+
+
 # -- factorized kernel -----------------------------------------------------
 
 def test_factorized_kernel_matches_oscillator():
@@ -230,6 +288,12 @@ def test_request_validation():
         evaluate(CorrelationRequest(spec, 1, [0.0], "R", "eigenvalue_integral"))
     with pytest.raises(ValueError):
         r1(EnsembleSpec.higher_trace(4, 4, 1), 0.0, "closed_form_gue")
+    # the routes compute the epsilon -> 0+ limit and refuse a finite one
+    for pts in ([IncrementedPoint(0.3, epsilon=0.5)],
+                [IncrementedPoint(0.3), IncrementedPoint(-0.2, side=-1, epsilon=1e-9)]):
+        with pytest.raises(ValueError, match="epsilon"):
+            CorrelationRequest(spec, len(pts), pts)
+    CorrelationRequest(spec, 1, [IncrementedPoint(0.3, epsilon=0.0)])
 
 
 # -- generating function ---------------------------------------------------
