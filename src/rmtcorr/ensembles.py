@@ -16,6 +16,8 @@ from numpy.polynomial import hermite as nph
 
 from .special import gauss_poly_derivatives
 
+# bound on M1*M2: characteristic_invariants contracts 2^(M1*M2) H/S words;
+# above it full_moment and reduced_density fall back to Monte Carlo
 TRACE_POWER_CAP = 8
 JET_ORDER_CAP = 64
 
@@ -157,21 +159,13 @@ class EnsembleSpec:
 
     # -- higher-trace moments ----------------------------------------------
 
-    def trace_poly(self, k):
-        """Expectation of (tr H^M1)^M2 over the exp(-tr H^2) Gaussian with
-        the first 2k diagonal entries held symbolic: dict mapping length-2k
-        exponent tuples to coefficients.  k = 0 gives the full expectation."""
-        key = ("poly", k)
-        if key not in self._cache:
-            self._cache[key] = _trace_power_poly(
-                self.N, k, self.params["M1"], self.params["M2"])
-        return self._cache[key]
-
     def full_moment(self):
-        """Full Gaussian expectation of (tr H^M1)^M2."""
+        """Full Gaussian expectation of (tr H^M1)^M2: the constant term of
+        characteristic_invariants, at a cost independent of N.  Above
+        TRACE_POWER_CAP it is a Monte Carlo estimate."""
         M1, M2 = self.params["M1"], self.params["M2"]
         if M1 * M2 <= TRACE_POWER_CAP:
-            return float(np.real(self.trace_poly(0)[()]))
+            return float(np.real(characteristic_invariants(self)[()]))
         key = "moment_mc"
         if key not in self._cache:
             from .mc import sample_batch
@@ -192,65 +186,6 @@ def _spread_reach(func):
     while func(hi) > 1e-12 and hi < 1e6:
         hi *= 2.0
     return hi
-
-
-def _trace_power_poly(N, k, M1, M2):
-    """Wick-contracted expansion of (tr H^M1)^M2 under exp(-tr H^2), with
-    diagonal entries h_1..h_2k symbolic.
-
-    Entry moments for this weight: diagonal E[h^2j] = (2j-1)!!/2^j,
-    off-diagonal E[|H_nm|^2a] = a!/2^a with E[H_nm^2] = 0.
-    """
-    if M1 * M2 > TRACE_POWER_CAP:
-        raise ValueError(f"M1*M2 = {M1 * M2} exceeds cap {TRACE_POWER_CAP}")
-    if M1 == 0 or M2 == 0:
-        return {(0,) * (2 * k): float(N) ** M2 if M1 == 0 else 1.0}
-    nsym = 2 * k
-    out = {}
-    for idx in itertools.product(range(N), repeat=M1 * M2):
-        diag = {}
-        offd = {}
-        ok = True
-        for c in range(M2):
-            cyc = idx[c * M1: (c + 1) * M1]
-            for t in range(M1):
-                i, j = cyc[t], cyc[(t + 1) % M1]
-                if i == j:
-                    diag[i] = diag.get(i, 0) + 1
-                else:
-                    offd[(i, j)] = offd.get((i, j), 0) + 1
-        coeff = 1.0
-        for (i, j), a in offd.items():
-            if i < j:
-                b = offd.get((j, i), 0)
-                if a != b:
-                    ok = False
-                    break
-                coeff *= math.factorial(a) / 2.0 ** a
-        if not ok:
-            continue
-        exps = [0] * nsym
-        for i, m in diag.items():
-            if i < nsym:
-                exps[i] = m
-            else:
-                if m % 2 == 1:
-                    ok = False
-                    break
-                coeff *= _double_factorial(m - 1) / 2.0 ** (m // 2)
-        if not ok:
-            continue
-        key = tuple(exps) if nsym else ()
-        out[key] = out.get(key, 0.0) + coeff
-    return out
-
-
-def _double_factorial(n):
-    out = 1
-    while n > 1:
-        out *= n
-        n -= 2
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +213,13 @@ def evaluate_density(spec, H):
 def reduced_terms(spec, k):
     """Separable expansion of the reduced density on 2k diagonals:
     P^red(h) = sum_terms coef * prod_j (pi v_j)^(-1/2) e^(-h_j^2/v_j) h_j^(m_j),
-    returned as a list of (coef, [(v_j, m_j)] * 2k)."""
+    returned as a list of (real coef, [(v_j, m_j)] * 2k).
+
+    For the trace-power family this is the marginal of
+    _trace_power_slot_terms (sign +1 and phase i^a on every slot), derived
+    from characteristic_invariants at a cost independent of N; its
+    coefficients are real up to round-off, which is checked, and terms
+    that cancel to round-off are dropped."""
     n = 2 * k
     if spec.family == "gaussian":
         s = spec.params["scale"]
@@ -286,9 +227,16 @@ def reduced_terms(spec, k):
     if spec.family == "norm_dependent":
         t, w = spec._spread_nodes()
         return [(float(wi), [(2.0 * ti, 0)] * n) for ti, wi in zip(t, w)]
-    poly = spec.trace_poly(k)
-    full = spec.full_moment()
-    return [(c / full, [(1.0, m) for m in e]) for e, c in poly.items()]
+    key = ("reduced_terms", k)
+    if key not in spec._cache:
+        terms = _trace_power_slot_terms(spec, k, graded=False)
+        tol = 1e-12 * max(abs(c) for c, _ in terms)
+        if max(abs(c.imag) for c, _ in terms) > tol:
+            raise ArithmeticError("trace-power marginal came out complex")
+        # terms that cancel exactly come out as round-off; drop them
+        spec._cache[key] = [(float(c.real), slots) for c, slots in terms
+                            if abs(c.real) > tol]
+    return spec._cache[key]
 
 
 def _wick_trace_words(words, pref, out):
@@ -370,26 +318,36 @@ def correlation_terms(spec, k):
     reduced_terms.  For the trace-power family the plain diagonal
     marginal is not the right convolution partner: the routes need the
     graded-trace form of the characteristic function, in which each
-    invariant tr K^j becomes sum_p r_{p1}^j - sum_p r_{p2}^j.  Carrying
-    a slot monomial r^a back to the diagonal variable gives a phase
-    times the a-th derivative of the unit Gaussian: i^a on first-block
-    slots and (-1)^a on second-block slots.  The odd-derivative terms
-    are exactly where this differs from the marginal; for densities even
-    in every second-block diagonal the two expansions agree."""
+    invariant tr K^j becomes sum_p r_{p1}^j - sum_p r_{p2}^j, and a slot
+    monomial r^a comes back as i^a on first-block slots and (-1)^a on
+    second-block slots (see _trace_power_slot_terms).  The odd-derivative
+    terms are exactly where this differs from the marginal; for densities
+    even in every second-block diagonal the two expansions agree."""
     if spec.family != "higher_trace":
         return reduced_terms(spec, k)
     key = ("corr_terms", k)
-    if key in spec._cache:
-        return spec._cache[key]
-    M1, M2 = spec.params["M1"], spec.params["M2"]
-    if M1 == 0 or M2 == 0:
-        res = [(1.0 + 0j, [(1.0, 0)] * (2 * k))]
-        spec._cache[key] = res
-        return res
+    if key not in spec._cache:
+        spec._cache[key] = _trace_power_slot_terms(spec, k, graded=True)
+    return spec._cache[key]
+
+
+def _trace_power_slot_terms(spec, k, graded):
+    """Slot expansion of the trace-power characteristic function on 2k
+    diagonal sources r_1..r_2k, carried back to the diagonal variables.
+
+    Each invariant tr K^j of characteristic_invariants is spread over the
+    slots as sum_s sign_s r_s^j, and each slot monomial r^a times the
+    Gaussian factor e^(-r^2/4) is inverse-transformed to
+    phase_a q_a(h) e^(-h^2) / sqrt(pi), with q_a the polynomial part of the
+    a-th derivative of e^(-h^2).  The marginal (graded=False) is the plain
+    inverse Fourier transform of E[exp(i tr HK)]: sign +1 and phase i^a on
+    every slot.  The graded form (graded=True) takes sign -1 and phase
+    (-1)^a on the second k slots.  Returns [(complex coef, [(1.0, m_s)] *
+    2k)], normalized by the full moment; the cost does not depend on N."""
     inv = characteristic_invariants(spec)
     pi0 = inv.get((), 0.0)
     nslots = 2 * k
-    # distribute each trace order over the 2k slots with graded signs
+    # distribute each trace order over the 2k slots
     acc = {}
     for js, c in inv.items():
         cur = {(0,) * nslots: c / pi0}
@@ -400,13 +358,12 @@ def correlation_terms(spec, k):
                     e2 = list(e)
                     e2[s] += j
                     e2 = tuple(e2)
-                    sign = 1.0 if s < k else -1.0
+                    sign = -1.0 if graded and s >= k else 1.0
                     nxt[e2] = nxt.get(e2, 0j) + sign * v
             cur = nxt
         for e, v in cur.items():
             acc[e] = acc.get(e, 0j) + v
-    # slot transform: exponent a -> phase * q_a(h) e^{-h^2}, with q_a the
-    # polynomial part of the a-th Gaussian derivative
+    # slot transform: exponent a -> phase * q_a(h) e^{-h^2}
     qcache = {}
 
     def qpoly(a):
@@ -420,7 +377,7 @@ def correlation_terms(spec, k):
             continue
         options = []
         for s, a in enumerate(e):
-            phase = (1j) ** a if s < k else (-1.0) ** a
+            phase = (-1.0) ** a if graded and s >= k else (1j) ** a
             q = qpoly(a)
             options.append([(phase * q[m], m) for m in range(len(q)) if q[m] != 0.0])
         for pick in itertools.product(*options):
@@ -431,9 +388,7 @@ def correlation_terms(spec, k):
                 ms.append(m)
             keym = tuple(ms)
             terms[keym] = terms.get(keym, 0j) + coef
-    res = [(c, [(1.0, m) for m in ms]) for ms, c in terms.items() if c != 0]
-    spec._cache[key] = res
-    return res
+    return [(c, [(1.0, m) for m in ms]) for ms, c in terms.items() if c != 0]
 
 
 def reduced_density(spec, h, k, method="closed-form", samples=None, seed=0):

@@ -176,17 +176,18 @@ def cauchy_gauss_tower(nmax, z, side=-1):
     principal-value asymptotic series plus the exact sided delta part."""
     z = np.asarray(z, dtype=complex)
     upper = np.where(np.imag(z) != 0, np.imag(z) > 0, side > 0)
-    fac = np.empty((nmax + 1,) + z.shape, dtype=complex)
     # lower half plane (or z - i0): C_n = (i pi / n!) w^(n)(-z)
     # upper half plane (or z + i0): C_n = (-i pi / n!) (-1)^n w^(n)(z)
-    wl = faddeeva_derivatives(-z, nmax)
-    wu = faddeeva_derivatives(z, nmax)
+    lo = np.empty(nmax + 1, dtype=complex)
+    hi = np.empty(nmax + 1, dtype=complex)
     f = 1.0
     for n in range(nmax + 1):
-        lo = (1j * np.pi / f) * wl[n]
-        hi = (-1j * np.pi / f) * ((-1.0) ** n) * wu[n]
-        fac[n] = np.where(upper, hi, lo)
+        lo[n] = 1j * np.pi / f
+        hi[n] = (-1j * np.pi / f) * ((-1.0) ** n)
         f *= n + 1
+    col = (nmax + 1,) + (1,) * z.ndim
+    coef = np.where(upper, hi.reshape(col), lo.reshape(col))
+    fac = coef * faddeeva_derivatives(np.where(upper, z, -z), nmax)
     far = (np.abs(np.real(z)) >= CAUCHY_ASYMP) & (np.abs(np.imag(z)) <= 1e-8)
     if np.any(far):
         flat = fac.reshape(nmax + 1, -1)

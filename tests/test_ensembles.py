@@ -122,13 +122,40 @@ def test_reduced_density_requires_room():
         reduced_density(spec, [0.0], 1)
 
 
-@pytest.mark.parametrize("M1,M2", [(2, 1), (4, 1), (2, 2)])
-def test_reduced_closed_matches_mc(M1, M2):
-    spec = EnsembleSpec.higher_trace(4, M1, M2)
-    h = np.array([0.5, -0.3])
-    closed, _ = reduced_density(spec, h, 1)
-    est, err = reduced_density(spec, h, 1, method="mc", samples=50000, seed=3)
+@pytest.mark.parametrize("M1,M2,N,h", [
+    (2, 1, 4, [0.5, -0.3]),
+    (4, 1, 4, [0.5, -0.3]),
+    (2, 2, 4, [0.5, -0.3]),
+    (4, 2, 5, [0.3, -0.8, 1.2, 0.1]),
+], ids=["2-1", "4-1", "2-2", "4-2-N5-k2"])
+def test_reduced_closed_matches_mc(M1, M2, N, h):
+    spec = EnsembleSpec.higher_trace(N, M1, M2)
+    h = np.array(h)
+    k = len(h) // 2
+    closed, _ = reduced_density(spec, h, k)
+    est, err = reduced_density(spec, h, k, method="mc", samples=50000, seed=3)
     assert abs(est - closed) < 3 * err + 1e-12
+
+
+# values, full moments and term counts of the index enumeration that the
+# invariant-based expansion replaced
+@pytest.mark.parametrize("shape,k,h,value,moment,n_terms", [
+    ((4, 4, 1), 1, [0.5, -0.3], 0.18750260466954818, 33.0, 6),
+    ((4, 4, 1), 2, [0.5, -0.3, 1.1, -0.7], 0.01211062921053001, 33.0, 15),
+    ((4, 3, 2), 1, [0.5, -0.3], 0.12981742663713372, 97.5, 11),
+    ((4, 2, 3), 2, [0.5, -0.3, 1.1, -0.7], 0.01237756768267372, 720.0, 35),
+    ((5, 4, 2), 2, [0.3, -0.8, 1.2, 0.1], 0.010685344898962473, 5564.0625, 96),
+    ((4, 8, 1), 1, [0.9, -0.4], 0.09887738963057822, 1181.25, 18),
+])
+def test_trace_power_reduced_density_pinned(shape, k, h, value, moment, n_terms):
+    spec = EnsembleSpec.higher_trace(*shape)
+    got, err = reduced_density(spec, h, k)
+    assert err == 0.0
+    assert abs(got - value) <= 1e-13 * value
+    assert abs(spec.full_moment() - moment) <= 1e-13 * moment
+    terms = reduced_terms(spec, k)
+    assert len(terms) == n_terms
+    assert all(type(c) is float for c, _ in terms)
 
 
 def test_reduced_density_cap_falls_back_to_mc():
@@ -148,22 +175,33 @@ def test_correlation_terms_match_reduced_for_even_families():
 def test_correlation_terms_even_sector_agrees_with_marginal():
     # for even M1 the trace-power marginal is even in each slot and the
     # graded expansion reduces to it
-    spec = EnsembleSpec.higher_trace(4, 2, 2)
-    h = np.array([0.4, -0.9])
-    marg = sum(c * np.prod([(np.pi * v) ** -0.5 * np.exp(-x * x / v) * x ** m
-                            for x, (v, m) in zip(h, slots)])
-               for c, slots in reduced_terms(spec, 1))
-    grad = sum(c * np.prod([(np.pi * v) ** -0.5 * np.exp(-x * x / v) * x ** m
-                            for x, (v, m) in zip(h, slots)])
-               for c, slots in correlation_terms(spec, 1))
-    assert abs(np.imag(grad)) < 1e-12
-    assert abs(np.real(grad) - marg) < 1e-12
+    for N, h in [(4, [0.4, -0.9]), (4, [0.4, -0.9, 0.2, 1.3]),
+                 (12, [0.4, -0.9]), (12, [0.4, -0.9, 0.2, 1.3])]:
+        spec = EnsembleSpec.higher_trace(N, 2, 2)
+        h = np.array(h)
+        k = len(h) // 2
+        marg = sum(c * np.prod([(np.pi * v) ** -0.5 * np.exp(-x * x / v) * x ** m
+                                for x, (v, m) in zip(h, slots)])
+                   for c, slots in reduced_terms(spec, k))
+        grad = sum(c * np.prod([(np.pi * v) ** -0.5 * np.exp(-x * x / v) * x ** m
+                                for x, (v, m) in zip(h, slots)])
+                   for c, slots in correlation_terms(spec, k))
+        assert abs(np.imag(grad)) < 1e-12
+        assert abs(np.real(grad) - marg) < 1e-12
 
 
 def test_characteristic_invariants_constant_is_full_moment():
-    spec = EnsembleSpec.higher_trace(4, 4, 1)
-    inv = characteristic_invariants(spec)
-    assert abs(inv[()] - spec.full_moment()) < 1e-10
+    # independent references: E tr H^4 = (2N^3 + N)/4, and tr H^2 is
+    # Gamma(N^2/2, 1) distributed under exp(-tr H^2), so
+    # E (tr H^2)^M2 = Gamma(N^2/2 + M2) / Gamma(N^2/2)
+    cases = [(4, 4, 1, (2 * 4 ** 3 + 4) / 4), (12, 4, 1, (2 * 12 ** 3 + 12) / 4)]
+    for N, M2 in [(4, 3), (12, 4), (16, 4)]:
+        cases.append((N, 2, M2, math.prod(N * N / 2 + j for j in range(M2))))
+    for N, M1, M2, ref in cases:
+        spec = EnsembleSpec.higher_trace(N, M1, M2)
+        inv = characteristic_invariants(spec)
+        assert abs(inv[()] - ref) <= 1e-13 * ref
+        assert abs(spec.full_moment() - ref) <= 1e-13 * ref
 
 
 def test_trace_power_cap_enforced():

@@ -183,6 +183,46 @@ def test_cauchy_far_branch_matches_recurrence_at_crossover():
         S.CAUCHY_ASYMP = save
 
 
+@pytest.mark.parametrize("nmax,z,side,pins", [
+    (5, 0.7, -1, {0: 1.809689765447503 + 1.9246225793649665j,
+                  2: -2.5176291865766722 - 0.03849245158729944j,
+                  5: 0.5036690974051216 + 0.5533007637695971j}),
+    (5, 0.7, 1, {0: 1.809689765447503 - 1.9246225793649665j,
+                 2: -2.5176291865766722 + 0.03849245158729944j,
+                 5: 0.5036690974051216 - 0.5533007637695971j}),
+    (31, -2.3, 1, {0: -0.8828697448530098 - 0.01583915699300616j,
+                   15: 1.6511708087409282e-05 + 2.1654215504062833e-06j,
+                   31: 2.894935057234316e-14 + 3.304593594403395e-14j}),
+    (12, 1.5 + 0.8j, -1, {0: 0.8482810515255564 - 0.6618191875009124j,
+                          6: 0.015051821653411976 - 0.007494807068511677j,
+                          12: 1.3248925568844698e-06 - 4.266394837968936e-05j}),
+    (8, 7.4, 1, {0: 0.24177062848902678 - 5.1901994063745474e-24j,
+                 4: 9.24406676506039e-05 - 9.809918391010734e-21j,
+                 8: 4.2142601699387796e-08 - 2.256539775044309e-19j}),
+    (31, -9.0, -1, {0: -0.1981782307032555 + 2.0859161112410486e-35j,
+                    15: 2.4793653552444707e-15 - 5.286033434763193e-29j,
+                    31: 5.16195999302732e-31 - 5.375316787074968e-32j}),
+])
+def test_cauchy_tower_pinned_values(nmax, z, side, pins):
+    # exact values of the two-tower implementation this one replaced, on
+    # both sides, inside and beyond CAUCHY_ASYMP
+    tower = cauchy_gauss_tower(nmax, z, side)
+    assert tower.shape == (nmax + 1,)
+    for n, val in pins.items():
+        assert complex(tower[n]) == val
+
+
+def test_cauchy_tower_pinned_array_input():
+    z = np.array([0.7, 7.4, -1 + 0.5j, -0.3 - 0.2j])
+    tower = cauchy_gauss_tower(4, z, side=1)
+    assert tower.shape == (5, 4)
+    assert [complex(v) for v in tower[4]] == [
+        1.0835816331905361 + 0.6157509172248316j,
+        9.24406676506039e-05 - 9.809918391010734e-21j,
+        -0.15239260235137583 + 0.21527893153248756j,
+        -0.630981608213174 + 0.5582707580172073j]
+
+
 def test_moment_cauchy_against_quadrature():
     z = 1.3 - 0.7j
     F = gauss_moment_cauchy(3, 3, z)
