@@ -12,7 +12,7 @@ import numpy as np
 from rmtcorr.ensembles import EnsembleSpec
 from rmtcorr.engine import CorrelationRequest, evaluate
 from rmtcorr.kernels import IncrementedPoint
-from rmtcorr.special import OscillatorBasis, gue_kernel
+from rmtcorr.special import gue_kernel
 
 
 def r_k(spec, points, method, variant="R"):
@@ -23,16 +23,15 @@ def r_k(spec, points, method, variant="R"):
 
 def main():
     spec = EnsembleSpec.gaussian(4)
-    basis = OscillatorBasis(4)
 
     print("k = 2 correlations, gaussian N=4")
     print("  x      y      convolution     determinant     cluster form")
     for x, y in [(-1.0, 0.5), (0.0, 1.2), (0.3, -0.3), (1.5, 1.6)]:
         a = float(np.real(r_k(spec, [x, y], "convolution")))
         b = float(np.real(r_k(spec, [x, y], "closed_form_gue")))
-        r1x = gue_kernel(basis, np.array(x), np.array(x), variant="imaginary-part")
-        r1y = gue_kernel(basis, np.array(y), np.array(y), variant="imaginary-part")
-        kxy = gue_kernel(basis, np.array(x), np.array(y), variant="imaginary-part")
+        r1x = gue_kernel(spec.N, np.array(x), np.array(x), variant="imaginary-part")
+        r1y = gue_kernel(spec.N, np.array(y), np.array(y), variant="imaginary-part")
+        kxy = gue_kernel(spec.N, np.array(x), np.array(y), variant="imaginary-part")
         c = float(r1x * r1y - kxy * kxy)
         print(f"  {x:5.2f}  {y:5.2f}  {a:<14.10f}  {b:<14.10f}  {c:<14.10f}")
 

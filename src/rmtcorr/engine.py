@@ -1,16 +1,21 @@
 """Correlation-function evaluation paths: determinant-factorized
 convolution in the diagonal variables, the Fourier/jet eigenvalue
-integral, the factorized-kernel route, trace-power closed forms, the
-generating-function value, and time-domain transforms.
+integral, the factorized-kernel route, trace-power and oscillator-basis
+closed forms, the generating-function value, and time-domain transforms.
 
-Both deterministic routes reduce to sums of k x k determinants
-det[sum_{n<N} row_p(n) col_q(n)]: the convolution path builds row/col
-from Cauchy transforms and moments of the reduced density in the
-diagonal variables, the eigenvalue-integral path from half-line
-oscillatory integrals and Taylor jets of the characteristic function.
+Every route is a sum over separable terms of k x k determinants
+det[scale * sum_{n<N} row_p(n) col_q(n)], taken by one engine (_det_sums);
+each route brings its own row and column factors (the eigenvalue-integral
+and factorized routes share theirs).
+
+Sides and variants follow one rule.  Row p carries the increment side L_p
+of its point.  Rhat: a row with L = -1 is the complex conjugate of its
+L = +1 row.  R: the rows are the imaginary parts of the sided rows, so R
+carries prod_p L_p; its value is real.
 """
 
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -18,7 +23,7 @@ from numpy.polynomial import hermite as nph
 
 from .ensembles import correlation_terms, slot_phi_jet, jet_mul
 from .kernels import IncrementedPoint
-from .special import (SQRT_PI, OscillatorBasis, gue_kernel, gauss_moments,
+from .special import (SQRT_PI, _osc_tower, _osc_hat_tower, gauss_moments,
                       gauss_moment_cauchy, gauss_poly_derivatives,
                       polyval_ascending, half_gauss_oscillatory)
 
@@ -74,32 +79,73 @@ def evaluate(req):
 def _coincidence_split(points):
     """If two points are closer than DELTA_X, return two shifted copies to
     evaluate and average (linear extrapolation through the midpoint)."""
-    xs = np.array([p.value for p in points])
-    k = len(xs)
-    for p in range(k):
-        for q in range(p + 1, k):
-            if abs(xs[p] - xs[q]) < DELTA_X:
-                lo = [IncrementedPoint(pt.value - 10 * DELTA_X * (i == p), pt.side)
-                      for i, pt in enumerate(points)]
-                hi = [IncrementedPoint(pt.value + 10 * DELTA_X * (i == p), pt.side)
-                      for i, pt in enumerate(points)]
-                return lo, hi
+    for p, q in itertools.combinations(range(len(points)), 2):
+        if abs(points[p].value - points[q].value) < DELTA_X:
+            return [[IncrementedPoint(pt.value + d * (i == p), pt.side)
+                     for i, pt in enumerate(points)] for d in (-10 * DELTA_X, 10 * DELTA_X)]
     return None
 
 
-def _with_coincidence(req, fn):
+# ---------------------------------------------------------------------------
+# The determinant engine
+# ---------------------------------------------------------------------------
+
+def _det_sums(terms, N, row, row_pts, cols, col_pts, scale):
+    """sum over terms (coef, slots) of coef det[scale * sum_{n<N}
+    row(N, x_p, L_p, *slots[p])(n) col(N, y_q, *slots[k + q])(n)], with
+    row_pts[p] = (x_p, L_p) and col_pts[q] = y_q; one sum per column
+    function.  Terms repeat slot factors, and rows do not depend on the
+    columns, so each distinct row and column factor is built once and
+    shared by every term and every column function; the determinants of
+    all terms and functions are taken in one stacked call."""
+    k = len(row_pts)
+    rows, cvals = {}, {}
+    for _, slots in terms:
+        for p in range(k):
+            if (p, slots[p]) not in rows:
+                rows[p, slots[p]] = row(N, *row_pts[p], *slots[p])
+            if (p, slots[k + p]) not in cvals:
+                cvals[p, slots[k + p]] = [col(N, col_pts[p], *slots[k + p]) for col in cols]
+    R = np.array([[rows[p, slots[p]] for p in range(k)] for _, slots in terms])
+    C = np.array([[cvals[q, slots[k + q]] for q in range(k)] for _, slots in terms])
+    M = R @ C.transpose(2, 0, 3, 1)
+    # a 1 x 1 determinant is its entry; the stacked call costs as much as
+    # the rest of the engine at k = 1
+    dets = M[..., 0, 0] if k == 1 else np.linalg.det(M)
+    return dets.dot([coef for coef, _ in terms]) * scale ** k
+
+
+def _determinants(req, terms, rows, cols, scale, metadata):
+    """Evaluate req as _det_sums over `terms`, averaging two shifted copies
+    at coincident points.
+
+    rows = (Rhat row, R row) are factor functions f(N, x, L, v, m); an R
+    row of None is the imaginary part of the Rhat row.  cols are factor
+    functions g(N, x, v, m).  The value is the sum of the last column
+    function and the error estimate its distance from the first."""
+    rhat, r = rows
+    row = rhat if req.variant == "Rhat" else r or (lambda *args: np.imag(rhat(*args)))
+
+    def run(points):
+        sums = _det_sums(terms, req.spec.N, row, [(p.value, p.side) for p in points],
+                         cols, [p.value for p in points], scale)
+        val = complex(sums[-1])
+        err = abs(val - sums[0])
+        if req.variant == "R":
+            val = complex(val.real)
+        return CorrelationResult(val, err, metadata)
+
     split = _coincidence_split(req.points)
     if split is None:
-        return fn(req.points)
-    lo = fn(split[0])
-    hi = fn(split[1])
-    value = 0.5 * (lo.value + hi.value)
+        return run(req.points)
+    lo, hi = run(split[0]), run(split[1])
     err = max(lo.error_estimate, hi.error_estimate, abs(hi.value - lo.value))
-    return CorrelationResult(value, err, lo.metadata | {"coincidence_split": True})
+    return CorrelationResult(0.5 * (lo.value + hi.value), err,
+                             metadata | {"coincidence_split": True})
 
 
 # ---------------------------------------------------------------------------
-# Row and column factors shared by the h-space determinant paths
+# Convolution and trace-power closed form: h-space factors
 # ---------------------------------------------------------------------------
 
 def _row_rhat(N, x, L, v, m):
@@ -165,29 +211,6 @@ def _col_gh(N, x, v, m, order):
     return (w * b ** m) @ np.vander(x - 1j * b, N, increasing=True) / SQRT_PI
 
 
-def _det_sums(spec, k, points, variant, col_fns):
-    """Sums over separable terms of det[(1/pi) sum_n row col], one sum per
-    column function.  Terms repeat slot factors, and rows do not depend on
-    the columns, so each distinct row and column factor of the point is
-    built once and shared by every term and every column function; the
-    determinants of all terms and functions are taken in one stacked call."""
-    N = spec.N
-    row = _row_rhat if variant == "Rhat" else _row_r
-    terms = correlation_terms(spec, k)
-    rows, cols = {}, {}
-    for _, slots in terms:
-        for p in range(k):
-            if (p, slots[p]) not in rows:
-                rows[p, slots[p]] = row(N, points[p].value, points[p].side, *slots[p])
-            if (p, slots[k + p]) not in cols:
-                cols[p, slots[k + p]] = [col(N, points[p].value, *slots[k + p])
-                                         for col in col_fns]
-    R = np.array([[rows[p, slots[p]] for p in range(k)] for _, slots in terms])
-    C = np.array([[cols[q, slots[k + q]] for q in range(k)] for _, slots in terms])
-    dets = np.linalg.det(np.einsum("tpn,tqrn->rtpq", R, C, optimize=False))
-    return dets @ np.array([coef for coef, _ in terms]) / np.pi ** k
-
-
 _GH_COLS = (functools.partial(_col_gh, order=GH_ORDER),
             functools.partial(_col_gh, order=2 * GH_ORDER))
 
@@ -204,15 +227,9 @@ def correlations_convolution(req):
     spec, k = req.spec, req.k
     if 2 * k > spec.N:
         raise ValueError("need 2k <= N")
-
-    def run(points):
-        coarse, val = _det_sums(spec, k, points, req.variant, _GH_COLS)
-        err = abs(val - coarse)
-        if req.variant == "R":
-            val = complex(np.real(val))
-        return CorrelationResult(val, err, {"quadrature": (GH_ORDER, 2 * GH_ORDER)})
-
-    return _with_coincidence(req, run)
+    return _determinants(req, correlation_terms(spec, k), (_row_rhat, _row_r),
+                         _GH_COLS, 1.0 / np.pi,
+                         {"quadrature": (GH_ORDER, 2 * GH_ORDER)})
 
 
 def correlations_higher_trace(req):
@@ -221,18 +238,12 @@ def correlations_higher_trace(req):
     spec, k = req.spec, req.k
     if spec.family not in ("higher_trace", "gaussian"):
         raise ValueError("closed_form_higher_trace needs a trace-power or Gaussian spec")
-
-    def run(points):
-        val, = _det_sums(spec, k, points, req.variant, (_col_exact,))
-        if req.variant == "R":
-            val = complex(np.real(val))
-        return CorrelationResult(val, 0.0, {"path": "moment-determinant"})
-
-    return _with_coincidence(req, run)
+    return _determinants(req, correlation_terms(spec, k), (_row_rhat, _row_r),
+                         (_col_exact,), 1.0 / np.pi, {"path": "moment-determinant"})
 
 
 # ---------------------------------------------------------------------------
-# Eigenvalue-integral (Fourier/jet) path
+# Eigenvalue-integral (Fourier/jet) and factorized-kernel paths
 # ---------------------------------------------------------------------------
 
 def _slot_poly(v, m):
@@ -244,44 +255,21 @@ def _slot_poly(v, m):
 
 
 def _halfline_vec(N, x, L, v, m):
-    """I_n = integral over the L r > 0 half-line of
-    (-i r)^n e^(-i x r) (slot Fourier factor)(r) dr, n = 0..N-1."""
+    """i I_n, n = 0..N-1, with I_n the integral along the half-line from 0
+    to L infinity of (-i r)^n e^(-i x r) (slot Fourier factor)(r) dr.  The
+    orientation makes the L = -1 row the conjugate of the L = +1 row."""
     a = _slot_poly(v, m)
-    amax = N - 1 + len(a) - 1
-    out = np.empty(N, dtype=complex)
-    if L == 1:
-        G = half_gauss_oscillatory(amax, np.array(float(x)), v / 4.0)
-        for n in range(N):
-            out[n] = (-1j) ** n * np.sum(a * G[n: n + len(a)])
-    else:
-        G = half_gauss_oscillatory(amax, np.array(-float(x)), v / 4.0)
-        for n in range(N):
-            acc = 0j
-            for j in range(len(a)):
-                acc += a[j] * (-1.0) ** (n + j) * G[n + j]
-            out[n] = (-1j) ** n * acc
-    return out
+    # r -> L r carries the half-line onto r > 0, and the term a_j G_(n+j)
+    # picks up L^(n+j) = L^(n+m): a_j vanishes unless j = m mod 2
+    G = half_gauss_oscillatory(N + len(a) - 2, np.array(L * float(x)), v / 4.0)
+    return 1j * L ** (m + 1) * np.array([(-1j * L) ** n * np.sum(a * G[n: n + len(a)])
+                                         for n in range(N)])
 
 
 def _jet_vec(N, x, v, m):
     """J_n = order-n Taylor coefficient of e^(-x r) (slot factor)(r) at 0."""
     ex = np.array([(-x) ** j / math.factorial(j) for j in range(N)], dtype=complex)
     return jet_mul(ex, slot_phi_jet(v, m, N - 1), N - 1)
-
-
-def _det_sum_ev(spec, k, points):
-    N = spec.N
-    total = 0j
-    for coef, slots in correlation_terms(spec, k):
-        rows = [_halfline_vec(N, points[p].value, points[p].side, *slots[p])
-                for p in range(k)]
-        cols = [_jet_vec(N, points[q].value, *slots[k + q]) for q in range(k)]
-        D = np.empty((k, k), dtype=complex)
-        for p in range(k):
-            for q in range(k):
-                D[p, q] = 1j / np.pi * np.dot(rows[p], cols[q])
-        total += coef * np.linalg.det(D)
-    return total
 
 
 def correlations_eigenvalue_integral(req):
@@ -292,17 +280,9 @@ def correlations_eigenvalue_integral(req):
         raise ValueError("eigenvalue_integral is capped at k = 2")
     if req.variant != "Rhat":
         raise ValueError("eigenvalue_integral computes the Rhat variant")
+    return _determinants(req, correlation_terms(spec, k), (_halfline_vec, None),
+                         (_jet_vec,), 1.0 / np.pi, {"path": "fourier-jet"})
 
-    def run(points):
-        val = _det_sum_ev(spec, k, points)
-        return CorrelationResult(val, 0.0, {"path": "fourier-jet"})
-
-    return _with_coincidence(req, run)
-
-
-# ---------------------------------------------------------------------------
-# Factorized-kernel and GUE closed-form paths
-# ---------------------------------------------------------------------------
 
 def _factorizing_scale(spec):
     if spec.family == "gaussian":
@@ -321,54 +301,47 @@ def factorized_kernel(spec, xp, xq, Lp=1):
     entrywise for the Gaussian case."""
     v = _factorizing_scale(spec)
     N = spec.N
-    rows = _halfline_vec(N, xp, Lp, v, 0)
-    cols = _jet_vec(N, xq, v, 0)
-    val = 1j / np.pi * np.dot(rows, cols)
+    val = np.dot(_halfline_vec(N, xp, Lp, v, 0), _jet_vec(N, xq, v, 0)) / np.pi
     return val * np.exp((xp * xp - xq * xq) / (2.0 * v))
 
 
 def correlations_factorized(req):
-    """Determinant of the factorized kernel; Gaussian and spike-spread
-    variance-mixed specs only."""
-    spec, k = req.spec, req.k
+    """Determinant of the factorized kernel, whose gauge drops out (the jet
+    columns are real); Gaussian and spike-spread variance-mixed specs only."""
+    terms = [(1.0, [(_factorizing_scale(req.spec), 0)] * (2 * req.k))]
+    return _determinants(req, terms, (_halfline_vec, None), (_jet_vec,),
+                         1.0 / np.pi, {"path": "factorized-kernel"})
 
-    def run(points):
-        D = np.empty((k, k), dtype=complex)
-        for p in range(k):
-            for q in range(k):
-                D[p, q] = factorized_kernel(
-                    spec, points[p].value, points[q].value, points[p].side)
-        if req.variant == "R":
-            D = np.imag(D).astype(complex)
-        val = complex(np.linalg.det(D))
-        return CorrelationResult(val, 0.0, {"path": "factorized-kernel"})
 
-    return _with_coincidence(req, run)
+# ---------------------------------------------------------------------------
+# GUE closed form: oscillator-basis factors
+# ---------------------------------------------------------------------------
+
+def _row_osc_hat(N, x, L, v, m):
+    """Sided companion row phi^_n(x / sqrt v), n < N (Im phi^_n = phi_n);
+    the L = -1 row is its conjugate."""
+    t = _osc_hat_tower(N - 1, np.array(x / np.sqrt(v)))
+    return t if L == 1 else t.conj()
+
+
+def _col_osc(N, x, v, m):
+    """Oscillator column phi_n(x / sqrt v), n < N."""
+    return _osc_tower(N - 1, np.array(x / np.sqrt(v)))
+
+
+def _row_osc(N, x, L, v, m):
+    """Imaginary part of the sided companion row: L phi_n(x / sqrt v)."""
+    return L * _col_osc(N, x, v, m)
 
 
 def correlations_closed_form_gue(req):
     """Oscillator-basis determinant for the Gaussian family, any scale."""
-    spec, k = req.spec, req.k
+    spec = req.spec
     if spec.family != "gaussian":
         raise ValueError("closed_form_gue needs a Gaussian spec")
     v = spec.params["scale"]
-    basis = OscillatorBasis(spec.N)
-
-    def run(points):
-        D = np.empty((k, k), dtype=complex)
-        variant = "full" if req.variant == "Rhat" else "imaginary-part"
-        for p in range(k):
-            for q in range(k):
-                u = points[p].value / np.sqrt(v)
-                w = points[q].value / np.sqrt(v)
-                val = gue_kernel(basis, np.array(u), np.array(w), variant=variant)
-                if req.variant == "Rhat" and points[p].side == -1:
-                    val = np.conj(gue_kernel(basis, np.array(u), np.array(w)))
-                D[p, q] = val / np.sqrt(v)
-        return CorrelationResult(complex(np.linalg.det(D)), 0.0,
-                                 {"path": "oscillator-determinant"})
-
-    return _with_coincidence(req, run)
+    return _determinants(req, [(1.0, [(v, 0)] * (2 * req.k))], (_row_osc_hat, _row_osc),
+                         (_col_osc,), 1.0 / np.sqrt(v), {"path": "oscillator-determinant"})
 
 
 # ---------------------------------------------------------------------------
@@ -378,18 +351,14 @@ def correlations_closed_form_gue(req):
 def generating_function_value(spec, k, x, J, metric=None):
     """Z_k at source strengths J; k = 1 only.  Z_1(x, J) = 1 + 2 pi J
     M(x - J, x + J) with M the Fourier/jet kernel entry, so that
-    (1/2pi) dZ/dJ at J = 0 equals Rhat_1(x)."""
+    (1/2pi) dZ/dJ at J = 0 equals Rhat_1(x) on the side of the metric."""
     if k != 1:
         raise NotImplementedError("generating function implemented for k = 1")
     L = (metric or [1])[0]
     x1 = float(np.asarray(x).reshape(-1)[0])
     J1 = float(np.asarray(J).reshape(-1)[0])
-    N = spec.N
-    total = 0j
-    for coef, slots in correlation_terms(spec, 1):
-        row = _halfline_vec(N, x1 - J1, L, *slots[0])
-        col = _jet_vec(N, x1 + J1, *slots[1])
-        total += coef * (1j / np.pi) * np.dot(row, col)
+    total, = _det_sums(correlation_terms(spec, 1), spec.N, _halfline_vec, [(x1 - J1, L)],
+                       (_jet_vec,), [x1 + J1], 1.0 / np.pi)
     return 1.0 + 2.0 * np.pi * J1 * total
 
 

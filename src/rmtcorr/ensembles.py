@@ -428,24 +428,16 @@ def _reduced_density_mc(spec, h, k, samples, seed):
             wi * np.prod((2 * np.pi * ti) ** -0.5 * np.exp(-h * h / (2 * ti)))
             for ti, wi in zip(t, w)))
         return val, 0.0
-    from .mc import sample_batch
+    from .mc import gaussian_matrices
     M1, M2 = spec.params["M1"], spec.params["M2"]
     rng = np.random.default_rng(seed)
     vals = np.empty(samples)
     chunk = 20000
-    done = 0
-    N = spec.N
-    while done < samples:
-        c = min(chunk, samples - done)
-        A = rng.standard_normal((c, N, N)) + 1j * rng.standard_normal((c, N, N))
-        Hm = (A + np.transpose(A, (0, 2, 1)).conj()) / np.sqrt(8.0)
-        d = rng.standard_normal((c, N)) * np.sqrt(0.5)
-        ii = np.arange(N)
-        Hm[:, ii, ii] = d
-        Hm[:, ii[: 2 * k], ii[: 2 * k]] = h
-        ev = np.linalg.eigvalsh(Hm)
-        vals[done: done + c] = np.sum(ev ** M1, axis=1) ** M2
-        done += c
+    ii = np.arange(2 * k)
+    for s in range(0, samples, chunk):
+        Hm = gaussian_matrices(rng, spec.N, min(chunk, samples - s), 1.0)
+        Hm[:, ii, ii] = h
+        vals[s: s + chunk] = np.sum(np.linalg.eigvalsh(Hm) ** M1, axis=1) ** M2
     mean = float(np.mean(vals))
     err = float(np.std(vals) / np.sqrt(samples))
     full = spec.full_moment()

@@ -7,7 +7,6 @@ integrals with their degenerate limit.
 import math
 
 import numpy as np
-from scipy.integrate import quad
 
 from .special import faddeeva_derivatives, gauss_moments
 
@@ -164,6 +163,8 @@ def ingham_siegel_pair(F, test):
     variable and jet is a sequence of Taylor coefficients at 0 of the
     second variable, of order >= N-1.
     """
+    # scipy.integrate is slow to import, and only this pairing needs it
+    from scipy.integrate import quad
     N, k = F.N, F.k
     out = F.c
     for p in range(k):

@@ -49,19 +49,22 @@ class BinnedDensity:
         return float(np.sum(self.density * np.diff(self.edges)))
 
 
-def _gaussian_eigs(rng, N, count, scale):
-    """Eigenvalues of matrices with weight exp(-tr H^2 / scale):
+def gaussian_matrices(rng, N, count, scale):
+    """count Hermitean N x N matrices with weight exp(-tr H^2 / scale):
     diagonal variance scale/2, off-diagonal Re/Im variance scale/4."""
+    A = rng.standard_normal((count, N, N)) + 1j * rng.standard_normal((count, N, N))
+    H = (A + np.transpose(A, (0, 2, 1)).conj()) * (np.sqrt(scale) / np.sqrt(8.0))
+    ii = np.arange(N)
+    H[:, ii, ii] = rng.standard_normal((count, N)) * np.sqrt(scale / 2.0)
+    return H
+
+
+def _gaussian_eigs(rng, N, count, scale):
+    """Eigenvalues of gaussian_matrices, drawn CHUNK matrices at a time."""
     out = np.empty((count, N))
-    done = 0
-    while done < count:
-        c = min(CHUNK, count - done)
-        A = rng.standard_normal((c, N, N)) + 1j * rng.standard_normal((c, N, N))
-        H = (A + np.transpose(A, (0, 2, 1)).conj()) * (np.sqrt(scale) / np.sqrt(8.0))
-        ii = np.arange(N)
-        H[:, ii, ii] = rng.standard_normal((c, N)) * np.sqrt(scale / 2.0)
-        out[done: done + c] = np.linalg.eigvalsh(H)
-        done += c
+    for s in range(0, count, CHUNK):
+        H = gaussian_matrices(rng, N, min(CHUNK, count - s), scale)
+        out[s: s + CHUNK] = np.linalg.eigvalsh(H)
     return out
 
 

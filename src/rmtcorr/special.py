@@ -15,15 +15,6 @@ SQRT_PI = np.sqrt(np.pi)
 HERMITE_CAP = 64
 
 
-class OscillatorBasis:
-    """First N oscillator states for the exp(-x^2) weight."""
-
-    def __init__(self, N):
-        if N < 1:
-            raise ValueError("N must be >= 1")
-        self.N = N
-
-
 def hermite_poly(n, x):
     """Physicists' Hermite polynomial H_n(x) by three-term recurrence."""
     x = np.asarray(x, dtype=float)
@@ -125,12 +116,13 @@ def _osc_hat_tower(nmax, x):
     return out
 
 
-def gue_kernel(basis, xp, xq, variant="full"):
+def gue_kernel(N, xp, xq, variant="full"):
     """Finite-N kernel of the Gaussian unitary ensemble.
 
     full: sum_{n<N} phi^_n(xp) phi_n(xq) (complex; imaginary part is the
     density kernel); imaginary-part: sum_{n<N} phi_n(xp) phi_n(xq)."""
-    N = basis.N
+    if N < 1:
+        raise ValueError("N must be >= 1")
     pq = _osc_tower(N - 1, xq)
     if variant == "imaginary-part":
         pp = _osc_tower(N - 1, xp)

@@ -16,7 +16,7 @@ from rmtcorr.grassmann import verify_duality
 from rmtcorr.kernels import (IncrementedPoint, kernel_closed, kernel_series,
                              gaussian_pairing, hciz_exact, hciz_degenerate)
 from rmtcorr.mc import sample_batch, estimate_r1, hciz_mc
-from rmtcorr.special import OscillatorBasis, gue_kernel
+from rmtcorr.special import gue_kernel
 
 
 def report(n, ok, detail):
@@ -161,13 +161,12 @@ def test_criterion_7_mc_crosscheck():
 
 def test_criterion_8_factorized_kernel():
     spec = EnsembleSpec.gaussian(6)
-    basis = OscillatorBasis(6)
     rng = np.random.default_rng(8)
     dev = 0.0
     for _ in range(100):
         xp, xq = rng.uniform(-2.5, 2.5, 2)
         a = factorized_kernel(spec, xp, xq)
-        b = gue_kernel(basis, np.array(xp), np.array(xq), variant="full")
+        b = gue_kernel(6, np.array(xp), np.array(xq), variant="full")
         dev = max(dev, abs(a - b))
     report(8, dev < 1e-8, f"max_deviation={dev:.3e}")
 

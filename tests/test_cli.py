@@ -2,6 +2,9 @@
 codes, and determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -137,3 +140,13 @@ def test_threads_flag_is_rejected(capsys):
 def test_verify_unknown_suite_exits_2(capsys):
     code, _, err = run(capsys, "verify", "--suite", "bogus")
     assert code == 2
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # scipy.integrate costs about as much to import as the rest of the
+    # package; only the half-line pairing needs it, and imports it there
+    code = "import sys, rmtcorr.cli; print('scipy.integrate' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"

@@ -101,6 +101,40 @@ def test_trace_power_methods_agree(M1, M2):
         assert abs(a - c) < 1e-8 * max(abs(a), 1.0)
 
 
+# applicable routes per spec; eigenvalue_integral computes Rhat only
+ROUTES = {
+    "g4": GAUSS_METHODS,
+    "g4s07": GAUSS_METHODS,
+    "spike": ("convolution", "eigenvalue_integral", "factorized"),
+    "tp41": ("convolution", "eigenvalue_integral", "closed_form_higher_trace"),
+}
+METRIC_CASES = [((0.7,), "+"), ((0.7,), "-"), ((-1.2,), "-")] + [
+    ((0.4, -0.9), metric) for metric in ("++", "+-", "-+", "--")]
+
+
+@pytest.fixture(scope="module")
+def route_specs():
+    return {"g4": EnsembleSpec.gaussian(4), "g4s07": EnsembleSpec.gaussian(4, 0.7),
+            "spike": EnsembleSpec.norm_dependent(4, ("spike", 0.4)),
+            "tp41": EnsembleSpec.higher_trace(4, 4, 1)}
+
+
+@pytest.mark.parametrize("variant", ["Rhat", "R"])
+@pytest.mark.parametrize("name", list(ROUTES))
+def test_routes_agree_on_every_metric(route_specs, name, variant):
+    routes = [m for m in ROUTES[name]
+              if not (variant == "R" and m == "eigenvalue_integral")]
+    for xs, metric in METRIC_CASES:
+        pts = [IncrementedPoint(x, side=1 if s == "+" else -1)
+               for x, s in zip(xs, metric)]
+        vals = {m: evaluate(CorrelationRequest(route_specs[name], len(xs), pts,
+                                               variant, m)).value
+                for m in routes}
+        ref = vals["convolution"]
+        for m, val in vals.items():
+            assert abs(val - ref) <= 1e-8 * max(abs(ref), 1.0), (m, xs, metric)
+
+
 def test_k2_methods_agree():
     spec = EnsembleSpec.gaussian(4)
     for (x, y) in [(-0.7, 0.6), (0.2, 1.4)]:
@@ -219,16 +253,31 @@ def test_gauss_hermite_rules_built_once(monkeypatch):
             arr[0] = 0.0
 
 
-# Convolution values computed with the per-call Gauss-Hermite rules that
-# this route used before its rules were cached.  Same-sign points only:
-# the mixed metrics carry a known sign split between routes.
-CONVOLUTION_REFERENCE = [
-    ("g6", (0.7,), "+", "Rhat", 0.2700769305451727 + 1.0749775666115515j),
-    ("tp41", (0.7,), "+", "Rhat", 0.2399533629149673 + 0.848490091571944j),
-    ("g6", (0.4, -0.9), "++", "Rhat", -1.0359616707387982 - 0.2350525765790151j),
-    ("tp41", (0.4, -0.9), "++", "Rhat", -0.43758785776629866 - 0.2157660694695603j),
-    ("tp41", (0.4, -0.9), "++", "R", 0.663789413915169),
-    ("tp41", (0.4, 0.4), "++", "Rhat", 0.0),
+# Values pinned from earlier versions of each route: convolution's from
+# the per-call Gauss-Hermite rules it used before its rules were cached,
+# the other routes' from their hand-written determinant loops.
+REFERENCE_VALUES = [
+    ("convolution", "g6", (0.7,), "+", "Rhat", 0.2700769305451727 + 1.0749775666115515j),
+    ("convolution", "tp41", (0.7,), "+", "Rhat", 0.2399533629149673 + 0.848490091571944j),
+    ("convolution", "g6", (0.4, -0.9), "++", "Rhat",
+     -1.0359616707387982 - 0.2350525765790151j),
+    ("convolution", "tp41", (0.4, -0.9), "++", "Rhat",
+     -0.43758785776629866 - 0.2157660694695603j),
+    ("convolution", "tp41", (0.4, -0.9), "++", "R", 0.663789413915169),
+    ("convolution", "tp41", (0.4, 0.4), "++", "Rhat", 0.0),
+    ("eigenvalue_integral", "g6", (0.7,), "+", "Rhat",
+     0.2700769305451725 + 1.0749775666115515j),
+    ("eigenvalue_integral", "tp41", (0.4, -0.9), "++", "Rhat",
+     -0.4375878577662988 - 0.21576606946956042j),
+    ("factorized", "g6", (0.7,), "+", "R", 1.0749775666115515),
+    ("factorized", "g6", (0.4, -0.9), "++", "Rhat",
+     -1.0359616707387982 - 0.23505257657901524j),
+    ("closed_form_gue", "g6", (0.7,), "+", "Rhat", 0.2700769305451728 + 1.0749775666115517j),
+    ("closed_form_gue", "g6", (0.4, -0.9), "++", "R", 1.1036391132202306),
+    ("closed_form_higher_trace", "tp41", (0.7,), "+", "R", 0.8484900915719441),
+    ("closed_form_higher_trace", "tp41", (0.4, -0.9), "++", "Rhat",
+     -0.43758785776629905 - 0.21576606946956031j),
+    ("closed_form_higher_trace", "g6", (0.4, -0.9), "++", "R", 1.10363911322023),
 ]
 
 
@@ -237,29 +286,55 @@ def reference_specs():
     return {"g6": EnsembleSpec.gaussian(6), "tp41": EnsembleSpec.higher_trace(4, 4, 1)}
 
 
-@pytest.mark.parametrize("name, xs, metric, variant, ref", CONVOLUTION_REFERENCE)
-def test_convolution_reference_values(reference_specs, name, xs, metric, variant, ref):
+def reference_result(specs, method, name, xs, metric, variant, ref):
     pts = [IncrementedPoint(x, side=1 if s == "+" else -1) for x, s in zip(xs, metric)]
-    res = evaluate(CorrelationRequest(reference_specs[name], len(xs), pts,
-                                      variant, "convolution"))
+    res = evaluate(CorrelationRequest(specs[name], len(xs), pts, variant, method))
     assert abs(res.value - ref) <= 1e-13 * abs(ref) + 1e-14
+    return res
+
+
+@pytest.mark.parametrize("name, xs, metric, variant, ref",
+                         [r[1:] for r in REFERENCE_VALUES if r[0] == "convolution"])
+def test_convolution_reference_values(reference_specs, name, xs, metric, variant, ref):
+    res = reference_result(reference_specs, "convolution", name, xs, metric, variant, ref)
     assert res.error_estimate <= 1e-12
     assert res.metadata["quadrature"] == (engine.GH_ORDER, 2 * engine.GH_ORDER)
     if xs[0] == xs[-1] and len(xs) > 1:
         assert res.metadata["coincidence_split"]
 
 
+@pytest.mark.parametrize("method, name, xs, metric, variant, ref",
+                         [r for r in REFERENCE_VALUES if r[0] != "convolution"])
+def test_route_reference_values(reference_specs, method, name, xs, metric, variant, ref):
+    res = reference_result(reference_specs, method, name, xs, metric, variant, ref)
+    assert res.error_estimate == 0.0
+
+
+def test_closed_form_gue_builds_one_hat_tower_per_point(monkeypatch):
+    calls = collections.Counter()
+    tower = engine._osc_hat_tower
+
+    def counting(nmax, x):
+        calls[float(x)] += 1
+        return tower(nmax, x)
+
+    monkeypatch.setattr(engine, "_osc_hat_tower", counting)
+    for metric in ((1, 1), (1, -1), (-1, -1)):
+        calls.clear()
+        r2(EnsembleSpec.gaussian(6), 0.4, -0.9, "closed_form_gue", "Rhat", metric)
+        assert calls == {0.4: 1, -0.9: 1}
+
+
 # -- factorized kernel -----------------------------------------------------
 
 def test_factorized_kernel_matches_oscillator():
-    from rmtcorr.special import OscillatorBasis, gue_kernel
+    from rmtcorr.special import gue_kernel
     spec = EnsembleSpec.gaussian(5)
-    basis = OscillatorBasis(5)
     rng = np.random.default_rng(9)
     for _ in range(20):
         xp, xq = rng.uniform(-2, 2, 2)
         a = factorized_kernel(spec, xp, xq)
-        b = gue_kernel(basis, np.array(xp), np.array(xq), variant="full")
+        b = gue_kernel(5, np.array(xp), np.array(xq), variant="full")
         assert abs(a - b) < 1e-8 * max(abs(b), 1.0)
 
 
@@ -309,11 +384,12 @@ def test_generating_function_derivative_is_rhat():
     h = 1e-5
     for spec in (EnsembleSpec.gaussian(4), EnsembleSpec.higher_trace(4, 2, 2)):
         for x in (0.0, 0.8):
-            zp = generating_function_value(spec, 1, x, h)
-            zm = generating_function_value(spec, 1, x, -h)
-            deriv = (zp - zm) / (2 * h) / (2 * np.pi)
-            ref = r1(spec, x, "convolution", "Rhat")
-            assert abs(deriv - ref) < 1e-6 * max(abs(ref), 1.0)
+            for side in (1, -1):
+                zp = generating_function_value(spec, 1, x, h, metric=[side])
+                zm = generating_function_value(spec, 1, x, -h, metric=[side])
+                deriv = (zp - zm) / (2 * h) / (2 * np.pi)
+                ref = r1(spec, x, "convolution", "Rhat", side=side)
+                assert abs(deriv - ref) < 1e-6 * max(abs(ref), 1.0)
 
 
 # -- time domain -----------------------------------------------------------

@@ -158,6 +158,20 @@ def test_trace_power_reduced_density_pinned(shape, k, h, value, moment, n_terms)
     assert all(type(c) is float for c, _ in terms)
 
 
+# Monte Carlo estimates pinned from the sampler's own matrix draw, which
+# gaussian_matrices replaced: same seed, same draw order, same estimate
+@pytest.mark.parametrize("shape,k,h,samples,seed,value,err", [
+    ((4, 4, 1), 1, [0.3, -0.5], 3000, 7, 0.18701457341226746, 0.002654788183601248),
+    ((4, 2, 2), 2, [0.3, -0.5, 0.1, 0.8], 25000, 2,
+     0.02866881652639849, 0.0001344395373782986),
+])
+def test_reduced_density_mc_pinned(shape, k, h, samples, seed, value, err):
+    got, got_err = reduced_density(EnsembleSpec.higher_trace(*shape), np.array(h), k,
+                                   method="mc", samples=samples, seed=seed)
+    assert abs(got - value) <= 1e-12 * value
+    assert abs(got_err - err) <= 1e-10 * err
+
+
 def test_reduced_density_cap_falls_back_to_mc():
     spec = EnsembleSpec.higher_trace(2, 10, 1)
     val, err = reduced_density(spec, [0.2, 0.1], 1, samples=20000, seed=5)

@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import eval_hermite
 
-from rmtcorr.special import (SQRT_PI, OscillatorBasis, hermite_poly,
+from rmtcorr.special import (SQRT_PI, hermite_poly,
                              oscillator_wavefunction, generalized_hermite,
                              gue_kernel, cauchy_gauss, cauchy_gauss_tower,
                              gauss_moments, gauss_moment_cauchy,
@@ -69,58 +69,52 @@ def test_companion_order_cap():
 
 
 def test_kernel_diagonal_value_n2():
-    basis = OscillatorBasis(2)
-    val = gue_kernel(basis, np.array(0.0), np.array(0.0),
+    val = gue_kernel(2, np.array(0.0), np.array(0.0),
                      variant="imaginary-part")
     assert abs(val - 1.0 / SQRT_PI) < 1e-12
 
 
 def test_kernel_diagonal_integral_counts_levels():
     for N in (2, 5):
-        basis = OscillatorBasis(N)
         xs = np.linspace(-10, 10, 4001)
-        vals = gue_kernel(basis, xs, xs, variant="imaginary-part")
+        vals = gue_kernel(N, xs, xs, variant="imaginary-part")
         total = np.trapezoid(vals, xs)
         assert abs(total - N) < 1e-8
 
 
 def test_kernel_diagonal_nonnegative():
-    basis = OscillatorBasis(4)
     xs = np.linspace(-5, 5, 101)
-    vals = gue_kernel(basis, xs, xs, variant="imaginary-part")
+    vals = gue_kernel(4, xs, xs, variant="imaginary-part")
     assert np.all(vals >= 0)
 
 
 def test_kernel_reproducing_property():
     ys = np.linspace(-12, 12, 4001)
     for N in (3, 8):
-        basis = OscillatorBasis(N)
         for (x, z) in [(0.3, -0.9), (1.5, 1.5)]:
-            left = gue_kernel(basis, np.full_like(ys, x), ys,
+            left = gue_kernel(N, np.full_like(ys, x), ys,
                               variant="imaginary-part")
-            right = gue_kernel(basis, ys, np.full_like(ys, z),
+            right = gue_kernel(N, ys, np.full_like(ys, z),
                                variant="imaginary-part")
             integral = np.trapezoid(left * right, ys)
-            direct = gue_kernel(basis, np.array(x), np.array(z),
+            direct = gue_kernel(N, np.array(x), np.array(z),
                                 variant="imaginary-part")
             assert abs(integral - direct) < 1e-7
 
 
 def test_full_kernel_imaginary_part_matches():
-    basis = OscillatorBasis(5)
     xs = np.linspace(-4, 4, 17)
-    full = gue_kernel(basis, xs, xs, variant="full")
-    imag = gue_kernel(basis, xs, xs, variant="imaginary-part")
+    full = gue_kernel(5, xs, xs, variant="full")
+    imag = gue_kernel(5, xs, xs, variant="imaginary-part")
     assert np.max(np.abs(np.imag(full) - imag)) < 1e-10
 
 
 def test_full_kernel_far_tail_accurate():
     # the far branch must splice continuously onto the recurrence branch
-    basis = OscillatorBasis(8)
     eps = 1e-9
-    lo = gue_kernel(basis, np.array(CAUCHY_ASYMP - eps),
+    lo = gue_kernel(8, np.array(CAUCHY_ASYMP - eps),
                     np.array(CAUCHY_ASYMP - eps), variant="full")
-    hi = gue_kernel(basis, np.array(CAUCHY_ASYMP + eps),
+    hi = gue_kernel(8, np.array(CAUCHY_ASYMP + eps),
                     np.array(CAUCHY_ASYMP + eps), variant="full")
     assert abs(lo - hi) < 1e-7 * abs(lo)
 
