@@ -11,6 +11,7 @@ import hashlib
 import json
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -181,9 +182,12 @@ def cmd_verify(args):
         print(f"# {key}: {v}")
     ok = True
     for suite in run:
+        t0 = time.perf_counter()
         name, passed, dev = _run_suite(suite, args)
+        elapsed = time.perf_counter() - t0
         ok = ok and passed
-        print(f"{name}: {'PASS' if passed else 'FAIL'} max_deviation={dev:.3e}")
+        print(f"{name}: {'PASS' if passed else 'FAIL'} max_deviation={dev:.3e}"
+              f" elapsed={elapsed:.3f}s")
     return 0 if ok else 1
 
 

@@ -8,6 +8,8 @@ import warnings
 import numpy as np
 
 CHUNK = 200000
+# complex entries (512 KB) per Gram-Schmidt tile
+TILE = 32768
 
 
 class SampleBatch:
@@ -111,85 +113,147 @@ def _jackknife_ratio(num_blocks, den_blocks):
     return est, err
 
 
+def _block_sizes(count):
+    """Sizes of the min(200, count) contiguous jackknife blocks, split as
+    np.array_split splits count items."""
+    B = min(200, count)
+    q, r = divmod(count, B)
+    return np.array([q + 1] * r + [q] * (B - r))
+
+
+def _check_bins(bins):
+    lo, hi, nb = bins
+    if not hi > lo or nb < 1:
+        raise ValueError(f"bins (lo, hi, count) need hi > lo and count >= 1, got {bins!r}")
+    return np.linspace(lo, hi, nb + 1)
+
+
+def _bin_index(x, edges):
+    """Uniform-bin index of every value under np.histogram's rule: bins are
+    closed on the left, the last one also on the right.  Returns the index
+    and a mask of the values inside [edges[0], edges[-1]]; values outside
+    get index 0."""
+    nb = len(edges) - 1
+    lo, hi = edges[0], edges[-1]
+    keep = (x >= lo) & (x <= hi)
+    x = np.where(keep, x, lo)
+    i = ((x - lo) * (nb / (hi - lo))).astype(np.intp)
+    i[i == nb] -= 1
+    # the arithmetic index is off by at most one next to an edge
+    i -= x < edges[i]
+    i += (x >= edges[i + 1]) & (i != nb - 1)
+    return i, keep
+
+
+def _block_density(batch, sizes, cells, weights, edges, ndim):
+    """Blocked weighted ndim-point histogram from one bincount: cells holds
+    each value's flat (block, bin) index, block-major, and weights its
+    weight (0 for a value that does not count).  Jackknife over blocks."""
+    B, shape = len(sizes), (len(edges) - 1,) * ndim
+    num = np.bincount(cells.ravel(), weights=weights.ravel(), minlength=B * np.prod(shape))
+    den = np.add.reduceat(batch.weights, np.cumsum(sizes) - sizes) * (edges[1] - edges[0]) ** ndim
+    est, err = _jackknife_ratio(num.reshape((B,) + shape), den.reshape((B,) + (1,) * ndim))
+    return BinnedDensity(edges, est, err)
+
+
+def _binned_eigenvalues(batch, bins):
+    """Edges, block sizes, and for each eigenvalue its (block, bin) index
+    block * bins + bin, its bin index, and its in-range mask."""
+    edges = _check_bins(bins)
+    sizes = _block_sizes(batch.count)
+    i, keep = _bin_index(batch.eigenvalues, edges)
+    blk = np.repeat(np.arange(len(sizes)), sizes)[:, None]
+    return edges, sizes, blk * (len(edges) - 1) + i, i, keep
+
+
 def estimate_r1(batch, bins):
     """Weighted one-point eigenvalue histogram, normalized so the full
     density integrates to N; per-bin delete-1 jackknife errors."""
-    lo, hi, nb = bins
-    edges = np.linspace(lo, hi, nb + 1)
-    width = edges[1] - edges[0]
-    B = min(200, batch.count)
-    idx = np.array_split(np.arange(batch.count), B)
-    num = np.empty((B, nb))
-    den = np.empty((B, 1))
-    for b, ix in enumerate(idx):
-        ev = batch.eigenvalues[ix]
-        w = np.repeat(batch.weights[ix], ev.shape[1])
-        num[b] = np.histogram(ev.ravel(), bins=edges, weights=w)[0]
-        den[b, 0] = np.sum(batch.weights[ix]) * width
-    est, err = _jackknife_ratio(num, den)
-    return BinnedDensity(edges, est, err)
+    edges, sizes, cells, _, keep = _binned_eigenvalues(batch, bins)
+    return _block_density(batch, sizes, cells, batch.weights[:, None] * keep, edges, 1)
 
 
 def estimate_r2(batch, grid):
     """Weighted two-point histogram over ordered distinct eigenvalue pairs
     (self-pairs excluded); integrates to N(N-1)."""
-    lo, hi, nb = grid
-    edges = np.linspace(lo, hi, nb + 1)
-    width = edges[1] - edges[0]
+    edges, sizes, rows, i, keep = _binned_eigenvalues(batch, grid)
     N = batch.eigenvalues.shape[1]
-    pairs = [(p, q) for p in range(N) for q in range(N) if p != q]
-    B = min(200, batch.count)
-    idx = np.array_split(np.arange(batch.count), B)
-    num = np.empty((B, nb, nb))
-    den = np.empty((B, 1, 1))
-    for b, ix in enumerate(idx):
-        ev = batch.eigenvalues[ix]
-        x = np.concatenate([ev[:, p] for p, q in pairs])
-        y = np.concatenate([ev[:, q] for p, q in pairs])
-        w = np.tile(batch.weights[ix], len(pairs))
-        num[b] = np.histogram2d(x, y, bins=(edges, edges), weights=w)[0]
-        den[b, 0, 0] = np.sum(batch.weights[ix]) * width * width
-    est, err = _jackknife_ratio(num, den)
-    return BinnedDensity(edges, est, err)
+    cells = rows[:, :, None] * (len(edges) - 1) + i[:, None, :]
+    w = (batch.weights[:, None] * keep)[:, :, None] * (keep[:, None, :] & ~np.eye(N, dtype=bool))
+    return _block_density(batch, sizes, cells, w, edges, 2)
 
 
-def _haar_batch(rng, N, count):
-    """Haar unitaries by QR of complex Ginibre matrices with the
-    triangular factor's diagonal phases fixed."""
-    A = rng.standard_normal((count, N, N)) + 1j * rng.standard_normal((count, N, N))
-    Q, R = np.linalg.qr(A)
-    d = np.diagonal(R, axis1=1, axis2=2)
-    return Q * (d / np.abs(d))[:, None, :]
+def _ginibre(rng, N, count):
+    """count complex Ginibre N x N matrices: real parts, then imaginary."""
+    return rng.standard_normal((count, N, N)) + 1j * rng.standard_normal((count, N, N))
+
+
+def _gram_schmidt(X):
+    """Orthonormalise, in place, the columns X[j] (N, count) of a stack of
+    count N x N matrices stored column by column, X[j, n, s] = A_s[n, j]:
+    classical Gram-Schmidt run twice per column, then the column divided
+    by its norm.  R gets a real positive diagonal, so this is the Q of
+    LAPACK's QR with the diagonal phases of R divided out."""
+    for j in range(len(X)):
+        v = X[j]
+        for _ in range(2 if j else 0):
+            c = [(X[i].conj() * v).sum(axis=0) for i in range(j)]
+            for i in range(j):
+                v = v - c[i] * X[i]
+        X[j] = v / np.sqrt((v.real ** 2 + v.imag ** 2).sum(axis=0))
+    return X
+
+
+def _haar_columns(A):
+    """Haar unitaries U_s of complex Ginibre matrices A (count, N, N)
+    (Mezzadri 2007), returned as X (N, N, count) with X[a, b, s] = U_s[b, a].
+    The sample axis is last so every step works on long contiguous rows;
+    tiles of TILE entries keep a step's operands in cache."""
+    count, N = A.shape[0], A.shape[-1]
+    X = np.empty((N, N, count), dtype=complex)
+    tile = max(TILE // (N * N), 1)
+    for s in range(0, count, tile):
+        X[:, :, s: s + tile] = _gram_schmidt(A[s: s + tile].transpose(2, 1, 0).copy())
+    return X
 
 
 def haar_unitary(N, seed):
     rng = np.random.default_rng(seed)
-    return _haar_batch(rng, N, 1)[0]
+    return _haar_columns(_ginibre(rng, N, 1))[:, :, 0].T
 
 
 def hciz_mc(E, R, samples, seed):
     """MC mean of exp(i tr U E U^dag R) over Haar U, with jackknife
-    standard error; returns (value, stderr)."""
+    standard error over min(200, samples) blocks; returns (value, stderr).
+    Each block draws its matrices at most CHUNK // N at a time; whole draws
+    are gathered into chunks of at most that size and orthogonalised
+    together."""
     E = np.asarray(E, dtype=float)
     R = np.asarray(R, dtype=float)
-    N = len(E)
+    if E.ndim != 1 or E.shape != R.shape:
+        raise ValueError(f"E and R must be 1-d of one length, got shapes {E.shape} and {R.shape}")
+    if samples < 1 or samples != int(samples):
+        raise ValueError(f"samples must be a positive integer, got {samples}")
+    samples, N = int(samples), len(E)
+    cap = CHUNK // max(N, 1)
     rng = np.random.default_rng(seed)
-    B = 200
-    sums = np.empty(B, dtype=complex)
-    counts = np.empty(B)
-    per = [len(ix) for ix in np.array_split(np.arange(samples), B)]
-    for b, c in enumerate(per):
-        acc = 0j
-        done = 0
-        while done < c:
-            cc = min(CHUNK // max(N, 1), c - done)
-            U = _haar_batch(rng, N, cc)
-            # tr U E U^dag R = sum_{a,b} E_a R_b |U_{b a}|^2
-            P = np.abs(U) ** 2
-            acc += np.sum(np.exp(1j * np.einsum('sba,a,b->s', P, E, R)))
-            done += cc
-        sums[b] = acc
-        counts[b] = c
+    counts = _block_sizes(samples)
+    draws = [(b, min(cap, c - done)) for b, c in enumerate(counts)
+             for done in range(0, c, cap)]
+    sums = np.zeros(len(counts), dtype=complex)
+    first = 0
+    while first < len(draws):
+        last, total = first, 0
+        while last < len(draws) and total + draws[last][1] <= cap:
+            total += draws[last][1]
+            last += 1
+        blocks, sizes = zip(*draws[first:last])
+        X = _haar_columns(np.concatenate([_ginibre(rng, N, c) for c in sizes]))
+        # tr U E U^dag R = sum_{a,b} E_a R_b |U_{b a}|^2, X[a, b] = U[b, a]
+        P = (X.real ** 2 + X.imag ** 2).reshape(N * N, -1)
+        vals = np.exp(1j * (np.outer(E, R).ravel() @ P))
+        np.add.at(sums, list(blocks), np.add.reduceat(vals, np.cumsum(sizes) - sizes))
+        first = last
     est, err_re = _jackknife_ratio(np.real(sums)[:, None], counts[:, None])
     _, err_im = _jackknife_ratio(np.imag(sums)[:, None], counts[:, None])
     est_c = complex(np.sum(sums) / samples)

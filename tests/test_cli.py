@@ -3,6 +3,7 @@ codes, and determinism."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -130,6 +131,20 @@ def test_verify_pass_suites(capsys):
                        "--N", "3")
     assert code == 0
     assert "PASS" in out
+
+
+def test_verify_line_ends_with_elapsed(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "pairing")
+    assert code == 0
+    line = next(ln for ln in out.splitlines() if ln.startswith("pairing("))
+    assert re.fullmatch(r"pairing\(N=2\.\.6\): PASS max_deviation=\S+ elapsed=\d+\.\d+s", line)
+
+
+@pytest.mark.parametrize("suite,name", [("hciz", "hciz(N=2)"), ("mc", "mc(N=4)")])
+def test_verify_mc_suites_pass_at_default_seed(capsys, suite, name):
+    code, out, _ = run(capsys, "verify", "--suite", suite)
+    assert code == 0
+    assert f"{name}: PASS max_deviation=" in out
 
 
 def test_threads_flag_is_rejected(capsys):

@@ -14,8 +14,8 @@ from rmtcorr.ensembles import (EnsembleSpec, TaylorJet, flat_gauss_norm,
                                characteristic_function, slot_phi,
                                slot_phi_jet, jet_mul,
                                superspace_density_norm_dependent,
-                               TRACE_POWER_CAP)
-from rmtcorr.mc import haar_unitary
+                               TRACE_POWER_CAP, _trace_power)
+from rmtcorr.mc import haar_unitary, gaussian_matrices
 
 
 def random_hermitean(N, rng):
@@ -159,17 +159,29 @@ def test_trace_power_reduced_density_pinned(shape, k, h, value, moment, n_terms)
 
 
 # Monte Carlo estimates pinned from the sampler's own matrix draw, which
-# gaussian_matrices replaced: same seed, same draw order, same estimate
+# gaussian_matrices replaced, and from eigenvalue power sums, which
+# _trace_power replaced: same seed, same draw order, same estimate
 @pytest.mark.parametrize("shape,k,h,samples,seed,value,err", [
     ((4, 4, 1), 1, [0.3, -0.5], 3000, 7, 0.18701457341226746, 0.002654788183601248),
     ((4, 2, 2), 2, [0.3, -0.5, 0.1, 0.8], 25000, 2,
      0.02866881652639849, 0.0001344395373782986),
+    ((4, 3, 2), 2, [0.4, -0.7, 0.2, 0.9], 20000, 11,
+     0.007892007728521663, 0.00010691267218245006),
 ])
 def test_reduced_density_mc_pinned(shape, k, h, samples, seed, value, err):
     got, got_err = reduced_density(EnsembleSpec.higher_trace(*shape), np.array(h), k,
                                    method="mc", samples=samples, seed=seed)
     assert abs(got - value) <= 1e-12 * value
     assert abs(got_err - err) <= 1e-10 * err
+
+
+@pytest.mark.parametrize("N", [1, 2, 4, 5])
+def test_trace_power_matches_eigenvalue_sums(N):
+    H = gaussian_matrices(np.random.default_rng(N), N, 500, 1.0)
+    ev = np.linalg.eigvalsh(H)
+    for M in range(7):
+        scale = np.sum(np.abs(ev) ** M, axis=1)
+        assert np.max(np.abs(_trace_power(H, M) - np.sum(ev ** M, axis=1)) / scale) < 1e-13
 
 
 def test_reduced_density_cap_falls_back_to_mc():

@@ -9,8 +9,9 @@ import pytest
 from rmtcorr.ensembles import EnsembleSpec
 from rmtcorr.engine import CorrelationRequest, evaluate
 from rmtcorr.kernels import IncrementedPoint, hciz_exact
-from rmtcorr.mc import (sample_batch, estimate_r1, estimate_r2,
-                        haar_unitary, hciz_mc)
+from rmtcorr.mc import (SampleBatch, sample_batch, estimate_r1, estimate_r2,
+                        haar_unitary, hciz_mc, _haar_columns,
+                        _jackknife_ratio)
 
 
 def test_sampling_deterministic_by_seed():
@@ -98,3 +99,171 @@ def test_hciz_mc_matches_exact():
     exact = hciz_exact(E, R)
     est, err = hciz_mc(E, R, 300000, seed=21)
     assert abs(est - exact) < 3 * err
+
+
+def test_hciz_mc_rejects_bad_inputs():
+    with pytest.raises(ValueError):
+        hciz_mc([0.1, 0.2], [0.3, 0.4], 0, seed=1)
+    with pytest.raises(ValueError):
+        hciz_mc([0.1, 0.2], [0.3, 0.4], -5, seed=1)
+    with pytest.raises(ValueError):
+        hciz_mc([0.1, 0.2], [0.3, 0.4], 99.5, seed=1)
+    with pytest.raises(ValueError):
+        hciz_mc([0.1, 0.2], [0.3, 0.4, 0.5], 1000, seed=1)
+
+
+@pytest.mark.parametrize("bins", [(1.0, 1.0, 10), (2.0, -1.0, 10), (-1.0, 1.0, 0)])
+def test_histograms_reject_bad_bins(bins):
+    batch = sample_batch(EnsembleSpec.gaussian(2), 500, 3)
+    with pytest.raises(ValueError, match="hi > lo"):
+        estimate_r1(batch, bins)
+    with pytest.raises(ValueError, match="hi > lo"):
+        estimate_r2(batch, bins)
+
+
+# -- batched kernels against the per-block code they replaced ------------
+
+def qr_haar(A):
+    """LAPACK QR with the diagonal phases of R moved into Q."""
+    Q, R = np.linalg.qr(A)
+    d = np.diagonal(R, axis1=1, axis2=2)
+    return Q * (d / np.abs(d))[:, None, :]
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
+def test_haar_gram_schmidt_matches_qr(N):
+    count = 2000
+    rng = np.random.default_rng(40 + N)
+    A = rng.standard_normal((count, N, N)) + 1j * rng.standard_normal((count, N, N))
+    U = _haar_columns(A).transpose(2, 1, 0)
+    assert U.shape == (count, N, N)
+    assert np.max(np.abs(U - qr_haar(A))) < 1e-13
+    eye = np.eye(N)
+    assert np.max(np.abs(U @ U.conj().transpose(0, 2, 1) - eye)) < 1e-12
+    assert np.max(np.abs(U.conj().transpose(0, 2, 1) @ U - eye)) < 1e-12
+    for seed in (0, 9):
+        r = np.random.default_rng(seed)
+        A1 = r.standard_normal((1, N, N)) + 1j * r.standard_normal((1, N, N))
+        assert np.max(np.abs(haar_unitary(N, seed) - qr_haar(A1)[0])) < 1e-13
+
+
+def test_haar_columns_stay_unitary_when_ill_conditioned():
+    # nearly parallel columns: one Gram-Schmidt pass loses orthogonality
+    # in proportion to cond(A)^2, the second pass restores it
+    rng = np.random.default_rng(3)
+    N, count = 5, 200
+    base = rng.standard_normal((count, N, 1)) + 1j * rng.standard_normal((count, N, 1))
+    noise = rng.standard_normal((count, N, N)) + 1j * rng.standard_normal((count, N, N))
+    X = _haar_columns(base + 1e-6 * noise)
+    U = X.transpose(2, 1, 0)
+    assert np.max(np.abs(U.conj().transpose(0, 2, 1) @ U - np.eye(N))) < 1e-12
+
+
+def r1_block_loop(batch, bins):
+    lo, hi, nb = bins
+    edges = np.linspace(lo, hi, nb + 1)
+    width = edges[1] - edges[0]
+    B = min(200, batch.count)
+    idx = np.array_split(np.arange(batch.count), B)
+    num = np.empty((B, nb))
+    den = np.empty((B, 1))
+    for b, ix in enumerate(idx):
+        ev = batch.eigenvalues[ix]
+        w = np.repeat(batch.weights[ix], ev.shape[1])
+        num[b] = np.histogram(ev.ravel(), bins=edges, weights=w)[0]
+        den[b, 0] = np.sum(batch.weights[ix]) * width
+    return _jackknife_ratio(num, den)
+
+
+def r2_block_loop(batch, grid):
+    lo, hi, nb = grid
+    edges = np.linspace(lo, hi, nb + 1)
+    width = edges[1] - edges[0]
+    N = batch.eigenvalues.shape[1]
+    pairs = [(p, q) for p in range(N) for q in range(N) if p != q]
+    B = min(200, batch.count)
+    idx = np.array_split(np.arange(batch.count), B)
+    num = np.empty((B, nb, nb))
+    den = np.empty((B, 1, 1))
+    for b, ix in enumerate(idx):
+        ev = batch.eigenvalues[ix]
+        x = np.concatenate([ev[:, p] for p, q in pairs])
+        y = np.concatenate([ev[:, q] for p, q in pairs])
+        w = np.tile(batch.weights[ix], len(pairs))
+        num[b] = np.histogram2d(x, y, bins=(edges, edges), weights=w)[0]
+        den[b, 0, 0] = np.sum(batch.weights[ix]) * width * width
+    return _jackknife_ratio(num, den)
+
+
+def edge_batch(count, N, bins, seed):
+    """Eigenvalues with a share on bin edges, one ulp either side of them,
+    and outside the range, and uneven positive weights."""
+    lo, hi, nb = bins
+    edges = np.linspace(lo, hi, nb + 1)
+    rng = np.random.default_rng(seed)
+    ev = rng.uniform(lo - 0.3 * (hi - lo), hi + 0.3 * (hi - lo), (count, N))
+    pick = rng.random((count, N))
+    near = np.concatenate([edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf)])
+    ev[pick < 0.3] = rng.choice(near, size=int(np.sum(pick < 0.3)))
+    ev[(pick >= 0.3) & (pick < 0.35)] = hi
+    return SampleBatch(ev, rng.uniform(0.1, 3.0, count), seed, None)
+
+
+@pytest.mark.parametrize("count,N,bins", [
+    (157, 3, (-1.0, 2.0, 7)),       # fewer samples than blocks
+    (1234, 4, (-3.5, 3.5, 80)),     # blocks of 7 and of 6
+    (5000, 2, (0.1, 0.7, 3)),
+    (999, 3, (-2.4, 2.4, 1)),
+])
+def test_histograms_match_block_loop(count, N, bins):
+    batch = edge_batch(count, N, bins, seed=count)
+    for new, old in ((estimate_r1, r1_block_loop), (estimate_r2, r2_block_loop)):
+        hist = new(batch, bins)
+        est, err = old(batch, bins)
+        assert np.array_equal(hist.edges, np.linspace(*bins[:2], bins[2] + 1))
+        assert hist.density.shape == est.shape
+        assert np.max(np.abs(hist.density - est)) <= 1e-12 * np.max(np.abs(est))
+        assert np.max(np.abs(hist.errors - err)) <= 1e-12 * np.max(np.abs(err))
+
+
+def test_histograms_match_block_loop_on_sampled_batch():
+    spec = EnsembleSpec.higher_trace(4, 4, 1)
+    batch = sample_batch(spec, 30000, 12)
+    for new, old, bins in ((estimate_r1, r1_block_loop, (-3.5, 3.5, 80)),
+                           (estimate_r2, r2_block_loop, (-2.4, 2.4, 8))):
+        hist = new(batch, bins)
+        est, err = old(batch, bins)
+        assert np.max(np.abs(hist.density - est)) <= 1e-12 * np.max(est)
+        assert np.max(np.abs(hist.errors - err)) <= 1e-12 * np.max(err)
+
+
+# estimates and errors of the per-block QR code, same seeds and draw order:
+# three chunks at N=2, blocks of 62 and 61 samples, and N=4
+@pytest.mark.parametrize("E,R,samples,seed,value,err", [
+    ((0.3, -1.1), (0.8, -0.4), 300000, 5,
+     0.8752670162154664 - 0.14119336375968725j, 0.0008368840389673698),
+    ((0.2, -0.9, 1.1), (0.5, 1.3, -0.4), 12345, 8,
+     0.8192446441604838 + 0.14744432748325603j, 0.005062001368338503),
+    ((-1.2, -0.3, 0.4, 1.5), (-0.7, 0.1, 0.6, 1.9), 20000, 3,
+     0.6131916928036861 + 0.11191098013047682j, 0.005577680299617932),
+])
+def test_hciz_mc_pinned(E, R, samples, seed, value, err):
+    got, got_err = hciz_mc(E, R, samples, seed)
+    assert abs(got - value) <= 1e-12 * abs(value)
+    assert abs(got_err - err) <= 1e-12 * err
+
+
+def test_hciz_mc_small_count_has_one_sample_per_block():
+    E, R = np.array([0.4, -0.6, 1.0]), np.array([1.2, 0.3, -0.8])
+    samples, seed = 57, 4
+    rng = np.random.default_rng(seed)
+    vals = []
+    for _ in range(samples):
+        U = qr_haar(rng.standard_normal((1, 3, 3)) + 1j * rng.standard_normal((1, 3, 3)))[0]
+        vals.append(np.exp(1j * np.real(np.trace(U @ np.diag(E) @ U.conj().T @ np.diag(R)))))
+    vals = np.array(vals)
+    est, err = hciz_mc(E, R, samples, seed)
+    assert abs(est - vals.mean()) < 1e-13
+    # delete-1 jackknife of a mean is its standard error
+    se = np.hypot(np.std(vals.real, ddof=1), np.std(vals.imag, ddof=1)) / np.sqrt(samples)
+    assert abs(err - se) < 1e-12
