@@ -7,6 +7,7 @@ reference Gaussian.  The variance-mixed family uses the 1/(2t) form,
 i.e. scale = 2t.
 """
 
+import collections
 import itertools
 import json
 import math
@@ -16,9 +17,12 @@ from numpy.polynomial import hermite as nph
 
 from .special import gauss_poly_derivatives
 
-# bound on M1*M2: characteristic_invariants contracts 2^(M1*M2) H/S words;
-# above it full_moment and reduced_density fall back to Monte Carlo
-TRACE_POWER_CAP = 8
+# bound on M1*M2, checked in characteristic_invariants only: it contracts
+# 2^(M1*M2) H/S words, grouped by canonical state.  Above it every
+# trace-power quantity (full_moment, normalization_b, evaluate_density,
+# reduced_density, correlation_terms) raises ValueError; the only Monte
+# Carlo path is the independent check reduced_density(method="mc")
+TRACE_POWER_CAP = 12
 JET_ORDER_CAP = 64
 
 FAMILIES = ("gaussian", "norm_dependent", "higher_trace")
@@ -28,19 +32,6 @@ def flat_gauss_norm(N, s):
     """Integral of exp(-tr H^2 / s) over Hermitean H with the flat
     Lebesgue measure on the independent real entries."""
     return (np.pi * s) ** (N * N / 2.0) / 2.0 ** (N * (N - 1) / 2.0)
-
-
-class TaylorJet:
-    """Truncated Taylor coefficients at the origin of one variable."""
-
-    __slots__ = ("order", "coefficients")
-
-    def __init__(self, coefficients):
-        self.coefficients = np.asarray(coefficients, dtype=complex)
-        self.order = len(self.coefficients) - 1
-
-    def __getitem__(self, n):
-        return self.coefficients[n]
 
 
 class EnsembleSpec:
@@ -69,7 +60,8 @@ class EnsembleSpec:
             if M1 % 2 == 1 and M2 % 2 == 1:
                 raise ValueError("need M1 even or M2 even for a nonnegative weight")
         if family == "norm_dependent":
-            total = self._spread_total()
+            self.spread_nodes = _spread_nodes(params["spread"])
+            total = float(np.sum(self.spread_nodes[1]))
             if abs(total - 1.0) > 1e-6:
                 raise ValueError(f"spread integrates to {total}, not 1")
 
@@ -129,56 +121,41 @@ class EnsembleSpec:
             raise ValueError(f"unknown spread type {sp['type']!r}")
         raise ValueError(f"unknown family {fam!r}")
 
-    # -- spread helpers -----------------------------------------------------
-
-    def _spread_nodes(self):
-        """Discrete (t, weight) nodes with sum(w) ~ integral f dt = 1."""
-        sp = self.params["spread"]
-        if isinstance(sp, tuple) and isinstance(sp[0], str) and sp[0] == "spike":
-            return np.array([sp[1]]), np.array([1.0])
-        if isinstance(sp, tuple) and len(sp) == 2 and not callable(sp[0]) \
-                and not isinstance(sp[0], str):
-            t = np.asarray(sp[0], float)
-            f = np.asarray(sp[1], float)
-            if np.any(f < 0):
-                raise ValueError("spread must be nonnegative")
-            w = np.zeros_like(t)
-            dt = np.diff(t)
-            w[:-1] += 0.5 * dt
-            w[1:] += 0.5 * dt
-            return t, w * f
-        func = sp[0] if isinstance(sp, tuple) else sp
-        lo, hi = sp[1] if isinstance(sp, tuple) else (0.0, _spread_reach(func))
-        x, gw = np.polynomial.legendre.leggauss(256)
-        t = 0.5 * (hi - lo) * (x + 1.0) + lo
-        return t, 0.5 * (hi - lo) * gw * np.array([func(v) for v in t])
-
-    def _spread_total(self):
-        t, w = self._spread_nodes()
-        return float(np.sum(w))
-
     # -- higher-trace moments ----------------------------------------------
 
     def full_moment(self):
         """Full Gaussian expectation of (tr H^M1)^M2: the constant term of
-        characteristic_invariants, at a cost independent of N.  Above
-        TRACE_POWER_CAP it is a Monte Carlo estimate."""
-        M1, M2 = self.params["M1"], self.params["M2"]
-        if M1 * M2 <= TRACE_POWER_CAP:
-            return float(np.real(characteristic_invariants(self)[()]))
-        key = "moment_mc"
-        if key not in self._cache:
-            from .mc import sample_batch
-            batch = sample_batch(EnsembleSpec.gaussian(self.N), 200000, seed=20240817)
-            p = np.sum(batch.eigenvalues ** M1, axis=1) ** M2
-            self._cache[key] = float(np.mean(p))
-        return self._cache[key]
+        characteristic_invariants, at a cost independent of N."""
+        return float(np.real(characteristic_invariants(self)[()]))
 
     def normalization_b(self):
         b = self.params["b"]
         if b == "auto":
             return 1.0 / (self.full_moment() * flat_gauss_norm(self.N, 1.0))
         return float(b)
+
+
+def _spread_nodes(sp):
+    """Discrete (t, weight) nodes with sum(w) ~ integral f dt = 1, built
+    once per spec as spec.spread_nodes."""
+    if isinstance(sp, tuple) and isinstance(sp[0], str) and sp[0] == "spike":
+        return np.array([sp[1]]), np.array([1.0])
+    if isinstance(sp, tuple) and len(sp) == 2 and not callable(sp[0]) \
+            and not isinstance(sp[0], str):
+        t = np.asarray(sp[0], float)
+        f = np.asarray(sp[1], float)
+        if np.any(f < 0):
+            raise ValueError("spread must be nonnegative")
+        w = np.zeros_like(t)
+        dt = np.diff(t)
+        w[:-1] += 0.5 * dt
+        w[1:] += 0.5 * dt
+        return t, w * f
+    func = sp[0] if isinstance(sp, tuple) else sp
+    lo, hi = sp[1] if isinstance(sp, tuple) else (0.0, _spread_reach(func))
+    x, gw = np.polynomial.legendre.leggauss(256)
+    t = 0.5 * (hi - lo) * (x + 1.0) + lo
+    return t, 0.5 * (hi - lo) * gw * np.array([func(v) for v in t])
 
 
 def _spread_reach(func):
@@ -203,7 +180,7 @@ def evaluate_density(spec, H):
         s = spec.params["scale"]
         return np.exp(-tr2 / s) / flat_gauss_norm(N, s)
     if spec.family == "norm_dependent":
-        t, w = spec._spread_nodes()
+        t, w = spec.spread_nodes
         return float(np.sum(w * np.exp(-tr2 / (2 * t)) / flat_gauss_norm(N, 2 * t)))
     M1, M2 = spec.params["M1"], spec.params["M2"]
     ev = np.linalg.eigvalsh(H)
@@ -225,7 +202,7 @@ def reduced_terms(spec, k):
         s = spec.params["scale"]
         return [(1.0, [(s, 0)] * n)]
     if spec.family == "norm_dependent":
-        t, w = spec._spread_nodes()
+        t, w = spec.spread_nodes
         return [(float(wi), [(2.0 * ti, 0)] * n) for ti, wi in zip(t, w)]
     key = ("reduced_terms", k)
     if key not in spec._cache:
@@ -239,36 +216,39 @@ def reduced_terms(spec, k):
     return spec._cache[key]
 
 
-def _wick_trace_words(words, pref, out):
-    """Contract all Gaussian letters 'H' inside a tuple of cyclic trace
-    words over the alphabet {'H', 'S'}, using E[H_ab H_cd] = d_ad d_bc / 2.
+def _least_rotation(w):
+    return min(w[i:] + w[:i] for i in range(len(w))) if w else w
+
+
+def _wick_trace_words(words, memo):
+    """Contract all Gaussian letters 'H' inside a sorted tuple of cyclic
+    trace words over the alphabet {'H', 'S'}, each at its least rotation,
+    using E[H_ab H_cd] = d_ad d_bc / 2.
 
     A same-trace pairing splits the word, tr(U H V H) -> (1/2) tr(U) tr(V);
     a cross-trace pairing merges, tr(U H) tr(V1 H V2) -> (1/2) tr(U V2 V1).
-    Fully contracted states accumulate into out keyed by the sorted tuple
-    of surviving (all-'S') word lengths."""
-    for wi, wrd in enumerate(words):
-        if "H" in wrd:
-            break
-    else:
-        key = tuple(sorted(len(w) for w in words))
-        out[key] = out.get(key, 0.0) + pref
-        return
-    w = list(words[wi])
-    hpos = w.index("H")
-    w = w[hpos + 1:] + w[:hpos]
-    rest = [words[j] for j in range(len(words)) if j != wi]
-    for p, ch in enumerate(w):
-        if ch == "H":
-            new = [tuple(w[:p]), tuple(w[p + 1:])] + rest
-            _wick_trace_words(tuple(new), pref * 0.5, out)
-    for rj, r in enumerate(rest):
-        rl = list(r)
-        for p, ch in enumerate(rl):
-            if ch == "H":
-                merged = tuple(w + rl[p + 1:] + rl[:p])
-                new = [merged] + [rest[j] for j in range(len(rest)) if j != rj]
-                _wick_trace_words(tuple(new), pref * 0.5, out)
+    Returns {sorted tuple of surviving (all-'S') word lengths: coefficient}.
+    Every state reached is put in the same canonical form and contracted
+    once per memo; the coefficients are integers times powers of 1/2."""
+    if words in memo:
+        return memo[words]
+    wi = next((i for i, w in enumerate(words) if "H" in w), None)
+    if wi is None:
+        memo[words] = res = {tuple(len(w) for w in words): 1.0}
+        return res
+    hpos = words[wi].index("H")
+    w = words[wi][hpos + 1:] + words[wi][:hpos]
+    rest = words[:wi] + words[wi + 1:]
+    children = [(w[:p], w[p + 1:]) + rest for p, ch in enumerate(w) if ch == "H"]
+    children += [(w + r[p + 1:] + r[:p],) + rest[:rj] + rest[rj + 1:]
+                 for rj, r in enumerate(rest) for p, ch in enumerate(r) if ch == "H"]
+    res = {}
+    for child in children:
+        state = tuple(sorted(_least_rotation(c) for c in child))
+        for lens, c in _wick_trace_words(state, memo).items():
+            res[lens] = res.get(lens, 0.0) + 0.5 * c
+    memo[words] = res
+    return res
 
 
 def characteristic_invariants(spec):
@@ -280,7 +260,10 @@ def characteristic_invariants(spec):
     Returns {sorted tuple of trace orders: complex coefficient}; empty
     traces contribute factors of N and each tr K^j carries (i/2)^j.
     The expansion is not normalized; the constant term is the full
-    moment E[(tr H^M1)^M2]."""
+    moment E[(tr H^M1)^M2].  The 2^(M1*M2) H/S choices of the binomial
+    expansion are grouped by canonical state before contraction.  This is
+    the one place TRACE_POWER_CAP is checked, so every trace-power
+    quantity raises above it."""
     key = "char_inv"
     if key in spec._cache:
         return spec._cache[key]
@@ -291,10 +274,14 @@ def characteristic_invariants(spec):
         res = {(): complex(spec.N) ** M2 if M1 == 0 else 1.0 + 0j}
         spec._cache[key] = res
         return res
+    states = collections.Counter(
+        tuple(sorted(_least_rotation("".join(c)) for c in combo))
+        for combo in itertools.product(itertools.product("HS", repeat=M1), repeat=M2))
+    memo = {}
     raw = {}
-    choices = list(itertools.product("HS", repeat=M1))
-    for combo in itertools.product(choices, repeat=M2):
-        _wick_trace_words(tuple(combo), 1.0, raw)
+    for state, mult in states.items():
+        for lens, c in _wick_trace_words(state, memo).items():
+            raw[lens] = raw.get(lens, 0.0) + mult * c
     res = {}
     for lens, c in raw.items():
         coef = complex(c)
@@ -402,8 +389,6 @@ def reduced_density(spec, h, k, method="closed-form", samples=None, seed=0):
         return _reduced_density_mc(spec, h, k, samples, seed)
     if method != "closed-form":
         raise ValueError(f"unknown method {method!r}")
-    if spec.family == "higher_trace" and spec.params["M1"] * spec.params["M2"] > TRACE_POWER_CAP:
-        return _reduced_density_mc(spec, h, k, samples or 10 ** 5, seed)
     total = 0.0
     for coef, slots in reduced_terms(spec, k):
         p = coef
@@ -434,7 +419,7 @@ def _reduced_density_mc(spec, h, k, samples, seed):
         s = spec.params["scale"]
         return float(np.prod((np.pi * s) ** -0.5 * np.exp(-h * h / s))), 0.0
     if spec.family == "norm_dependent":
-        t, w = spec._spread_nodes()
+        t, w = spec.spread_nodes
         val = float(sum(
             wi * np.prod((2 * np.pi * ti) ** -0.5 * np.exp(-h * h / (2 * ti)))
             for ti, wi in zip(t, w)))
@@ -501,7 +486,7 @@ def slot_phi_jet(v, m, order):
 def characteristic_function(spec, r1, r2_jet_order):
     """Fourier transform of the reduced density, evaluated at the first-slot
     arguments r1 with all second-slot arguments at 0; returns
-    (value, [TaylorJet per second-slot variable]).
+    (value, [complex Taylor coefficient array per second-slot variable]).
 
     For the trace-power family the transform is assembled in its natural
     shape, a Gaussian factor times a symmetric polynomial in the source
@@ -523,7 +508,7 @@ def characteristic_function(spec, r1, r2_jet_order):
         for p in range(k):
             rest = np.prod(np.delete(zeros, p)) if k > 1 else 1.0
             jets[p] = jets[p] + base * rest * second[p]
-    return complex(value), [TaylorJet(j) for j in jets]
+    return complex(value), jets
 
 
 def _characteristic_higher_trace(spec, r1, order):
@@ -561,7 +546,7 @@ def _characteristic_higher_trace(spec, r1, order):
     gauss *= np.exp(-np.sum(r1 * r1) / 4.0)
     jet = jet_mul(poly, gauss, order)
     value = complex(jet[0])
-    return value, [TaylorJet(jet.copy()) for _ in range(k)]
+    return value, [jet.copy() for _ in range(k)]
 
 
 def superspace_density_norm_dependent(spec, s):
@@ -575,5 +560,5 @@ def superspace_density_norm_dependent(spec, s):
         raise ValueError("s must have even length 2k")
     k = len(s) // 2
     trg2 = float(np.sum(s * s))
-    t, w = spec._spread_nodes()
+    t, w = spec.spread_nodes
     return float(2.0 ** (k * (k - 1)) * np.sum(w * np.exp(-trg2 / (2.0 * t))))

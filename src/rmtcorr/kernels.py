@@ -131,54 +131,38 @@ def berezinian_ratio(k, r1, r2):
     return (-1.0) ** (k * (k - 1) // 2) * num / den
 
 
-class IngamSiegelFunctional:
-    """The distribution acting on per-point test data as
+def ingham_siegel_pair(N, test, metric=None, variant="full", epsilon=0.0):
+    """Pair the Ingham-Siegel distribution with per-point test data:
     c_Nk * prod_p [ integral Theta(L_p r) (i r)^N e^(-L_p eps r) f_p(r) dr ]
              * [ (-1)^(N-1) (N-1)! * (order N-1 jet coefficient)_p ].
 
-    variant 'full' carries the half-line restriction and the constant
+    test: list of k pairs (f, jet) where f is a callable of the half-line
+    variable and jet is a sequence of Taylor coefficients at 0 of the
+    second variable, of order >= N-1.  metric holds the signs L_p (all +1
+    by default).  variant 'full' has the constant
     c_Nk = 2^(-k(k-1)) (i 2 pi (-1)^(N-1) / (N-1)!)^k; variant
     'imaginary_part' uses 2^(-k(k-1)) (pi (-1)^(N-1) / (N-1)!)^k.
     """
-
-    def __init__(self, N, k, metric=None, variant="full", epsilon=0.0):
-        self.N = N
-        self.k = k
-        self.metric = list(metric) if metric is not None else [1] * k
-        self.variant = variant
-        self.epsilon = epsilon
-        base = (-1.0) ** (N - 1) / math.factorial(N - 1)
-        if variant == "full":
-            self.c = 2.0 ** (-k * (k - 1)) * (2j * np.pi * base) ** k
-        elif variant == "imaginary_part":
-            self.c = 2.0 ** (-k * (k - 1)) * (np.pi * base) ** k
-        else:
-            raise ValueError(f"unknown variant {variant!r}")
-
-
-def ingham_siegel_pair(F, test):
-    """Pair the functional F with per-point test data.
-
-    test: list of k pairs (f, jet) where f is a callable of the half-line
-    variable and jet is a sequence of Taylor coefficients at 0 of the
-    second variable, of order >= N-1.
-    """
     # scipy.integrate is slow to import, and only this pairing needs it
     from scipy.integrate import quad
-    N, k = F.N, F.k
-    out = F.c
+    k = len(test)
+    metric = list(metric) if metric is not None else [1] * k
+    if variant not in ("full", "imaginary_part"):
+        raise ValueError(f"unknown variant {variant!r}")
+    base = (-1.0) ** (N - 1) / math.factorial(N - 1)
+    out = 2.0 ** (-k * (k - 1)) * ((2j * np.pi if variant == "full" else np.pi) * base) ** k
     for p in range(k):
         f, jet = test[p]
         if len(jet) < N:
             raise ValueError("jet must carry at least order N-1")
-        L = F.metric[p]
+        L = metric[p]
         lo, hi = (0.0, np.inf) if L == 1 else (-np.inf, 0.0)
 
         def integrand_re(r):
-            return np.real((1j * r) ** N * np.exp(-L * F.epsilon * r) * f(r))
+            return np.real((1j * r) ** N * np.exp(-L * epsilon * r) * f(r))
 
         def integrand_im(r):
-            return np.imag((1j * r) ** N * np.exp(-L * F.epsilon * r) * f(r))
+            return np.imag((1j * r) ** N * np.exp(-L * epsilon * r) * f(r))
 
         re = quad(integrand_re, lo, hi, limit=200)[0]
         im = quad(integrand_im, lo, hi, limit=200)[0]
@@ -194,7 +178,6 @@ def ingham_siegel_kernel(N, s1, s2, epsilon=1e-6):
     functional carries c_N1 * (-1)^(N-1)(N-1)! = i 2 pi and the kernel a
     1/pi, so the pairing sum equals -i 2 pi^2 times the kernel (the extra
     minus is the orientation of the half-line contour)."""
-    F = IngamSiegelFunctional(N, 1, epsilon=epsilon)
     total = 0j
     for j in range(N):
         def f(r, j=j):
@@ -203,7 +186,7 @@ def ingham_siegel_kernel(N, s1, s2, epsilon=1e-6):
         jet = np.zeros(N, dtype=complex)
         jet[N - 1] = (-1j * s2) ** (N - 1 - j) / (
             math.factorial(j) * math.factorial(N - 1 - j))
-        total += ingham_siegel_pair(F, [(f, jet)])
+        total += ingham_siegel_pair(N, [(f, jet)], epsilon=epsilon)
     return total / (-2j * np.pi ** 2)
 
 

@@ -81,7 +81,7 @@ def sample_batch(spec, count, seed):
         ev = _gaussian_eigs(rng, N, count, spec.params["scale"])
         return SampleBatch(ev, np.ones(count), seed, spec)
     if spec.family == "norm_dependent":
-        t, w = spec._spread_nodes()
+        t, w = spec.spread_nodes
         p = np.clip(w, 0, None)
         p = p / p.sum()
         tv = rng.choice(t, size=count, p=p)

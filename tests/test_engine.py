@@ -107,6 +107,10 @@ ROUTES = {
     "g4s07": GAUSS_METHODS,
     "spike": ("convolution", "eigenvalue_integral", "factorized"),
     "tp41": ("convolution", "eigenvalue_integral", "closed_form_higher_trace"),
+    # at the trace-power cap, M1*M2 = 12; the k = 2 expansions have 322
+    # and 335 terms
+    "tp121": ("convolution", "eigenvalue_integral", "closed_form_higher_trace"),
+    "tp34": ("convolution", "eigenvalue_integral", "closed_form_higher_trace"),
 }
 METRIC_CASES = [((0.7,), "+"), ((0.7,), "-"), ((-1.2,), "-")] + [
     ((0.4, -0.9), metric) for metric in ("++", "+-", "-+", "--")]
@@ -116,7 +120,9 @@ METRIC_CASES = [((0.7,), "+"), ((0.7,), "-"), ((-1.2,), "-")] + [
 def route_specs():
     return {"g4": EnsembleSpec.gaussian(4), "g4s07": EnsembleSpec.gaussian(4, 0.7),
             "spike": EnsembleSpec.norm_dependent(4, ("spike", 0.4)),
-            "tp41": EnsembleSpec.higher_trace(4, 4, 1)}
+            "tp41": EnsembleSpec.higher_trace(4, 4, 1),
+            "tp121": EnsembleSpec.higher_trace(4, 12, 1),
+            "tp34": EnsembleSpec.higher_trace(4, 3, 4)}
 
 
 @pytest.mark.parametrize("variant", ["Rhat", "R"])
@@ -157,7 +163,7 @@ def test_gaussian_r1_against_eigenvalue_oracle():
 
 
 def test_trace_power_r1_against_eigenvalue_oracle():
-    for (N, M1, M2) in [(3, 4, 1), (3, 2, 2)]:
+    for (N, M1, M2) in [(3, 4, 1), (3, 2, 2), (3, 12, 1), (3, 3, 4)]:
         spec = EnsembleSpec.higher_trace(N, M1, M2)
         for x in (0.0, 0.8, -1.5):
             ref = oracle_r1(True, N, x, M1, M2)

@@ -1,13 +1,14 @@
 """Matrix densities, reduced diagonal densities, characteristic
 functions with jets, and the slot expansions feeding the correlators."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rmtcorr.ensembles import (EnsembleSpec, TaylorJet, flat_gauss_norm,
+from rmtcorr.ensembles import (EnsembleSpec, flat_gauss_norm,
                                evaluate_density, reduced_density,
                                reduced_terms, correlation_terms,
                                characteristic_invariants,
@@ -15,7 +16,7 @@ from rmtcorr.ensembles import (EnsembleSpec, TaylorJet, flat_gauss_norm,
                                slot_phi_jet, jet_mul,
                                superspace_density_norm_dependent,
                                TRACE_POWER_CAP, _trace_power)
-from rmtcorr.mc import haar_unitary, gaussian_matrices
+from rmtcorr.mc import haar_unitary, gaussian_matrices, sample_batch
 
 
 def random_hermitean(N, rng):
@@ -184,11 +185,19 @@ def test_trace_power_matches_eigenvalue_sums(N):
         assert np.max(np.abs(_trace_power(H, M) - np.sum(ev ** M, axis=1)) / scale) < 1e-13
 
 
-def test_reduced_density_cap_falls_back_to_mc():
-    spec = EnsembleSpec.higher_trace(2, 10, 1)
-    val, err = reduced_density(spec, [0.2, 0.1], 1, samples=20000, seed=5)
-    assert np.isfinite(val) and val > 0
-    assert err > 0
+# closed forms above the old cap of 8 against the weighted Monte Carlo
+# integral; seeds fixed in advance, z = -1.31, -0.79, -0.66 at these seeds
+@pytest.mark.parametrize("N,M1,M2,h,seed", [
+    (2, 10, 1, [0.2, 0.1], 5),
+    (4, 6, 2, [0.5, -0.3], 2024),
+    (4, 3, 4, [0.5, -0.3], 2024),
+], ids=["10-1-N2", "6-2", "3-4"])
+def test_reduced_density_above_8_matches_mc(N, M1, M2, h, seed):
+    spec = EnsembleSpec.higher_trace(N, M1, M2)
+    closed, err0 = reduced_density(spec, h, 1)
+    est, err = reduced_density(spec, h, 1, method="mc", samples=200000, seed=seed)
+    assert err0 == 0.0
+    assert abs(est - closed) < 4 * err
 
 
 # -- slot expansions -------------------------------------------------------
@@ -216,12 +225,26 @@ def test_correlation_terms_even_sector_agrees_with_marginal():
         assert abs(np.real(grad) - marg) < 1e-12
 
 
+def _harer_zagier(N, k):
+    """E tr H^(2k) under exp(-tr H^2) from the Harer-Zagier recursion
+    (k+2) C_(k+1) = (4k+2) N C_k + k (4k^2-1) C_(k-1), C_0 = N, C_1 = N^2,
+    for unit-variance entries; here E|H_ab|^2 = 1/2, hence the 2^-k."""
+    c = [N, N * N]
+    for j in range(1, k):
+        num = (4 * j + 2) * N * c[j] + j * (4 * j * j - 1) * c[j - 1]
+        assert num % (j + 2) == 0
+        c.append(num // (j + 2))
+    return c[k] / 2 ** k
+
+
 def test_characteristic_invariants_constant_is_full_moment():
-    # independent references: E tr H^4 = (2N^3 + N)/4, and tr H^2 is
-    # Gamma(N^2/2, 1) distributed under exp(-tr H^2), so
-    # E (tr H^2)^M2 = Gamma(N^2/2 + M2) / Gamma(N^2/2)
+    # independent references: E tr H^4 = (2N^3 + N)/4, E tr H^12 from the
+    # Harer-Zagier recursion, and tr H^2 is Gamma(N^2/2, 1) distributed
+    # under exp(-tr H^2), so E (tr H^2)^M2 = Gamma(N^2/2 + M2) / Gamma(N^2/2)
     cases = [(4, 4, 1, (2 * 4 ** 3 + 4) / 4), (12, 4, 1, (2 * 12 ** 3 + 12) / 4)]
-    for N, M2 in [(4, 3), (12, 4), (16, 4)]:
+    assert all(_harer_zagier(N, 2) == ref for N, _, _, ref in cases)
+    cases += [(N, 12, 1, _harer_zagier(N, 6)) for N in (4, 6)]
+    for N, M2 in [(4, 3), (12, 4), (16, 4), (4, 6), (6, 6)]:
         cases.append((N, 2, M2, math.prod(N * N / 2 + j for j in range(M2))))
     for N, M1, M2, ref in cases:
         spec = EnsembleSpec.higher_trace(N, M1, M2)
@@ -230,10 +253,82 @@ def test_characteristic_invariants_constant_is_full_moment():
         assert abs(spec.full_moment() - ref) <= 1e-13 * ref
 
 
+def _enumerated_invariants(N, M1, M2):
+    """characteristic_invariants as the plain recursion computed it
+    before the contraction was memoized: every H/S choice contracted on
+    its own, without canonical states."""
+    raw = {}
+
+    def contract(words, pref):
+        for wi, wrd in enumerate(words):
+            if "H" in wrd:
+                break
+        else:
+            key = tuple(sorted(len(w) for w in words))
+            raw[key] = raw.get(key, 0.0) + pref
+            return
+        w = list(words[wi])
+        hpos = w.index("H")
+        w = w[hpos + 1:] + w[:hpos]
+        rest = [words[j] for j in range(len(words)) if j != wi]
+        for p, ch in enumerate(w):
+            if ch == "H":
+                contract(tuple([tuple(w[:p]), tuple(w[p + 1:])] + rest), pref * 0.5)
+        for rj, r in enumerate(rest):
+            rl = list(r)
+            for p, ch in enumerate(rl):
+                if ch == "H":
+                    merged = tuple(w + rl[p + 1:] + rl[:p])
+                    others = [rest[j] for j in range(len(rest)) if j != rj]
+                    contract(tuple([merged] + others), pref * 0.5)
+
+    choices = list(itertools.product("HS", repeat=M1))
+    for combo in itertools.product(choices, repeat=M2):
+        contract(tuple(combo), 1.0)
+    res = {}
+    for lens, c in raw.items():
+        coef = complex(c)
+        js = []
+        for L in lens:
+            if L == 0:
+                coef *= N
+            else:
+                coef *= (0.5j) ** L
+                js.append(L)
+        k2 = tuple(sorted(js))
+        res[k2] = res.get(k2, 0.0) + coef
+    return res
+
+
+@pytest.mark.parametrize("M1,M2", [(4, 1), (4, 2), (2, 4), (8, 1), (3, 2)])
+def test_characteristic_invariants_equal_enumeration(M1, M2):
+    # every contribution is an integer times a power of 1/2, so grouping
+    # the H/S choices changes no bit
+    for N in (1, 3, 4, 7):
+        spec = EnsembleSpec.higher_trace(N, M1, M2)
+        assert characteristic_invariants(spec) == _enumerated_invariants(N, M1, M2)
+
+
 def test_trace_power_cap_enforced():
-    spec = EnsembleSpec.higher_trace(3, 10, 1)
-    with pytest.raises(ValueError):
-        characteristic_invariants(spec)
+    assert TRACE_POWER_CAP == 12
+    # M1*M2 = 13 is odd times odd, a weight of both signs: refused at
+    # construction
+    for M1, M2 in [(13, 1), (1, 13)]:
+        with pytest.raises(ValueError, match="nonnegative weight"):
+            EnsembleSpec.higher_trace(4, M1, M2)
+    H = np.diag([0.3, -0.2, 0.5, 1.0])
+    for M1, M2 in [(14, 1), (7, 2), (2, 7)]:
+        spec = EnsembleSpec.higher_trace(4, M1, M2)
+        calls = [lambda: characteristic_invariants(spec), spec.full_moment,
+                 spec.normalization_b, lambda: evaluate_density(spec, H),
+                 lambda: reduced_density(spec, [0.2, 0.1], 1),
+                 lambda: reduced_density(spec, [0.2, 0.1], 1, method="mc",
+                                         samples=1000),
+                 lambda: reduced_terms(spec, 1), lambda: correlation_terms(spec, 2),
+                 lambda: characteristic_function(spec, [0.3], 4)]
+        for call in calls:
+            with pytest.raises(ValueError, match=rf"M1\*M2 = {M1 * M2} exceeds cap 12"):
+                call()
 
 
 # -- characteristic function ----------------------------------------------
@@ -319,6 +414,27 @@ def test_slot_phi_jet_order_cap():
 
 
 # -- construction and serialization ---------------------------------------
+
+def test_callable_spread_evaluated_only_at_construction():
+    calls = []
+
+    def f(t):
+        calls.append(t)
+        return math.exp(-(t - 0.8) ** 2 / 0.02) / math.sqrt(0.02 * math.pi)
+
+    for spread in ((f, (0.2, 1.4)), f):
+        spec = EnsembleSpec.norm_dependent(4, spread)
+        built = len(calls)
+        assert built >= 256
+        reduced_terms(spec, 1)
+        reduced_density(spec, [0.2, 0.1], 1)
+        reduced_density(spec, [0.2, 0.1], 1, method="mc", samples=1000)
+        characteristic_function(spec, [0.3], 4)
+        evaluate_density(spec, np.eye(4))
+        sample_batch(spec, 10, seed=1)
+        superspace_density_norm_dependent(spec, [0.1, 0.2])
+        assert len(calls) == built
+        del calls[:]
 
 def test_constructor_validation():
     with pytest.raises(ValueError):

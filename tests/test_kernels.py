@@ -10,7 +10,7 @@ from scipy.integrate import quad
 from rmtcorr.kernels import (IncrementedPoint, fundamental_kernel,
                              fundamental_correlations, kernel_closed,
                              kernel_series, berezinian, berezinian_ratio,
-                             IngamSiegelFunctional, ingham_siegel_pair,
+                             ingham_siegel_pair,
                              ingham_siegel_kernel, gaussian_pairing,
                              hciz_exact, hciz_degenerate)
 from rmtcorr.mc import hciz_mc
@@ -145,30 +145,46 @@ def test_functional_gaussian_pairing_is_one():
 
 def test_functional_constant_jet_vanishes():
     # a constant second-slot jet has no order-(N-1) coefficient for N >= 2
-    F = IngamSiegelFunctional(3, 1, epsilon=1e-3)
     jet = np.zeros(3, dtype=complex)
     jet[0] = 1.0
-    val = ingham_siegel_pair(F, [(lambda r: np.exp(-r * r), jet)])
+    val = ingham_siegel_pair(3, [(lambda r: np.exp(-r * r), jet)], epsilon=1e-3)
     assert abs(val) == 0.0
 
 
 def test_functional_insufficient_jet_rejected():
-    F = IngamSiegelFunctional(4, 1)
     with pytest.raises(ValueError):
-        ingham_siegel_pair(F, [(lambda r: np.exp(-r * r), np.zeros(2))])
+        ingham_siegel_pair(4, [(lambda r: np.exp(-r * r), np.zeros(2))])
 
 
 def test_functional_polynomial_gaussian_case():
     # f(r) = r e^{-r^2}, jet of e^{-a r2}: analytic half-line moments
     N, a = 3, 0.6
-    F = IngamSiegelFunctional(N, 1, epsilon=0.0)
     jet = np.array([(-a) ** j / math.factorial(j) for j in range(N)],
                    dtype=complex)
-    val = ingham_siegel_pair(F, [(lambda r: r * np.exp(-r * r), jet)])
+    val = ingham_siegel_pair(N, [(lambda r: r * np.exp(-r * r), jet)])
     half = quad(lambda r: r ** (N + 1) * np.exp(-r * r), 0, np.inf)[0]
-    expect = F.c * (1j ** N) * half * (-1.0) ** (N - 1) \
+    # c_N1 = 2^0 (i 2 pi (-1)^(N-1) / (N-1)!)^1, from the docstring
+    c = 2j * np.pi * (-1.0) ** (N - 1) / math.factorial(N - 1)
+    expect = c * (1j ** N) * half * (-1.0) ** (N - 1) \
         * math.factorial(N - 1) * jet[N - 1]
     assert abs(val - expect) < 1e-10 * abs(expect)
+
+
+def test_functional_k_from_test_data():
+    # k = len(test): c_N2 = 2^-2 c_N1^2, so a two-point pairing is the
+    # product of one-point pairings over 4, on any metric; the
+    # 'imaginary_part' constant is c_N1 / (2i) per point
+    N = 3
+    f1, f2 = (lambda r: np.exp(-r * r)), (lambda r: r * np.exp(-r * r - 0.3 * r))
+    jet = np.array([1.0, -0.4, 0.3], dtype=complex)
+    a = ingham_siegel_pair(N, [(f1, jet)])
+    b = ingham_siegel_pair(N, [(f2, jet)], metric=[-1])
+    both = ingham_siegel_pair(N, [(f1, jet), (f2, jet)], metric=[1, -1])
+    assert abs(both - a * b / 4) < 1e-12 * abs(both)
+    im = ingham_siegel_pair(N, [(f1, jet)], variant="imaginary_part")
+    assert abs(im - a / 2j) < 1e-12 * abs(im)
+    with pytest.raises(ValueError):
+        ingham_siegel_pair(N, [(f1, jet)], variant="bogus")
 
 
 def test_functional_rebuilds_kernel():
