@@ -25,7 +25,7 @@ def main():
         ("gaussian N=4", EnsembleSpec.gaussian(4),
          ["convolution", "closed_form_gue", "factorized"]),
         ("spike spread N=4, t0=0.4", EnsembleSpec.norm_dependent(4, ("spike", 0.4)),
-         ["convolution", "factorized"]),
+         ["convolution", "factorized", "closed_form_gue"]),
         ("trace power N=4, (tr H^4)^1", EnsembleSpec.higher_trace(4, 4, 1),
          ["convolution", "closed_form_higher_trace"]),
     ]

@@ -3,10 +3,11 @@ convolution in the diagonal variables, the Fourier/jet eigenvalue
 integral, the factorized-kernel route, trace-power and oscillator-basis
 closed forms, the generating-function value, and time-domain transforms.
 
-Every route is a sum over separable terms of k x k determinants
-det[scale * sum_{n<N} row_p(n) col_q(n)], taken by one engine (_det_sums);
-each route brings its own row and column factors (the eigenvalue-integral
-and factorized routes share theirs).
+Every route is the sum over the separable terms of correlation_terms of
+k x k determinants det[sum_{n<N} row_p(n) col_q(n)], taken by one engine
+(_det_sums); each route brings its own row and column factors, which carry
+its normalization (the eigenvalue-integral and factorized routes share
+theirs).
 
 Sides and variants follow one rule.  Row p carries the increment side L_p
 of its point.  Rhat: a row with L = -1 is the complex conjugate of its
@@ -28,7 +29,7 @@ from .special import (SQRT_PI, _osc_tower, _osc_hat_tower, gauss_moments,
                       polyval_ascending, half_gauss_oscillatory)
 
 DELTA_X = 1e-9
-GH_ORDER = 128
+GH_ORDER = 256
 VARIANTS = ("Rhat", "R")
 METHODS = ("convolution", "eigenvalue_integral", "factorized",
            "closed_form_gue", "closed_form_higher_trace")
@@ -90,57 +91,52 @@ def _coincidence_split(points):
 # The determinant engine
 # ---------------------------------------------------------------------------
 
-def _det_sums(terms, N, row, row_pts, cols, col_pts, scale):
-    """sum over terms (coef, slots) of coef det[scale * sum_{n<N}
+def _det_sums(terms, N, row, row_pts, col, col_pts):
+    """sum over terms (coef, slots) of coef det[sum_{n<N}
     row(N, x_p, L_p, *slots[p])(n) col(N, y_q, *slots[k + q])(n)], with
-    row_pts[p] = (x_p, L_p) and col_pts[q] = y_q; one sum per column
-    function.  Terms repeat slot factors, and rows do not depend on the
-    columns, so each distinct row and column factor is built once and
-    shared by every term and every column function; the determinants of
-    all terms and functions are taken in one stacked call."""
+    row_pts[p] = (x_p, L_p) and col_pts[q] = y_q.  Terms repeat slot
+    factors, so each distinct row and column factor is built once and
+    shared by every term; the determinants of all terms are taken in one
+    stacked call."""
     k = len(row_pts)
-    rows, cvals = {}, {}
+    rows, cols = {}, {}
     for _, slots in terms:
         for p in range(k):
             if (p, slots[p]) not in rows:
                 rows[p, slots[p]] = row(N, *row_pts[p], *slots[p])
-            if (p, slots[k + p]) not in cvals:
-                cvals[p, slots[k + p]] = [col(N, col_pts[p], *slots[k + p]) for col in cols]
+            if (p, slots[k + p]) not in cols:
+                cols[p, slots[k + p]] = col(N, col_pts[p], *slots[k + p])
     R = np.array([[rows[p, slots[p]] for p in range(k)] for _, slots in terms])
-    C = np.array([[cvals[q, slots[k + q]] for q in range(k)] for _, slots in terms])
-    M = R @ C.transpose(2, 0, 3, 1)
+    C = np.array([[cols[q, slots[k + q]] for q in range(k)] for _, slots in terms])
+    M = R @ C.transpose(0, 2, 1)
     # a 1 x 1 determinant is its entry; the stacked call costs as much as
     # the rest of the engine at k = 1
-    dets = M[..., 0, 0] if k == 1 else np.linalg.det(M)
-    return dets.dot([coef for coef, _ in terms]) * scale ** k
+    dets = M[:, 0, 0] if k == 1 else np.linalg.det(M)
+    return dets.dot([coef for coef, _ in terms])
 
 
-def _determinants(req, terms, rows, cols, scale, metadata):
-    """Evaluate req as _det_sums over `terms`, averaging two shifted copies
-    at coincident points.
+def _determinants(req, rows, col, metadata):
+    """Evaluate req as _det_sums over correlation_terms(req.spec, req.k),
+    averaging two shifted copies at coincident points.
 
     rows = (Rhat row, R row) are factor functions f(N, x, L, v, m); an R
-    row of None is the imaginary part of the Rhat row.  cols are factor
-    functions g(N, x, v, m).  The value is the sum of the last column
-    function and the error estimate its distance from the first."""
+    row of None is the imaginary part of the Rhat row.  col is a factor
+    function g(N, x, v, m).  The error estimate is the distance between
+    the two shifted copies of a coincidence split, and 0 without one."""
     rhat, r = rows
     row = rhat if req.variant == "Rhat" else r or (lambda *args: np.imag(rhat(*args)))
+    terms = correlation_terms(req.spec, req.k)
 
     def run(points):
-        sums = _det_sums(terms, req.spec.N, row, [(p.value, p.side) for p in points],
-                         cols, [p.value for p in points], scale)
-        val = complex(sums[-1])
-        err = abs(val - sums[0])
-        if req.variant == "R":
-            val = complex(val.real)
-        return CorrelationResult(val, err, metadata)
+        val = complex(_det_sums(terms, req.spec.N, row, [(p.value, p.side) for p in points],
+                                col, [p.value for p in points]))
+        return complex(val.real) if req.variant == "R" else val
 
     split = _coincidence_split(req.points)
     if split is None:
-        return run(req.points)
+        return CorrelationResult(run(req.points), 0.0, metadata)
     lo, hi = run(split[0]), run(split[1])
-    err = max(lo.error_estimate, hi.error_estimate, abs(hi.value - lo.value))
-    return CorrelationResult(0.5 * (lo.value + hi.value), err,
+    return CorrelationResult(0.5 * (lo + hi), abs(hi - lo),
                              metadata | {"coincidence_split": True})
 
 
@@ -149,23 +145,23 @@ def _determinants(req, terms, rows, cols, scale, metadata):
 # ---------------------------------------------------------------------------
 
 def _row_rhat(N, x, L, v, m):
-    """row_n = integral (pi v)^(-1/2) e^(-a^2/v) a^m / (x - a - i L 0)^(n+1) da,
-    n = 0..N-1, via the scaled Gaussian Cauchy transforms."""
+    """row_n = (1/pi) integral (pi v)^(-1/2) e^(-a^2/v) a^m / (x - a - i L 0)^(n+1)
+    da, n = 0..N-1, via the scaled Gaussian Cauchy transforms."""
     F = gauss_moment_cauchy(N - 1, m, x / np.sqrt(v), side=-L)
     n = np.arange(N)
-    return SQRT_PI ** -1 * v ** ((m - n - 1) / 2.0) * F[:, m]
+    return SQRT_PI ** -3 * v ** ((m - n - 1) / 2.0) * F[:, m]
 
 
 def _row_r(N, x, L, v, m):
     """Imaginary-part rows: the distributional limit
-    Im row_n = L * (-1)^n (pi/n!) d^n/dx^n [(pi v)^(-1/2) x^m e^(-x^2/v)]."""
+    Im row_n = L * (-1)^n (1/n!) d^n/dx^n [(pi v)^(-1/2) x^m e^(-x^2/v)]."""
     rows = gauss_poly_derivatives(m, N - 1)
     u = x / np.sqrt(v)
     e = np.exp(-u * u)
     out = np.empty(N, dtype=complex)
     f = 1.0
     for n in range(N):
-        out[n] = L * (-1.0) ** n * np.pi / f * (np.pi * v) ** -0.5 \
+        out[n] = L * (-1.0) ** n / f * (np.pi * v) ** -0.5 \
             * v ** ((m - n) / 2.0) * polyval_ascending(rows[n], u) * e
         f *= n + 1
     return out
@@ -190,9 +186,9 @@ def _col_exact(N, x, v, m):
     return out
 
 
-@functools.lru_cache(maxsize=2)
+@functools.lru_cache(maxsize=1)
 def _gh_rule(order):
-    """Gauss-Hermite nodes and weights of one order.  Each rule costs an
+    """Gauss-Hermite nodes and weights of one order.  The rule costs an
     eigensolve, so it is built once per process; the arrays are shared by
     every caller and therefore read-only."""
     u, w = nph.hermgauss(order)
@@ -201,18 +197,13 @@ def _gh_rule(order):
     return u, w
 
 
-def _col_gh(N, x, v, m, order):
-    """Same column integrals by Gauss-Hermite quadrature (exact for these
-    polynomial-times-Gaussian integrands at sufficient order), with the
-    per-process rule of that order: col = (1/sqrt(pi)) sum_j w_j b_j^m
+def _col_gh(N, x, v, m):
+    """Same column integrals by GH_ORDER-point Gauss-Hermite quadrature,
+    with the per-process rule: col = (1/sqrt(pi)) sum_j w_j b_j^m
     (x - i b_j)^n over the nodes b_j, for all n at once."""
-    u, w = _gh_rule(order)
+    u, w = _gh_rule(GH_ORDER)
     b = np.sqrt(v) * u
     return (w * b ** m) @ np.vander(x - 1j * b, N, increasing=True) / SQRT_PI
-
-
-_GH_COLS = (functools.partial(_col_gh, order=GH_ORDER),
-            functools.partial(_col_gh, order=2 * GH_ORDER))
 
 
 def correlations_convolution(req):
@@ -220,26 +211,25 @@ def correlations_convolution(req):
     carried out termwise exactly: sided factors through Faddeeva boundary
     values, moment factors through Gauss-Hermite quadrature.
 
-    Columns come from the GH_ORDER and 2 * GH_ORDER rules, each built
-    once per process; both determinant sums share one pass over the terms
-    and one set of rows.  The value is the 2 * GH_ORDER sum and the error
-    estimate is its difference from the GH_ORDER sum."""
+    The rule is exact for the column integrands, polynomials of degree
+    N - 1 + m against the Gaussian, up to degree 2 GH_ORDER - 1; the
+    route refuses specs beyond that before it builds any factor."""
     spec, k = req.spec, req.k
     if 2 * k > spec.N:
         raise ValueError("need 2k <= N")
-    return _determinants(req, correlation_terms(spec, k), (_row_rhat, _row_r),
-                         _GH_COLS, 1.0 / np.pi,
-                         {"quadrature": (GH_ORDER, 2 * GH_ORDER)})
+    degree = spec.N - 1 + max(m for _, slots in correlation_terms(spec, k) for _, m in slots)
+    if degree > 2 * GH_ORDER - 1:
+        raise ValueError(f"column degree N - 1 + m = {degree} exceeds {2 * GH_ORDER - 1}, "
+                         f"where the {GH_ORDER}-point Gauss-Hermite rule stops being exact")
+    return _determinants(req, (_row_rhat, _row_r), _col_gh, {"quadrature": GH_ORDER})
 
 
 def correlations_higher_trace(req):
     """Trace-power closed form: the same determinant sum with every factor
     evaluated in closed form (moment columns exact)."""
-    spec, k = req.spec, req.k
-    if spec.family not in ("higher_trace", "gaussian"):
+    if req.spec.family not in ("higher_trace", "gaussian"):
         raise ValueError("closed_form_higher_trace needs a trace-power or Gaussian spec")
-    return _determinants(req, correlation_terms(spec, k), (_row_rhat, _row_r),
-                         (_col_exact,), 1.0 / np.pi, {"path": "moment-determinant"})
+    return _determinants(req, (_row_rhat, _row_r), _col_exact, {"path": "moment-determinant"})
 
 
 # ---------------------------------------------------------------------------
@@ -267,21 +257,20 @@ def _halfline_vec(N, x, L, v, m):
 
 
 def _jet_vec(N, x, v, m):
-    """J_n = order-n Taylor coefficient of e^(-x r) (slot factor)(r) at 0."""
+    """J_n = (1/pi) times the order-n Taylor coefficient of e^(-x r)
+    (slot factor)(r) at 0."""
     ex = np.array([(-x) ** j / math.factorial(j) for j in range(N)], dtype=complex)
-    return jet_mul(ex, slot_phi_jet(v, m, N - 1), N - 1)
+    return jet_mul(ex, slot_phi_jet(v, m, N - 1), N - 1) / np.pi
 
 
 def correlations_eigenvalue_integral(req):
     """Fourier-side route: half-line r1 integrals against r2 jets of the
     characteristic function; k <= 2."""
-    spec, k = req.spec, req.k
-    if k > 2:
+    if req.k > 2:
         raise ValueError("eigenvalue_integral is capped at k = 2")
     if req.variant != "Rhat":
         raise ValueError("eigenvalue_integral computes the Rhat variant")
-    return _determinants(req, correlation_terms(spec, k), (_halfline_vec, None),
-                         (_jet_vec,), 1.0 / np.pi, {"path": "fourier-jet"})
+    return _determinants(req, (_halfline_vec, None), _jet_vec, {"path": "fourier-jet"})
 
 
 def _factorizing_scale(spec):
@@ -301,16 +290,16 @@ def factorized_kernel(spec, xp, xq, Lp=1):
     entrywise for the Gaussian case."""
     v = _factorizing_scale(spec)
     N = spec.N
-    val = np.dot(_halfline_vec(N, xp, Lp, v, 0), _jet_vec(N, xq, v, 0)) / np.pi
+    val = np.dot(_halfline_vec(N, xp, Lp, v, 0), _jet_vec(N, xq, v, 0))
     return val * np.exp((xp * xp - xq * xq) / (2.0 * v))
 
 
 def correlations_factorized(req):
     """Determinant of the factorized kernel, whose gauge drops out (the jet
-    columns are real); Gaussian and spike-spread variance-mixed specs only."""
-    terms = [(1.0, [(_factorizing_scale(req.spec), 0)] * (2 * req.k))]
-    return _determinants(req, terms, (_halfline_vec, None), (_jet_vec,),
-                         1.0 / np.pi, {"path": "factorized-kernel"})
+    columns are real); Gaussian and spike-spread variance-mixed specs only,
+    whose correlation_terms are the one term of that kernel."""
+    _factorizing_scale(req.spec)
+    return _determinants(req, (_halfline_vec, None), _jet_vec, {"path": "factorized-kernel"})
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +307,9 @@ def correlations_factorized(req):
 # ---------------------------------------------------------------------------
 
 def _row_osc_hat(N, x, L, v, m):
-    """Sided companion row phi^_n(x / sqrt v), n < N (Im phi^_n = phi_n);
-    the L = -1 row is its conjugate."""
-    t = _osc_hat_tower(N - 1, np.array(x / np.sqrt(v)))
+    """Sided companion row v^(-1/2) phi^_n(x / sqrt v), n < N
+    (Im phi^_n = phi_n); the L = -1 row is its conjugate."""
+    t = _osc_hat_tower(N - 1, np.array(x / np.sqrt(v))) / np.sqrt(v)
     return t if L == 1 else t.conj()
 
 
@@ -330,18 +319,19 @@ def _col_osc(N, x, v, m):
 
 
 def _row_osc(N, x, L, v, m):
-    """Imaginary part of the sided companion row: L phi_n(x / sqrt v)."""
-    return L * _col_osc(N, x, v, m)
+    """Imaginary part of the sided companion row: L v^(-1/2) phi_n(x / sqrt v)."""
+    return L / np.sqrt(v) * _col_osc(N, x, v, m)
 
 
 def correlations_closed_form_gue(req):
-    """Oscillator-basis determinant for the Gaussian family, any scale."""
-    spec = req.spec
-    if spec.family != "gaussian":
-        raise ValueError("closed_form_gue needs a Gaussian spec")
-    v = spec.params["scale"]
-    return _determinants(req, [(1.0, [(v, 0)] * (2 * req.k))], (_row_osc_hat, _row_osc),
-                         (_col_osc,), 1.0 / np.sqrt(v), {"path": "oscillator-determinant"})
+    """Oscillator-basis determinant for the Gaussian and norm-dependent
+    families.  Correlation functions are linear in P(H), so a variance
+    mixture is sum_i w_i R_k^Gauss(scale v_i) over its terms (w_i, v_i);
+    trace-power slots with m > 0 have no oscillator factor."""
+    if req.spec.family == "higher_trace":
+        raise ValueError("closed_form_gue needs a Gaussian or norm-dependent spec")
+    return _determinants(req, (_row_osc_hat, _row_osc), _col_osc,
+                         {"path": "oscillator-determinant"})
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +347,8 @@ def generating_function_value(spec, k, x, J, metric=None):
     L = (metric or [1])[0]
     x1 = float(np.asarray(x).reshape(-1)[0])
     J1 = float(np.asarray(J).reshape(-1)[0])
-    total, = _det_sums(correlation_terms(spec, 1), spec.N, _halfline_vec, [(x1 - J1, L)],
-                       (_jet_vec,), [x1 + J1], 1.0 / np.pi)
+    total = _det_sums(correlation_terms(spec, 1), spec.N, _halfline_vec, [(x1 - J1, L)],
+                      _jet_vec, [x1 + J1])
     return 1.0 + 2.0 * np.pi * J1 * total
 
 

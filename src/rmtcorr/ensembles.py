@@ -61,9 +61,6 @@ class EnsembleSpec:
                 raise ValueError("need M1 even or M2 even for a nonnegative weight")
         if family == "norm_dependent":
             self.spread_nodes = _spread_nodes(params["spread"])
-            total = float(np.sum(self.spread_nodes[1]))
-            if abs(total - 1.0) > 1e-6:
-                raise ValueError(f"spread integrates to {total}, not 1")
 
     # -- constructors -------------------------------------------------------
 
@@ -137,10 +134,11 @@ class EnsembleSpec:
 
 def _spread_nodes(sp):
     """Discrete (t, weight) nodes with sum(w) ~ integral f dt = 1, built
-    once per spec as spec.spread_nodes."""
+    once per spec as spec.spread_nodes.  Every node is a Gaussian
+    component of variance 2t, so a spread reaching t <= 0 is refused."""
     if isinstance(sp, tuple) and isinstance(sp[0], str) and sp[0] == "spike":
-        return np.array([sp[1]]), np.array([1.0])
-    if isinstance(sp, tuple) and len(sp) == 2 and not callable(sp[0]) \
+        t, w = np.array([sp[1]]), np.array([1.0])
+    elif isinstance(sp, tuple) and len(sp) == 2 and not callable(sp[0]) \
             and not isinstance(sp[0], str):
         t = np.asarray(sp[0], float)
         f = np.asarray(sp[1], float)
@@ -150,12 +148,24 @@ def _spread_nodes(sp):
         dt = np.diff(t)
         w[:-1] += 0.5 * dt
         w[1:] += 0.5 * dt
-        return t, w * f
-    func = sp[0] if isinstance(sp, tuple) else sp
-    lo, hi = sp[1] if isinstance(sp, tuple) else (0.0, _spread_reach(func))
-    x, gw = np.polynomial.legendre.leggauss(256)
-    t = 0.5 * (hi - lo) * (x + 1.0) + lo
-    return t, 0.5 * (hi - lo) * gw * np.array([func(v) for v in t])
+        w *= f
+    else:
+        func = sp[0] if isinstance(sp, tuple) else sp
+        lo, hi = sp[1] if isinstance(sp, tuple) else (0.0, _spread_reach(func))
+        x, gw = np.polynomial.legendre.leggauss(256)
+        t = 0.5 * (hi - lo) * (x + 1.0) + lo
+        w = 0.5 * (hi - lo) * gw * np.array([func(v) for v in t])
+    if np.any(t <= 0):
+        raise ValueError(f"spread reaches t = {t.min():.3g}; every component "
+                         "exp(-tr H^2 / 2t) needs t > 0")
+    total = float(np.sum(w))
+    if callable(sp) and total < 1e-6:
+        raise ValueError(f"the support search found no mass of the spread on [0, {hi:g}] "
+                         "(it stops where f first falls below 1e-12); pass the spread "
+                         "as (f, (lo, hi))")
+    if abs(total - 1.0) > 1e-6:
+        raise ValueError(f"spread integrates to {total}, not 1")
+    return t, w
 
 
 def _spread_reach(func):

@@ -68,18 +68,14 @@ def kernel_series(N, a, b):
 def fundamental_kernel(N, s1, s2, variant="full"):
     """Ensemble independent kernel.
 
-    full / arbitrary_metric: (1/pi) sum_{n<N} (i s2)^n / (s1^shifted)^(n+1)
-    in closed geometric form, the increment side taken from s1.
+    full: (1/pi) sum_{n<N} (i s2)^n / (s1^shifted)^(n+1) in closed
+    geometric form, the increment side taken from s1.
     imaginary_part: (1/pi) sum (i s2)^n Im[1/(s1^shifted)^(n+1)] at the
     finite epsilon carried by s1.
     s2 may be complex (composite second-slot arguments).
     """
-    if variant in ("full", "arbitrary_metric"):
-        a = s1.shifted()
-        if s1.epsilon == 0.0 and np.imag(a) == 0:
-            # branch selection only: nudge infinitesimally to the side
-            a = complex(a) - 1j * s1.side * 0.0
-        return kernel_closed(N, a, 1j * complex(s2))
+    if variant == "full":
+        return kernel_closed(N, s1.shifted(), 1j * complex(s2))
     if variant == "imaginary_part":
         a = s1.shifted()
         if s1.epsilon == 0.0:

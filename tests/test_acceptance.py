@@ -99,7 +99,7 @@ def test_criterion_4_density_normalization():
         (EnsembleSpec.gaussian(6), ("convolution", "closed_form_gue",
                                     "factorized", "closed_form_higher_trace")),
         (EnsembleSpec.norm_dependent(4, ("spike", 0.4)),
-         ("convolution", "factorized")),
+         ("convolution", "factorized", "closed_form_gue")),
         (EnsembleSpec.higher_trace(4, 4, 1),
          ("convolution", "closed_form_higher_trace")),
         (EnsembleSpec.higher_trace(4, 2, 2), ("closed_form_higher_trace",)),

@@ -86,8 +86,10 @@ def test_spike_methods_agree():
         a = r1(spec, x, "convolution", "Rhat")
         b = r1(spec, x, "eigenvalue_integral", "Rhat")
         c = r1(spec, x, "factorized", "Rhat")
+        d = r1(spec, x, "closed_form_gue", "Rhat")
         assert abs(a - b) < 1e-8 * max(abs(a), 1.0)
         assert abs(a - c) < 1e-8 * max(abs(a), 1.0)
+        assert abs(a - d) < 1e-8 * max(abs(a), 1.0)
 
 
 @pytest.mark.parametrize("M1,M2", [(4, 1), (2, 2), (3, 2)])
@@ -105,7 +107,9 @@ def test_trace_power_methods_agree(M1, M2):
 ROUTES = {
     "g4": GAUSS_METHODS,
     "g4s07": GAUSS_METHODS,
-    "spike": ("convolution", "eigenvalue_integral", "factorized"),
+    "spike": ("convolution", "eigenvalue_integral", "factorized", "closed_form_gue"),
+    "table": ("convolution", "eigenvalue_integral", "closed_form_gue"),
+    "callable": ("convolution", "eigenvalue_integral", "closed_form_gue"),
     "tp41": ("convolution", "eigenvalue_integral", "closed_form_higher_trace"),
     # at the trace-power cap, M1*M2 = 12; the k = 2 expansions have 322
     # and 335 terms
@@ -116,10 +120,22 @@ METRIC_CASES = [((0.7,), "+"), ((0.7,), "-"), ((-1.2,), "-")] + [
     ((0.4, -0.9), metric) for metric in ("++", "+-", "-+", "--")]
 
 
+def spread_density(t):
+    return np.exp(-(t - 0.8) ** 2 / 0.02) / np.sqrt(0.02 * np.pi)
+
+
+def spread_table(n):
+    t = np.linspace(0.2, 1.4, n)
+    f = spread_density(t)
+    return t, f / np.trapezoid(f, t)
+
+
 @pytest.fixture(scope="module")
 def route_specs():
     return {"g4": EnsembleSpec.gaussian(4), "g4s07": EnsembleSpec.gaussian(4, 0.7),
             "spike": EnsembleSpec.norm_dependent(4, ("spike", 0.4)),
+            "table": EnsembleSpec.norm_dependent(4, spread_table(101)),
+            "callable": EnsembleSpec.norm_dependent(5, (spread_density, (0.2, 1.4))),
             "tp41": EnsembleSpec.higher_trace(4, 4, 1),
             "tp121": EnsembleSpec.higher_trace(4, 12, 1),
             "tp34": EnsembleSpec.higher_trace(4, 3, 4)}
@@ -253,10 +269,22 @@ def test_gauss_hermite_rules_built_once(monkeypatch):
     tp41 = EnsembleSpec.higher_trace(4, 4, 1)
     for x, y in [(0.4, -0.9), (-1.1, 0.3), (0.2, 0.2)]:
         r2(tp41, x, y, "convolution", "Rhat")
-    assert calls == {engine.GH_ORDER: 1, 2 * engine.GH_ORDER: 1}
+    assert calls == {engine.GH_ORDER: 1}
     for arr in engine._gh_rule(engine.GH_ORDER):
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+def test_convolution_refuses_beyond_exact_rule(monkeypatch):
+    # N - 1 = 512 > 2 GH_ORDER - 1: the column integrands outgrow the rule
+    def unbuilt(*args):
+        raise AssertionError("factor built")
+
+    for name in ("_row_rhat", "_row_r", "_col_gh"):
+        monkeypatch.setattr(engine, name, unbuilt)
+    for variant in ("Rhat", "R"):
+        with pytest.raises(ValueError, match="Gauss-Hermite"):
+            r1(EnsembleSpec.gaussian(2 * engine.GH_ORDER + 1), 0.3, "convolution", variant)
 
 
 # Values pinned from earlier versions of each route: convolution's from
@@ -304,7 +332,7 @@ def reference_result(specs, method, name, xs, metric, variant, ref):
 def test_convolution_reference_values(reference_specs, name, xs, metric, variant, ref):
     res = reference_result(reference_specs, "convolution", name, xs, metric, variant, ref)
     assert res.error_estimate <= 1e-12
-    assert res.metadata["quadrature"] == (engine.GH_ORDER, 2 * engine.GH_ORDER)
+    assert res.metadata["quadrature"] == engine.GH_ORDER
     if xs[0] == xs[-1] and len(xs) > 1:
         assert res.metadata["coincidence_split"]
 

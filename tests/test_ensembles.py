@@ -452,6 +452,29 @@ def test_constructor_validation():
         EnsembleSpec.norm_dependent(3, (t, np.ones_like(t)))
 
 
+def normal_density(mu, sigma):
+    return lambda t: math.exp(-(t - mu) ** 2 / (2 * sigma ** 2)) / (sigma * math.sqrt(2 * math.pi))
+
+
+def test_spread_reaching_nonpositive_t_refused():
+    # each node is a Gaussian of variance 2t; at t <= 0 every route gave nan
+    t = np.linspace(-0.5, 2.0, 51)
+    f = np.exp(-(t - 0.8) ** 2 / 0.1)
+    for spread in ((normal_density(0.8, 1.0), (-0.7, 2.3)),
+                   (t, f / np.trapezoid(f, t)),
+                   ("spike", -0.4), ("spike", 0.0)):
+        with pytest.raises(ValueError, match="t > 0"):
+            EnsembleSpec.norm_dependent(5, spread)
+
+
+def test_bare_callable_spread_away_from_unit_interval():
+    f = normal_density(3.0, 0.1)
+    with pytest.raises(ValueError, match=r"support search found no mass.*\(f, \(lo, hi\)\)"):
+        EnsembleSpec.norm_dependent(4, f)
+    spec = EnsembleSpec.norm_dependent(4, (f, (2.0, 4.0)))
+    assert abs(np.sum(spec.spread_nodes[1]) - 1.0) < 1e-12
+
+
 def test_serialization_roundtrip():
     specs = [EnsembleSpec.gaussian(4, 0.75), spike_spec(3, 0.4),
              table_spec(2), EnsembleSpec.higher_trace(4, 4, 1)]
