@@ -9,7 +9,6 @@ import argparse
 import csv
 import hashlib
 import json
-import os
 import sys
 import time
 
@@ -81,13 +80,6 @@ def _header(args_dict, seed):
     }
 
 
-def _out_path(path):
-    outdir = os.environ.get("RMTCORR_OUTDIR")
-    if outdir and path not in (None, "-"):
-        return os.path.join(outdir, os.path.basename(path))
-    return path
-
-
 def _fmt(x):
     return format(float(x), ".17g")
 
@@ -130,8 +122,7 @@ def cmd_corr(args):
         vals = np.array([r[4] for r in rows])
         footer = {"integral_r1": float(np.trapezoid(vals, xs))}
 
-    path = _out_path(args.output)
-    _emit(path, args.format, header, rows, k, footer)
+    _emit(args.output, args.format, header, rows, k, footer)
     return 1 if failed else 0
 
 

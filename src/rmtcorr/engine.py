@@ -16,7 +16,6 @@ carries prod_p L_p; its value is real.
 """
 
 import functools
-import itertools
 import math
 
 import numpy as np
@@ -28,7 +27,6 @@ from .special import (SQRT_PI, _osc_tower, _osc_hat_tower, gauss_moments,
                       gauss_moment_cauchy, gauss_poly_derivatives,
                       polyval_ascending, half_gauss_oscillatory)
 
-DELTA_X = 1e-9
 GH_ORDER = 256
 VARIANTS = ("Rhat", "R")
 METHODS = ("convolution", "eigenvalue_integral", "factorized",
@@ -77,16 +75,6 @@ def evaluate(req):
     return fn(req)
 
 
-def _coincidence_split(points):
-    """If two points are closer than DELTA_X, return two shifted copies to
-    evaluate and average (linear extrapolation through the midpoint)."""
-    for p, q in itertools.combinations(range(len(points)), 2):
-        if abs(points[p].value - points[q].value) < DELTA_X:
-            return [[IncrementedPoint(pt.value + d * (i == p), pt.side)
-                     for i, pt in enumerate(points)] for d in (-10 * DELTA_X, 10 * DELTA_X)]
-    return None
-
-
 # ---------------------------------------------------------------------------
 # The determinant engine
 # ---------------------------------------------------------------------------
@@ -116,28 +104,17 @@ def _det_sums(terms, N, row, row_pts, col, col_pts):
 
 
 def _determinants(req, rows, col, metadata):
-    """Evaluate req as _det_sums over correlation_terms(req.spec, req.k),
-    averaging two shifted copies at coincident points.
-
-    rows = (Rhat row, R row) are factor functions f(N, x, L, v, m); an R
-    row of None is the imaginary part of the Rhat row.  col is a factor
-    function g(N, x, v, m).  The error estimate is the distance between
-    the two shifted copies of a coincidence split, and 0 without one."""
+    """Evaluate req as one _det_sums over correlation_terms(req.spec, req.k),
+    with error estimate 0.  rows = (Rhat row, R row) are factor functions
+    f(N, x, L, v, m); an R row of None is the imaginary part of the Rhat
+    row.  col is a factor function g(N, x, v, m).  Coincident points need
+    no special case: the term sum is odd under swapping their columns."""
     rhat, r = rows
     row = rhat if req.variant == "Rhat" else r or (lambda *args: np.imag(rhat(*args)))
-    terms = correlation_terms(req.spec, req.k)
-
-    def run(points):
-        val = complex(_det_sums(terms, req.spec.N, row, [(p.value, p.side) for p in points],
-                                col, [p.value for p in points]))
-        return complex(val.real) if req.variant == "R" else val
-
-    split = _coincidence_split(req.points)
-    if split is None:
-        return CorrelationResult(run(req.points), 0.0, metadata)
-    lo, hi = run(split[0]), run(split[1])
-    return CorrelationResult(0.5 * (lo + hi), abs(hi - lo),
-                             metadata | {"coincidence_split": True})
+    val = complex(_det_sums(correlation_terms(req.spec, req.k), req.spec.N, row,
+                            [(p.value, p.side) for p in req.points],
+                            col, [p.value for p in req.points]))
+    return CorrelationResult(complex(val.real) if req.variant == "R" else val, 0.0, metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -265,11 +242,8 @@ def _jet_vec(N, x, v, m):
 
 def correlations_eigenvalue_integral(req):
     """Fourier-side route: half-line r1 integrals against r2 jets of the
-    characteristic function; k <= 2."""
-    if req.k > 2:
-        raise ValueError("eigenvalue_integral is capped at k = 2")
-    if req.variant != "Rhat":
-        raise ValueError("eigenvalue_integral computes the Rhat variant")
+    characteristic function; R takes the imaginary part of the half-line
+    rows."""
     return _determinants(req, (_halfline_vec, None), _jet_vec, {"path": "fourier-jet"})
 
 

@@ -113,6 +113,9 @@ def _osc_hat_tower(nmax, x):
                         4.0 * (tt + 1) * xi * xi)
                 flat[n, i] = norm * ex * acc + 1j * ph[n, i]
                 norm /= np.sqrt(2.0 * (n + 1))
+    if not np.all(np.isfinite(out)):
+        raise ValueError("the companion tower overflows: exp(x^2/2) is not finite "
+                         "past |x| ~ 37.7")
     return out
 
 

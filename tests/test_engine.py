@@ -12,7 +12,7 @@ from rmtcorr import engine
 from rmtcorr.ensembles import EnsembleSpec
 from rmtcorr.engine import (CorrelationRequest, CorrelationResult, evaluate,
                             factorized_kernel, generating_function_value,
-                            time_domain_transform, DELTA_X)
+                            time_domain_transform)
 from rmtcorr.kernels import IncrementedPoint
 
 
@@ -103,7 +103,7 @@ def test_trace_power_methods_agree(M1, M2):
         assert abs(a - c) < 1e-8 * max(abs(a), 1.0)
 
 
-# applicable routes per spec; eigenvalue_integral computes Rhat only
+# applicable routes per spec
 ROUTES = {
     "g4": GAUSS_METHODS,
     "g4s07": GAUSS_METHODS,
@@ -144,17 +144,37 @@ def route_specs():
 @pytest.mark.parametrize("variant", ["Rhat", "R"])
 @pytest.mark.parametrize("name", list(ROUTES))
 def test_routes_agree_on_every_metric(route_specs, name, variant):
-    routes = [m for m in ROUTES[name]
-              if not (variant == "R" and m == "eigenvalue_integral")]
     for xs, metric in METRIC_CASES:
         pts = [IncrementedPoint(x, side=1 if s == "+" else -1)
                for x, s in zip(xs, metric)]
         vals = {m: evaluate(CorrelationRequest(route_specs[name], len(xs), pts,
                                                variant, m)).value
-                for m in routes}
+                for m in ROUTES[name]}
         ref = vals["convolution"]
         for m, val in vals.items():
             assert abs(val - ref) <= 1e-8 * max(abs(ref), 1.0), (m, xs, metric)
+
+
+@pytest.fixture(scope="module")
+def n6_specs():
+    return {"g6": EnsembleSpec.gaussian(6), "tp41": EnsembleSpec.higher_trace(6, 4, 1),
+            "spike": EnsembleSpec.norm_dependent(6, ("spike", 0.4))}
+
+
+@pytest.mark.parametrize("xs, metric, variant", [
+    ((0.7,), "+", "R"), ((-1.2,), "-", "R"),
+    ((0.4, -0.9), "++", "R"), ((0.4, -0.9), "+-", "R"),
+    ((0.4, -0.9), "-+", "R"), ((0.4, -0.9), "--", "R"),
+    ((0.4, -0.9, 1.3), "+++", "Rhat"), ((0.4, -0.9, 1.3), "+-+", "Rhat"),
+    ((0.4, -0.9, 1.3), "--+", "R"), ((-0.3, 0.8, -1.6), "-+-", "R")])
+@pytest.mark.parametrize("name", ["g6", "tp41", "spike"])
+def test_eigenvalue_integral_r_and_k3_match_convolution(n6_specs, name, xs, metric, variant):
+    pts = [IncrementedPoint(x, side=1 if s == "+" else -1) for x, s in zip(xs, metric)]
+    a, b = (evaluate(CorrelationRequest(n6_specs[name], len(xs), pts, variant, m)).value
+            for m in ("convolution", "eigenvalue_integral"))
+    assert abs(a - b) <= 1e-9 * max(abs(a), 1.0)
+    if variant == "R":
+        assert b.imag == 0.0
 
 
 def test_k2_methods_agree():
@@ -244,11 +264,28 @@ def test_coincident_points_handled():
                              [IncrementedPoint(0.5), IncrementedPoint(0.5)],
                              "R", "closed_form_gue")
     res = evaluate(req)
-    assert res.metadata.get("coincidence_split")
-    # the two-level density vanishes at coincident arguments
-    assert abs(res.value) < 1e-6
+    # the two-level density vanishes at coincident arguments, taken
+    # directly: the result records no special case
+    assert res.metadata == {"path": "oscillator-determinant"}
+    assert abs(res.value) < 1e-12
     near = r2(spec, 0.5, 0.5 + 1e-4, "closed_form_gue", "R")
     assert abs(res.value - near) < 1e-3
+
+
+COINCIDENT_CASES = [("g6", 0.4), ("g6", -1.7), ("g32", 0.4), ("g32", 3.1),
+                    ("tp41", 0.4), ("spike", -0.8)]
+
+
+@pytest.mark.parametrize("variant", ["Rhat", "R"])
+@pytest.mark.parametrize("name, x", COINCIDENT_CASES)
+def test_coincident_points_vanish_on_every_route(route_specs, name, x, variant):
+    specs = route_specs | {"g6": EnsembleSpec.gaussian(6), "g32": EnsembleSpec.gaussian(32)}
+    for method in ROUTES.get(name, GAUSS_METHODS):
+        for metric in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            pts = [IncrementedPoint(x, side=s) for s in metric]
+            res = evaluate(CorrelationRequest(specs[name], 2, pts, variant, method))
+            assert abs(res.value) <= 1e-12, (method, metric)
+            assert res.error_estimate == 0.0
 
 
 # -- convolution quadrature ------------------------------------------------
@@ -331,10 +368,9 @@ def reference_result(specs, method, name, xs, metric, variant, ref):
                          [r[1:] for r in REFERENCE_VALUES if r[0] == "convolution"])
 def test_convolution_reference_values(reference_specs, name, xs, metric, variant, ref):
     res = reference_result(reference_specs, "convolution", name, xs, metric, variant, ref)
-    assert res.error_estimate <= 1e-12
-    assert res.metadata["quadrature"] == engine.GH_ORDER
-    if xs[0] == xs[-1] and len(xs) > 1:
-        assert res.metadata["coincidence_split"]
+    assert res.error_estimate == 0.0
+    # the diagonal point is taken directly, with no extra metadata
+    assert res.metadata == {"quadrature": engine.GH_ORDER}
 
 
 @pytest.mark.parametrize("method, name, xs, metric, variant, ref",
@@ -357,6 +393,15 @@ def test_closed_form_gue_builds_one_hat_tower_per_point(monkeypatch):
         calls.clear()
         r2(EnsembleSpec.gaussian(6), 0.4, -0.9, "closed_form_gue", "Rhat", metric)
         assert calls == {0.4: 1, -0.9: 1}
+
+
+@pytest.mark.parametrize("spec", [EnsembleSpec.gaussian(4, 0.02),
+                                  EnsembleSpec.norm_dependent(4, ("spike", 0.01))])
+def test_closed_form_gue_refuses_overflowing_companion_tower(spec):
+    # x / sqrt(v) = 38.9: exp(x^2/2) in the companion tower is not finite
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="overflows"):
+        r1(spec, 5.5, "closed_form_gue", "Rhat")
+    assert r1(spec, 5.5, "closed_form_gue", "R") == 0.0
 
 
 # -- factorized kernel -----------------------------------------------------
@@ -393,8 +438,11 @@ def test_request_validation():
         CorrelationRequest(spec, 2, [0.0])
     with pytest.raises(ValueError):
         r1(EnsembleSpec.gaussian(1), 0.0, "convolution")
-    with pytest.raises(ValueError):
-        evaluate(CorrelationRequest(spec, 1, [0.0], "R", "eigenvalue_integral"))
+    # eigenvalue_integral takes R and any k, like the other routes
+    for k in (1, 3):
+        res = evaluate(CorrelationRequest(EnsembleSpec.gaussian(6), k, [0.1, -0.5, 0.9][:k],
+                                          "R", "eigenvalue_integral"))
+        assert res.value.imag == 0.0 and res.value.real > 0.0
     with pytest.raises(ValueError):
         r1(EnsembleSpec.higher_trace(4, 4, 1), 0.0, "closed_form_gue")
     # the routes compute the epsilon -> 0+ limit and refuse a finite one
