@@ -71,11 +71,11 @@ def _config_hash(args_dict):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
-def _header(args_dict, seed):
+def _header(args, **extra):
     return {
         "version": __version__,
-        "config_hash": _config_hash(args_dict),
-        "seed": seed,
+        "config_hash": _config_hash(vars(args)),
+        **extra,
         "conventions": CONVENTIONS,
     }
 
@@ -101,7 +101,7 @@ def cmd_corr(args):
             raise ConfigError("corr supports k = 1 or 2")
         probe = [(x, y) for x in g for y in g]
 
-    header = _header(vars(args), args.seed)
+    header = _header(args)
     rows = []
     failed = False
     for pt in probe:
@@ -168,7 +168,7 @@ def cmd_verify(args):
     if args.suite not in SUITES:
         raise ConfigError(f"unknown suite {args.suite!r}; valid: {', '.join(SUITES)}")
     run = [args.suite] if args.suite != "all" else list(SUITES[:-1])
-    header = _header(vars(args), args.seed)
+    header = _header(args, seed=args.seed)
     for key, v in header.items():
         print(f"# {key}: {v}")
     ok = True
@@ -247,7 +247,6 @@ def build_parser():
     pc.add_argument("--metric", default=None, help="k signs, e.g. +- for k=2")
     pc.add_argument("--output", default="-")
     pc.add_argument("--format", default="csv")
-    pc.add_argument("--seed", type=int, default=0)
 
     pv = sub.add_parser("verify", help="verification suites")
     pv.add_argument("--suite", default="all")
@@ -283,20 +282,15 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
-    if args.command == "corr":
-        try:
-            return cmd_corr(args)
-        except ConfigError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 2
-    if args.command == "verify":
-        try:
-            return cmd_verify(args)
-        except ConfigError as e:
-            print(f"error: {e}", file=sys.stderr)
-            return 2
-    parser.print_usage(sys.stderr)
-    return 2
+    commands = {"corr": cmd_corr, "verify": cmd_verify}
+    if args.command not in commands:
+        parser.print_usage(sys.stderr)
+        return 2
+    try:
+        return commands[args.command](args)
+    except ConfigError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

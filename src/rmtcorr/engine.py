@@ -251,9 +251,11 @@ def _factorizing_scale(spec):
     if spec.family == "gaussian":
         return spec.params["scale"]
     if spec.family == "norm_dependent":
-        sp = spec.params["spread"]
-        if isinstance(sp, tuple) and isinstance(sp[0], str) and sp[0] == "spike":
-            return 2.0 * sp[1]
+        # one node (t, 1) is a single Gaussian of variance 2t: a spike;
+        # table and callable spreads always have more nodes
+        t, _ = spec.spread_nodes
+        if len(t) == 1:
+            return 2.0 * t[0]
     raise ValueError("factorized path needs a factorizing spec")
 
 

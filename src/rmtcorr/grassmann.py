@@ -34,11 +34,6 @@ class GrassmannElement:
     def generator(cls, ngen, index, coeff=1.0):
         return cls(ngen, {1 << index: coeff})
 
-    def copy(self):
-        e = GrassmannElement(self.ngen)
-        e.terms = dict(self.terms)
-        return e
-
     def scalar_part(self):
         return self.terms.get(0, 0j)
 
@@ -124,77 +119,33 @@ def ge_conjugate(a):
     it is the identity."""
     g = a.ngen
     half = g // 2
-    out = {}
+    out = GrassmannElement(g)
     for mask, c in a.terms.items():
-        bits = []
-        m = mask
-        while m:
-            j = (m & -m).bit_length() - 1
-            bits.append(j)
-            m &= m - 1
-        mapped = [(j + half) if j < half else (j - half) for j in reversed(bits)]
-        # bubble sort to ascending order, tracking the permutation sign
-        sign = 1
-        for i in range(1, len(mapped)):
-            j = i
-            while j > 0 and mapped[j - 1] > mapped[j]:
-                mapped[j - 1], mapped[j] = mapped[j], mapped[j - 1]
-                sign = -sign
-                j -= 1
-        new_mask = 0
-        for j in mapped:
-            new_mask |= 1 << j
-        v = out.get(new_mask, 0j) + sign * np.conj(c)
-        if v == 0:
-            out.pop(new_mask, None)
-        else:
-            out[new_mask] = v
-    return GrassmannElement(g, out)
-
-
-def _mat_mul(A, B, ngen):
-    n = len(A)
-    m = len(B[0])
-    inner = len(B)
-    out = [[GrassmannElement(ngen) for _ in range(m)] for _ in range(n)]
-    for i in range(n):
-        for j in range(m):
-            acc = GrassmannElement(ngen)
-            for l in range(inner):
-                acc = acc + ge_mul(A[i][l], B[l][j])
-            out[i][j] = acc
+        mono = GrassmannElement.scalar(g, np.conj(c))
+        for j in reversed([j for j in range(g) if mask >> j & 1]):
+            partner = j + half if j < half else j - half
+            mono = ge_mul(mono, GrassmannElement.generator(g, partner))
+        # the swap is a bijection on monomials, so no two terms collide
+        out.terms.update(mono.terms)
     return out
 
 
-class AlgebraMatrix:
-    """Square matrix with GrassmannElement entries (the ordinary-space K)."""
-
-    def __init__(self, entries, ngen):
-        self.entries = entries
-        self.ngen = ngen
-        self.dim = len(entries)
-
-    def conjugate_transpose(self):
-        n = self.dim
-        out = [[ge_conjugate(self.entries[j][i]) for j in range(n)] for i in range(n)]
-        return AlgebraMatrix(out, self.ngen)
-
-
-class SuperMatrixAlg:
-    """2k x 2k supermatrix in boson-fermion block order (the dual B)."""
-
-    def __init__(self, entries, k, ngen):
-        self.entries = entries
-        self.k = k
-        self.ngen = ngen
-        self.dim = 2 * k
+def _mat_mul(A, B):
+    """Product of two matrices of algebra elements held as nested lists."""
+    zero = GrassmannElement(A[0][0].ngen)
+    return [[sum((ge_mul(a, B[l][j]) for l, a in enumerate(row)), zero)
+             for j in range(len(B[0]))] for row in A]
 
 
 def build_dual_pair(zvals, k, N, L):
-    """Build K = A L A^dagger and B = L^(1/2) A^dagger A L^(1/2).
+    """Build K = A L A^dagger (N x N) and B = L^(1/2) A^dagger A L^(1/2)
+    (2k x 2k, boson block first) as nested lists of algebra elements.
 
-    zvals: sequence of k length-N complex vectors; L: sequence of k signs.
-    The square root of a -1 metric entry is taken as +i.
+    A is the N x 2k matrix [z_1..z_k | zeta_1..zeta_k] and A^dagger its
+    graded adjoint: the conjugate transpose with the odd (fermion) rows
+    negated.  zvals: sequence of k length-N complex vectors; L: sequence
+    of k signs, padded with +1 on the fermion side.  The square root of
+    a -1 metric entry is taken as +i.
     """
     G = 2 * k * N
     if G > GENERATOR_BUDGET:
@@ -203,100 +154,53 @@ def build_dual_pair(zvals, k, N, L):
     if len(L) != k or any(s not in (1, -1) for s in L):
         raise ValueError("metric must be k signs in {+1,-1}")
     z = [np.asarray(v, dtype=complex) for v in zvals]
-
-    def zeta(p, n):
-        return 1 << (p * N + n)
-
-    def zetac(p, n):
-        return 1 << (k * N + p * N + n)
-
-    # K_{nm} = sum_p L_p z_{p,n} conj(z_{p,m}) - sum_p zeta_{p,n} zeta*_{p,m}
-    K = []
-    for n in range(N):
-        row = []
-        for m in range(N):
-            terms = {}
-            sc = sum(L[p] * z[p][n] * np.conj(z[p][m]) for p in range(k))
-            if sc != 0:
-                terms[0] = sc
-            for p in range(k):
-                mask = zeta(p, n) | zetac(p, m)
-                s = _merge_sign(zeta(p, n), zetac(p, m))
-                terms[mask] = terms.get(mask, 0j) - s * 1.0
-            row.append(GrassmannElement(G, terms))
-        K.append(row)
-
-    # A^dagger A blocks, then sandwich with L^(1/2)
-    sqrtL = [1.0 if s == 1 else 1j for s in L] + [1.0] * k
-    B = [[None] * (2 * k) for _ in range(2 * k)]
-    for p in range(k):
-        for q in range(k):
-            # boson-boson: z_p^dag z_q (scalar)
-            B[p][q] = GrassmannElement.scalar(G, sqrtL[p] * np.vdot(z[p], z[q]) * sqrtL[q])
-            # boson-fermion: z_p^dag zeta_q
-            terms = {}
-            for n in range(N):
-                c = np.conj(z[p][n])
-                if c != 0:
-                    terms[zeta(q, n)] = terms.get(zeta(q, n), 0j) + c
-            B[p][k + q] = GrassmannElement(G, terms) * (sqrtL[p] * sqrtL[k + q])
-            # fermion-boson: -zeta_p^dag z_q
-            terms = {}
-            for n in range(N):
-                c = z[q][n]
-                if c != 0:
-                    terms[zetac(p, n)] = terms.get(zetac(p, n), 0j) - c
-            B[k + p][q] = GrassmannElement(G, terms) * (sqrtL[k + p] * sqrtL[q])
-            # fermion-fermion: -zeta_p^dag zeta_q
-            terms = {}
-            for n in range(N):
-                mask = zetac(p, n) | zeta(q, n)
-                s = _merge_sign(zetac(p, n), zeta(q, n))
-                terms[mask] = terms.get(mask, 0j) - s * 1.0
-            B[k + p][k + q] = GrassmannElement(G, terms) * (sqrtL[k + p] * sqrtL[k + q])
-
-    return AlgebraMatrix(K, G), SuperMatrixAlg(B, k, G)
+    A = [[GrassmannElement.scalar(G, z[p][n]) for p in range(k)]
+         + [GrassmannElement.generator(G, p * N + n) for p in range(k)] for n in range(N)]
+    Adag = [[(1 if i < k else -1) * ge_conjugate(A[n][i]) for n in range(N)]
+            for i in range(2 * k)]
+    metric = L + [1] * k
+    sqrtL = [1.0 if s == 1 else 1j for s in metric]
+    K = _mat_mul([[s * a for s, a in zip(metric, row)] for row in A], Adag)
+    B = [[sqrtL[i] * e * sqrtL[j] for j, e in enumerate(row)]
+         for i, row in enumerate(_mat_mul(Adag, A))]
+    return K, B
 
 
-def _power(entries, m, ngen):
-    out = entries
-    for _ in range(m - 1):
-        out = _mat_mul(out, entries, ngen)
+def _powers(M, m_max):
+    """[M, M^2, ..., M^m_max], each power one product from the last."""
+    if m_max < 1:
+        raise ValueError("m must be >= 1")
+    out = [M]
+    while len(out) < m_max:
+        out.append(_mat_mul(out[-1], M))
     return out
+
+
+def _signed_trace(P, signs):
+    return sum((s * P[i][i] for i, s in enumerate(signs)), GrassmannElement(P[0][0].ngen))
 
 
 def tr_power(K, m):
     """Ordinary trace of K^m over the algebra."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    P = _power(K.entries, m, K.ngen)
-    acc = GrassmannElement(K.ngen)
-    for i in range(K.dim):
-        acc = acc + P[i][i]
-    return acc
+    return _signed_trace(_powers(K, m)[-1], [1] * len(K))
 
 
 def strg_power(B, m):
     """Supertrace of B^m: trace of the boson block minus the fermion block."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    P = _power(B.entries, m, B.ngen)
-    acc = GrassmannElement(B.ngen)
-    for p in range(B.k):
-        acc = acc + P[p][p]
-    for p in range(B.k):
-        acc = acc - P[B.k + p][B.k + p]
-    return acc
+    k = len(B) // 2
+    return _signed_trace(_powers(B, m)[-1], [1] * k + [-1] * k)
 
 
 def verify_duality(k, N, m_max, seed):
-    """Max coefficient deviation of tr K^m - trg B^m for m = 1..m_max."""
+    """Max coefficient deviation of tr K^m - trg B^m for m = 1..m_max,
+    both sides read off one chain of powers."""
     rng = np.random.default_rng(seed)
     z = [rng.standard_normal(N) + 1j * rng.standard_normal(N) for _ in range(k)]
     L = [int(s) for s in rng.choice([1, -1], size=k)]
     K, B = build_dual_pair(z, k, N, L)
+    supersigns = [1] * k + [-1] * k
     report = {}
-    for m in range(1, m_max + 1):
-        diff = tr_power(K, m) - strg_power(B, m)
+    for m, (Km, Bm) in enumerate(zip(_powers(K, m_max), _powers(B, m_max)), 1):
+        diff = _signed_trace(Km, [1] * N) - _signed_trace(Bm, supersigns)
         report[m] = diff.max_abs_coeff()
     return report

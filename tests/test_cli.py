@@ -7,7 +7,6 @@ import re
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 from rmtcorr.cli import main
@@ -150,6 +149,17 @@ def test_verify_mc_suites_pass_at_default_seed(capsys, suite, name):
 def test_threads_flag_is_rejected(capsys):
     code, _, _ = run(capsys, "--threads", "2", "verify", "--suite", "pairing")
     assert code == 2
+
+
+def test_seed_belongs_to_verify_only(capsys, gauss_cfg):
+    # every corr route is deterministic, so corr takes no seed
+    code, _, _ = run(capsys, "corr", "--ensemble", gauss_cfg, "--grid", "-1:1:3",
+                     "--seed", "1")
+    assert code == 2
+    code, out, _ = run(capsys, "corr", "--ensemble", gauss_cfg, "--grid", "-1:1:3")
+    assert code == 0 and "# seed:" not in out
+    code, out, _ = run(capsys, "verify", "--suite", "pairing", "--seed", "3")
+    assert code == 0 and "# seed: 3\n" in out
 
 
 def test_verify_unknown_suite_exits_2(capsys):

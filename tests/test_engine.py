@@ -10,9 +10,8 @@ import pytest
 
 from rmtcorr import engine
 from rmtcorr.ensembles import EnsembleSpec
-from rmtcorr.engine import (CorrelationRequest, CorrelationResult, evaluate,
-                            factorized_kernel, generating_function_value,
-                            time_domain_transform)
+from rmtcorr.engine import (CorrelationRequest, evaluate, factorized_kernel,
+                            generating_function_value, time_domain_transform)
 from rmtcorr.kernels import IncrementedPoint
 
 

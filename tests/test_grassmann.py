@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rmtcorr.grassmann import (GrassmannElement, AlgebraMatrix, ge_mul,
-                               ge_conjugate, build_dual_pair, tr_power,
-                               strg_power, verify_duality)
+from rmtcorr.grassmann import (GrassmannElement, ge_mul, ge_conjugate,
+                               build_dual_pair, tr_power, strg_power,
+                               verify_duality)
 
 
 def gen(idx, ngen=6):
@@ -77,10 +77,9 @@ def test_dual_pair_k_hermitean():
     rng = np.random.default_rng(11)
     z = [rng.standard_normal(2) + 1j * rng.standard_normal(2)]
     K, B = build_dual_pair(z, 1, 2, [1])
-    Kd = K.conjugate_transpose()
     for i in range(2):
         for j in range(2):
-            assert (K.entries[i][j] - Kd.entries[i][j]).max_abs_coeff() < 1e-12
+            assert (K[i][j] - ge_conjugate(K[j][i])).max_abs_coeff() < 1e-12
 
 
 def test_dual_pair_b_pseudo_hermitean():
@@ -94,9 +93,48 @@ def test_dual_pair_b_pseudo_hermitean():
         for i in range(2):
             for j in range(2):
                 grade = -1.0 if (i < 1) != (j < 1) else 1.0
-                dag = grade * ge_conjugate(B.entries[j][i])
-                lbl = Lfull[i] * Lfull[j] * B.entries[i][j]
+                dag = grade * ge_conjugate(B[j][i])
+                lbl = Lfull[i] * Lfull[j] * B[i][j]
                 assert (dag - lbl).max_abs_coeff() < 1e-12
+
+
+def test_dual_pair_entries_match_block_formulas():
+    # The trace identity is blind to a sign flip of both odd blocks of B,
+    # so pin every entry of K and B against its block formula.
+    k, N, L = 2, 3, [1, -1]
+    G = 2 * k * N
+    rng = np.random.default_rng(17)
+    z = [rng.standard_normal(N) + 1j * rng.standard_normal(N) for _ in range(k)]
+    K, B = build_dual_pair(z, k, N, L)
+    sqrtL = [1.0, 1j]
+    zero = GrassmannElement(G)
+
+    def zeta(p, n):
+        return GrassmannElement.generator(G, p * N + n)
+
+    def zetac(p, n):
+        return GrassmannElement.generator(G, k * N + p * N + n)
+
+    def check(got, want):
+        assert (got - want).max_abs_coeff() <= 1e-14 * max(want.max_abs_coeff(), 1.0)
+
+    assert len(K) == N and all(len(row) == N for row in K)
+    assert len(B) == 2 * k and all(len(row) == 2 * k for row in B)
+    for n in range(N):
+        for m in range(N):
+            scalar = sum(L[p] * z[p][n] * np.conj(z[p][m]) for p in range(k))
+            pairs = sum((ge_mul(zeta(p, n), zetac(p, m)) for p in range(k)), zero)
+            check(K[n][m], GrassmannElement.scalar(G, scalar) - pairs)
+    for p in range(k):
+        for q in range(k):
+            check(B[p][q], GrassmannElement.scalar(
+                G, sqrtL[p] * sqrtL[q] * np.vdot(z[p], z[q])))
+            check(B[p][k + q], sum((sqrtL[p] * np.conj(z[p][n]) * zeta(q, n)
+                                    for n in range(N)), zero))
+            check(B[k + p][q], sum((-sqrtL[q] * z[q][n] * zetac(p, n)
+                                    for n in range(N)), zero))
+            check(B[k + p][k + q], -sum((ge_mul(zetac(p, n), zeta(q, n))
+                                         for n in range(N)), zero))
 
 
 def test_trace_identity_first_power():
@@ -117,8 +155,8 @@ def test_zero_sources_pure_odd_sector():
     K, B = build_dual_pair([np.zeros(2)], 1, 2, [1])
     for i in range(2):
         for j in range(2):
-            assert abs(K.entries[i][j].scalar_part()) == 0.0
-    assert abs(B.entries[0][0].scalar_part()) == 0.0
+            assert abs(K[i][j].scalar_part()) == 0.0
+    assert abs(B[0][0].scalar_part()) == 0.0
     diff = tr_power(K, 2) - strg_power(B, 2)
     assert diff.max_abs_coeff() < 1e-12
 
