@@ -29,9 +29,9 @@ def main():
     for x, y in [(-1.0, 0.5), (0.0, 1.2), (0.3, -0.3), (1.5, 1.6)]:
         a = float(np.real(r_k(spec, [x, y], "convolution")))
         b = float(np.real(r_k(spec, [x, y], "closed_form_gue")))
-        r1x = gue_kernel(spec.N, np.array(x), np.array(x), variant="imaginary-part")
-        r1y = gue_kernel(spec.N, np.array(y), np.array(y), variant="imaginary-part")
-        kxy = gue_kernel(spec.N, np.array(x), np.array(y), variant="imaginary-part")
+        r1x = gue_kernel(spec.N, np.array(x), np.array(x), variant="imaginary_part")
+        r1y = gue_kernel(spec.N, np.array(y), np.array(y), variant="imaginary_part")
+        kxy = gue_kernel(spec.N, np.array(x), np.array(y), variant="imaginary_part")
         c = float(r1x * r1y - kxy * kxy)
         print(f"  {x:5.2f}  {y:5.2f}  {a:<14.10f}  {b:<14.10f}  {c:<14.10f}")
 

@@ -248,14 +248,10 @@ def correlations_eigenvalue_integral(req):
 
 
 def _factorizing_scale(spec):
-    if spec.family == "gaussian":
-        return spec.params["scale"]
-    if spec.family == "norm_dependent":
-        # one node (t, 1) is a single Gaussian of variance 2t: a spike;
-        # table and callable spreads always have more nodes
-        t, _ = spec.spread_nodes
-        if len(t) == 1:
-            return 2.0 * t[0]
+    # one spread node (t, 1) is a single Gaussian of variance 2t: the
+    # Gaussian or a spike; table and callable spreads always have more nodes
+    if spec.family != "higher_trace" and len(spec.spread_nodes[0]) == 1:
+        return 2.0 * spec.spread_nodes[0][0]
     raise ValueError("factorized path needs a factorizing spec")
 
 
@@ -341,40 +337,24 @@ def _simpson_weights(n, dx):
     return w * dx / 3.0
 
 
-def time_domain_transform(grid_in, samples, grid_out, direction, tail=None):
+def time_domain_transform(grid_in, samples, grid_out, direction):
     """Unitary-convention Fourier pair between energy and time.
 
-    direction 'to_time': g(t) = (2pi)^(-1/2) integral e^(itx) f(x) dx; an
-    optional tail = (c1, c3) subtracts c1/(x - i0) + c3/(x - i0)^3 before
-    quadrature and restores its transform sqrt(2pi) i (it)^n/n! Theta(t)
-    analytically.  direction 'to_energy': the inverse sign convention.
-    A Nyquist check rejects grids that cannot resolve the oscillation."""
+    direction 'to_time': g(t) = (2pi)^(-1/2) integral e^(itx) f(x) dx;
+    direction 'to_energy': the inverse sign convention.  A Nyquist check
+    rejects grids that cannot resolve the oscillation."""
     grid_in = np.asarray(grid_in, dtype=float)
     samples = np.asarray(samples, dtype=complex)
     grid_out = np.asarray(grid_out, dtype=float)
     dx = grid_in[1] - grid_in[0]
     if dx * np.max(np.abs(grid_out)) > np.pi:
         raise ValueError("output grid violates the Nyquist limit of the input grid")
-    f = samples.copy()
     if direction == "to_time":
         sign = +1.0
     elif direction == "to_energy":
         sign = -1.0
     else:
         raise ValueError("direction must be to_time or to_energy")
-    extra = 0.0
-    if tail is not None:
-        c1, c3 = tail
-        # principal-value sampling of the sided tail; its delta part lives
-        # in the analytic restoration below
-        z = np.where(grid_in == 0.0, np.inf, grid_in)
-        f = f - c1 / z - c3 / z ** 3
-        tt = grid_out
-        extra = np.sqrt(2 * np.pi) * (
-            c1 * 1j + c3 * 1j * (1j * tt) ** 2 / 2.0) * (tt > 0)
-        if sign < 0:
-            raise ValueError("tail subtraction applies to the to_time direction")
     w = _simpson_weights(len(grid_in), dx)
     phase = np.exp(sign * 1j * np.outer(grid_out, grid_in))
-    out = phase @ (w * f) / np.sqrt(2 * np.pi)
-    return out + extra
+    return phase @ (w * samples) / np.sqrt(2 * np.pi)

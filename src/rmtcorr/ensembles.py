@@ -37,9 +37,11 @@ def flat_gauss_norm(N, s):
 class EnsembleSpec:
     """Declarative ensemble: dimension N plus one of the three families.
 
-    gaussian: {scale}; norm_dependent: {spread}; higher_trace: {M1, M2, b}.
+    gaussian: {scale}; norm_dependent: {spread}; higher_trace: {M1, M2}.
     The spread is a spike ("spike", t0), a table (t array, f array), or a
-    callable with optional (lo, hi) support bounds.
+    callable with optional (lo, hi) support bounds.  Both Gaussian families
+    carry spread_nodes, the (t, weight) nodes of the variance mixture
+    sum_i w_i exp(-tr H^2 / 2t_i); the Gaussian is the one node t = scale/2.
     """
 
     def __init__(self, N, family, **params):
@@ -59,8 +61,10 @@ class EnsembleSpec:
                 raise ValueError("M1 = M2 = 1 makes the normalization vanish")
             if M1 % 2 == 1 and M2 % 2 == 1:
                 raise ValueError("need M1 even or M2 even for a nonnegative weight")
-        if family == "norm_dependent":
-            self.spread_nodes = _spread_nodes(params["spread"])
+        else:
+            # the Gaussian exp(-tr H^2 / s) is the one-node spread at t = s/2
+            self.spread_nodes = _spread_nodes(params["spread"] if family == "norm_dependent"
+                                              else ("spike", params["scale"] / 2.0))
 
     # -- constructors -------------------------------------------------------
 
@@ -75,8 +79,8 @@ class EnsembleSpec:
         return cls(N, "norm_dependent", spread=spread)
 
     @classmethod
-    def higher_trace(cls, N, M1, M2, b="auto"):
-        return cls(N, "higher_trace", M1=int(M1), M2=int(M2), b=b)
+    def higher_trace(cls, N, M1, M2):
+        return cls(N, "higher_trace", M1=int(M1), M2=int(M2))
 
     # -- serialization ------------------------------------------------------
 
@@ -87,7 +91,6 @@ class EnsembleSpec:
         elif self.family == "higher_trace":
             d["M1"] = self.params["M1"]
             d["M2"] = self.params["M2"]
-            d["b"] = self.params["b"]
         else:
             sp = self.params["spread"]
             if isinstance(sp, tuple) and isinstance(sp[0], str) and sp[0] == "spike":
@@ -107,7 +110,11 @@ class EnsembleSpec:
         if fam == "gaussian":
             return cls.gaussian(d["N"], d.get("scale", 1.0))
         if fam == "higher_trace":
-            return cls.higher_trace(d["N"], d["M1"], d["M2"], d.get("b", "auto"))
+            # older configs spell out the derived normalization as "b": "auto"
+            if d.get("b", "auto") != "auto":
+                raise ValueError(f"b = {d['b']!r}: the trace-power normalization is "
+                                 "derived from M1, M2 and N; omit b or give \"auto\"")
+            return cls.higher_trace(d["N"], d["M1"], d["M2"])
         if fam == "norm_dependent":
             sp = d["spread"]
             if sp["type"] == "spike":
@@ -126,10 +133,8 @@ class EnsembleSpec:
         return float(np.real(characteristic_invariants(self)[()]))
 
     def normalization_b(self):
-        b = self.params["b"]
-        if b == "auto":
-            return 1.0 / (self.full_moment() * flat_gauss_norm(self.N, 1.0))
-        return float(b)
+        """b making b (tr H^M1)^M2 exp(-tr H^2) a normalized density."""
+        return 1.0 / (self.full_moment() * flat_gauss_norm(self.N, 1.0))
 
 
 def _spread_nodes(sp):
@@ -185,16 +190,12 @@ def evaluate_density(spec, H):
     if H.shape != (spec.N, spec.N) or np.max(np.abs(H - H.conj().T)) > 1e-12:
         raise ValueError("H must be Hermitean of dimension N")
     tr2 = float(np.real(np.trace(H @ H)))
-    N = spec.N
-    if spec.family == "gaussian":
-        s = spec.params["scale"]
-        return np.exp(-tr2 / s) / flat_gauss_norm(N, s)
-    if spec.family == "norm_dependent":
-        t, w = spec.spread_nodes
-        return float(np.sum(w * np.exp(-tr2 / (2 * t)) / flat_gauss_norm(N, 2 * t)))
-    M1, M2 = spec.params["M1"], spec.params["M2"]
-    ev = np.linalg.eigvalsh(H)
-    return spec.normalization_b() * np.sum(ev ** M1) ** M2 * np.exp(-tr2)
+    if spec.family == "higher_trace":
+        M1, M2 = spec.params["M1"], spec.params["M2"]
+        ev = np.linalg.eigvalsh(H)
+        return spec.normalization_b() * np.sum(ev ** M1) ** M2 * np.exp(-tr2)
+    t, w = spec.spread_nodes
+    return float(np.sum(w * np.exp(-tr2 / (2 * t)) / flat_gauss_norm(spec.N, 2 * t)))
 
 
 def reduced_terms(spec, k):
@@ -207,13 +208,9 @@ def reduced_terms(spec, k):
     from characteristic_invariants at a cost independent of N; its
     coefficients are real up to round-off, which is checked, and terms
     that cancel to round-off are dropped."""
-    n = 2 * k
-    if spec.family == "gaussian":
-        s = spec.params["scale"]
-        return [(1.0, [(s, 0)] * n)]
-    if spec.family == "norm_dependent":
+    if spec.family != "higher_trace":
         t, w = spec.spread_nodes
-        return [(float(wi), [(2.0 * ti, 0)] * n) for ti, wi in zip(t, w)]
+        return [(wi, [(2.0 * ti, 0)] * (2 * k)) for ti, wi in zip(t.tolist(), w.tolist())]
     key = ("reduced_terms", k)
     if key not in spec._cache:
         terms = _trace_power_slot_terms(spec, k, graded=False)
@@ -328,23 +325,18 @@ def correlation_terms(spec, k):
     return spec._cache[key]
 
 
-def _trace_power_slot_terms(spec, k, graded):
-    """Slot expansion of the trace-power characteristic function on 2k
-    diagonal sources r_1..r_2k, carried back to the diagonal variables.
-
-    Each invariant tr K^j of characteristic_invariants is spread over the
-    slots as sum_s sign_s r_s^j, and each slot monomial r^a times the
-    Gaussian factor e^(-r^2/4) is inverse-transformed to
-    phase_a q_a(h) e^(-h^2) / sqrt(pi), with q_a the polynomial part of the
-    a-th derivative of e^(-h^2).  The marginal (graded=False) is the plain
-    inverse Fourier transform of E[exp(i tr HK)]: sign +1 and phase i^a on
-    every slot.  The graded form (graded=True) takes sign -1 and phase
-    (-1)^a on the second k slots.  Returns [(complex coef, [(1.0, m_s)] *
-    2k)], normalized by the full moment; the cost does not depend on N."""
+def _slot_polynomial(spec, k, graded):
+    """The invariant polynomial of characteristic_invariants on 2k diagonal
+    sources r_1..r_2k, normalized by the full moment: each tr K^j is spread
+    over the slots as sum_s sign_s r_s^j, with sign +1 on every slot for
+    the marginal (graded=False) and -1 on the second k slots for the graded
+    form.  Returns {exponent tuple: complex coefficient}, cached on spec."""
+    key = ("slot_poly", k, graded)
+    if key in spec._cache:
+        return spec._cache[key]
     inv = characteristic_invariants(spec)
     pi0 = inv.get((), 0.0)
     nslots = 2 * k
-    # distribute each trace order over the 2k slots
     acc = {}
     for js, c in inv.items():
         cur = {(0,) * nslots: c / pi0}
@@ -352,15 +344,25 @@ def _trace_power_slot_terms(spec, k, graded):
             nxt = {}
             for e, v in cur.items():
                 for s in range(nslots):
-                    e2 = list(e)
-                    e2[s] += j
-                    e2 = tuple(e2)
-                    sign = -1.0 if graded and s >= k else 1.0
-                    nxt[e2] = nxt.get(e2, 0j) + sign * v
+                    e2 = e[:s] + (e[s] + j,) + e[s + 1:]
+                    nxt[e2] = nxt.get(e2, 0j) + (-v if graded and s >= k else v)
             cur = nxt
         for e, v in cur.items():
             acc[e] = acc.get(e, 0j) + v
-    # slot transform: exponent a -> phase * q_a(h) e^{-h^2}
+    spec._cache[key] = acc
+    return acc
+
+
+def _trace_power_slot_terms(spec, k, graded):
+    """Slot expansion of the trace-power characteristic function, carried
+    back to the diagonal variables: each monomial r^a of _slot_polynomial
+    times the Gaussian factor e^(-r^2/4) is inverse-transformed to
+    phase_a q_a(h) e^(-h^2) / sqrt(pi), with q_a the polynomial part of the
+    a-th derivative of e^(-h^2).  The marginal (graded=False) is the plain
+    inverse Fourier transform of E[exp(i tr HK)]: phase i^a on every slot.
+    The graded form (graded=True) takes phase (-1)^a on the second k
+    slots.  Returns [(complex coef, [(1.0, m_s)] * 2k)]; the cost does not
+    depend on N."""
     qcache = {}
 
     def qpoly(a):
@@ -369,7 +371,7 @@ def _trace_power_slot_terms(spec, k, graded):
         return qcache[a]
 
     terms = {}
-    for e, v in acc.items():
+    for e, v in _slot_polynomial(spec, k, graded).items():
         if v == 0:
             continue
         options = []
@@ -424,16 +426,10 @@ def _reduced_density_mc(spec, h, k, samples, seed):
     exp(-tr H^2) Gaussian and averaging the conditional weight."""
     if samples is None or samples < 10 ** 3:
         raise ValueError("mc needs at least 10^3 samples")
+    if spec.family != "higher_trace":
+        raise ValueError("the Monte Carlo check of reduced_density needs a trace-power "
+                         "spec; a Gaussian mixture has only its closed form")
     gauss = np.prod(np.pi ** -0.5 * np.exp(-h * h))
-    if spec.family == "gaussian":
-        s = spec.params["scale"]
-        return float(np.prod((np.pi * s) ** -0.5 * np.exp(-h * h / s))), 0.0
-    if spec.family == "norm_dependent":
-        t, w = spec.spread_nodes
-        val = float(sum(
-            wi * np.prod((2 * np.pi * ti) ** -0.5 * np.exp(-h * h / (2 * ti)))
-            for ti, wi in zip(t, w)))
-        return val, 0.0
     from .mc import gaussian_matrices
     M1, M2 = spec.params["M1"], spec.params["M2"]
     rng = np.random.default_rng(seed)
@@ -441,7 +437,7 @@ def _reduced_density_mc(spec, h, k, samples, seed):
     chunk = 20000
     ii = np.arange(2 * k)
     for s in range(0, samples, chunk):
-        Hm = gaussian_matrices(rng, spec.N, min(chunk, samples - s), 1.0)
+        Hm = gaussian_matrices(rng, spec.N, min(chunk, samples - s))
         Hm[:, ii, ii] = h
         vals[s: s + chunk] = _trace_power(Hm, M1) ** M2
     mean = float(np.mean(vals))
@@ -498,65 +494,37 @@ def characteristic_function(spec, r1, r2_jet_order):
     arguments r1 with all second-slot arguments at 0; returns
     (value, [complex Taylor coefficient array per second-slot variable]).
 
-    For the trace-power family the transform is assembled in its natural
-    shape, a Gaussian factor times a symmetric polynomial in the source
-    invariants sum_s r_s^j, with jets by truncated-series products."""
+    Every family is a sum of terms c prod_s r_s^(e_s) e^(-v r_s^2/4) over
+    the 2k source slots: (w_i, 2t_i, 0) for each node of a Gaussian
+    mixture, (c, 1, e) for each monomial of the trace-power slot
+    polynomial (tr K^j read as sum_s r_s^j)."""
     r1 = np.asarray(r1, dtype=float)
     k = len(r1)
     order = r2_jet_order
     if spec.family == "higher_trace":
-        return _characteristic_higher_trace(spec, r1, order)
-    terms = reduced_terms(spec, k)
+        terms = [(c, 1.0, e) for e, c in _slot_polynomial(spec, k, False).items()]
+    else:
+        t, w = spec.spread_nodes
+        terms = [(wi, 2.0 * ti, (0,) * (2 * k)) for ti, wi in zip(t.tolist(), w.tolist())]
     value = 0j
     jets = [np.zeros(order + 1, dtype=complex) for _ in range(k)]
-    for coef, slots in terms:
-        first = [slot_phi(v, m, r1[p]) for p, (v, m) in enumerate(slots[:k])]
-        second = [slot_phi_jet(v, m, order) for (v, m) in slots[k:]]
-        base = coef * np.prod(first)
-        zeros = np.array([s[0] for s in second])
-        value += base * np.prod(zeros)
-        for p in range(k):
-            rest = np.prod(np.delete(zeros, p)) if k > 1 else 1.0
-            jets[p] = jets[p] + base * rest * second[p]
+    gauss = {}
+    for c, v, e in terms:
+        # t^a e^(-v t^2/4) vanishes at t = 0 unless a = 0: a term with one
+        # a_p > 0 reaches only jet p, as the Gaussian series shifted by a_p
+        live = [p for p in range(k) if e[k + p]]
+        if len(live) > 1:
+            continue
+        if v not in gauss:
+            gauss[v] = np.exp(-v * np.sum(r1 * r1) / 4.0), slot_phi_jet(v, 0, order)
+        damp, series = gauss[v]
+        base = c * damp * math.prod(r ** a for r, a in zip(r1.tolist(), e))
+        if not live:
+            value += base
+        for p in live or range(k):
+            a = e[k + p]
+            jets[p][a:] += base * series[: max(order + 1 - a, 0)]
     return complex(value), jets
-
-
-def _characteristic_higher_trace(spec, r1, order):
-    """Trace-power characteristic function on diagonal sources:
-    e^(-sum r^2/4) times the invariant polynomial with tr K^j read as
-    sum_s r_s^j over the 2k source slots.  The first k slots carry the
-    values r1, the remaining k are expanded as jets at 0, one at a time."""
-    inv = characteristic_invariants(spec)
-    pi0 = inv.get((), 0.0)
-    k = len(r1)
-    pw = {}
-
-    def power_sum(j):
-        # sum_p r1_p^j; the active jet slot adds t^j on top
-        if j not in pw:
-            pw[j] = complex(np.sum(r1 ** float(j)))
-        return pw[j]
-
-    # polynomial part as a jet in the active second-slot variable t
-    poly = np.zeros(order + 1, dtype=complex)
-    for js, c in inv.items():
-        term = np.zeros(order + 1, dtype=complex)
-        term[0] = c / pi0
-        for j in js:
-            factor = np.zeros(order + 1, dtype=complex)
-            factor[0] = power_sum(j)
-            if j <= order:
-                factor[j] += 1.0
-            term = jet_mul(term, factor, order)
-        poly += term
-    # Gaussian factor: e^(-sum r1^2/4) times the e^(-t^2/4) series
-    gauss = np.zeros(order + 1, dtype=complex)
-    for j in range(0, order + 1, 2):
-        gauss[j] = (-0.25) ** (j // 2) / math.factorial(j // 2)
-    gauss *= np.exp(-np.sum(r1 * r1) / 4.0)
-    jet = jet_mul(poly, gauss, order)
-    value = complex(jet[0])
-    return value, [jet.copy() for _ in range(k)]
 
 
 def superspace_density_norm_dependent(spec, s):

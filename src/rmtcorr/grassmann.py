@@ -20,11 +20,7 @@ class GrassmannElement:
 
     def __init__(self, ngen, terms=None):
         self.ngen = ngen
-        self.terms = {}
-        if terms:
-            for mask, c in terms.items():
-                if c != 0:
-                    self.terms[mask] = complex(c)
+        self.terms = {mask: complex(c) for mask, c in (terms or {}).items() if c != 0}
 
     @classmethod
     def scalar(cls, ngen, value):
@@ -38,15 +34,7 @@ class GrassmannElement:
         return self.terms.get(0, 0j)
 
     def __add__(self, other):
-        other = _coerce(other, self.ngen)
-        out = dict(self.terms)
-        for mask, c in other.terms.items():
-            v = out.get(mask, 0j) + c
-            if v == 0:
-                out.pop(mask, None)
-            else:
-                out[mask] = v
-        return GrassmannElement(self.ngen, out)
+        return _element(self.ngen, _add_into(dict(self.terms), _coerce(other, self.ngen).terms))
 
     __radd__ = __add__
 
@@ -71,6 +59,25 @@ class GrassmannElement:
 
     def __repr__(self):
         return f"GrassmannElement({self.ngen}, {self.terms})"
+
+
+def _element(ngen, terms):
+    """Element over an already clean {mask: nonzero complex} dict, taken
+    as it is, without a second walk."""
+    e = GrassmannElement.__new__(GrassmannElement)
+    e.ngen, e.terms = ngen, terms
+    return e
+
+
+def _add_into(out, terms):
+    """Add a term dict into the clean dict out in place; exact zeros go."""
+    for mask, c in terms.items():
+        v = out.get(mask, 0j) + c
+        if v == 0:
+            out.pop(mask, None)
+        else:
+            out[mask] = v
+    return out
 
 
 def _coerce(x, ngen):
@@ -110,7 +117,7 @@ def ge_mul(a, b):
                 out.pop(mask, None)
             else:
                 out[mask] = v
-    return GrassmannElement(a.ngen, out)
+    return _element(a.ngen, out)
 
 
 def ge_conjugate(a):
@@ -131,10 +138,17 @@ def ge_conjugate(a):
 
 
 def _mat_mul(A, B):
-    """Product of two matrices of algebra elements held as nested lists."""
-    zero = GrassmannElement(A[0][0].ngen)
-    return [[sum((ge_mul(a, B[l][j]) for l, a in enumerate(row)), zero)
-             for j in range(len(B[0]))] for row in A]
+    """Product of two matrices of algebra elements held as nested lists;
+    each entry adds its products into one term dict."""
+    out = []
+    for row in A:
+        out.append([])
+        for j in range(len(B[0])):
+            acc = {}
+            for l, a in enumerate(row):
+                _add_into(acc, ge_mul(a, B[l][j]).terms)
+            out[-1].append(_element(a.ngen, acc))
+    return out
 
 
 def build_dual_pair(zvals, k, N, L):

@@ -51,21 +51,21 @@ class BinnedDensity:
         return float(np.sum(self.density * np.diff(self.edges)))
 
 
-def gaussian_matrices(rng, N, count, scale):
-    """count Hermitean N x N matrices with weight exp(-tr H^2 / scale):
-    diagonal variance scale/2, off-diagonal Re/Im variance scale/4."""
+def gaussian_matrices(rng, N, count):
+    """count Hermitean N x N matrices with weight exp(-tr H^2): diagonal
+    variance 1/2, off-diagonal Re/Im variance 1/4."""
     A = rng.standard_normal((count, N, N)) + 1j * rng.standard_normal((count, N, N))
-    H = (A + np.transpose(A, (0, 2, 1)).conj()) * (np.sqrt(scale) / np.sqrt(8.0))
+    H = (A + np.transpose(A, (0, 2, 1)).conj()) * (1.0 / np.sqrt(8.0))
     ii = np.arange(N)
-    H[:, ii, ii] = rng.standard_normal((count, N)) * np.sqrt(scale / 2.0)
+    H[:, ii, ii] = rng.standard_normal((count, N)) * np.sqrt(0.5)
     return H
 
 
-def _gaussian_eigs(rng, N, count, scale):
+def _gaussian_eigs(rng, N, count):
     """Eigenvalues of gaussian_matrices, drawn CHUNK matrices at a time."""
     out = np.empty((count, N))
     for s in range(0, count, CHUNK):
-        H = gaussian_matrices(rng, N, min(CHUNK, count - s), scale)
+        H = gaussian_matrices(rng, N, min(CHUNK, count - s))
         out[s: s + CHUNK] = np.linalg.eigvalsh(H)
     return out
 
@@ -76,30 +76,25 @@ def sample_batch(spec, count, seed):
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(seed)
-    N = spec.N
-    if spec.family == "gaussian":
-        ev = _gaussian_eigs(rng, N, count, spec.params["scale"])
-        return SampleBatch(ev, np.ones(count), seed, spec)
-    if spec.family == "norm_dependent":
+    if spec.family != "higher_trace":
+        # a variance mixture: one node t per sample (drawn only when there
+        # is a choice), then exp(-tr H^2) draws scaled by sqrt(2t)
         t, w = spec.spread_nodes
         p = np.clip(w, 0, None)
-        p = p / p.sum()
-        tv = rng.choice(t, size=count, p=p)
-        ev = _gaussian_eigs(rng, N, count, 1.0)
+        tv = t if len(t) == 1 else rng.choice(t, size=count, p=p / p.sum())
+        ev = _gaussian_eigs(rng, spec.N, count)
         ev *= np.sqrt(2.0 * tv)[:, None]
         return SampleBatch(ev, np.ones(count), seed, spec)
-    if spec.family == "higher_trace":
-        M1, M2 = spec.params["M1"], spec.params["M2"]
-        ev = _gaussian_eigs(rng, N, count, 1.0)
-        wt = np.sum(ev ** M1, axis=1) ** M2
-        batch = SampleBatch(ev, wt, seed, spec)
-        ess = batch.effective_sample_size()
-        if ess < 0.01 * count:
-            msg = f"effective sample size {ess:.1f} below 1% of {count}"
-            batch.warnings.append(msg)
-            warnings.warn(msg)
-        return batch
-    raise ValueError(f"unknown family {spec.family!r}")
+    M1, M2 = spec.params["M1"], spec.params["M2"]
+    ev = _gaussian_eigs(rng, spec.N, count)
+    wt = np.sum(ev ** M1, axis=1) ** M2
+    batch = SampleBatch(ev, wt, seed, spec)
+    ess = batch.effective_sample_size()
+    if ess < 0.01 * count:
+        msg = f"effective sample size {ess:.1f} below 1% of {count}"
+        batch.warnings.append(msg)
+        warnings.warn(msg)
+    return batch
 
 
 def _jackknife_ratio(num_blocks, den_blocks):

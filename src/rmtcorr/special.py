@@ -123,11 +123,11 @@ def gue_kernel(N, xp, xq, variant="full"):
     """Finite-N kernel of the Gaussian unitary ensemble.
 
     full: sum_{n<N} phi^_n(xp) phi_n(xq) (complex; imaginary part is the
-    density kernel); imaginary-part: sum_{n<N} phi_n(xp) phi_n(xq)."""
+    density kernel); imaginary_part: sum_{n<N} phi_n(xp) phi_n(xq)."""
     if N < 1:
         raise ValueError("N must be >= 1")
     pq = _osc_tower(N - 1, xq)
-    if variant == "imaginary-part":
+    if variant == "imaginary_part":
         pp = _osc_tower(N - 1, xp)
         return np.sum(pp * pq, axis=0)
     if variant == "full":

@@ -117,6 +117,14 @@ def test_corr_invalid_config_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_corr_numeric_b_exits_2(capsys, tmp_path):
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps({"N": 4, "family": "higher_trace",
+                                "M1": 4, "M2": 1, "b": 0.3}))
+    code, _, err = run(capsys, "corr", "--ensemble", str(path), "--grid", "-1:1:3")
+    assert code == 2 and "derived" in err
+
+
 def test_no_command_exits_2(capsys):
     code, _, _ = run(capsys)
     assert code == 2

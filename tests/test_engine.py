@@ -502,19 +502,4 @@ def test_time_domain_nyquist_guard():
     with pytest.raises(ValueError):
         time_domain_transform(xs, np.exp(-xs * xs), np.linspace(-3, 3, 11),
                               "sideways")
-    with pytest.raises(ValueError):
-        time_domain_transform(xs, np.exp(-xs * xs), np.linspace(-3, 3, 11),
-                              "to_energy", tail=(1.0, 0.0))
 
-
-def test_time_domain_tail_subtraction():
-    # principal-value samples of c1/(x - i0): transform sqrt(2 pi) i c1
-    # on t > 0 and zero on t < 0, carried by the analytic restoration
-    c1 = 0.7
-    xs = np.linspace(-60, 60, 24001)
-    with np.errstate(divide="ignore"):
-        f = np.where(xs == 0.0, 0.0, c1 / xs)
-    ts = np.array([-2.0, 0.5, 1.5, 3.0])
-    g = time_domain_transform(xs, f, ts, "to_time", tail=(c1, 0.0))
-    ref = np.sqrt(2 * np.pi) * 1j * c1 * (ts > 0)
-    assert np.max(np.abs(g - ref)) < 1e-12

@@ -2,6 +2,7 @@
 functions with jets, and the slot expansions feeding the correlators."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -178,7 +179,7 @@ def test_reduced_density_mc_pinned(shape, k, h, samples, seed, value, err):
 
 @pytest.mark.parametrize("N", [1, 2, 4, 5])
 def test_trace_power_matches_eigenvalue_sums(N):
-    H = gaussian_matrices(np.random.default_rng(N), N, 500, 1.0)
+    H = gaussian_matrices(np.random.default_rng(N), N, 500)
     ev = np.linalg.eigvalsh(H)
     for M in range(7):
         scale = np.sum(np.abs(ev) ** M, axis=1)
@@ -361,6 +362,16 @@ def test_characteristic_spike_is_rescaled_gaussian():
         assert abs(val - np.exp(-2 * t0 * r * r / 4.0)) < 1e-13
 
 
+def fd_stencils(h):
+    """Seven-point finite-difference stencils for derivatives 1 to 4."""
+    return {
+        1: np.array([0, 1, -8, 0, 8, -1, 0]) / (12 * h),
+        2: np.array([0, -1, 16, -30, 16, -1, 0]) / (12 * h * h),
+        3: np.array([1, -8, 13, 0, -13, 8, -1]) / (8 * h ** 3),
+        4: np.array([-1, 12, -39, 56, -39, 12, -1]) / (6 * h ** 4),
+    }
+
+
 def test_characteristic_jets_match_finite_differences():
     # oracle: marginal transform assembled from the separable slot terms,
     # differentiated numerically in the second-slot source
@@ -379,15 +390,42 @@ def test_characteristic_jets_match_finite_differences():
         val, jets = characteristic_function(spec, [r1], order)
         assert abs(val - phi(r1, 0.0)) < 1e-10
         samples = np.array([phi(r1, j * h) for j in range(-3, 4)])
-        stencils = {
-            1: np.array([0, 1, -8, 0, 8, -1, 0]) / (12 * h),
-            2: np.array([0, -1, 16, -30, 16, -1, 0]) / (12 * h * h),
-            3: np.array([1, -8, 13, 0, -13, 8, -1]) / (8 * h ** 3),
-            4: np.array([-1, 12, -39, 56, -39, 12, -1]) / (6 * h ** 4),
-        }
-        for n, sten in stencils.items():
+        for n, sten in fd_stencils(h).items():
             num = np.dot(sten, samples)
             got = jets[0][n] * math.factorial(n)
+            assert abs(got - num) < 1e-6 * max(1.0, abs(num))
+
+
+@pytest.mark.parametrize("maker", [
+    lambda: EnsembleSpec.gaussian(4, 0.8),
+    lambda: spike_spec(4),
+    lambda: table_spec(4),
+    lambda: EnsembleSpec.higher_trace(4, 2, 2),
+    lambda: EnsembleSpec.higher_trace(4, 4, 1),
+    lambda: EnsembleSpec.higher_trace(4, 3, 2),
+], ids=["gauss-0.8", "spike", "table", "tp22", "tp41", "tp32"])
+def test_characteristic_function_k2_matches_slot_oracle(maker):
+    # oracle: the reduced_terms expansion transformed slot by slot; each
+    # second-slot jet is differentiated numerically with the other
+    # second-slot source at 0
+    spec = maker()
+    terms = reduced_terms(spec, 2)
+    r1 = [0.6, -0.3]
+
+    def phi(t):
+        return sum(c * np.prod([slot_phi(v, m, r) for (v, m), r in zip(slots, r1 + t)])
+                   for c, slots in terms)
+
+    order, h = 4, 1e-2
+    val, jets = characteristic_function(spec, r1, order)
+    assert abs(val - phi([0.0, 0.0])) < 1e-10
+    for p in range(2):
+        samples = np.array([phi([j * h if q == p else 0.0 for q in range(2)])
+                            for j in range(-3, 4)])
+        assert abs(jets[p][0] - val) < 1e-12
+        for n, sten in fd_stencils(h).items():
+            num = np.dot(sten, samples)
+            got = jets[p][n] * math.factorial(n)
             assert abs(got - num) < 1e-6 * max(1.0, abs(num))
 
 
@@ -428,13 +466,24 @@ def test_callable_spread_evaluated_only_at_construction():
         assert built >= 256
         reduced_terms(spec, 1)
         reduced_density(spec, [0.2, 0.1], 1)
-        reduced_density(spec, [0.2, 0.1], 1, method="mc", samples=1000)
+        with pytest.raises(ValueError, match="needs a trace-power spec"):
+            reduced_density(spec, [0.2, 0.1], 1, method="mc", samples=1000)
         characteristic_function(spec, [0.3], 4)
         evaluate_density(spec, np.eye(4))
         sample_batch(spec, 10, seed=1)
         superspace_density_norm_dependent(spec, [0.1, 0.2])
         assert len(calls) == built
         del calls[:]
+
+@pytest.mark.parametrize("maker", [
+    lambda: EnsembleSpec.gaussian(4, 0.7), lambda: spike_spec(4), lambda: table_spec(4),
+], ids=["gauss-0.7", "spike", "table"])
+def test_reduced_density_mc_refuses_gaussian_mixtures(maker):
+    # a mixture's reduced density is its closed form; a Monte Carlo label
+    # on it would check nothing
+    with pytest.raises(ValueError, match="needs a trace-power spec"):
+        reduced_density(maker(), [0.2, 0.1], 1, method="mc", samples=1000)
+
 
 def test_constructor_validation():
     with pytest.raises(ValueError):
@@ -485,6 +534,16 @@ def test_serialization_roundtrip():
         a, _ = reduced_density(spec, h, 1)
         b, _ = reduced_density(back, h, 1)
         assert abs(a - b) < 1e-12
+
+
+def test_from_json_rejects_numeric_b():
+    # the trace-power normalization is only derived; "auto" stays readable
+    cfg = {"N": 4, "family": "higher_trace", "M1": 4, "M2": 1, "b": 0.3}
+    with pytest.raises(ValueError, match="derived"):
+        EnsembleSpec.from_json(json.dumps(cfg))
+    spec = EnsembleSpec.from_json(json.dumps(dict(cfg, b="auto")))
+    assert "b" not in json.loads(spec.to_json())
+    assert spec.normalization_b() == EnsembleSpec.higher_trace(4, 4, 1).normalization_b()
 
 
 # -- superspace density ----------------------------------------------------

@@ -70,21 +70,21 @@ def test_companion_order_cap():
 
 def test_kernel_diagonal_value_n2():
     val = gue_kernel(2, np.array(0.0), np.array(0.0),
-                     variant="imaginary-part")
+                     variant="imaginary_part")
     assert abs(val - 1.0 / SQRT_PI) < 1e-12
 
 
 def test_kernel_diagonal_integral_counts_levels():
     for N in (2, 5):
         xs = np.linspace(-10, 10, 4001)
-        vals = gue_kernel(N, xs, xs, variant="imaginary-part")
+        vals = gue_kernel(N, xs, xs, variant="imaginary_part")
         total = np.trapezoid(vals, xs)
         assert abs(total - N) < 1e-8
 
 
 def test_kernel_diagonal_nonnegative():
     xs = np.linspace(-5, 5, 101)
-    vals = gue_kernel(4, xs, xs, variant="imaginary-part")
+    vals = gue_kernel(4, xs, xs, variant="imaginary_part")
     assert np.all(vals >= 0)
 
 
@@ -93,19 +93,19 @@ def test_kernel_reproducing_property():
     for N in (3, 8):
         for (x, z) in [(0.3, -0.9), (1.5, 1.5)]:
             left = gue_kernel(N, np.full_like(ys, x), ys,
-                              variant="imaginary-part")
+                              variant="imaginary_part")
             right = gue_kernel(N, ys, np.full_like(ys, z),
-                               variant="imaginary-part")
+                               variant="imaginary_part")
             integral = np.trapezoid(left * right, ys)
             direct = gue_kernel(N, np.array(x), np.array(z),
-                                variant="imaginary-part")
+                                variant="imaginary_part")
             assert abs(integral - direct) < 1e-7
 
 
 def test_full_kernel_imaginary_part_matches():
     xs = np.linspace(-4, 4, 17)
     full = gue_kernel(5, xs, xs, variant="full")
-    imag = gue_kernel(5, xs, xs, variant="imaginary-part")
+    imag = gue_kernel(5, xs, xs, variant="imaginary_part")
     assert np.max(np.abs(np.imag(full) - imag)) < 1e-10
 
 
