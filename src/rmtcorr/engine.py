@@ -21,7 +21,7 @@ import math
 import numpy as np
 from numpy.polynomial import hermite as nph
 
-from .ensembles import correlation_terms, slot_phi_jet, jet_mul
+from .ensembles import correlation_terms, slot_phi_jet, jet_mul, _slot_phi_poly
 from .kernels import IncrementedPoint
 from .special import (SQRT_PI, _osc_tower, _osc_hat_tower, gauss_moments,
                       gauss_moment_cauchy, gauss_poly_derivatives,
@@ -203,9 +203,8 @@ def correlations_convolution(req):
 
 def correlations_higher_trace(req):
     """Trace-power closed form: the same determinant sum with every factor
-    evaluated in closed form (moment columns exact)."""
-    if req.spec.family not in ("higher_trace", "gaussian"):
-        raise ValueError("closed_form_higher_trace needs a trace-power or Gaussian spec")
+    evaluated in closed form.  The moment columns are exact for every slot
+    (v, m), so every spec is accepted."""
     return _determinants(req, (_row_rhat, _row_r), _col_exact, {"path": "moment-determinant"})
 
 
@@ -213,19 +212,11 @@ def correlations_higher_trace(req):
 # Eigenvalue-integral (Fourier/jet) and factorized-kernel paths
 # ---------------------------------------------------------------------------
 
-def _slot_poly(v, m):
-    """Ascending coefficients a_j with slot Fourier factor
-    sum_j a_j r^j e^(-v r^2/4)."""
-    hc = nph.herm2poly([0.0] * m + [1.0]) if m else np.array([1.0])
-    return np.array([v ** (m / 2.0) * (0.5j) ** m * hc[j] * (np.sqrt(v) / 2.0) ** j
-                     for j in range(len(hc))], dtype=complex)
-
-
 def _halfline_vec(N, x, L, v, m):
     """i I_n, n = 0..N-1, with I_n the integral along the half-line from 0
     to L infinity of (-i r)^n e^(-i x r) (slot Fourier factor)(r) dr.  The
     orientation makes the L = -1 row the conjugate of the L = +1 row."""
-    a = _slot_poly(v, m)
+    a = _slot_phi_poly(v, m)
     # r -> L r carries the half-line onto r > 0, and the term a_j G_(n+j)
     # picks up L^(n+j) = L^(n+m): a_j vanishes unless j = m mod 2
     G = half_gauss_oscillatory(N + len(a) - 2, np.array(L * float(x)), v / 4.0)
@@ -248,10 +239,11 @@ def correlations_eigenvalue_integral(req):
 
 
 def _factorizing_scale(spec):
-    # one spread node (t, 1) is a single Gaussian of variance 2t: the
-    # Gaussian or a spike; table and callable spreads always have more nodes
-    if spec.family != "higher_trace" and len(spec.spread_nodes[0]) == 1:
-        return 2.0 * spec.spread_nodes[0][0]
+    # one term whose slots all have m = 0 is a single Gaussian of slot
+    # variance v: the Gaussian, a spike, or a constant trace-power weight
+    terms = correlation_terms(spec, 1)
+    if len(terms) == 1 and not any(m for _, m in terms[0][1]):
+        return terms[0][1][0][0]
     raise ValueError("factorized path needs a factorizing spec")
 
 
@@ -268,8 +260,8 @@ def factorized_kernel(spec, xp, xq, Lp=1):
 
 def correlations_factorized(req):
     """Determinant of the factorized kernel, whose gauge drops out (the jet
-    columns are real); Gaussian and spike-spread variance-mixed specs only,
-    whose correlation_terms are the one term of that kernel."""
+    columns are real); only specs whose correlation_terms are the one term
+    of that kernel, with m = 0 on every slot."""
     _factorizing_scale(req.spec)
     return _determinants(req, (_halfline_vec, None), _jet_vec, {"path": "factorized-kernel"})
 
@@ -296,12 +288,13 @@ def _row_osc(N, x, L, v, m):
 
 
 def correlations_closed_form_gue(req):
-    """Oscillator-basis determinant for the Gaussian and norm-dependent
-    families.  Correlation functions are linear in P(H), so a variance
-    mixture is sum_i w_i R_k^Gauss(scale v_i) over its terms (w_i, v_i);
-    trace-power slots with m > 0 have no oscillator factor."""
-    if req.spec.family == "higher_trace":
-        raise ValueError("closed_form_gue needs a Gaussian or norm-dependent spec")
+    """Oscillator-basis determinant for Gaussian mixtures.  Correlation
+    functions are linear in P(H), so a variance mixture is
+    sum_i w_i R_k^Gauss(scale v_i) over its terms (w_i, v_i); slots with
+    m > 0 have no oscillator factor and are refused."""
+    if any(m for _, slots in correlation_terms(req.spec, req.k) for _, m in slots):
+        raise ValueError("closed_form_gue needs a Gaussian mixture: a slot with m > 0 "
+                         "has no oscillator factor")
     return _determinants(req, (_row_osc_hat, _row_osc), _col_osc,
                          {"path": "oscillator-determinant"})
 

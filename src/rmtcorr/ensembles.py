@@ -39,32 +39,39 @@ class EnsembleSpec:
 
     gaussian: {scale}; norm_dependent: {spread}; higher_trace: {M1, M2}.
     The spread is a spike ("spike", t0), a table (t array, f array), or a
-    callable with optional (lo, hi) support bounds.  Both Gaussian families
-    carry spread_nodes, the (t, weight) nodes of the variance mixture
-    sum_i w_i exp(-tr H^2 / 2t_i); the Gaussian is the one node t = scale/2.
+    callable with optional (lo, hi) support bounds.  Past construction
+    every family is read through one description: the variance mixture
+    sum_i w_i exp(-tr H^2 / 2t_i) over spread_nodes (t, w), times
+    (tr H^M1)^M2 with trace_power = (M1, M2), which is (0, 0) for a
+    mixture.  The Gaussian is the one node t = scale/2, a trace power the
+    one node t = 1/2.
     """
 
     def __init__(self, N, family, **params):
+        N = _whole("N", N)
         if N < 1:
             raise ValueError("N must be >= 1")
         if family not in FAMILIES:
             raise ValueError(f"unknown family {family!r}")
-        self.N = int(N)
+        self.N = N
         self.family = family
         self.params = params
         self._cache = {}
+        self.trace_power = (0, 0)
         if family == "higher_trace":
-            M1, M2 = params["M1"], params["M2"]
+            M1, M2 = self.trace_power = params["M1"], params["M2"]
             if M1 < 0 or M2 < 0:
                 raise ValueError("trace powers must be nonnegative integers")
             if M1 == 1 and M2 == 1:
                 raise ValueError("M1 = M2 = 1 makes the normalization vanish")
             if M1 % 2 == 1 and M2 % 2 == 1:
                 raise ValueError("need M1 even or M2 even for a nonnegative weight")
+            spread = ("spike", 0.5)
+        elif family == "gaussian":
+            spread = ("spike", params["scale"] / 2.0)
         else:
-            # the Gaussian exp(-tr H^2 / s) is the one-node spread at t = s/2
-            self.spread_nodes = _spread_nodes(params["spread"] if family == "norm_dependent"
-                                              else ("spike", params["scale"] / 2.0))
+            spread = params["spread"]
+        self.spread_nodes = _spread_nodes(spread)
 
     # -- constructors -------------------------------------------------------
 
@@ -80,7 +87,7 @@ class EnsembleSpec:
 
     @classmethod
     def higher_trace(cls, N, M1, M2):
-        return cls(N, "higher_trace", M1=int(M1), M2=int(M2))
+        return cls(N, "higher_trace", M1=_whole("M1", M1), M2=_whole("M2", M2))
 
     # -- serialization ------------------------------------------------------
 
@@ -137,6 +144,13 @@ class EnsembleSpec:
         return 1.0 / (self.full_moment() * flat_gauss_norm(self.N, 1.0))
 
 
+def _whole(name, x):
+    """x as an int, refusing a value that int() would truncate."""
+    if int(x) != x:
+        raise ValueError(f"{name} = {x!r} is not an integer")
+    return int(x)
+
+
 def _spread_nodes(sp):
     """Discrete (t, weight) nodes with sum(w) ~ integral f dt = 1, built
     once per spec as spec.spread_nodes.  Every node is a Gaussian
@@ -147,10 +161,12 @@ def _spread_nodes(sp):
             and not isinstance(sp[0], str):
         t = np.asarray(sp[0], float)
         f = np.asarray(sp[1], float)
+        dt = np.diff(t)
+        if t.ndim != 1 or t.shape != f.shape or np.any(dt <= 0):
+            raise ValueError("a table spread needs strictly increasing t and f of its length")
         if np.any(f < 0):
             raise ValueError("spread must be nonnegative")
         w = np.zeros_like(t)
-        dt = np.diff(t)
         w[:-1] += 0.5 * dt
         w[1:] += 0.5 * dt
         w *= f
@@ -190,37 +206,20 @@ def evaluate_density(spec, H):
     if H.shape != (spec.N, spec.N) or np.max(np.abs(H - H.conj().T)) > 1e-12:
         raise ValueError("H must be Hermitean of dimension N")
     tr2 = float(np.real(np.trace(H @ H)))
-    if spec.family == "higher_trace":
-        M1, M2 = spec.params["M1"], spec.params["M2"]
-        ev = np.linalg.eigvalsh(H)
-        return spec.normalization_b() * np.sum(ev ** M1) ** M2 * np.exp(-tr2)
+    M1, M2 = spec.trace_power
     t, w = spec.spread_nodes
-    return float(np.sum(w * np.exp(-tr2 / (2 * t)) / flat_gauss_norm(spec.N, 2 * t)))
+    mix = np.sum(w * np.exp(-tr2 / (2 * t)) / flat_gauss_norm(spec.N, 2 * t))
+    return float(_trace_power(H[None], M1)[0] ** M2 / spec.full_moment() * mix)
 
 
 def reduced_terms(spec, k):
     """Separable expansion of the reduced density on 2k diagonals:
     P^red(h) = sum_terms coef * prod_j (pi v_j)^(-1/2) e^(-h_j^2/v_j) h_j^(m_j),
-    returned as a list of (real coef, [(v_j, m_j)] * 2k).
-
-    For the trace-power family this is the marginal of
-    _trace_power_slot_terms (sign +1 and phase i^a on every slot), derived
-    from characteristic_invariants at a cost independent of N; its
+    returned as a list of (real coef, [(v_j, m_j)] * 2k): the marginal
+    form of _slot_terms (sign +1 and phase i^a on every slot).  Its
     coefficients are real up to round-off, which is checked, and terms
     that cancel to round-off are dropped."""
-    if spec.family != "higher_trace":
-        t, w = spec.spread_nodes
-        return [(wi, [(2.0 * ti, 0)] * (2 * k)) for ti, wi in zip(t.tolist(), w.tolist())]
-    key = ("reduced_terms", k)
-    if key not in spec._cache:
-        terms = _trace_power_slot_terms(spec, k, graded=False)
-        tol = 1e-12 * max(abs(c) for c, _ in terms)
-        if max(abs(c.imag) for c, _ in terms) > tol:
-            raise ArithmeticError("trace-power marginal came out complex")
-        # terms that cancel exactly come out as round-off; drop them
-        spec._cache[key] = [(float(c.real), slots) for c, slots in terms
-                            if abs(c.real) > tol]
-    return spec._cache[key]
+    return _slot_terms(spec, k, graded=False)
 
 
 def _least_rotation(w):
@@ -274,13 +273,9 @@ def characteristic_invariants(spec):
     key = "char_inv"
     if key in spec._cache:
         return spec._cache[key]
-    M1, M2 = spec.params["M1"], spec.params["M2"]
+    M1, M2 = spec.trace_power
     if M1 * M2 > TRACE_POWER_CAP:
         raise ValueError(f"M1*M2 = {M1 * M2} exceeds cap {TRACE_POWER_CAP}")
-    if M1 == 0 or M2 == 0:
-        res = {(): complex(spec.N) ** M2 if M1 == 0 else 1.0 + 0j}
-        spec._cache[key] = res
-        return res
     states = collections.Counter(
         tuple(sorted(_least_rotation("".join(c)) for c in combo))
         for combo in itertools.product(itertools.product("HS", repeat=M1), repeat=M2))
@@ -306,23 +301,18 @@ def characteristic_invariants(spec):
 
 
 def correlation_terms(spec, k):
-    """Separable slot expansion consumed by the correlation routes.
+    """Separable slot expansion consumed by the correlation routes: the
+    graded form of _slot_terms.
 
-    For the Gaussian and variance-mixed families this coincides with
-    reduced_terms.  For the trace-power family the plain diagonal
-    marginal is not the right convolution partner: the routes need the
-    graded-trace form of the characteristic function, in which each
-    invariant tr K^j becomes sum_p r_{p1}^j - sum_p r_{p2}^j, and a slot
-    monomial r^a comes back as i^a on first-block slots and (-1)^a on
-    second-block slots (see _trace_power_slot_terms).  The odd-derivative
-    terms are exactly where this differs from the marginal; for densities
-    even in every second-block diagonal the two expansions agree."""
-    if spec.family != "higher_trace":
-        return reduced_terms(spec, k)
-    key = ("corr_terms", k)
-    if key not in spec._cache:
-        spec._cache[key] = _trace_power_slot_terms(spec, k, graded=True)
-    return spec._cache[key]
+    The plain diagonal marginal (reduced_terms) is not the right
+    convolution partner: the routes need the graded-trace form of the
+    characteristic function, in which each invariant tr K^j becomes
+    sum_p r_{p1}^j - sum_p r_{p2}^j, and a slot monomial r^a comes back as
+    i^a on first-block slots and (-1)^a on second-block slots.  The
+    odd-derivative terms are exactly where this differs from the marginal;
+    for densities even in every second-block diagonal, every Gaussian
+    mixture among them, the two expansions agree."""
+    return _slot_terms(spec, k, graded=True)
 
 
 def _slot_polynomial(spec, k, graded):
@@ -353,31 +343,33 @@ def _slot_polynomial(spec, k, graded):
     return acc
 
 
-def _trace_power_slot_terms(spec, k, graded):
-    """Slot expansion of the trace-power characteristic function, carried
-    back to the diagonal variables: each monomial r^a of _slot_polynomial
-    times the Gaussian factor e^(-r^2/4) is inverse-transformed to
+def _slot_terms(spec, k, graded):
+    """Slot expansion of the characteristic function, carried back to the
+    diagonal variables: each monomial r^a of _slot_polynomial times the
+    Gaussian factor e^(-r^2/4) is inverse-transformed to
     phase_a q_a(h) e^(-h^2) / sqrt(pi), with q_a the polynomial part of the
     a-th derivative of e^(-h^2).  The marginal (graded=False) is the plain
-    inverse Fourier transform of E[exp(i tr HK)]: phase i^a on every slot.
-    The graded form (graded=True) takes phase (-1)^a on the second k
-    slots.  Returns [(complex coef, [(1.0, m_s)] * 2k)]; the cost does not
-    depend on N."""
-    qcache = {}
-
-    def qpoly(a):
-        if a not in qcache:
-            qcache[a] = gauss_poly_derivatives(0, a)[a]
-        return qcache[a]
-
+    inverse Fourier transform of E[exp(i tr HK)]: phase i^a on every slot;
+    its coefficients must come out real, and those that cancel to
+    round-off are dropped.  The graded form (graded=True) takes phase
+    (-1)^a on the second k slots.  Each spread node (t, w) then carries
+    every term at slot variance v = 2t with weight w: the slot polynomial,
+    that of exp(-tr H^2), is the constant 1 unless the spread is the one
+    node t = 1/2.  Returns [(coef, [(v_s, m_s)] * 2k)], cached on spec;
+    the cost does not depend on N."""
+    key = ("slot_terms", k, graded)
+    if key in spec._cache:
+        return spec._cache[key]
+    poly = _slot_polynomial(spec, k, graded)
+    qs = gauss_poly_derivatives(0, max(map(max, poly)))
     terms = {}
-    for e, v in _slot_polynomial(spec, k, graded).items():
+    for e, v in poly.items():
         if v == 0:
             continue
         options = []
         for s, a in enumerate(e):
             phase = (-1.0) ** a if graded and s >= k else (1j) ** a
-            q = qpoly(a)
+            q = qs[a]
             options.append([(phase * q[m], m) for m in range(len(q)) if q[m] != 0.0])
         for pick in itertools.product(*options):
             coef = v
@@ -387,7 +379,17 @@ def _trace_power_slot_terms(spec, k, graded):
                 ms.append(m)
             keym = tuple(ms)
             terms[keym] = terms.get(keym, 0j) + coef
-    return [(c, [(1.0, m) for m in ms]) for ms, c in terms.items() if c != 0]
+    unit = [(c, ms) for ms, c in terms.items() if c != 0]
+    if not graded:
+        tol = 1e-12 * max(abs(c) for c, _ in unit)
+        if max(abs(c.imag) for c, _ in unit) > tol:
+            raise ArithmeticError("trace-power marginal came out complex")
+        # terms that cancel exactly come out as round-off; drop them
+        unit = [(float(c.real), ms) for c, ms in unit if abs(c.real) > tol]
+    t, w = spec.spread_nodes
+    spec._cache[key] = res = [(wi * c, [(2.0 * ti, m) for m in ms])
+                              for ti, wi in zip(t.tolist(), w.tolist()) for c, ms in unit]
+    return res
 
 
 def reduced_density(spec, h, k, method="closed-form", samples=None, seed=0):
@@ -426,12 +428,12 @@ def _reduced_density_mc(spec, h, k, samples, seed):
     exp(-tr H^2) Gaussian and averaging the conditional weight."""
     if samples is None or samples < 10 ** 3:
         raise ValueError("mc needs at least 10^3 samples")
-    if spec.family != "higher_trace":
+    M1, M2 = spec.trace_power
+    if M1 * M2 == 0:
         raise ValueError("the Monte Carlo check of reduced_density needs a trace-power "
                          "spec; a Gaussian mixture has only its closed form")
     gauss = np.prod(np.pi ** -0.5 * np.exp(-h * h))
     from .mc import gaussian_matrices
-    M1, M2 = spec.params["M1"], spec.params["M2"]
     rng = np.random.default_rng(seed)
     vals = np.empty(samples)
     chunk = 20000
@@ -473,20 +475,23 @@ def slot_phi(v, m, r):
     return v ** (m / 2.0) * (0.5j) ** m * hm * np.exp(-v * r * r / 4.0)
 
 
+def _slot_phi_poly(v, m):
+    """Ascending coefficients a_j of the polynomial part of slot_phi:
+    slot_phi(v, m, r) = sum_j a_j r^j e^(-v r^2/4)."""
+    hc = nph.herm2poly([0.0] * m + [1.0]) if m else np.array([1.0])
+    return np.array([v ** (m / 2.0) * (0.5j) ** m * hc[j] * (np.sqrt(v) / 2.0) ** j
+                     for j in range(len(hc))], dtype=complex)
+
+
 def slot_phi_jet(v, m, order):
     """Taylor coefficients of slot_phi(v, m, r) in r at 0."""
     if order > JET_ORDER_CAP:
         raise ValueError(f"jet order {order} exceeds cap {JET_ORDER_CAP}")
-    # H_m(sqrt(v) r / 2) as ascending powers of r
-    hc = nph.herm2poly([0.0] * m + [1.0]) if m else np.array([1.0])
-    poly = np.array([hc[j] * (np.sqrt(v) / 2.0) ** j for j in range(len(hc))],
-                    dtype=complex)
     # e^(-v r^2/4) series
     g = np.zeros(order + 1, dtype=complex)
     for j in range(0, order + 1, 2):
         g[j] = (-v / 4.0) ** (j // 2) / math.factorial(j // 2)
-    out = jet_mul(poly, g, order)
-    return v ** (m / 2.0) * (0.5j) ** m * out
+    return jet_mul(_slot_phi_poly(v, m), g, order)
 
 
 def characteristic_function(spec, r1, r2_jet_order):
@@ -494,18 +499,16 @@ def characteristic_function(spec, r1, r2_jet_order):
     arguments r1 with all second-slot arguments at 0; returns
     (value, [complex Taylor coefficient array per second-slot variable]).
 
-    Every family is a sum of terms c prod_s r_s^(e_s) e^(-v r_s^2/4) over
-    the 2k source slots: (w_i, 2t_i, 0) for each node of a Gaussian
-    mixture, (c, 1, e) for each monomial of the trace-power slot
-    polynomial (tr K^j read as sum_s r_s^j)."""
+    Every spec is a sum of terms c prod_s r_s^(e_s) e^(-v r_s^2/4) over
+    the 2k source slots: (w_i c, 2t_i, e) for each spread node (t_i, w_i)
+    and each monomial c r^e of the slot polynomial (tr K^j read as
+    sum_s r_s^j), as in _slot_terms."""
     r1 = np.asarray(r1, dtype=float)
     k = len(r1)
     order = r2_jet_order
-    if spec.family == "higher_trace":
-        terms = [(c, 1.0, e) for e, c in _slot_polynomial(spec, k, False).items()]
-    else:
-        t, w = spec.spread_nodes
-        terms = [(wi, 2.0 * ti, (0,) * (2 * k)) for ti, wi in zip(t.tolist(), w.tolist())]
+    t, w = spec.spread_nodes
+    poly = _slot_polynomial(spec, k, False).items()
+    terms = [(wi * c, 2.0 * ti, e) for ti, wi in zip(t.tolist(), w.tolist()) for e, c in poly]
     value = 0j
     jets = [np.zeros(order + 1, dtype=complex) for _ in range(k)]
     gauss = {}
@@ -528,11 +531,12 @@ def characteristic_function(spec, r1, r2_jet_order):
 
 
 def superspace_density_norm_dependent(spec, s):
-    """Q(s) = integral f(t) 2^(k(k-1)) exp(-(1/2t) trg s^2) dt for the
-    variance-mixed family, with trg s^2 = sum s1^2 + sum s2^2 under the
+    """Q(s) = integral f(t) 2^(k(k-1)) exp(-(1/2t) trg s^2) dt for a
+    Gaussian mixture, with trg s^2 = sum s1^2 + sum s2^2 under the
     rotated second-block convention.  s holds the 2k eigenvalues."""
-    if spec.family != "norm_dependent":
-        raise ValueError("spec must be norm_dependent")
+    if math.prod(spec.trace_power):
+        raise ValueError("the superspace density needs a Gaussian mixture; "
+                         "the weight (tr H^M1)^M2 is not constant")
     s = np.asarray(s, dtype=float)
     if len(s) % 2:
         raise ValueError("s must have even length 2k")

@@ -54,7 +54,7 @@ class BinnedDensity:
 def gaussian_matrices(rng, N, count):
     """count Hermitean N x N matrices with weight exp(-tr H^2): diagonal
     variance 1/2, off-diagonal Re/Im variance 1/4."""
-    A = rng.standard_normal((count, N, N)) + 1j * rng.standard_normal((count, N, N))
+    A = _ginibre(rng, N, count)
     H = (A + np.transpose(A, (0, 2, 1)).conj()) * (1.0 / np.sqrt(8.0))
     ii = np.arange(N)
     H[:, ii, ii] = rng.standard_normal((count, N)) * np.sqrt(0.5)
@@ -71,24 +71,20 @@ def _gaussian_eigs(rng, N, count):
 
 
 def sample_batch(spec, count, seed):
-    """Draw eigenvalue samples from the ensemble; weighted for the
-    trace-power family (Gaussian proposals, weight (tr H^M1)^M2)."""
+    """Draw eigenvalue samples from the ensemble: one spread node t per
+    sample (drawn only when there is a choice), exp(-tr H^2) draws scaled
+    by sqrt(2t), and the importance weight (tr H^M1)^M2 of the trace
+    power (1 for a Gaussian mixture)."""
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(seed)
-    if spec.family != "higher_trace":
-        # a variance mixture: one node t per sample (drawn only when there
-        # is a choice), then exp(-tr H^2) draws scaled by sqrt(2t)
-        t, w = spec.spread_nodes
-        p = np.clip(w, 0, None)
-        tv = t if len(t) == 1 else rng.choice(t, size=count, p=p / p.sum())
-        ev = _gaussian_eigs(rng, spec.N, count)
-        ev *= np.sqrt(2.0 * tv)[:, None]
-        return SampleBatch(ev, np.ones(count), seed, spec)
-    M1, M2 = spec.params["M1"], spec.params["M2"]
+    t, w = spec.spread_nodes
+    p = np.clip(w, 0, None)
+    tv = t if len(t) == 1 else rng.choice(t, size=count, p=p / p.sum())
     ev = _gaussian_eigs(rng, spec.N, count)
-    wt = np.sum(ev ** M1, axis=1) ** M2
-    batch = SampleBatch(ev, wt, seed, spec)
+    ev *= np.sqrt(2.0 * tv)[:, None]
+    M1, M2 = spec.trace_power
+    batch = SampleBatch(ev, np.sum(ev ** M1, axis=1) ** M2, seed, spec)
     ess = batch.effective_sample_size()
     if ess < 0.01 * count:
         msg = f"effective sample size {ess:.1f} below 1% of {count}"

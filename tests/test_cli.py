@@ -117,6 +117,13 @@ def test_corr_invalid_config_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+def test_corr_non_integer_dimension_exits_2(capsys, tmp_path):
+    path = tmp_path / "n.json"
+    path.write_text(json.dumps({"N": 4.7, "family": "higher_trace", "M1": 4.9, "M2": 1}))
+    code, _, err = run(capsys, "corr", "--ensemble", str(path), "--grid", "-1:1:3")
+    assert code == 2 and "not an integer" in err
+
+
 def test_corr_numeric_b_exits_2(capsys, tmp_path):
     path = tmp_path / "b.json"
     path.write_text(json.dumps({"N": 4, "family": "higher_trace",

@@ -106,9 +106,13 @@ def test_trace_power_methods_agree(M1, M2):
 ROUTES = {
     "g4": GAUSS_METHODS,
     "g4s07": GAUSS_METHODS,
-    "spike": ("convolution", "eigenvalue_integral", "factorized", "closed_form_gue"),
-    "table": ("convolution", "eigenvalue_integral", "closed_form_gue"),
-    "callable": ("convolution", "eigenvalue_integral", "closed_form_gue"),
+    "spike": GAUSS_METHODS,
+    "table": ("convolution", "eigenvalue_integral", "closed_form_gue",
+              "closed_form_higher_trace"),
+    "callable": ("convolution", "eigenvalue_integral", "closed_form_gue",
+                 "closed_form_higher_trace"),
+    # a constant trace-power weight: the Gaussian written as a trace power
+    "tp02": GAUSS_METHODS,
     "tp41": ("convolution", "eigenvalue_integral", "closed_form_higher_trace"),
     # at the trace-power cap, M1*M2 = 12; the k = 2 expansions have 322
     # and 335 terms
@@ -136,6 +140,7 @@ def route_specs():
             "table": EnsembleSpec.norm_dependent(4, spread_table(101)),
             "callable": EnsembleSpec.norm_dependent(5, (spread_density, (0.2, 1.4))),
             "tp41": EnsembleSpec.higher_trace(4, 4, 1),
+            "tp02": EnsembleSpec.higher_trace(4, 0, 2),
             "tp121": EnsembleSpec.higher_trace(4, 12, 1),
             "tp34": EnsembleSpec.higher_trace(4, 3, 4)}
 
@@ -152,6 +157,44 @@ def test_routes_agree_on_every_metric(route_specs, name, variant):
         ref = vals["convolution"]
         for m, val in vals.items():
             assert abs(val - ref) <= 1e-8 * max(abs(ref), 1.0), (m, xs, metric)
+
+
+def test_gaussian_written_as_spike_gives_one_answer():
+    # gaussian(4, 0.8) and the spike spread at t = 0.4 are one ensemble:
+    # every route and every density gives one answer, bit for bit
+    from rmtcorr.ensembles import (evaluate_density, reduced_terms,
+                                   superspace_density_norm_dependent)
+    from rmtcorr.mc import sample_batch
+    gauss = EnsembleSpec.gaussian(4, 0.8)
+    spike = EnsembleSpec.norm_dependent(4, ("spike", 0.4))
+    for method in engine.METHODS:
+        for variant in ("Rhat", "R"):
+            for xs, metric in METRIC_CASES:
+                pts = [IncrementedPoint(x, side=1 if s == "+" else -1)
+                       for x, s in zip(xs, metric)]
+                a, b = (evaluate(CorrelationRequest(spec, len(xs), pts, variant, method)).value
+                        for spec in (gauss, spike))
+                assert a == b, (method, variant, xs, metric)
+    H = np.diag([0.3, -0.5, 1.1, 0.2]) + 0.1
+    assert evaluate_density(gauss, H) == evaluate_density(spike, H)
+    assert reduced_terms(gauss, 2) == reduced_terms(spike, 2)
+    ga, sp = sample_batch(gauss, 300, 5), sample_batch(spike, 300, 5)
+    assert np.array_equal(ga.eigenvalues, sp.eigenvalues)
+    assert np.array_equal(ga.weights, sp.weights)
+    s = [0.3, -0.8, 0.1, 0.6]
+    assert superspace_density_norm_dependent(gauss, s) \
+        == superspace_density_norm_dependent(spike, s)
+
+
+def test_closed_form_higher_trace_on_table_spread_matches_gue():
+    spec = EnsembleSpec.norm_dependent(4, spread_table(101))
+    for variant in ("Rhat", "R"):
+        for xs, metric in METRIC_CASES:
+            pts = [IncrementedPoint(x, side=1 if s == "+" else -1)
+                   for x, s in zip(xs, metric)]
+            a, b = (evaluate(CorrelationRequest(spec, len(xs), pts, variant, method)).value
+                    for method in ("closed_form_higher_trace", "closed_form_gue"))
+            assert abs(a - b) <= 1e-13 * max(abs(b), 1.0), (variant, xs, metric)
 
 
 @pytest.fixture(scope="module")

@@ -16,7 +16,7 @@ from rmtcorr.ensembles import (EnsembleSpec, flat_gauss_norm,
                                characteristic_function, slot_phi,
                                slot_phi_jet, jet_mul,
                                superspace_density_norm_dependent,
-                               TRACE_POWER_CAP, _trace_power)
+                               TRACE_POWER_CAP, _trace_power, _slot_phi_poly)
 from rmtcorr.mc import haar_unitary, gaussian_matrices, sample_batch
 
 
@@ -446,6 +446,15 @@ def test_jet_mul_matches_polynomial_product(a, b):
     assert np.max(np.abs(got - full[:5])) < 1e-12
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 6), st.floats(0.02, 3.0), st.floats(-3.0, 3.0))
+def test_slot_phi_poly_matches_slot_phi(m, v, r):
+    a = _slot_phi_poly(v, m)
+    got = np.polynomial.polynomial.polyval(r, a) * np.exp(-v * r * r / 4.0)
+    ref = slot_phi(v, m, np.array(r))
+    assert abs(got - ref) <= 1e-12 * max(abs(ref), 1.0)
+
+
 def test_slot_phi_jet_order_cap():
     with pytest.raises(ValueError):
         slot_phi_jet(1.0, 0, 100)
@@ -477,7 +486,8 @@ def test_callable_spread_evaluated_only_at_construction():
 
 @pytest.mark.parametrize("maker", [
     lambda: EnsembleSpec.gaussian(4, 0.7), lambda: spike_spec(4), lambda: table_spec(4),
-], ids=["gauss-0.7", "spike", "table"])
+    lambda: EnsembleSpec.higher_trace(4, 0, 2), lambda: EnsembleSpec.higher_trace(4, 2, 0),
+], ids=["gauss-0.7", "spike", "table", "tp02", "tp20"])
 def test_reduced_density_mc_refuses_gaussian_mixtures(maker):
     # a mixture's reduced density is its closed form; a Monte Carlo label
     # on it would check nothing
@@ -499,6 +509,31 @@ def test_constructor_validation():
     with pytest.raises(ValueError):
         t = np.linspace(0.2, 1.0, 50)
         EnsembleSpec.norm_dependent(3, (t, np.ones_like(t)))
+
+
+def test_non_integer_dimension_and_powers_refused():
+    # int() would truncate these to N = 4, M1 = 4
+    with pytest.raises(ValueError, match="not an integer"):
+        EnsembleSpec.higher_trace(4, 4.5, 1)
+    with pytest.raises(ValueError, match="not an integer"):
+        EnsembleSpec.gaussian(3.5)
+    for cfg in ({"N": 3.5, "family": "gaussian"},
+                {"N": 4.7, "family": "higher_trace", "M1": 4.9, "M2": 1},
+                {"N": 4, "family": "higher_trace", "M1": 4, "M2": 1.5}):
+        with pytest.raises(ValueError, match="not an integer"):
+            EnsembleSpec.from_json(json.dumps(cfg))
+    assert EnsembleSpec.from_json('{"N": 4.0, "family": "higher_trace", "M1": 4, "M2": 1}').N == 4
+
+
+def test_table_spread_must_be_increasing_and_matched():
+    # unsorted, the trapezoid weights are 0.5, 0.5, 0 (sum 1), but the
+    # sorted table integrates to 0.75
+    with pytest.raises(ValueError, match="strictly increasing"):
+        EnsembleSpec.norm_dependent(4, ([0.4, 1.2, 0.8], [1.25, 2.5, 0.0]))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        EnsembleSpec.norm_dependent(4, ([0.4, 0.4, 1.4], [1.0, 1.0, 1.0]))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        EnsembleSpec.norm_dependent(4, ([0.5, 1.5], [1.0, 1.0, 1.0]))
 
 
 def normal_density(mu, sigma):
@@ -561,5 +596,8 @@ def test_superspace_value_at_origin():
     spec = table_spec(4)
     got = superspace_density_norm_dependent(spec, np.zeros(4))
     assert abs(got - 2.0 ** 2) < 1e-6
+    # the Gaussian is the one-node mixture; a trace-power weight has no
+    # superspace density here
+    assert superspace_density_norm_dependent(EnsembleSpec.gaussian(2), [0.0, 0.0]) == 1.0
     with pytest.raises(ValueError):
-        superspace_density_norm_dependent(EnsembleSpec.gaussian(2), [0.0, 0.0])
+        superspace_density_norm_dependent(EnsembleSpec.higher_trace(4, 4, 1), np.zeros(2))
