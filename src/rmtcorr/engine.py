@@ -24,8 +24,7 @@ from numpy.polynomial import hermite as nph
 from .ensembles import correlation_terms, slot_phi_jet, jet_mul, _slot_phi_poly
 from .kernels import IncrementedPoint
 from .special import (SQRT_PI, _osc_tower, _osc_hat_tower, gauss_moments,
-                      gauss_moment_cauchy, gauss_poly_derivatives,
-                      polyval_ascending, half_gauss_oscillatory)
+                      gauss_moment_cauchy, half_gauss_oscillatory)
 
 GH_ORDER = 256
 VARIANTS = ("Rhat", "R")
@@ -131,36 +130,45 @@ def _row_rhat(N, x, L, v, m):
 
 def _row_r(N, x, L, v, m):
     """Imaginary-part rows: the distributional limit
-    Im row_n = L * (-1)^n (1/n!) d^n/dx^n [(pi v)^(-1/2) x^m e^(-x^2/v)]."""
-    rows = gauss_poly_derivatives(m, N - 1)
+    Im row_n = L * (-1)^n (1/n!) d^n/dx^n [(pi v)^(-1/2) x^m e^(-x^2/v)],
+    by the Leibniz rule sum_j C(m, j) u^(m-j) e_(n-j) over the Gaussian
+    derivatives e_n = (1/n!) d^n/du^n e^(-u^2) at u = x / sqrt(v), taken
+    from e_(n+1) = -(2u e_n + 2e_(n-1)) / (n+1)."""
     u = x / np.sqrt(v)
-    e = np.exp(-u * u)
-    out = np.empty(N, dtype=complex)
-    f = 1.0
-    for n in range(N):
-        out[n] = L * (-1.0) ** n / f * (np.pi * v) ** -0.5 \
-            * v ** ((m - n) / 2.0) * polyval_ascending(rows[n], u) * e
-        f *= n + 1
-    return out
+    prev, cur = 0.0, np.exp(-u * u)
+    e = [cur]
+    for n in range(N - 1):
+        prev, cur = cur, -(2.0 * u * cur + 2.0 * prev) / (n + 1)
+        e.append(cur)
+    j = np.arange(m + 1)
+    d = np.convolve(e, _binomials(m + 1)[m] * u ** (m - j))[:N]
+    n = np.arange(N)
+    return L * (-1.0) ** n * (np.pi * v) ** -0.5 * v ** ((m - n) / 2.0) * d
+
+
+@functools.lru_cache(maxsize=8)
+def _binomials(N):
+    """C(n, j) for n, j < N (0 for j > n), read-only."""
+    table = np.array([[math.comb(n, j) for j in range(N)] for n in range(N)], dtype=float)
+    table.setflags(write=False)
+    return table
 
 
 def _col_exact(N, x, v, m):
     """col_n = integral (pi v)^(-1/2) e^(-b^2/v) b^m (x - ib)^n db
     (the second kernel slot carries the i on the diagonal variable),
-    by binomial expansion into Gaussian moments."""
-    # powers hoisted out of the double loop, and Python floats in place of
-    # numpy scalars: every product is the same as when formed in place
-    g = gauss_moments(N - 1 + m).tolist()
-    xp = [x ** e for e in range(N)]
-    ip = [(-1j) ** j for j in range(N)]
-    vp = [v ** ((m + j) / 2.0) for j in range(N)]
-    out = np.empty(N, dtype=complex)
-    for n in range(N):
-        acc = 0j
-        for j in range(n + 1):
-            acc += math.comb(n, j) * xp[n - j] * ip[j] * vp[j] * g[m + j]
-        out[n] = acc / SQRT_PI
-    return out
+    by binomial expansion into Gaussian moments: the (n, j) table
+    C(n, j) x^(n-j) (-i)^j v^((m+j)/2) gamma_(m+j), summed over j."""
+    j = np.arange(N)
+    # the sum over j cancels like the Hermite polynomials it expands
+    # (ROADMAP item 2); its terms take Python's float powers and it runs
+    # left to right, so its round-off does not depend on numpy's
+    # vectorized powers or summation order
+    xp = np.array([x ** e for e in range(N)])[np.maximum(j[:, None] - j, 0)]
+    vp = np.array([v ** ((m + e) / 2.0) for e in range(N)])
+    terms = _binomials(N) * xp * (-1j) ** j * vp * gauss_moments(N - 1 + m)[m:]
+    col = np.cumsum(terms, axis=1)[:, -1]
+    return col.real / SQRT_PI + 1j * (col.imag / SQRT_PI)
 
 
 @functools.lru_cache(maxsize=1)
@@ -220,8 +228,8 @@ def _halfline_vec(N, x, L, v, m):
     # r -> L r carries the half-line onto r > 0, and the term a_j G_(n+j)
     # picks up L^(n+j) = L^(n+m): a_j vanishes unless j = m mod 2
     G = half_gauss_oscillatory(N + len(a) - 2, np.array(L * float(x)), v / 4.0)
-    return 1j * L ** (m + 1) * np.array([(-1j * L) ** n * np.sum(a * G[n: n + len(a)])
-                                         for n in range(N)])
+    window = G[np.arange(N)[:, None] + np.arange(len(a))]
+    return 1j * L ** (m + 1) * ((-1j * L) ** np.arange(N) * (a * window).sum(axis=1))
 
 
 def _jet_vec(N, x, v, m):

@@ -8,6 +8,7 @@ i.e. scale = 2t.
 """
 
 import collections
+import functools
 import itertools
 import json
 import math
@@ -15,7 +16,7 @@ import math
 import numpy as np
 from numpy.polynomial import hermite as nph
 
-from .special import gauss_poly_derivatives
+from .special import _factorials, gauss_poly_derivatives
 
 # bound on M1*M2, checked in characteristic_invariants only: it contracts
 # 2^(M1*M2) H/S words, grouped by canonical state.  Above it every
@@ -77,8 +78,8 @@ class EnsembleSpec:
 
     @classmethod
     def gaussian(cls, N, scale=1.0):
-        if scale <= 0:
-            raise ValueError("scale must be positive")
+        if not 0 < scale < np.inf:
+            raise ValueError(f"scale must be positive and finite, got {scale!r}")
         return cls(N, "gaussian", scale=float(scale))
 
     @classmethod
@@ -154,7 +155,9 @@ def _whole(name, x):
 def _spread_nodes(sp):
     """Discrete (t, weight) nodes with sum(w) ~ integral f dt = 1, built
     once per spec as spec.spread_nodes.  Every node is a Gaussian
-    component of variance 2t, so a spread reaching t <= 0 is refused."""
+    component of variance 2t with a probability weight, so a spread with a
+    non-finite node or weight, a node at t <= 0 or a negative weight is
+    refused, whatever its kind."""
     if isinstance(sp, tuple) and isinstance(sp[0], str) and sp[0] == "spike":
         t, w = np.array([sp[1]]), np.array([1.0])
     elif isinstance(sp, tuple) and len(sp) == 2 and not callable(sp[0]) \
@@ -164,8 +167,6 @@ def _spread_nodes(sp):
         dt = np.diff(t)
         if t.ndim != 1 or t.shape != f.shape or np.any(dt <= 0):
             raise ValueError("a table spread needs strictly increasing t and f of its length")
-        if np.any(f < 0):
-            raise ValueError("spread must be nonnegative")
         w = np.zeros_like(t)
         w[:-1] += 0.5 * dt
         w[1:] += 0.5 * dt
@@ -176,9 +177,13 @@ def _spread_nodes(sp):
         x, gw = np.polynomial.legendre.leggauss(256)
         t = 0.5 * (hi - lo) * (x + 1.0) + lo
         w = 0.5 * (hi - lo) * gw * np.array([func(v) for v in t])
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(w))):
+        raise ValueError("the spread has a node or weight that is nan or inf")
     if np.any(t <= 0):
         raise ValueError(f"spread reaches t = {t.min():.3g}; every component "
                          "exp(-tr H^2 / 2t) needs t > 0")
+    if np.any(w < 0):
+        raise ValueError(f"spread must be nonnegative: a node weight is {w.min():.3g}")
     total = float(np.sum(w))
     if callable(sp) and total < 1e-6:
         raise ValueError(f"the support search found no mass of the spread on [0, {hi:g}] "
@@ -478,9 +483,16 @@ def slot_phi(v, m, r):
 def _slot_phi_poly(v, m):
     """Ascending coefficients a_j of the polynomial part of slot_phi:
     slot_phi(v, m, r) = sum_j a_j r^j e^(-v r^2/4)."""
+    hc = _hermite_coefficients(m)
+    return v ** (m / 2.0) * (0.5j) ** m * hc * (np.sqrt(v) / 2.0) ** np.arange(m + 1)
+
+
+@functools.lru_cache(maxsize=32)
+def _hermite_coefficients(m):
+    """Ascending monomial coefficients of H_m, read-only."""
     hc = nph.herm2poly([0.0] * m + [1.0]) if m else np.array([1.0])
-    return np.array([v ** (m / 2.0) * (0.5j) ** m * hc[j] * (np.sqrt(v) / 2.0) ** j
-                     for j in range(len(hc))], dtype=complex)
+    hc.setflags(write=False)
+    return hc
 
 
 def slot_phi_jet(v, m, order):
@@ -506,27 +518,29 @@ def characteristic_function(spec, r1, r2_jet_order):
     r1 = np.asarray(r1, dtype=float)
     k = len(r1)
     order = r2_jet_order
+    if order > JET_ORDER_CAP:
+        raise ValueError(f"jet order {order} exceeds cap {JET_ORDER_CAP}")
     t, w = spec.spread_nodes
-    poly = _slot_polynomial(spec, k, False).items()
-    terms = [(wi * c, 2.0 * ti, e) for ti, wi in zip(t.tolist(), w.tolist()) for e, c in poly]
+    v = 2.0 * t
+    # per node: its weight times the damping e^(-v |r1|^2/4), and the
+    # series of e^(-v r^2/4); each monomial takes all nodes at once
+    damp = w * np.exp(-v * np.sum(r1 * r1) / 4.0)
+    series = np.zeros((len(v), order + 1))
+    series[:, ::2] = (-v[:, None] / 4.0) ** np.arange(order // 2 + 1) / _factorials(order // 2)
     value = 0j
     jets = [np.zeros(order + 1, dtype=complex) for _ in range(k)]
-    gauss = {}
-    for c, v, e in terms:
+    for e, c in _slot_polynomial(spec, k, False).items():
         # t^a e^(-v t^2/4) vanishes at t = 0 unless a = 0: a term with one
         # a_p > 0 reaches only jet p, as the Gaussian series shifted by a_p
         live = [p for p in range(k) if e[k + p]]
         if len(live) > 1:
             continue
-        if v not in gauss:
-            gauss[v] = np.exp(-v * np.sum(r1 * r1) / 4.0), slot_phi_jet(v, 0, order)
-        damp, series = gauss[v]
-        base = c * damp * math.prod(r ** a for r, a in zip(r1.tolist(), e))
+        base = c * math.prod(r ** a for r, a in zip(r1.tolist(), e)) * damp
         if not live:
-            value += base
+            value += base.sum()
         for p in live or range(k):
             a = e[k + p]
-            jets[p][a:] += base * series[: max(order + 1 - a, 0)]
+            jets[p][a:] += base @ series[:, : max(order + 1 - a, 0)]
     return complex(value), jets
 
 

@@ -198,13 +198,18 @@ def _gram_schmidt(X):
 def _haar_columns(A):
     """Haar unitaries U_s of complex Ginibre matrices A (count, N, N)
     (Mezzadri 2007), returned as X (N, N, count) with X[a, b, s] = U_s[b, a].
+    A may also be the real and imaginary parts stacked as (2, count, N, N).
     The sample axis is last so every step works on long contiguous rows;
     tiles of TILE entries keep a step's operands in cache."""
-    count, N = A.shape[0], A.shape[-1]
+    re, im = (A.real, A.imag) if np.iscomplexobj(A) else A
+    count, N = re.shape[0], re.shape[-1]
     X = np.empty((N, N, count), dtype=complex)
     tile = max(TILE // (N * N), 1)
     for s in range(0, count, tile):
-        X[:, :, s: s + tile] = _gram_schmidt(A[s: s + tile].transpose(2, 1, 0).copy())
+        Y = np.empty((N, N, min(tile, count - s)), dtype=complex)
+        Y.real = re[s: s + tile].transpose(2, 1, 0)
+        Y.imag = im[s: s + tile].transpose(2, 1, 0)
+        X[:, :, s: s + tile] = _gram_schmidt(Y)
     return X
 
 
@@ -239,7 +244,15 @@ def hciz_mc(E, R, samples, seed):
             total += draws[last][1]
             last += 1
         blocks, sizes = zip(*draws[first:last])
-        X = _haar_columns(np.concatenate([_ginibre(rng, N, c) for c in sizes]))
+        # every draw's real parts, then its imaginary parts, as _ginibre
+        # draws them, generated in place into one buffer per chunk
+        parts = np.empty((2, total, N, N))
+        start = 0
+        for c in sizes:
+            for part in parts:
+                rng.standard_normal((c, N, N), out=part[start: start + c])
+            start += c
+        X = _haar_columns(parts)
         # tr U E U^dag R = sum_{a,b} E_a R_b |U_{b a}|^2, X[a, b] = U[b, a]
         P = (X.real ** 2 + X.imag ** 2).reshape(N * N, -1)
         vals = np.exp(1j * (np.outer(E, R).ravel() @ P))

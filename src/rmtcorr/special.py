@@ -6,12 +6,14 @@ Weight convention throughout: exp(-x^2), matching the density
 P(H) ~ exp(-tr H^2).
 """
 
+import functools
 import math
 
 import numpy as np
 from scipy.special import wofz
 
 SQRT_PI = np.sqrt(np.pi)
+_PI_LONG = np.longdouble("3.14159265358979323846264338327950288")
 HERMITE_CAP = 64
 
 
@@ -96,23 +98,22 @@ def _osc_hat_tower(nmax, x):
         flat = out.reshape(nmax + 1, -1)
         xf = x.reshape(-1)
         ph = _osc_tower(nmax, x).reshape(nmax + 1, -1)
+        n = np.arange(nmax + 1)
+        t = np.arange(199)
+        # pi^(-1/4) / sqrt(2^n n!), divided down one n at a time
+        d = np.sqrt(2.0 * n)
+        d[0] = np.pi ** -0.25
+        norm = np.divide.accumulate(d)
         for i in np.nonzero(far.reshape(-1))[0]:
             xi = float(xf[i])
-            ex = np.exp(0.5 * xi * xi) / np.pi
-            norm = np.pi ** -0.25
-            for n in range(nmax + 1):
-                acc = 0.0
-                t = SQRT_PI * math.factorial(n) * xi ** (-(n + 1))
-                prev = np.inf
-                for tt in range(200):
-                    if abs(t) >= prev or abs(t) <= 1e-20 * abs(acc):
-                        break
-                    acc += t
-                    prev = abs(t)
-                    t *= (n + 2 * tt + 1) * (n + 2 * tt + 2) / (
-                        4.0 * (tt + 1) * xi * xi)
-                flat[n, i] = norm * ex * acc + 1j * ph[n, i]
-                norm /= np.sqrt(2.0 * (n + 1))
+            # (n, t) term table: the first terms, then the term ratios,
+            # multiplied up along t
+            terms = np.empty((nmax + 1, 200))
+            terms[:, 0] = SQRT_PI * _factorials(nmax) * xi ** -(n + 1.0)
+            terms[:, 1:] = (n[:, None] + 2 * t + 1) * (n[:, None] + 2 * t + 2) \
+                / (4.0 * (t + 1) * xi * xi)
+            pv, _ = _truncated_sums(np.cumprod(terms, axis=1))
+            flat[:, i] = norm * (np.exp(0.5 * xi * xi) / np.pi) * pv + 1j * ph[:, i]
     if not np.all(np.isfinite(out)):
         raise ValueError("the companion tower overflows: exp(x^2/2) is not finite "
                          "past |x| ~ 37.7")
@@ -171,15 +172,7 @@ def cauchy_gauss_tower(nmax, z, side=-1):
     principal-value asymptotic series plus the exact sided delta part."""
     z = np.asarray(z, dtype=complex)
     upper = np.where(np.imag(z) != 0, np.imag(z) > 0, side > 0)
-    # lower half plane (or z - i0): C_n = (i pi / n!) w^(n)(-z)
-    # upper half plane (or z + i0): C_n = (-i pi / n!) (-1)^n w^(n)(z)
-    lo = np.empty(nmax + 1, dtype=complex)
-    hi = np.empty(nmax + 1, dtype=complex)
-    f = 1.0
-    for n in range(nmax + 1):
-        lo[n] = 1j * np.pi / f
-        hi[n] = (-1j * np.pi / f) * ((-1.0) ** n)
-        f *= n + 1
+    lo, hi = _cauchy_coefficients(nmax)
     col = (nmax + 1,) + (1,) * z.ndim
     coef = np.where(upper, hi.reshape(col), lo.reshape(col))
     fac = coef * faddeeva_derivatives(np.where(upper, z, -z), nmax)
@@ -196,33 +189,82 @@ def cauchy_gauss_tower(nmax, z, side=-1):
 CAUCHY_ASYMP = 6.5
 
 
+@functools.lru_cache(maxsize=8)
+def _cauchy_coefficients(nmax):
+    """Factors of the Faddeeva derivatives in C_n, n = 0..nmax, read-only:
+    lower half plane (or z - i0): C_n = (i pi / n!) w^(n)(-z);
+    upper half plane (or z + i0): C_n = (-i pi / n!) (-1)^n w^(n)(z)."""
+    n = np.arange(nmax + 1)
+    # n! as the running float product 1 * 1 * 2 * ... * n
+    f = np.cumprod(np.maximum(n, 1).astype(float))
+    lo = 1j * (np.pi / f)
+    hi = -lo * (-1.0) ** n
+    lo.setflags(write=False)
+    hi.setflags(write=False)
+    return lo, hi
+
+
 def _cauchy_gauss_far(nmax, z, upper):
-    """Boundary values of C_n at large near-real z: principal value by the
-    asymptotic series sum_m C(n+m, n) gamma_m / z^(n+m+1) (truncated at
-    the first non-decreasing term), plus the sided distributional part
-    +- i pi (-1)^n q_n(x) e^(-x^2) / n! from 1/(x -+ i0)^(n+1)."""
-    x = np.real(z)
+    """Boundary values of C_n, n = 0..nmax, at large near-real z: principal
+    value by the asymptotic series sum_m C(n+m, n) gamma_m / z^(n+m+1) over
+    even m <= 120, each row cut by _truncated_sums, plus the sided
+    distributional part -+ i pi h_n(x) from 1/(x -+ i0)^(n+1), where
+    h_n = H_n(x) e^(-x^2) / n! comes from the recurrence
+    h_(n+1) = (2x h_n - 2h_(n-1)) / (n+1)."""
+    n = np.arange(nmax + 1)
+    # z^(-(n+1)), then divided by z^2 once per term; on the real axis the
+    # complex divisions are real ones, and the table is kept real
+    w = z if z.imag else z.real
+    zp = np.empty((nmax + 1, 61), dtype=type(w))
+    first = z ** -(n + 1)
+    zp[:, 0] = first if z.imag else first.real
+    zp[:, 1:] = w * w
+    pv, _ = _truncated_sums(_far_coefficients(nmax) * np.divide.accumulate(zp, axis=1))
+    # the recurrence runs in extended precision where the platform has it,
+    # so pi h_n comes out correctly rounded to round-off
+    x = np.longdouble(z.real)
+    prev, cur = 0.0, np.exp(-x * x)
+    h = [cur]
+    for k in range(nmax):
+        prev, cur = cur, (2 * x * cur - 2 * prev) / (k + 1)
+        h.append(cur)
+    return pv + (-1j if upper else 1j) * (_PI_LONG * np.array(h)).astype(float)
+
+
+@functools.lru_cache(maxsize=8)
+def _far_coefficients(nmax):
+    """C(n+m, n) gamma_m for n = 0..nmax and even m = 0..120, read-only."""
     g = gauss_moments(120)
-    q = gauss_poly_derivatives(0, nmax)
-    out = np.empty(nmax + 1, dtype=complex)
-    e = np.exp(-x * x)
-    f = 1.0
-    for n in range(nmax + 1):
-        acc = 0j
-        prev = np.inf
-        zp = z ** (-(n + 1))
-        for m in range(0, 121, 2):
-            t = math.comb(n + m, n) * g[m] * zp
-            if abs(t) >= prev or abs(t) <= 1e-20 * abs(acc):
-                break
-            acc += t
-            prev = abs(t)
-            zp /= z * z
-        sgn = -1.0 if upper else 1.0
-        out[n] = acc + sgn * 1j * np.pi * ((-1.0) ** n) \
-            * polyval_ascending(q[n], x) * e / f
-        f *= n + 1
-    return out
+    table = np.array([[math.comb(n + m, n) * g[m] for m in range(0, 121, 2)]
+                      for n in range(nmax + 1)])
+    table.setflags(write=False)
+    return table
+
+
+@functools.lru_cache(maxsize=8)
+def _factorials(nmax):
+    """n! rounded once to a float, n = 0..nmax, read-only."""
+    f = np.array([float(math.factorial(n)) for n in range(nmax + 1)])
+    f.setflags(write=False)
+    return f
+
+
+def _truncated_sums(terms):
+    """Sum every row of the series table terms (rows, m) up to its first
+    term that does not decrease in modulus or falls to 1e-20 of the
+    partial sum before it, as the scalar loop
+    `if |t| >= prev or |t| <= 1e-20 |acc|: break; acc += t` does.  The
+    partial sums are one left-to-right cumsum, so each sum is that loop's.
+    Returns the sums and the number of terms each row kept."""
+    rows, m = terms.shape
+    a = np.abs(terms)
+    partial = np.zeros((rows, m + 1), dtype=terms.dtype)
+    np.cumsum(terms, axis=1, out=partial[:, 1:])
+    stop = np.ones((rows, m + 1), dtype=bool)   # the last column ends the table
+    stop[:, 0] = (a[:, 0] >= np.inf) | (a[:, 0] <= 0.0)
+    stop[:, 1:m] = (a[:, 1:] >= a[:, :-1]) | (a[:, 1:] <= 1e-20 * np.abs(partial[:, 1:m]))
+    cut = stop.argmax(axis=1)
+    return partial[np.arange(rows), cut], cut
 
 
 def gauss_moments(mmax):
@@ -244,8 +286,7 @@ def gauss_moment_cauchy(nmax, mmax, z, side=-1):
     F[:, 0] = C
     for m in range(1, mmax + 1):
         F[0, m] = z * F[0, m - 1] - g[m - 1]
-        for n in range(1, nmax + 1):
-            F[n, m] = z * F[n, m - 1] - F[n - 1, m - 1]
+        F[1:, m] = z * F[1:, m - 1] - F[:-1, m - 1]
     return F
 
 

@@ -3,16 +3,19 @@ eigenvalue-space oracles, symmetries, generating function, and the
 time-domain transform."""
 
 import collections
+import math
 
+import mpmath as mp
 import numpy as np
 import numpy.polynomial.hermite as nph
 import pytest
 
-from rmtcorr import engine
+from rmtcorr import engine, special
 from rmtcorr.ensembles import EnsembleSpec
 from rmtcorr.engine import (CorrelationRequest, evaluate, factorized_kernel,
                             generating_function_value, time_domain_transform)
 from rmtcorr.kernels import IncrementedPoint
+from rmtcorr.special import SQRT_PI, gauss_moments
 
 
 def r1(spec, x, method, variant="R", side=1):
@@ -266,6 +269,67 @@ def test_r1_integrates_to_n():
         vals = np.array([float(np.real(r1(spec, x, method, "R"))) for x in xs])
         total = np.trapezoid(vals, xs)
         assert abs(total - spec.N) < 1e-6
+
+
+# -- factors against mpmath ------------------------------------------------
+
+def mp_row_r(N, x, v, m):
+    """Im row_n of the L = +1 side, (-1)^n (1/n!) d^n/dx^n of
+    (pi v)^(-1/2) x^m e^(-x^2/v), from mpmath's Hermite polynomials."""
+    with mp.workdps(50):
+        v = mp.mpf(v)
+        u = mp.mpf(x) / mp.sqrt(v)
+        e = mp.exp(-u * u)
+        out = []
+        for n in range(N):
+            d = sum(mp.binomial(m, j) * u ** (m - j) * (-1) ** (n - j) * mp.hermite(n - j, u)
+                    / mp.factorial(n - j) for j in range(min(m, n) + 1))
+            out.append(float((-1) ** n * (mp.pi * v) ** -0.5 * v ** (mp.mpf(m - n) / 2) * d * e))
+        return np.array(out)
+
+
+@pytest.mark.parametrize("N", [6, 32, 48])
+@pytest.mark.parametrize("x", [0.7, -3.1, 5.5, -7.4, 9.0, -12.0])
+def test_row_r_against_mpmath(N, x):
+    # bulk and tail for each N (the spectrum edge is sqrt(2N) at v = 1);
+    # errors are measured on the scale of the neighbouring orders, since
+    # a row entry next to a zero of H_n has no relative accuracy
+    for v, m in ((1.0, 0), (0.7, 2), (1.0, 3)):
+        ref = mp_row_r(N, x, v, m)
+        scale = np.max([np.abs(np.roll(ref, s)) for s in (-1, 0, 1)], axis=0)
+        for L in (1, -1):
+            got = engine._row_r(N, x, L, v, m)
+            assert np.all(np.abs(got - L * ref) <= 1e-13 * scale)
+
+
+def col_exact_loop(N, x, v, m):
+    """The binomial moment column as a double loop over n and j."""
+    g = gauss_moments(N - 1 + m).tolist()
+    out = np.empty(N, dtype=complex)
+    for n in range(N):
+        acc = 0j
+        for j in range(n + 1):
+            acc += math.comb(n, j) * x ** (n - j) * (-1j) ** j * v ** ((m + j) / 2.0) * g[m + j]
+        out[n] = acc / SQRT_PI
+    return out
+
+
+@pytest.mark.parametrize("N", [1, 2, 6, 32, 48])
+def test_col_exact_matches_binomial_loop(N):
+    # same terms summed in the same order: equal to the last bit
+    for x, v, m in ((0.0, 1.0, 0), (0.7, 1.0, 0), (-3.3, 0.8, 1), (9.1, 2.0, 3)):
+        assert np.array_equal(engine._col_exact(N, x, v, m), col_exact_loop(N, x, v, m))
+
+
+def test_row_r_keeps_its_own_recurrence(monkeypatch):
+    # the R rows are an independent check of the oscillator route
+    def refuse(*args):
+        raise AssertionError("shared factor")
+
+    monkeypatch.setattr(engine, "_osc_tower", refuse)
+    monkeypatch.setattr(special, "_osc_tower", refuse)
+    monkeypatch.setattr(special, "hermite_poly", refuse)
+    assert np.all(np.isfinite(engine._row_r(32, 7.4, 1, 1.0, 2)))
 
 
 # -- symmetries ------------------------------------------------------------

@@ -551,6 +551,38 @@ def test_spread_reaching_nonpositive_t_refused():
             EnsembleSpec.norm_dependent(5, spread)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_spec_parameters_refused(bad):
+    # a nan passes every comparison test (scale <= 0, t <= 0, |total - 1|)
+    with pytest.raises(ValueError, match="positive and finite"):
+        EnsembleSpec.gaussian(4, bad)
+    with pytest.raises(ValueError, match="nan or inf"):
+        EnsembleSpec(4, "gaussian", scale=bad)
+    with pytest.raises(ValueError, match="nan or inf"):
+        EnsembleSpec.norm_dependent(4, ("spike", bad))
+    with pytest.raises(ValueError, match="nan or inf"):
+        EnsembleSpec.norm_dependent(4, ([0.2, 0.6, bad], [1.0, 1.0, 1.0]))
+    with pytest.raises(ValueError, match="nan or inf"):
+        EnsembleSpec.norm_dependent(4, ([0.5, 1.0, 1.5], [1.0, bad, 1.0]))
+    with pytest.raises(ValueError, match="nan or inf"):
+        EnsembleSpec.norm_dependent(4, (lambda t: bad if t > 0.9 else 1.0, (0.5, 1.5)))
+    with pytest.raises(ValueError, match="nan or inf"):
+        EnsembleSpec.norm_dependent(4, (lambda t: 1.0, (0.5, bad)))
+    with pytest.raises(ValueError, match="positive and finite"):
+        EnsembleSpec.from_json(json.dumps({"N": 4, "family": "gaussian", "scale": bad}))
+
+
+def test_negative_spread_weights_refused():
+    # integrates to 1, but f < 0 on t > 0.958: Monte Carlo clipped those
+    # weights to 0 while the closed forms used them
+    with pytest.raises(ValueError, match="nonnegative"):
+        EnsembleSpec.norm_dependent(4, (lambda t: 3.8333 - 4 * t, (0.25, 1.0)))
+    with pytest.raises(ValueError, match="nonnegative"):
+        EnsembleSpec.norm_dependent(4, ([0.5, 1.0, 1.5], [1.5, -0.25, 0.75]))
+    spec = EnsembleSpec.norm_dependent(4, (lambda t: (1.0 - t) / 0.28125, (0.25, 1.0)))
+    assert np.all(spec.spread_nodes[1] >= 0)
+
+
 def test_bare_callable_spread_away_from_unit_interval():
     f = normal_density(3.0, 0.1)
     with pytest.raises(ValueError, match=r"support search found no mass.*\(f, \(lo, hi\)\)"):

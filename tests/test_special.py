@@ -3,6 +3,7 @@ Gaussian Cauchy transform primitives."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -13,7 +14,9 @@ from rmtcorr.special import (SQRT_PI, hermite_poly,
                              gue_kernel, cauchy_gauss, cauchy_gauss_tower,
                              gauss_moments, gauss_moment_cauchy,
                              gauss_poly_derivatives, polyval_ascending,
-                             half_gauss_oscillatory, CAUCHY_ASYMP)
+                             half_gauss_oscillatory, CAUCHY_ASYMP,
+                             _far_coefficients, _osc_hat_tower, _osc_tower,
+                             _truncated_sums)
 
 
 def test_hermite_low_orders():
@@ -190,16 +193,18 @@ def test_cauchy_far_branch_matches_recurrence_at_crossover():
     (12, 1.5 + 0.8j, -1, {0: 0.8482810515255564 - 0.6618191875009124j,
                           6: 0.015051821653411976 - 0.007494807068511677j,
                           12: 1.3248925568844698e-06 - 4.266394837968936e-05j}),
-    (8, 7.4, 1, {0: 0.24177062848902678 - 5.1901994063745474e-24j,
-                 4: 9.24406676506039e-05 - 9.809918391010734e-21j,
+    (8, 7.4, 1, {0: 0.24177062848902678 - 5.190199406374547e-24j,
+                 4: 9.24406676506039e-05 - 9.80991839101073e-21j,
                  8: 4.2142601699387796e-08 - 2.256539775044309e-19j}),
     (31, -9.0, -1, {0: -0.1981782307032555 + 2.0859161112410486e-35j,
                     15: 2.4793653552444707e-15 - 5.286033434763193e-29j,
-                    31: 5.16195999302732e-31 - 5.375316787074968e-32j}),
+                    31: 5.16195999302732e-31 - 5.37531678707497e-32j}),
 ])
 def test_cauchy_tower_pinned_values(nmax, z, side, pins):
     # exact values of the two-tower implementation this one replaced, on
-    # both sides, inside and beyond CAUCHY_ASYMP
+    # both sides, inside and beyond CAUCHY_ASYMP; beyond it the imaginary
+    # (sided) parts are those of the Hermite-function recurrence, each at
+    # least as close to a 50-digit mpmath value as the earlier pins
     tower = cauchy_gauss_tower(nmax, z, side)
     assert tower.shape == (nmax + 1,)
     for n, val in pins.items():
@@ -212,7 +217,7 @@ def test_cauchy_tower_pinned_array_input():
     assert tower.shape == (5, 4)
     assert [complex(v) for v in tower[4]] == [
         1.0835816331905361 + 0.6157509172248316j,
-        9.24406676506039e-05 - 9.809918391010734e-21j,
+        9.24406676506039e-05 - 9.80991839101073e-21j,
         -0.15239260235137583 + 0.21527893153248756j,
         -0.630981608213174 + 0.5582707580172073j]
 
@@ -250,3 +255,114 @@ def test_half_line_oscillatory_against_quadrature():
             im = quad(lambda r: np.imag(r ** a * np.exp(-c * r * r - 1j * z * r)),
                       0, np.inf, limit=400)[0]
             assert abs(G[a] - (re + 1j * im)) < 1e-10
+
+
+def scalar_truncated_sum(row):
+    """The asymptotic-series loop that _truncated_sums replaces: add terms
+    until one does not decrease in modulus or falls to 1e-20 of the sum."""
+    acc, prev = 0 * row[0], math.inf
+    for i, t in enumerate(row):
+        if abs(t) >= prev or abs(t) <= 1e-20 * abs(acc):
+            return acc, i
+        acc += t
+        prev = abs(t)
+    return acc, len(row)
+
+
+def series_tables():
+    rng = np.random.default_rng(17)
+    # geometric rows whose ratios cross 1, plunge below 1e-20 or never stop
+    ratios = np.concatenate([rng.uniform(0.05, 1.3, (40, 29)),
+                             rng.uniform(1e-9, 1e-5, (5, 29)),
+                             np.full((5, 29), 0.9)])
+    rows = np.cumprod(np.column_stack([rng.uniform(-2, 2, 50), ratios]), axis=1)
+    rows[0, 0] = 0.0
+    phases = np.exp(1j * rng.uniform(0, 2 * np.pi, rows.shape))
+    # the far-branch series of the Gaussian Cauchy transform itself
+    n = np.arange(48)
+    tables = [rows, rows * phases]
+    for x in (6.6, -7.4, 9.0, 30.0):
+        zp = np.empty((48, 61))
+        zp[:, 0] = (complex(x) ** -(n + 1)).real
+        zp[:, 1:] = x * x
+        tables.append(_far_coefficients(47) * np.divide.accumulate(zp, axis=1))
+    return tables
+
+
+def test_truncated_sums_match_scalar_loop():
+    cuts = set()
+    for table in series_tables():
+        sums, cut = _truncated_sums(table)
+        for row, s, c in zip(table, sums, cut):
+            ref, ref_cut = scalar_truncated_sum(row.tolist())
+            assert c == ref_cut
+            assert s == ref
+            cuts.add(min(c, 2) if c < table.shape[1] else -1)
+    # every kind of stop occurs: at the first term, later, and none
+    assert cuts == {0, 1, 2, -1}
+
+
+def mp_cauchy_tower(nmax, x, side):
+    """C_n(x -+ i0) from the Faddeeva derivatives of mpmath, with the
+    digits the upward recurrence loses added to 50."""
+    with mp.workdps(60 + int(2 * (nmax + 1) * math.log10(2 * abs(x) + 2))):
+        z = mp.mpf(x) if side > 0 else -mp.mpf(x)
+        w = [mp.exp(-z * z) * mp.erfc(-1j * z)]
+        w.append(-2 * z * w[0] + 2j / mp.sqrt(mp.pi))
+        for j in range(1, nmax):
+            w.append(-2 * z * w[j] - 2 * j * w[j - 1])
+        sgn = -1j * (-1) ** np.arange(nmax + 1) if side > 0 else np.full(nmax + 1, 1j)
+        return np.array([complex(sgn[n] * mp.pi / mp.factorial(n) * w[n])
+                         for n in range(nmax + 1)])
+
+
+@pytest.mark.parametrize("N", [6, 32, 48])
+@pytest.mark.parametrize("x", [6.6, -7.4, 9.0, -12.0])
+def test_cauchy_far_branch_against_mpmath(N, x):
+    # x = 6.6 and -7.4 lie inside the spectrum for N = 32 and 48 (edge
+    # sqrt(2N)), 9.0 for N = 48; the rest is tail
+    n = np.arange(N)
+    series = [[math.comb(k + m, k) * math.gamma((m + 1) / 2) / x ** (k + m + 1)
+               for m in range(0, 121, 2)] for k in n]
+    converged = []
+    for row in series:
+        s, c = scalar_truncated_sum(row)
+        converged.append(c < len(row) and abs(row[c]) <= 1e-20 * abs(s))
+    for side in (1, -1):
+        ref = mp_cauchy_tower(N - 1, x, side)
+        got = cauchy_gauss_tower(N - 1, x, side)
+        # the sided part everywhere, on the scale of its neighbours (its
+        # relative error is large next to a zero of H_n)
+        scale = np.max([np.abs(np.roll(ref.imag, s)) for s in (-1, 0, 1)], axis=0)
+        assert np.all(np.abs(got.imag - ref.imag) <= 1e-13 * scale)
+        # the principal value where the series reaches round-off
+        assert np.all(np.abs(got.real - ref.real)[converged] <= 2e-15 * np.abs(ref.real)[converged])
+
+
+def osc_hat_far_loop(nmax, x):
+    """The far-tail principal values of _osc_hat_tower, one order and one
+    series term at a time."""
+    out = []
+    ex = np.exp(0.5 * x * x) / np.pi
+    norm = np.pi ** -0.25
+    for n in range(nmax + 1):
+        acc, prev = 0.0, math.inf
+        t = SQRT_PI * math.factorial(n) * x ** (-(n + 1))
+        for tt in range(200):
+            if abs(t) >= prev or abs(t) <= 1e-20 * abs(acc):
+                break
+            acc += t
+            prev = abs(t)
+            t *= (n + 2 * tt + 1) * (n + 2 * tt + 2) / (4.0 * (tt + 1) * x * x)
+        out.append(norm * ex * acc)
+        norm /= np.sqrt(2.0 * (n + 1))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("nmax, x", [(0, 6.5), (5, 7.3), (5, -9.0), (12, 12.0), (31, -25.0), (40, 30.0)])
+def test_osc_hat_far_branch_matches_series_loop(nmax, x):
+    # the term table takes numpy's powers, which may differ from Python's
+    # in the last bit; everything else is the loop's arithmetic
+    got = _osc_hat_tower(nmax, np.array(x))
+    assert np.allclose(got.real, osc_hat_far_loop(nmax, x), rtol=1e-14, atol=0)
+    assert np.array_equal(got.imag, _osc_tower(nmax, np.array(x)))
