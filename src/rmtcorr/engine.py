@@ -185,10 +185,14 @@ def _gh_rule(order):
 def _col_gh(N, x, v, m):
     """Same column integrals by GH_ORDER-point Gauss-Hermite quadrature,
     with the per-process rule: col = (1/sqrt(pi)) sum_j w_j b_j^m
-    (x - i b_j)^n over the nodes b_j, for all n at once."""
+    (x - i b_j)^n, for all n at once.  The rule is symmetric: each node
+    b_j > 0 pairs with -b_j, whose term is (-1)^m times the conjugate at
+    real x, so the column is 2 Re (even m) or 2i Im (odd m) of the sum over
+    b_j > 0, and its odd-in-b part is exactly 0."""
     u, w = _gh_rule(GH_ORDER)
-    b = np.sqrt(v) * u
-    return (w * b ** m) @ np.vander(x - 1j * b, N, increasing=True) / SQRT_PI
+    b = np.sqrt(v) * u[GH_ORDER // 2:]
+    half = (w[GH_ORDER // 2:] * b ** m) @ np.vander(x - 1j * b, N, increasing=True) / SQRT_PI
+    return 2 * half.real + 0j if m % 2 == 0 else 2j * half.imag
 
 
 def correlations_convolution(req):

@@ -62,19 +62,25 @@ def gaussian_matrices(rng, N, count):
 
 
 def _gaussian_eigs(rng, N, count):
-    """Eigenvalues of gaussian_matrices, drawn CHUNK matrices at a time."""
+    """Eigenvalues of exp(-tr H^2) matrices from the tridiagonal beta = 2
+    model (Dumitriu-Edelman 2002).  Per CHUNK of c samples: the (c, N)
+    diagonal a_j ~ N(0, 1/2), then the (c, N-1) subdiagonal
+    b_j = chi_(2(N-j))/2, j = 1..N-1; eigvalsh reads the lower triangle."""
     out = np.empty((count, N))
+    ii = np.arange(N)
     for s in range(0, count, CHUNK):
-        H = gaussian_matrices(rng, N, min(CHUNK, count - s))
-        out[s: s + CHUNK] = np.linalg.eigvalsh(H)
+        T = np.zeros((min(CHUNK, count - s), N, N))
+        T[:, ii, ii] = rng.standard_normal(T.shape[:2]) * np.sqrt(0.5)
+        T[:, ii[1:], ii[:-1]] = np.sqrt(rng.chisquare(2.0 * (N - ii[1:]), (len(T), N - 1))) / 2
+        out[s: s + CHUNK] = np.linalg.eigvalsh(T)
     return out
 
 
 def sample_batch(spec, count, seed):
     """Draw eigenvalue samples from the ensemble: one spread node t per
-    sample (drawn only when there is a choice), exp(-tr H^2) draws scaled
-    by sqrt(2t), and the importance weight (tr H^M1)^M2 of the trace
-    power (1 for a Gaussian mixture)."""
+    sample (drawn only when there is a choice), then exp(-tr H^2) spectra
+    of the tridiagonal model (_gaussian_eigs) scaled by sqrt(2t), and the
+    weight (tr H^M1)^M2 of the trace power (1 for a Gaussian mixture)."""
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = np.random.default_rng(seed)

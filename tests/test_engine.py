@@ -321,6 +321,31 @@ def test_col_exact_matches_binomial_loop(N):
         assert np.array_equal(engine._col_exact(N, x, v, m), col_exact_loop(N, x, v, m))
 
 
+@pytest.mark.parametrize("N", [1, 6, 32])
+def test_col_gh_pairs_symmetric_nodes(N):
+    # the paired rule against the sum over all GH_ORDER nodes: the odd-in-b
+    # part is exactly 0, the other agrees to round-off of the term sum
+    u, w = nph.hermgauss(engine.GH_ORDER)
+    for x, v, m in ((0.7, 1.0, 0), (-3.3, 0.7, 1), (5.0, 2.0, 2), (8.0, 1.0, 3)):
+        b = np.sqrt(v) * u
+        full = (w * b ** m) @ np.vander(x - 1j * b, N, increasing=True) / SQRT_PI
+        bound = (w * np.abs(b) ** m) @ np.abs(np.vander(x - 1j * b, N, increasing=True)) / SQRT_PI
+        got = engine._col_gh(N, x, v, m)
+        keep, odd = (np.real, np.imag) if m % 2 == 0 else (np.imag, np.real)
+        assert np.all(odd(got) == 0.0)
+        assert np.all(np.abs(keep(got) - keep(full)) <= 1e-14 * bound)
+
+
+def test_convolution_far_tail_density_matches_closed_form():
+    # Im Rhat past the edge is a density of 1e-12 to 1e-20: the paired
+    # columns carry no odd-in-b round-off into it
+    spec = EnsembleSpec.gaussian(6)
+    for x in (6.6, 7.3, 8.0):
+        got = r1(spec, x, "convolution", "Rhat").imag
+        ref = r1(spec, x, "closed_form_gue", "Rhat").imag
+        assert abs(got - ref) <= 1e-13 * abs(ref), x
+
+
 def test_row_r_keeps_its_own_recurrence(monkeypatch):
     # the R rows are an independent check of the oscillator route
     def refuse(*args):

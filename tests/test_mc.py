@@ -5,11 +5,14 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import eigvalsh_tridiagonal
+from scipy.stats import ks_2samp
 
+from rmtcorr import mc
 from rmtcorr.ensembles import EnsembleSpec
 from rmtcorr.engine import CorrelationRequest, evaluate
 from rmtcorr.kernels import IncrementedPoint, hciz_exact
-from rmtcorr.mc import (SampleBatch, sample_batch, estimate_r1, estimate_r2,
+from rmtcorr.mc import (SampleBatch, sample_batch, estimate_r1, estimate_r2, gaussian_matrices,
                         haar_unitary, hciz_mc, _haar_columns,
                         _jackknife_ratio)
 
@@ -74,6 +77,77 @@ def test_r2_histogram_symmetric_and_normalized():
     width = hist.edges[1] - hist.edges[0]
     total = np.sum(hist.density) * width * width
     assert abs(total - spec.N * (spec.N - 1)) < 0.2
+
+
+# -- the tridiagonal beta = 2 sampler ---------------------------------------
+
+def tridiagonal_reference(seed, N, count):
+    """The documented draw order replayed on scipy's tridiagonal solver: the
+    (count, N) diagonal, then the (count, N-1) subdiagonal."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((count, N)) * np.sqrt(0.5)
+    b = np.sqrt(rng.chisquare(2.0 * (N - np.arange(1, N)), (count, N - 1))) / 2
+    return np.array([eigvalsh_tridiagonal(a[s], b[s]) for s in range(count)])
+
+
+@pytest.mark.parametrize("N,scale,seed", [(1, 1.0, 31), (2, 0.7, 32), (4, 1.0, 33),
+                                          (7, 1.6, 34)])
+def test_sampler_trace_moments_exact(N, scale, seed):
+    # E tr H^2 = s N^2/2 and E tr H^4 = s^2 (2N^3 + N)/4 under exp(-tr H^2/s)
+    ev = sample_batch(EnsembleSpec.gaussian(N, scale), 40000, seed).eigenvalues
+    for power, exact in ((2, scale * N * N / 2), (4, scale ** 2 * (2 * N ** 3 + N) / 4)):
+        tr = np.sum(ev ** power, axis=1)
+        assert abs(tr.mean() - exact) <= 4 * tr.std() / np.sqrt(len(tr)), (power, exact)
+
+
+@pytest.mark.parametrize("N,seed", [(3, 41), (5, 42)])
+def test_sampler_extreme_eigenvalues_match_dense_matrices(N, seed):
+    # the tridiagonal model and the dense exp(-tr H^2) matrices share the
+    # law of the spectrum, so of its smallest and largest eigenvalue
+    ev = sample_batch(EnsembleSpec.gaussian(N), 20000, seed).eigenvalues
+    dense = np.linalg.eigvalsh(gaussian_matrices(np.random.default_rng(seed + 100), N, 20000))
+    for j in (0, -1):
+        assert ks_2samp(ev[:, j], dense[:, j]).pvalue > 1e-3, j
+
+
+# the first two gaussian(3) samples at seed 2026, eigenvalues ascending
+PINNED_FIRST_DRAWS = [[-2.1526121776646354, -0.6529206500218683, 1.073914911995329],
+                      [-0.7561597304442047, 0.4736277210285056, 1.5143254331008627]]
+
+
+def test_sampler_draw_order_and_first_draws():
+    got = sample_batch(EnsembleSpec.gaussian(3), 50, 2026).eigenvalues
+    assert np.max(np.abs(got - tridiagonal_reference(2026, 3, 50))) <= 1e-13
+    assert np.max(np.abs(got[:2] - PINNED_FIRST_DRAWS)) <= 1e-13
+    one = sample_batch(EnsembleSpec.gaussian(1), 4, 5).eigenvalues
+    assert np.array_equal(one, tridiagonal_reference(5, 1, 4))
+
+
+def test_sampler_spreads_scale_unit_draws():
+    # one node: the unit draws times sqrt(2 t0), no node draw
+    unit = sample_batch(EnsembleSpec.gaussian(4), 3000, 8).eigenvalues
+    spike = sample_batch(EnsembleSpec.norm_dependent(4, ("spike", 0.3)), 3000, 8)
+    assert np.array_equal(spike.eigenvalues, unit * np.sqrt(0.6))
+    # several nodes: one node per sample first, then the unit draws
+    t = np.linspace(0.2, 1.4, 21)
+    spec = EnsembleSpec.norm_dependent(4, (t, np.full(21, 1 / 1.2)))
+    batch = sample_batch(spec, 3000, 8)
+    nodes, w = spec.spread_nodes
+    rng = np.random.default_rng(8)
+    tv = rng.choice(nodes, size=3000, p=w / w.sum())
+    assert np.array_equal(batch.eigenvalues,
+                          mc._gaussian_eigs(rng, 4, 3000) * np.sqrt(2 * tv)[:, None])
+
+
+def test_sample_batch_builds_no_dense_matrix(monkeypatch):
+    def dense(*args):
+        raise AssertionError("dense matrices built")
+
+    monkeypatch.setattr(mc, "gaussian_matrices", dense)
+    monkeypatch.setattr(mc, "_ginibre", dense)
+    for spec in (EnsembleSpec.gaussian(4), EnsembleSpec.higher_trace(4, 4, 1),
+                 EnsembleSpec.norm_dependent(3, ("spike", 0.4))):
+        assert sample_batch(spec, 100, 1).count == 100
 
 
 def test_haar_matrices_are_unitary():
