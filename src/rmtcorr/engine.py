@@ -19,14 +19,12 @@ import functools
 import math
 
 import numpy as np
-from numpy.polynomial import hermite as nph
 
 from .ensembles import correlation_terms, slot_phi_jet, jet_mul, _slot_phi_poly
 from .kernels import IncrementedPoint
 from .special import (SQRT_PI, _osc_tower, _osc_hat_tower, gauss_moments,
                       gauss_moment_cauchy, half_gauss_oscillatory)
 
-GH_ORDER = 256
 VARIANTS = ("Rhat", "R")
 METHODS = ("convolution", "eigenvalue_integral", "factorized",
            "closed_form_gue", "closed_form_higher_trace")
@@ -171,46 +169,34 @@ def _col_exact(N, x, v, m):
     return col.real / SQRT_PI + 1j * (col.imag / SQRT_PI)
 
 
-@functools.lru_cache(maxsize=1)
-def _gh_rule(order):
-    """Gauss-Hermite nodes and weights of one order.  The rule costs an
-    eigensolve, so it is built once per process; the arrays are shared by
-    every caller and therefore read-only."""
-    u, w = nph.hermgauss(order)
-    u.setflags(write=False)
-    w.setflags(write=False)
-    return u, w
-
-
-def _col_gh(N, x, v, m):
-    """Same column integrals by GH_ORDER-point Gauss-Hermite quadrature,
-    with the per-process rule: col = (1/sqrt(pi)) sum_j w_j b_j^m
-    (x - i b_j)^n, for all n at once.  The rule is symmetric: each node
-    b_j > 0 pairs with -b_j, whose term is (-1)^m times the conjugate at
-    real x, so the column is 2 Re (even m) or 2i Im (odd m) of the sum over
-    b_j > 0, and its odd-in-b part is exactly 0."""
-    u, w = _gh_rule(GH_ORDER)
-    b = np.sqrt(v) * u[GH_ORDER // 2:]
-    half = (w[GH_ORDER // 2:] * b ** m) @ np.vander(x - 1j * b, N, increasing=True) / SQRT_PI
-    return 2 * half.real + 0j if m % 2 == 0 else 2j * half.imag
+def _col_rec(N, x, v, m):
+    """The same column integrals by their recurrence in n: (x - ib)^(n+1) =
+    (x - ib)^n (x - ib) and one integration by parts in b give
+    col_n = (-i)^m r_n(m) with r real, r_0(j) = i^j v^(j/2) gamma_j / sqrt(pi)
+    and r_(n+1)(j) = x r_n(j) + (v/2)(j r_n(j-1) - n r_(n-1)(j)), j <= m.
+    Exact for every N and m; the odd-in-b part is exactly 0."""
+    h = 0.5 * v
+    g = gauss_moments(m).tolist()
+    hn = [h * n for n in range(N - 1)]
+    r = [0.0] * (N - 1)
+    for j in range(m + 1):
+        # one pass over n per j, reading r_n(j - 1) from the previous pass
+        hj = h * j
+        cur, prev = (-1.0) ** (j // 2) * v ** (j / 2.0) * g[j] / SQRT_PI, 0.0
+        col = [cur]
+        for below, hn_n in zip(r, hn):
+            cur, prev = x * cur + hj * below - hn_n * prev, cur
+            col.append(cur)
+        r = col
+    r = (-1.0) ** (m // 2) * np.array(r)
+    return r + 0j if m % 2 == 0 else -1j * r
 
 
 def correlations_convolution(req):
     """Reduced-density convolution of the fundamental determinant kernel,
     carried out termwise exactly: sided factors through Faddeeva boundary
-    values, moment factors through Gauss-Hermite quadrature.
-
-    The rule is exact for the column integrands, polynomials of degree
-    N - 1 + m against the Gaussian, up to degree 2 GH_ORDER - 1; the
-    route refuses specs beyond that before it builds any factor."""
-    spec, k = req.spec, req.k
-    if 2 * k > spec.N:
-        raise ValueError("need 2k <= N")
-    degree = spec.N - 1 + max(m for _, slots in correlation_terms(spec, k) for _, m in slots)
-    if degree > 2 * GH_ORDER - 1:
-        raise ValueError(f"column degree N - 1 + m = {degree} exceeds {2 * GH_ORDER - 1}, "
-                         f"where the {GH_ORDER}-point Gauss-Hermite rule stops being exact")
-    return _determinants(req, (_row_rhat, _row_r), _col_gh, {"quadrature": GH_ORDER})
+    values, moment factors through their recurrence in n."""
+    return _determinants(req, (_row_rhat, _row_r), _col_rec, {"path": "moment-recurrence"})
 
 
 def correlations_higher_trace(req):

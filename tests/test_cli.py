@@ -9,7 +9,9 @@ import sys
 
 import pytest
 
+from rmtcorr import cli
 from rmtcorr.cli import main
+from rmtcorr.engine import CorrelationResult
 
 
 @pytest.fixture
@@ -159,6 +161,32 @@ def test_verify_mc_suites_pass_at_default_seed(capsys, suite, name):
     code, out, _ = run(capsys, "verify", "--suite", suite)
     assert code == 0
     assert f"{name}: PASS max_deviation=" in out
+
+
+@pytest.mark.parametrize("N", ["1", "4"])
+def test_verify_mc_passes_empty_tail_bins_and_fails_a_wrong_density(capsys, monkeypatch, N):
+    # tail bins expecting under one sample hold none: the Poisson floor
+    # keeps them from failing at N=1, and a density 2% off still fails
+    code, out, _ = run(capsys, "verify", "--suite", "mc", "--N", N, "--seed", "3")
+    assert code == 0 and f"mc(N={N}): PASS" in out
+    evaluate = cli.evaluate
+    monkeypatch.setattr(cli, "evaluate",
+                        lambda req: CorrelationResult(1.02 * evaluate(req).value, 0.0))
+    code, out, _ = run(capsys, "verify", "--suite", "mc", "--N", N, "--seed", "3")
+    assert code == 1 and f"mc(N={N}): FAIL" in out
+
+
+@pytest.mark.parametrize("seed", ["302", "1306"])
+def test_verify_kernel_identity_next_to_kernel_zeros(capsys, monkeypatch, seed):
+    # these seeds draw points next to a zero of the kernel, where the
+    # deviation is measured on the scale of the series' terms; a kernel
+    # summed to N + 1 still fails
+    code, out, _ = run(capsys, "verify", "--suite", "kernel-identity", "--seed", seed)
+    assert code == 0 and "kernel-identity(N=20): PASS" in out
+    kernel = cli.fundamental_kernel
+    monkeypatch.setattr(cli, "fundamental_kernel", lambda N, p, s2: kernel(N + 1, p, s2))
+    code, out, _ = run(capsys, "verify", "--suite", "kernel-identity", "--seed", seed)
+    assert code == 1 and "kernel-identity(N=20): FAIL" in out
 
 
 def test_threads_flag_is_rejected(capsys):

@@ -7,7 +7,6 @@ import math
 
 import mpmath as mp
 import numpy as np
-import numpy.polynomial.hermite as nph
 import pytest
 
 from rmtcorr import engine, special
@@ -321,23 +320,69 @@ def test_col_exact_matches_binomial_loop(N):
         assert np.array_equal(engine._col_exact(N, x, v, m), col_exact_loop(N, x, v, m))
 
 
-@pytest.mark.parametrize("N", [1, 6, 32])
-def test_col_gh_pairs_symmetric_nodes(N):
-    # the paired rule against the sum over all GH_ORDER nodes: the odd-in-b
-    # part is exactly 0, the other agrees to round-off of the term sum
-    u, w = nph.hermgauss(engine.GH_ORDER)
-    for x, v, m in ((0.7, 1.0, 0), (-3.3, 0.7, 1), (5.0, 2.0, 2), (8.0, 1.0, 3)):
-        b = np.sqrt(v) * u
-        full = (w * b ** m) @ np.vander(x - 1j * b, N, increasing=True) / SQRT_PI
-        bound = (w * np.abs(b) ** m) @ np.abs(np.vander(x - 1j * b, N, increasing=True)) / SQRT_PI
-        got = engine._col_gh(N, x, v, m)
+def mp_col(N, x, v, m):
+    """The moment column as a 60-digit binomial sum over Gaussian moments."""
+    with mp.workdps(60):
+        x, sv = mp.mpf(x), mp.sqrt(mp.mpf(v))
+        g = [mp.sqrt(mp.pi), mp.mpf(0)]
+        for e in range(2, N + m):
+            g.append(g[e - 2] * (e - 1) / 2)
+        gv = [sv ** e * g[e] / mp.sqrt(mp.pi) for e in range(N + m)]
+        xp = [x ** e for e in range(N)]
+        out = []
+        for n in range(N):
+            # (-i)^j splits the terms with m + j even into real and imaginary parts
+            parts = [mp.mpf(0), mp.mpf(0)]
+            for j in range(m % 2, n + 1, 2):
+                parts[j % 2] += (-1) ** ((j + 1) // 2) * math.comb(n, j) * xp[n - j] * gv[m + j]
+            out.append(complex(parts[0], parts[1]))
+    return np.array(out)
+
+
+COL_CASES = ((1.0, 0), (0.7, 1), (2.0, 2), (1.0, 3), (1.0, 8))
+
+
+@pytest.mark.parametrize("N", [1, 6, 32, 64, 128])
+@pytest.mark.parametrize("x", [0.0, 0.7, -3.3, 9.1])
+def test_col_rec_against_mpmath(N, x):
+    # errors on the scale of the neighbouring orders, as for the rows; the
+    # odd-in-b part (imaginary for even m, real for odd m) is exactly 0
+    for v, m in COL_CASES:
+        ref = mp_col(N, x, v, m)
+        scale = np.abs(ref)
+        scale[1:] = np.maximum(scale[1:], np.abs(ref[:-1]))
+        scale[:-1] = np.maximum(scale[:-1], np.abs(ref[1:]))
+        got = engine._col_rec(N, x, v, m)
+        assert np.all(np.abs(got - ref) <= 2e-14 * scale), (v, m)
         keep, odd = (np.real, np.imag) if m % 2 == 0 else (np.imag, np.real)
-        assert np.all(odd(got) == 0.0)
-        assert np.all(np.abs(keep(got) - keep(full)) <= 1e-14 * bound)
+        assert np.all(odd(got) == 0.0), (v, m)
+
+
+def test_col_rec_keeps_its_own_recurrence(monkeypatch):
+    # the convolution columns stay independent of the closed-form
+    # routes' columns and of every special-function tower
+    def refuse(*args):
+        raise AssertionError("shared factor")
+
+    for module, name in ((engine, "_col_exact"), (engine, "_osc_tower"),
+                         (special, "_osc_tower"), (special, "hermite_poly"),
+                         (engine, "gauss_moment_cauchy"), (special, "gauss_moment_cauchy")):
+        monkeypatch.setattr(module, name, refuse)
+    for v, m in COL_CASES:
+        assert np.all(np.isfinite(engine._col_rec(32, 7.4, v, m)))
+
+
+def test_convolution_matches_closed_form_gue_at_large_N():
+    # bulk, edge (sqrt(2N) = 16) and past it: exact columns leave only
+    # the round-off of the rows and the determinant sum
+    spec = EnsembleSpec.gaussian(128)
+    for x in (0.3, -7.9, 12.32, -16.0, 17.6):
+        ref = r1(spec, x, "closed_form_gue")
+        assert abs(r1(spec, x, "convolution") - ref) <= 1e-13, x
 
 
 def test_convolution_far_tail_density_matches_closed_form():
-    # Im Rhat past the edge is a density of 1e-12 to 1e-20: the paired
+    # Im Rhat past the edge is a density of 1e-12 to 1e-20: the recurrence
     # columns carry no odd-in-b round-off into it
     spec = EnsembleSpec.gaussian(6)
     for x in (6.6, 7.3, 8.0):
@@ -419,42 +464,6 @@ def test_coincident_points_vanish_on_every_route(route_specs, name, x, variant):
             assert res.error_estimate == 0.0
 
 
-# -- convolution quadrature ------------------------------------------------
-
-def test_gauss_hermite_rules_built_once(monkeypatch):
-    calls = collections.Counter()
-    hermgauss = nph.hermgauss
-
-    def counting(order):
-        calls[order] += 1
-        return hermgauss(order)
-
-    monkeypatch.setattr(nph, "hermgauss", counting)
-    engine._gh_rule.cache_clear()
-    g6 = EnsembleSpec.gaussian(6)
-    for x in np.linspace(-3, 3, 20):
-        r1(g6, x, "convolution", "Rhat")
-    tp41 = EnsembleSpec.higher_trace(4, 4, 1)
-    for x, y in [(0.4, -0.9), (-1.1, 0.3), (0.2, 0.2)]:
-        r2(tp41, x, y, "convolution", "Rhat")
-    assert calls == {engine.GH_ORDER: 1}
-    for arr in engine._gh_rule(engine.GH_ORDER):
-        with pytest.raises(ValueError):
-            arr[0] = 0.0
-
-
-def test_convolution_refuses_beyond_exact_rule(monkeypatch):
-    # N - 1 = 512 > 2 GH_ORDER - 1: the column integrands outgrow the rule
-    def unbuilt(*args):
-        raise AssertionError("factor built")
-
-    for name in ("_row_rhat", "_row_r", "_col_gh"):
-        monkeypatch.setattr(engine, name, unbuilt)
-    for variant in ("Rhat", "R"):
-        with pytest.raises(ValueError, match="Gauss-Hermite"):
-            r1(EnsembleSpec.gaussian(2 * engine.GH_ORDER + 1), 0.3, "convolution", variant)
-
-
 # Values pinned from earlier versions of each route: convolution's from
 # the per-call Gauss-Hermite rules it used before its rules were cached,
 # the other routes' from their hand-written determinant loops.
@@ -501,7 +510,7 @@ def test_convolution_reference_values(reference_specs, name, xs, metric, variant
     res = reference_result(reference_specs, "convolution", name, xs, metric, variant, ref)
     assert res.error_estimate == 0.0
     # the diagonal point is taken directly, with no extra metadata
-    assert res.metadata == {"quadrature": engine.GH_ORDER}
+    assert res.metadata == {"path": "moment-recurrence"}
 
 
 @pytest.mark.parametrize("method, name, xs, metric, variant, ref",
@@ -567,8 +576,6 @@ def test_request_validation():
         CorrelationRequest(spec, 1, [0.0], method="bogus")
     with pytest.raises(ValueError):
         CorrelationRequest(spec, 2, [0.0])
-    with pytest.raises(ValueError):
-        r1(EnsembleSpec.gaussian(1), 0.0, "convolution")
     # eigenvalue_integral takes R and any k, like the other routes
     for k in (1, 3):
         res = evaluate(CorrelationRequest(EnsembleSpec.gaussian(6), k, [0.1, -0.5, 0.9][:k],
@@ -582,6 +589,21 @@ def test_request_validation():
         with pytest.raises(ValueError, match="epsilon"):
             CorrelationRequest(spec, len(pts), pts)
     CorrelationRequest(spec, 1, [IncrementedPoint(0.3, epsilon=0.0)])
+
+
+def test_convolution_takes_2k_beyond_N():
+    # the columns are exact at every N, so k x k determinants with inner
+    # dimension N < k vanish and the others agree with the closed form
+    for N in (1, 2, 3):
+        for k in (2, 3):
+            spec = EnsembleSpec.gaussian(N)
+            pts = [0.3, -0.8, 1.1][:k]
+            for variant in ("Rhat", "R"):
+                got, ref = (evaluate(CorrelationRequest(spec, k, pts, variant, method)).value
+                            for method in ("convolution", "closed_form_gue"))
+                assert abs(got - ref) <= 1e-13, (N, k, variant)
+                if k > N:
+                    assert abs(got) <= 1e-13, (N, k, variant)
 
 
 # -- generating function ---------------------------------------------------
