@@ -9,6 +9,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 import time
 
@@ -35,6 +36,8 @@ def _parse_grid(text):
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as e:
         raise ConfigError(str(e))
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ConfigError(f"grid ends must be finite, got {text!r}")
     if count < 1 or hi <= lo:
         raise ConfigError("grid needs hi > lo and count >= 1")
     return np.linspace(lo, hi, count)

@@ -46,7 +46,10 @@ class CorrelationRequest:
         self.k = k
         self.points = [p if isinstance(p, IncrementedPoint) else IncrementedPoint(p)
                        for p in points]
-        if any(p.epsilon > 0 for p in self.points):
+        if not all(math.isfinite(p.value) for p in self.points):
+            raise ValueError("points must be finite, got "
+                             f"{[p.value for p in self.points]}")
+        if any(p.epsilon != 0 for p in self.points):
             raise ValueError("the engine routes compute the epsilon -> 0+ limit; "
                              "points must have epsilon = 0")
         self.variant = variant
@@ -81,8 +84,8 @@ def _det_sums(terms, N, row, row_pts, col, col_pts):
     row(N, x_p, L_p, *slots[p])(n) col(N, y_q, *slots[k + q])(n)], with
     row_pts[p] = (x_p, L_p) and col_pts[q] = y_q.  Terms repeat slot
     factors, so each distinct row and column factor is built once and
-    shared by every term; the determinants of all terms are taken in one
-    stacked call."""
+    shared by every term; for k >= 2 the determinants of all terms are
+    taken in one stacked call."""
     k = len(row_pts)
     rows, cols = {}, {}
     for _, slots in terms:
@@ -91,13 +94,19 @@ def _det_sums(terms, N, row, row_pts, col, col_pts):
                 rows[p, slots[p]] = row(N, *row_pts[p], *slots[p])
             if (p, slots[k + p]) not in cols:
                 cols[p, slots[k + p]] = col(N, col_pts[p], *slots[k + p])
-    R = np.array([[rows[p, slots[p]] for p in range(k)] for _, slots in terms])
-    C = np.array([[cols[q, slots[k + q]] for q in range(k)] for _, slots in terms])
-    M = R @ C.transpose(0, 2, 1)
-    # a 1 x 1 determinant is its entry; the stacked call costs as much as
-    # the rest of the engine at k = 1
-    dets = M[:, 0, 0] if k == 1 else np.linalg.det(M)
-    return dets.dot([coef for coef, _ in terms])
+    if k == 1:
+        # a 1 x 1 determinant is its entry, and np.dot takes the sum that a
+        # stacked product takes
+        dets = [rows[0, slots[0]].dot(cols[0, slots[1]]) for _, slots in terms]
+    else:
+        # each distinct factor is stacked once, and every term's k rows and
+        # columns are indexed out of the stacks
+        ri = {key: i for i, key in enumerate(rows)}
+        ci = {key: i for i, key in enumerate(cols)}
+        R = np.array(list(rows.values()))[[[ri[p, s[p]] for p in range(k)] for _, s in terms]]
+        C = np.array(list(cols.values()))[[[ci[q, s[k + q]] for q in range(k)] for _, s in terms]]
+        dets = np.linalg.det(R @ C.transpose(0, 2, 1))
+    return np.dot(dets, [coef for coef, _ in terms])
 
 
 def _determinants(req, rows, col, metadata):
@@ -121,9 +130,17 @@ def _determinants(req, rows, col, metadata):
 def _row_rhat(N, x, L, v, m):
     """row_n = (1/pi) integral (pi v)^(-1/2) e^(-a^2/v) a^m / (x - a - i L 0)^(n+1)
     da, n = 0..N-1, via the scaled Gaussian Cauchy transforms."""
-    F = gauss_moment_cauchy(N - 1, m, x / np.sqrt(v), side=-L)
+    F = gauss_moment_cauchy(N - 1, m, x / math.sqrt(v), side=-L)
+    return _rhat_scale(N, v, m) * F[:, m]
+
+
+@functools.lru_cache(maxsize=64)
+def _rhat_scale(N, v, m):
+    """pi^(-3/2) v^((m - n - 1)/2), n < N, read-only."""
     n = np.arange(N)
-    return SQRT_PI ** -3 * v ** ((m - n - 1) / 2.0) * F[:, m]
+    scale = SQRT_PI ** -3 * v ** ((m - n - 1) / 2.0)
+    scale.setflags(write=False)
+    return scale
 
 
 def _row_r(N, x, L, v, m):
@@ -132,16 +149,25 @@ def _row_r(N, x, L, v, m):
     by the Leibniz rule sum_j C(m, j) u^(m-j) e_(n-j) over the Gaussian
     derivatives e_n = (1/n!) d^n/du^n e^(-u^2) at u = x / sqrt(v), taken
     from e_(n+1) = -(2u e_n + 2e_(n-1)) / (n+1)."""
-    u = x / np.sqrt(v)
-    prev, cur = 0.0, np.exp(-u * u)
+    u = x / math.sqrt(v)
+    prev, cur = 0.0, float(np.exp(-u * u))
     e = [cur]
     for n in range(N - 1):
         prev, cur = cur, -(2.0 * u * cur + 2.0 * prev) / (n + 1)
         e.append(cur)
     j = np.arange(m + 1)
     d = np.convolve(e, _binomials(m + 1)[m] * u ** (m - j))[:N]
+    # L = +-1 changes signs only, so it may come first
+    return L * _r_scale(N, v, m) * d
+
+
+@functools.lru_cache(maxsize=64)
+def _r_scale(N, v, m):
+    """(-1)^n (pi v)^(-1/2) v^((m - n)/2), n < N, read-only."""
     n = np.arange(N)
-    return L * (-1.0) ** n * (np.pi * v) ** -0.5 * v ** ((m - n) / 2.0) * d
+    scale = (-1.0) ** n * (np.pi * v) ** -0.5 * v ** ((m - n) / 2.0)
+    scale.setflags(write=False)
+    return scale
 
 
 @functools.lru_cache(maxsize=8)
@@ -217,16 +243,35 @@ def _halfline_vec(N, x, L, v, m):
     a = _slot_phi_poly(v, m)
     # r -> L r carries the half-line onto r > 0, and the term a_j G_(n+j)
     # picks up L^(n+j) = L^(n+m): a_j vanishes unless j = m mod 2
-    G = half_gauss_oscillatory(N + len(a) - 2, np.array(L * float(x)), v / 4.0)
-    window = G[np.arange(N)[:, None] + np.arange(len(a))]
-    return 1j * L ** (m + 1) * ((-1j * L) ** np.arange(N) * (a * window).sum(axis=1))
+    G = half_gauss_oscillatory(N + len(a) - 2, L * x, v / 4.0)
+    window, phase = _halfline_layout(N, L, len(a))
+    return 1j * L ** (m + 1) * (phase * (a * G[window]).sum(axis=1))
+
+
+@functools.lru_cache(maxsize=64)
+def _halfline_layout(N, L, width):
+    """The (N, width) window n + j into the G tower and the phases
+    (-i L)^n, n < N, read-only."""
+    window = np.arange(N)[:, None] + np.arange(width)
+    phase = (-1j * L) ** np.arange(N)
+    window.setflags(write=False)
+    phase.setflags(write=False)
+    return window, phase
 
 
 def _jet_vec(N, x, v, m):
     """J_n = (1/pi) times the order-n Taylor coefficient of e^(-x r)
     (slot factor)(r) at 0."""
     ex = np.array([(-x) ** j / math.factorial(j) for j in range(N)], dtype=complex)
-    return jet_mul(ex, slot_phi_jet(v, m, N - 1), N - 1) / np.pi
+    return jet_mul(ex, _slot_jet(v, m, N - 1), N - 1) / np.pi
+
+
+@functools.lru_cache(maxsize=64)
+def _slot_jet(v, m, order):
+    """slot_phi_jet(v, m, order), read-only: it does not depend on the point."""
+    jet = slot_phi_jet(v, m, order)
+    jet.setflags(write=False)
+    return jet
 
 
 def correlations_eigenvalue_integral(req):
@@ -271,13 +316,14 @@ def correlations_factorized(req):
 def _row_osc_hat(N, x, L, v, m):
     """Sided companion row v^(-1/2) phi^_n(x / sqrt v), n < N
     (Im phi^_n = phi_n); the L = -1 row is its conjugate."""
-    t = _osc_hat_tower(N - 1, np.array(x / np.sqrt(v))) / np.sqrt(v)
+    s = math.sqrt(v)
+    t = _osc_hat_tower(N - 1, x / s) / s
     return t if L == 1 else t.conj()
 
 
 def _col_osc(N, x, v, m):
     """Oscillator column phi_n(x / sqrt v), n < N."""
-    return _osc_tower(N - 1, np.array(x / np.sqrt(v)))
+    return _osc_tower(N - 1, x / math.sqrt(v))
 
 
 def _row_osc(N, x, L, v, m):

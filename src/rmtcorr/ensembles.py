@@ -458,14 +458,24 @@ def _reduced_density_mc(spec, h, k, samples, seed):
 # ---------------------------------------------------------------------------
 
 def jet_mul(a, b, order):
-    """Truncated product of Taylor coefficient arrays."""
-    out = np.zeros(order + 1, dtype=complex)
-    for i, ai in enumerate(a[: order + 1]):
-        if ai == 0:
-            continue
-        hi = min(len(b), order + 1 - i)
-        out[i: i + hi] += ai * np.asarray(b[:hi], dtype=complex)
-    return out
+    """Truncated product of Taylor coefficient arrays: out_n is the sum of
+    a_i b_(n-i) over i = 0..n, added in ascending i."""
+    a = np.asarray(a[: order + 1], dtype=complex)
+    b = np.asarray(b[: order + 1], dtype=complex)
+    # terms[i, n] = a_i b_(n-i), with the zero after b where n - i falls
+    # outside it; a sum over the first axis adds the rows in order
+    terms = a[:, None] * np.append(b, 0)[_jet_mul_index(len(a), len(b), order)]
+    return terms.sum(axis=0)
+
+
+@functools.lru_cache(maxsize=64)
+def _jet_mul_index(na, nb, order):
+    """(na, order + 1) table of n - i, or nb where that falls outside
+    0..nb-1, read-only."""
+    j = np.arange(order + 1) - np.arange(na)[:, None]
+    index = np.where((j >= 0) & (j < nb), j, nb)
+    index.setflags(write=False)
+    return index
 
 
 def slot_phi(v, m, r):
@@ -480,11 +490,14 @@ def slot_phi(v, m, r):
     return v ** (m / 2.0) * (0.5j) ** m * hm * np.exp(-v * r * r / 4.0)
 
 
+@functools.lru_cache(maxsize=64)
 def _slot_phi_poly(v, m):
     """Ascending coefficients a_j of the polynomial part of slot_phi:
-    slot_phi(v, m, r) = sum_j a_j r^j e^(-v r^2/4)."""
+    slot_phi(v, m, r) = sum_j a_j r^j e^(-v r^2/4), read-only."""
     hc = _hermite_coefficients(m)
-    return v ** (m / 2.0) * (0.5j) ** m * hc * (np.sqrt(v) / 2.0) ** np.arange(m + 1)
+    a = v ** (m / 2.0) * (0.5j) ** m * hc * (np.sqrt(v) / 2.0) ** np.arange(m + 1)
+    a.setflags(write=False)
+    return a
 
 
 @functools.lru_cache(maxsize=32)

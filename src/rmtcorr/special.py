@@ -12,9 +12,46 @@ import math
 import numpy as np
 from scipy.special import wofz
 
-SQRT_PI = np.sqrt(np.pi)
+SQRT_PI = math.sqrt(math.pi)
+_SQRT2 = math.sqrt(2.0)
 _PI_LONG = np.longdouble("3.14159265358979323846264338327950288")
 HERMITE_CAP = 64
+
+
+# The towers below run one body on what they are given: Python numbers for
+# a point, ndarrays for a grid, whose axes follow the tower's own.  A point
+# skips numpy's per-call overhead and keeps numpy's values: Python rounds
+# sums and products, complex ones included, as numpy's scalars do, and
+# numpy divides a complex by a real as a product with the reciprocal,
+# which the towers write out.  At a real point the tower also equals the
+# matching element of a grid's; off the real axis numpy's array loops
+# multiply two complex numbers with fused multiply-adds, and its scalars
+# and Python do not.
+
+def _operand(x, dtype):
+    """x as the towers take it: a Python number for a point (a number or a
+    0-d array), an ndarray of dtype for a grid."""
+    if isinstance(x, (int, float, complex, np.generic)):
+        return dtype(x)
+    x = np.asarray(x, dtype=dtype)
+    return x if x.ndim else x.item()
+
+
+def _num(a):
+    """A numpy function's value at a point as a Python number; a grid's
+    array as it is."""
+    return a.item() if isinstance(a, np.generic) else a
+
+
+def _select(cond, a, b):
+    """np.where(cond, a, b) for a grid's conditions, the plain choice for a
+    point's."""
+    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
+
+
+def _any(cond):
+    """Whether a grid's condition holds anywhere, or a point's holds."""
+    return cond.any() if isinstance(cond, np.ndarray) else cond
 
 
 def hermite_poly(n, x):
@@ -38,14 +75,21 @@ def oscillator_wavefunction(n, x):
 
 def _osc_tower(nmax, x):
     """phi_0..phi_nmax stacked, via the normalized recurrence."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty((nmax + 1,) + x.shape, dtype=float)
-    out[0] = np.pi ** -0.25 * np.exp(-0.5 * x * x)
+    x = _operand(x, float)
+    tower = [np.pi ** -0.25 * _num(np.exp(-0.5 * x * x))]
     if nmax >= 1:
-        out[1] = np.sqrt(2.0) * x * out[0]
-    for n in range(1, nmax):
-        out[n + 1] = x * np.sqrt(2.0 / (n + 1)) * out[n] - np.sqrt(n / (n + 1.0)) * out[n - 1]
-    return out
+        tower.append(_SQRT2 * x * tower[0])
+    for a, b in _osc_steps(nmax)[1:]:
+        tower.append(x * a * tower[-1] - b * tower[-2])
+    return np.array(tower)
+
+
+@functools.lru_cache(maxsize=16)
+def _osc_steps(nmax):
+    """(sqrt(2/(n+1)), sqrt(n/(n+1))) for n = 0..nmax-1: the coefficients
+    of phi_(n+1) = x a_n phi_n - b_n phi_(n-1)."""
+    n = np.arange(nmax)
+    return tuple(zip(np.sqrt(2.0 / (n + 1)).tolist(), np.sqrt(n / (n + 1.0)).tolist()))
 
 
 def generalized_hermite(n, x):
@@ -80,23 +124,23 @@ def _osc_hat_tower(nmax, x):
     seeds), whose Cauchy transforms stay accurate in the far tail."""
     if nmax > HERMITE_CAP:
         raise ValueError(f"order {nmax} exceeds cap {HERMITE_CAP}")
-    x = np.asarray(x, dtype=float)
-    out = np.empty((nmax + 1,) + x.shape, dtype=complex)
-    e = np.exp(0.5 * x * x)
-    out[0] = np.pi ** -0.25 * 1j * e * wofz(-x)
+    x = _operand(x, float)
+    e = _num(np.exp(0.5 * x * x))
+    # wofz finds its loop fastest for a complex argument
+    tower = [np.pi ** -0.25 * 1j * e * _num(wofz(-x + 0j))]
     if nmax >= 1:
-        out[1] = np.sqrt(2.0) * x * out[0] - np.sqrt(2.0) * np.pi ** -0.75 * e
-    for n in range(1, nmax):
-        out[n + 1] = x * np.sqrt(2.0 / (n + 1)) * out[n] - np.sqrt(n / (n + 1.0)) * out[n - 1]
+        tower.append(_SQRT2 * x * tower[0] - _SQRT2 * np.pi ** -0.75 * e)
+    for a, b in _osc_steps(nmax)[1:]:
+        tower.append(x * a * tower[-1] - b * tower[-2])
+    out = np.array(tower)
     # far tail: principal value by the sign-definite asymptotic series
     # PV_n(x) = sum_t sqrt(pi) (n+2t)!/(2^(2t) t!) x^(-(n+2t+1)), using
     # the Hermite moments int u^(n+2t) H_n e^(-u^2) du; valid while the
     # t = 0 term ratio (n+1)(n+2)/(4x^2) stays well below 1
-    far = (x * x >= CAUCHY_ASYMP ** 2) \
-        & (2.0 * x * x >= (nmax + 1.0) * (nmax + 2.0))
-    if np.any(far):
+    far = (x * x >= CAUCHY_ASYMP ** 2) & (2.0 * x * x >= (nmax + 1.0) * (nmax + 2.0))
+    if _any(far):
         flat = out.reshape(nmax + 1, -1)
-        xf = x.reshape(-1)
+        xf = np.reshape(x, -1)
         ph = _osc_tower(nmax, x).reshape(nmax + 1, -1)
         n = np.arange(nmax + 1)
         t = np.arange(199)
@@ -104,7 +148,7 @@ def _osc_hat_tower(nmax, x):
         d = np.sqrt(2.0 * n)
         d[0] = np.pi ** -0.25
         norm = np.divide.accumulate(d)
-        for i in np.nonzero(far.reshape(-1))[0]:
+        for i in np.nonzero(np.reshape(far, -1))[0]:
             xi = float(xf[i])
             # (n, t) term table: the first terms, then the term ratios,
             # multiplied up along t
@@ -114,7 +158,7 @@ def _osc_hat_tower(nmax, x):
                 / (4.0 * (t + 1) * xi * xi)
             pv, _ = _truncated_sums(np.cumprod(terms, axis=1))
             flat[:, i] = norm * (np.exp(0.5 * xi * xi) / np.pi) * pv + 1j * ph[:, i]
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise ValueError("the companion tower overflows: exp(x^2/2) is not finite "
                          "past |x| ~ 37.7")
     return out
@@ -144,14 +188,13 @@ def gue_kernel(N, xp, xq, variant="full"):
 def faddeeva_derivatives(z, nmax):
     """w(z), w'(z), ..., w^(nmax)(z) by the stable upward recurrence
     w^(j+1) = -2 z w^(j) - 2 j w^(j-1)."""
-    z = np.asarray(z, dtype=complex)
-    out = np.empty((nmax + 1,) + z.shape, dtype=complex)
-    out[0] = wofz(z)
+    z = _operand(z, complex)
+    tower = [_num(wofz(z))]
     if nmax >= 1:
-        out[1] = -2.0 * z * out[0] + 2j / SQRT_PI
+        tower.append(-2.0 * z * tower[0] + 2j / SQRT_PI)
     for j in range(1, nmax):
-        out[j + 1] = -2.0 * z * out[j] - 2.0 * j * out[j - 1]
-    return out
+        tower.append(-2.0 * z * tower[-1] - 2.0 * j * tower[-2])
+    return np.array(tower)
 
 
 def cauchy_gauss(n, z, side=-1):
@@ -170,18 +213,18 @@ def cauchy_gauss_tower(nmax, z, side=-1):
     |z| (the recurrence w' = -2zw + 2i/sqrt(pi) cancels severely there);
     boundary values with |Re z| beyond CAUCHY_ASYMP switch to the
     principal-value asymptotic series plus the exact sided delta part."""
-    z = np.asarray(z, dtype=complex)
-    upper = np.where(np.imag(z) != 0, np.imag(z) > 0, side > 0)
+    z = _operand(z, complex)
+    upper = (z.imag > 0) | ((z.imag == 0) & (side > 0))
     lo, hi = _cauchy_coefficients(nmax)
-    col = (nmax + 1,) + (1,) * z.ndim
-    coef = np.where(upper, hi.reshape(col), lo.reshape(col))
-    fac = coef * faddeeva_derivatives(np.where(upper, z, -z), nmax)
-    far = (np.abs(np.real(z)) >= CAUCHY_ASYMP) & (np.abs(np.imag(z)) <= 1e-8)
-    if np.any(far):
+    col = (nmax + 1,) + (1,) * np.ndim(z)
+    coef = _select(upper, hi.reshape(col), lo.reshape(col))
+    fac = coef * faddeeva_derivatives(_select(upper, z, -z), nmax)
+    far = (abs(z.real) >= CAUCHY_ASYMP) & (abs(z.imag) <= 1e-8)
+    if _any(far):
         flat = fac.reshape(nmax + 1, -1)
-        zf = z.reshape(-1)
-        uf = np.asarray(upper).reshape(-1)
-        for i in np.nonzero(far.reshape(-1))[0]:
+        zf = np.reshape(z, -1)
+        uf = np.reshape(upper, -1)
+        for i in np.nonzero(np.reshape(far, -1))[0]:
             flat[:, i] = _cauchy_gauss_far(nmax, complex(zf[i]), bool(uf[i]))
     return fac
 
@@ -278,12 +321,13 @@ def gauss_moments(mmax):
 
 def gauss_moment_cauchy(nmax, mmax, z, side=-1):
     """F[n, m] = integral exp(-u^2) u^m / (z - u)^(n+1) du for
-    n = 0..nmax, m = 0..mmax, via F[n, m] = z F[n, m-1] - F[n-1, m-1]."""
-    z = complex(z)
+    n = 0..nmax, m = 0..mmax, via F[n, m] = z F[n, m-1] - F[n-1, m-1];
+    a grid of z adds its axes after (n, m)."""
+    z = _operand(z, complex)
     C = cauchy_gauss_tower(nmax, z, side)
-    g = gauss_moments(mmax)
-    F = np.empty((nmax + 1, mmax + 1), dtype=complex)
+    F = np.empty((nmax + 1, mmax + 1) + C.shape[1:], dtype=complex)
     F[:, 0] = C
+    g = gauss_moments(mmax)
     for m in range(1, mmax + 1):
         F[0, m] = z * F[0, m - 1] - g[m - 1]
         F[1:, m] = z * F[1:, m - 1] - F[:-1, m - 1]
@@ -323,12 +367,14 @@ def half_gauss_oscillatory(amax, z, c):
     G_0 through the Faddeeva function, then the stable forward relation
     G_{a+1} = (a G_{a-1} - i z G_a) / (2c), with G_1 from the boundary term.
     """
-    sc = np.sqrt(c)
-    z = np.asarray(z, dtype=complex)
-    out = np.empty((amax + 1,) + z.shape, dtype=complex)
-    out[0] = (SQRT_PI / (2.0 * sc)) * wofz(-z / (2.0 * sc))
+    z = _operand(z, complex)
+    c = float(c)
+    inv = 1.0 / (2.0 * c)
+    sc = math.sqrt(c)
+    tower = [(SQRT_PI / (2.0 * sc)) * _num(wofz(-z * (1.0 / (2.0 * sc))))]
+    iz = 1j * z
     if amax >= 1:
-        out[1] = (1.0 - 1j * z * out[0]) / (2.0 * c)
+        tower.append((1.0 - iz * tower[0]) * inv)
     for a in range(1, amax):
-        out[a + 1] = (a * out[a - 1] - 1j * z * out[a]) / (2.0 * c)
-    return out
+        tower.append((a * tower[-2] - iz * tower[-1]) * inv)
+    return np.array(tower)

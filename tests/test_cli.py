@@ -103,6 +103,13 @@ def test_corr_bad_grid_exits_2(capsys, gauss_cfg):
     assert code == 2
 
 
+@pytest.mark.parametrize("grid", ["nan:1:3", "-inf:1:3", "0:inf:3", "nan:nan:1"])
+def test_corr_non_finite_grid_exits_2(capsys, gauss_cfg, grid):
+    code, out, err = run(capsys, "corr", "--ensemble", gauss_cfg, "--grid", grid)
+    assert code == 2 and out == ""
+    assert "finite" in err
+
+
 def test_corr_missing_config_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "corr", "--ensemble",
                        str(tmp_path / "nope.json"), "--grid", "-1:1:3")

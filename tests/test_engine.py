@@ -292,10 +292,12 @@ def mp_row_r(N, x, v, m):
 def test_row_r_against_mpmath(N, x):
     # bulk and tail for each N (the spectrum edge is sqrt(2N) at v = 1);
     # errors are measured on the scale of the neighbouring orders, since
-    # a row entry next to a zero of H_n has no relative accuracy
+    # a row entry next to a zero of H_n has no relative accuracy; the end
+    # orders have one neighbour each (edge padding, no wrap-around)
     for v, m in ((1.0, 0), (0.7, 2), (1.0, 3)):
         ref = mp_row_r(N, x, v, m)
-        scale = np.max([np.abs(np.roll(ref, s)) for s in (-1, 0, 1)], axis=0)
+        a = np.pad(np.abs(ref), 1, mode="edge")
+        scale = np.max([a[:-2], a[1:-1], a[2:]], axis=0)
         for L in (1, -1):
             got = engine._row_r(N, x, L, v, m)
             assert np.all(np.abs(got - L * ref) <= 1e-13 * scale)
@@ -589,6 +591,20 @@ def test_request_validation():
         with pytest.raises(ValueError, match="epsilon"):
             CorrelationRequest(spec, len(pts), pts)
     CorrelationRequest(spec, 1, [IncrementedPoint(0.3, epsilon=0.0)])
+
+
+@pytest.mark.parametrize("method", engine.METHODS)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_request_refuses_non_finite_points(method, bad):
+    # no route returns nan for a non-finite point, nor a misleading error:
+    # the request refuses it, at k = 1 and 2, given as a number or a point
+    spec = EnsembleSpec.gaussian(4)
+    for pts in ([bad], [IncrementedPoint(bad, side=-1)], [0.3, bad], [bad, bad]):
+        with pytest.raises(ValueError, match="points must be finite"):
+            CorrelationRequest(spec, len(pts), pts, "R", method)
+    # a nan increment is refused like a finite one
+    with pytest.raises(ValueError, match="epsilon"):
+        CorrelationRequest(spec, 1, [IncrementedPoint(0.3, epsilon=math.nan)], "R", method)
 
 
 def test_convolution_takes_2k_beyond_N():

@@ -446,6 +446,31 @@ def test_jet_mul_matches_polynomial_product(a, b):
     assert np.max(np.abs(got - full[:5])) < 1e-12
 
 
+def jet_mul_loop(a, b, order):
+    """The truncated product as a loop over the orders of a."""
+    out = np.zeros(order + 1, dtype=complex)
+    for i, ai in enumerate(a[: order + 1]):
+        if ai == 0:
+            continue
+        hi = min(len(b), order + 1 - i)
+        out[i: i + hi] += ai * np.asarray(b[:hi], dtype=complex)
+    return out
+
+
+def test_jet_mul_matches_loop():
+    # the same products added in the same order: equal to the last bit,
+    # for real and complex a, zeros in a, and a or b cut by the order
+    rng = np.random.default_rng(11)
+    for trial in range(400):
+        na, nb, order = rng.integers(0, 40), rng.integers(1, 40), rng.integers(0, 45)
+        a = rng.standard_normal(na) * 10.0 ** rng.integers(-6, 6, na)
+        if trial % 2:
+            a = a + 1j * rng.standard_normal(na)
+        a[rng.random(na) < 0.2] = 0
+        b = (rng.standard_normal(nb) + 1j * rng.standard_normal(nb)) * 10.0 ** rng.integers(-6, 6, nb)
+        assert np.array_equal(jet_mul(a, b, order), jet_mul_loop(a, b, order))
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 6), st.floats(0.02, 3.0), st.floats(-3.0, 3.0))
 def test_slot_phi_poly_matches_slot_phi(m, v, r):

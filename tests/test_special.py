@@ -16,7 +16,7 @@ from rmtcorr.special import (SQRT_PI, hermite_poly,
                              gauss_poly_derivatives, polyval_ascending,
                              half_gauss_oscillatory, CAUCHY_ASYMP,
                              _far_coefficients, _osc_hat_tower, _osc_tower,
-                             _truncated_sums)
+                             _truncated_sums, faddeeva_derivatives, HERMITE_CAP)
 
 
 def test_hermite_low_orders():
@@ -332,8 +332,10 @@ def test_cauchy_far_branch_against_mpmath(N, x):
         ref = mp_cauchy_tower(N - 1, x, side)
         got = cauchy_gauss_tower(N - 1, x, side)
         # the sided part everywhere, on the scale of its neighbours (its
-        # relative error is large next to a zero of H_n)
-        scale = np.max([np.abs(np.roll(ref.imag, s)) for s in (-1, 0, 1)], axis=0)
+        # relative error is large next to a zero of H_n); the end orders
+        # have one neighbour each
+        a = np.pad(np.abs(ref.imag), 1, mode="edge")
+        scale = np.max([a[:-2], a[1:-1], a[2:]], axis=0)
         assert np.all(np.abs(got.imag - ref.imag) <= 1e-13 * scale)
         # the principal value where the series reaches round-off
         assert np.all(np.abs(got.real - ref.real)[converged] <= 2e-15 * np.abs(ref.real)[converged])
@@ -366,3 +368,48 @@ def test_osc_hat_far_branch_matches_series_loop(nmax, x):
     got = _osc_hat_tower(nmax, np.array(x))
     assert np.allclose(got.real, osc_hat_far_loop(nmax, x), rtol=1e-14, atol=0)
     assert np.array_equal(got.imag, _osc_tower(nmax, np.array(x)))
+
+
+# -- one tower body for a point and a grid ---------------------------------
+
+# bulk, edge and past CAUCHY_ASYMP; the far series of _osc_hat_tower needs
+# 2x^2 >= (nmax+1)(nmax+2) as well, so at N = 32 and 64 only the outer
+# points take it.  The half-line tower's c is no power of 2, so dividing
+# by 2c and multiplying by 1/(2c) round differently there.
+TOWER_XS = (0.0, 0.7, -2.3, 5.9, 6.6, -7.4, 9.0, -12.0, 30.0)
+TOWERS = {
+    "osc": lambda N, x: _osc_tower(N - 1, x),
+    "osc_hat": lambda N, x: _osc_hat_tower(N - 1, x),
+    "faddeeva": lambda N, x: faddeeva_derivatives(x, N - 1),
+    "cauchy_below": lambda N, x: cauchy_gauss_tower(N - 1, x, side=-1),
+    "cauchy_above": lambda N, x: cauchy_gauss_tower(N - 1, x, side=1),
+    "moment_cauchy": lambda N, x: gauss_moment_cauchy(N - 1, 3, x, side=-1),
+    "half_line": lambda N, x: half_gauss_oscillatory(N - 1, x, 0.175),
+}
+
+
+@pytest.mark.parametrize("N", [1, 2, 6, 32, 64])
+@pytest.mark.parametrize("name", sorted(TOWERS))
+def test_tower_point_and_grid_agree(name, N):
+    # a Python float, a 0-d array and each element of a grid give the same
+    # tower to the last bit; the grid's axis follows the tower's own axes
+    tower = TOWERS[name]
+    grid = tower(N, np.array(TOWER_XS))
+    for i, x in enumerate(TOWER_XS):
+        point = tower(N, x)
+        assert isinstance(point, np.ndarray) and point.shape == grid.shape[:-1]
+        assert np.array_equal(tower(N, np.array(x)), point)
+        assert np.array_equal(grid[..., i], point)
+
+
+def test_tower_point_errors():
+    # the caps and the overflow check hold for a float argument, which the
+    # tower takes as a Python number
+    with pytest.raises(ValueError, match="exceeds cap"):
+        _osc_hat_tower(HERMITE_CAP + 1, 0.7)
+    with pytest.raises(ValueError, match="exceeds cap"):
+        generalized_hermite(HERMITE_CAP + 1, 0.7)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in (40.0, np.array(-40.0), np.array([0.7, 40.0])):
+            with pytest.raises(ValueError, match="overflows"):
+                _osc_hat_tower(5, x)
