@@ -10,18 +10,8 @@ Run: python3 demos/demo_time_domain.py
 import numpy as np
 
 from rmtcorr.ensembles import EnsembleSpec
-from rmtcorr.engine import CorrelationRequest, evaluate, time_domain_transform
-from rmtcorr.kernels import IncrementedPoint
+from rmtcorr.engine import evaluate_grid, time_domain_transform
 from rmtcorr.special import cauchy_gauss
-
-
-def rhat_grid(spec, xs):
-    out = np.empty(len(xs), dtype=complex)
-    for i, x in enumerate(xs):
-        req = CorrelationRequest(spec, 1, [IncrementedPoint(x)], "Rhat",
-                                 "convolution")
-        out[i] = evaluate(req).value
-    return out
 
 
 def main():
@@ -29,7 +19,7 @@ def main():
     N = spec.N
 
     xs = np.linspace(-60, 60, 6001)
-    rhat = rhat_grid(spec, xs)
+    rhat = evaluate_grid(spec, 1, xs[:, None], "Rhat", "convolution").value
 
     # subtract a moment-matched Gaussian model resolvent so the remainder
     # decays fast; the model transforms in closed form
@@ -43,11 +33,7 @@ def main():
     # density transform and the sided synthesis -2i theta(-t) r1(t),
     # reflected here to the +1 side as +2i theta(t) r1(t)
     xs2 = np.linspace(-12, 12, 2401)
-    r1 = np.empty(len(xs2))
-    for i, x in enumerate(xs2):
-        req = CorrelationRequest(spec, 1, [IncrementedPoint(x)], "R",
-                                 "closed_form_gue")
-        r1[i] = float(np.real(evaluate(req).value))
+    r1 = evaluate_grid(spec, 1, xs2[:, None], "R", "closed_form_gue").value.real
     r1t = time_domain_transform(xs2, r1, ts, "to_time")
     synth = 2j * (ts > 0) * r1t
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__, CONVENTIONS
 from .ensembles import EnsembleSpec
-from .engine import (METHODS, VARIANTS, CorrelationRequest, evaluate)
+from .engine import (METHODS, VARIANTS, CorrelationRequest, evaluate, evaluate_grid)
 from .kernels import (IncrementedPoint, fundamental_kernel, kernel_series,
                       hciz_exact, gaussian_pairing)
 from .grassmann import verify_duality
@@ -95,38 +95,44 @@ def cmd_corr(args):
         raise ConfigError(f"unknown variant {args.variant!r}; valid: {', '.join(VARIANTS)}")
     k = args.k
     metric = _parse_metric(args.metric, k)
-    if k == 1:
-        grids = [_parse_grid(args.grid)]
-        probe = [(x,) for x in grids[0]]
-    else:
-        g = _parse_grid(args.grid)
-        if k != 2:
-            raise ConfigError("corr supports k = 1 or 2")
-        probe = [(x, y) for x in g for y in g]
+    g = _parse_grid(args.grid)
+    if k not in (1, 2):
+        raise ConfigError("corr supports k = 1 or 2")
+    probe = g[:, None] if k == 1 else np.array([(x, y) for x in g for y in g])
 
     header = _header(args)
-    rows = []
-    failed = False
-    for pt in probe:
-        points = [IncrementedPoint(x, side=metric[i]) for i, x in enumerate(pt)]
-        req = CorrelationRequest(spec, k, points, args.variant, args.method)
-        try:
-            res = evaluate(req)
-        except Exception as e:
-            print(f"numeric failure at {pt}: {e}", file=sys.stderr)
-            failed = True
-            continue
-        rows.append((args.method, args.variant, k) + pt
-                    + (np.real(res.value), np.imag(res.value), res.error_estimate))
+    # the whole table in one call; if it raises, point by point, so that
+    # each failing point is reported and the others still print
+    try:
+        res = evaluate_grid(spec, k, probe, args.variant, args.method, metric)
+        results = [(v, res.error_estimate) for v in res.value]
+    except Exception:
+        results = [_point_result(spec, k, pt, metric, args) for pt in probe.tolist()]
+    rows = [(args.method, args.variant, k) + tuple(pt) + (np.real(r[0]), np.imag(r[0]), r[1])
+            for pt, r in zip(probe.tolist(), results) if r is not None]
 
     footer = None
     if k == 1 and len(rows) > 1:
+        # R_1 is Im Rhat_1 and R_1 itself
+        part = 5 if args.variant == "Rhat" else 4
         xs = np.array([r[3] for r in rows])
-        vals = np.array([r[4] for r in rows])
+        vals = np.array([r[part] for r in rows])
         footer = {"integral_r1": float(np.trapezoid(vals, xs))}
 
     _emit(args.output, args.format, header, rows, k, footer)
-    return 1 if failed else 0
+    return 1 if len(rows) < len(probe) else 0
+
+
+def _point_result(spec, k, pt, metric, args):
+    """(value, error estimate) at one point, or None after reporting its
+    failure."""
+    points = [IncrementedPoint(x, side=metric[i]) for i, x in enumerate(pt)]
+    try:
+        res = evaluate(CorrelationRequest(spec, k, points, args.variant, args.method))
+        return res.value, res.error_estimate
+    except Exception as e:
+        print(f"numeric failure at {tuple(pt)}: {e}", file=sys.stderr)
+        return None
 
 
 def _emit(path, fmt, header, rows, k, footer):
@@ -141,8 +147,6 @@ def _emit(path, fmt, header, rows, k, footer):
         text = json.dumps(doc, indent=1)
         _write(path, text)
         return
-    if fmt != "csv":
-        raise ConfigError(f"unknown format {fmt!r}; valid: csv, json")
     lines = []
     for key, v in header.items():
         lines.append(f"# {key}: {v}")
@@ -229,16 +233,11 @@ def _run_suite(suite, args):
         hist = estimate_r1(batch, (-3.5, 3.5, 40))
         xs = hist.centers()
         width = np.diff(hist.edges)
-        bad = 0
-        for i, x in enumerate(xs):
-            req = CorrelationRequest(spec, 1, [x], "R", "closed_form_gue")
-            ref = float(np.real(evaluate(req).value))
-            # a bin expecting under one sample can hold none and so carry no
-            # jackknife error: floor it at the Poisson error of its count
-            err = max(hist.errors[i], np.sqrt(ref / (batch.count * width[i])))
-            if abs(hist.density[i] - ref) > 3 * err:
-                bad += 1
-        frac = bad / len(xs)
+        ref = evaluate_grid(spec, 1, xs[:, None], "R", "closed_form_gue").value.real
+        # a bin expecting under one sample can hold none and so carry no
+        # jackknife error: floor it at the Poisson error of its count
+        err = np.fmax(hist.errors, np.sqrt(ref / (batch.count * width)))
+        frac = np.count_nonzero(np.abs(hist.density - ref) > 3 * err) / len(xs)
         return f"mc(N={spec.N})", frac <= 0.05, frac
     raise ConfigError(f"unknown suite {suite!r}")
 
@@ -256,7 +255,7 @@ def build_parser():
     pc.add_argument("--variant", default="R")
     pc.add_argument("--metric", default=None, help="k signs, e.g. +- for k=2")
     pc.add_argument("--output", default="-")
-    pc.add_argument("--format", default="csv")
+    pc.add_argument("--format", default="csv", choices=("csv", "json"))
 
     pv = sub.add_parser("verify", help="verification suites")
     pv.add_argument("--suite", default="all")

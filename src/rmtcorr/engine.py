@@ -9,6 +9,11 @@ k x k determinants det[sum_{n<N} row_p(n) col_q(n)], taken by one engine
 its normalization (the eigenvalue-integral and factorized routes share
 theirs).
 
+evaluate_grid runs the same routes on a whole grid of points: every
+factor then takes a (P,) array per slot and returns (P, N), and
+_det_sums takes one dot per point and term (k = 1) or one stacked
+determinant over (terms, points).
+
 Sides and variants follow one rule.  Row p carries the increment side L_p
 of its point.  Rhat: a row with L = -1 is the complex conjugate of its
 L = +1 row.  R: the rows are the imaginary parts of the sided rows, so R
@@ -22,8 +27,8 @@ import numpy as np
 
 from .ensembles import correlation_terms, slot_phi_jet, jet_mul, _slot_phi_poly
 from .kernels import IncrementedPoint
-from .special import (SQRT_PI, _osc_tower, _osc_hat_tower, gauss_moments,
-                      gauss_moment_cauchy, half_gauss_oscillatory)
+from .special import (SQRT_PI, _factorials, _num, _osc_tower, _osc_hat_tower,
+                      gauss_moments, gauss_moment_cauchy, half_gauss_oscillatory)
 
 VARIANTS = ("Rhat", "R")
 METHODS = ("convolution", "eigenvalue_integral", "factorized",
@@ -33,27 +38,36 @@ METHODS = ("convolution", "eigenvalue_integral", "factorized",
 class CorrelationRequest:
     """One correlation evaluation: ensemble, k points with increment
     sides, variant (Rhat keeps real parts, R takes imaginary parts),
-    and the method to use."""
+    and the method to use.  The routes read the points as xs (one value
+    per slot, a (P,) array per slot for a grid) and sides."""
 
     def __init__(self, spec, k, points, variant="Rhat", method="convolution"):
+        self.points = [p if isinstance(p, IncrementedPoint) else IncrementedPoint(p)
+                       for p in points]
+        self._take(spec, k, [p.value for p in self.points], [p.side for p in self.points],
+                   variant, method)
+        if any(p.epsilon != 0 for p in self.points):
+            raise ValueError("the engine routes compute the epsilon -> 0+ limit; "
+                             "points must have epsilon = 0")
+
+    def _take(self, spec, k, xs, sides, variant, method):
+        """The checks a point and a grid share, then the fields."""
         if variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}")
         if method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}")
-        if len(points) != k or k < 1:
+        if len(xs) != k or k < 1:
             raise ValueError("need exactly k points, k >= 1")
-        self.spec = spec
-        self.k = k
-        self.points = [p if isinstance(p, IncrementedPoint) else IncrementedPoint(p)
-                       for p in points]
-        if not all(math.isfinite(p.value) for p in self.points):
+        if not all(map(_finite, xs)):
             raise ValueError("points must be finite, got "
-                             f"{[p.value for p in self.points]}")
-        if any(p.epsilon != 0 for p in self.points):
-            raise ValueError("the engine routes compute the epsilon -> 0+ limit; "
-                             "points must have epsilon = 0")
-        self.variant = variant
-        self.method = method
+                             f"{np.asarray(xs)[~np.isfinite(xs)].tolist()}")
+        self.spec, self.k, self.xs, self.sides = spec, k, xs, sides
+        self.variant, self.method = variant, method
+
+
+def _finite(x):
+    """Whether x, a point's number or a grid's array, is finite throughout."""
+    return np.isfinite(x).all() if isinstance(x, np.ndarray) else math.isfinite(x)
 
 
 class CorrelationResult:
@@ -75,6 +89,23 @@ def evaluate(req):
     return fn(req)
 
 
+def evaluate_grid(spec, k, points, variant="Rhat", method="convolution", sides=None):
+    """evaluate at every row of points, shape (P, k), in one call, each
+    slot p on side sides[p] (default +1) for all rows.  The value is a
+    length-P complex array; every route runs the factors and _det_sums of
+    evaluate with a (P,) array per slot."""
+    xs = np.asarray(points, dtype=float)
+    if xs.ndim != 2:
+        raise ValueError(f"points must have shape (P, k), got {xs.shape}")
+    sides = [1] * k if sides is None else list(sides)
+    if len(sides) != k or any(s not in (1, -1) for s in sides):
+        raise ValueError(f"sides must be k = {k} values of +1 or -1, got {sides}")
+    # a request whose slots hold the grid's columns
+    req = CorrelationRequest.__new__(CorrelationRequest)
+    req._take(spec, k, list(xs.T), sides, variant, method)
+    return evaluate(req)
+
+
 # ---------------------------------------------------------------------------
 # The determinant engine
 # ---------------------------------------------------------------------------
@@ -82,10 +113,11 @@ def evaluate(req):
 def _det_sums(terms, N, row, row_pts, col, col_pts):
     """sum over terms (coef, slots) of coef det[sum_{n<N}
     row(N, x_p, L_p, *slots[p])(n) col(N, y_q, *slots[k + q])(n)], with
-    row_pts[p] = (x_p, L_p) and col_pts[q] = y_q.  Terms repeat slot
-    factors, so each distinct row and column factor is built once and
-    shared by every term; for k >= 2 the determinants of all terms are
-    taken in one stacked call."""
+    row_pts[p] = (x_p, L_p) and col_pts[q] = y_q.  A factor is (N,) at a
+    point and (P, N) on a grid, whose x_p and y_q are (P,) arrays.  Terms
+    repeat slot factors, so each distinct row and column factor is built
+    once and shared by every term; for k >= 2 the determinants of all
+    terms and points are taken in one stacked call."""
     k = len(row_pts)
     rows, cols = {}, {}
     for _, slots in terms:
@@ -95,18 +127,22 @@ def _det_sums(terms, N, row, row_pts, col, col_pts):
             if (p, slots[k + p]) not in cols:
                 cols[p, slots[k + p]] = col(N, col_pts[p], *slots[k + p])
     if k == 1:
-        # a 1 x 1 determinant is its entry, and np.dot takes the sum that a
-        # stacked product takes
-        dets = [rows[0, slots[0]].dot(cols[0, slots[1]]) for _, slots in terms]
+        # a 1 x 1 determinant is its entry, one dot over n per point
+        dets = np.array([_dot(rows[0, s[0]], cols[0, s[1]]) for _, s in terms])
     else:
-        # each distinct factor is stacked once, and every term's k rows and
-        # columns are indexed out of the stacks
-        ri = {key: i for i, key in enumerate(rows)}
-        ci = {key: i for i, key in enumerate(cols)}
-        R = np.array(list(rows.values()))[[[ri[p, s[p]] for p in range(k)] for _, s in terms]]
-        C = np.array(list(cols.values()))[[[ci[q, s[k + q]] for q in range(k)] for _, s in terms]]
-        dets = np.linalg.det(R @ C.transpose(0, 2, 1))
-    return np.dot(dets, [coef for coef, _ in terms])
+        # every term's k rows and columns, (T, k, N), or (T, k, P, N) on a
+        # grid, whose point axis then goes before (k, N)
+        R = np.array([[rows[p, s[p]] for p in range(k)] for _, s in terms]).swapaxes(1, -2)
+        C = np.array([[cols[p, s[k + p]] for p in range(k)] for _, s in terms]).swapaxes(1, -2)
+        dets = np.linalg.det(R @ C.swapaxes(-1, -2))
+    return _dot(dets.T, [coef for coef, _ in terms])
+
+
+def _dot(a, b):
+    """a.dot(b) over the last axis of a: at a point the ndarray method,
+    fastest for one call; on a grid one such dot per point (np.vecdot
+    conjugates its first argument), which sums as the method does."""
+    return a.dot(b) if a.ndim == 1 else np.vecdot(a.conj(), b)
 
 
 def _determinants(req, rows, col, metadata):
@@ -117,10 +153,10 @@ def _determinants(req, rows, col, metadata):
     no special case: the term sum is odd under swapping their columns."""
     rhat, r = rows
     row = rhat if req.variant == "Rhat" else r or (lambda *args: np.imag(rhat(*args)))
-    val = complex(_det_sums(correlation_terms(req.spec, req.k), req.spec.N, row,
-                            [(p.value, p.side) for p in req.points],
-                            col, [p.value for p in req.points]))
-    return CorrelationResult(complex(val.real) if req.variant == "R" else val, 0.0, metadata)
+    # a point's value is a Python complex, a grid's a complex array
+    val = _num(_det_sums(correlation_terms(req.spec, req.k), req.spec.N, row,
+                         list(zip(req.xs, req.sides)), col, req.xs))
+    return CorrelationResult(val.real + 0j if req.variant == "R" else val, 0.0, metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +167,7 @@ def _row_rhat(N, x, L, v, m):
     """row_n = (1/pi) integral (pi v)^(-1/2) e^(-a^2/v) a^m / (x - a - i L 0)^(n+1)
     da, n = 0..N-1, via the scaled Gaussian Cauchy transforms."""
     F = gauss_moment_cauchy(N - 1, m, x / math.sqrt(v), side=-L)
-    return _rhat_scale(N, v, m) * F[:, m]
+    return _rhat_scale(N, v, m) * F[:, m].T
 
 
 @functools.lru_cache(maxsize=64)
@@ -148,17 +184,21 @@ def _row_r(N, x, L, v, m):
     Im row_n = L * (-1)^n (1/n!) d^n/dx^n [(pi v)^(-1/2) x^m e^(-x^2/v)],
     by the Leibniz rule sum_j C(m, j) u^(m-j) e_(n-j) over the Gaussian
     derivatives e_n = (1/n!) d^n/du^n e^(-u^2) at u = x / sqrt(v), taken
-    from e_(n+1) = -(2u e_n + 2e_(n-1)) / (n+1)."""
+    from e_(n+1) = -(2u e_n + 2e_(n-1)) / (n+1), after m zeros e_(-m..-1)."""
     u = x / math.sqrt(v)
-    prev, cur = 0.0, float(np.exp(-u * u))
-    e = [cur]
+    prev, cur = 0.0, _num(np.exp(-u * u))
+    e = [0.0 * cur] * m + [cur]
     for n in range(N - 1):
         prev, cur = cur, -(2.0 * u * cur + 2.0 * prev) / (n + 1)
         e.append(cur)
-    j = np.arange(m + 1)
-    d = np.convolve(e, _binomials(m + 1)[m] * u ** (m - j))[:N]
+    d = e = np.array(e)
+    if m:
+        # row i of the table is C(m, j) u^(m-j) e_(n-j), j = m - i: a sum
+        # over the first axis adds the rows in order, left to right in e
+        w = _binomials(m + 1)[m] * np.asarray(u)[..., None] ** np.arange(m + 1)
+        d = (e[_window(m + 1, N)] * w.T[:, None]).sum(axis=0)
     # L = +-1 changes signs only, so it may come first
-    return L * _r_scale(N, v, m) * d
+    return L * _r_scale(N, v, m) * d.T
 
 
 @functools.lru_cache(maxsize=64)
@@ -185,13 +225,13 @@ def _col_exact(N, x, v, m):
     C(n, j) x^(n-j) (-i)^j v^((m+j)/2) gamma_(m+j), summed over j."""
     j = np.arange(N)
     # the sum over j cancels like the Hermite polynomials it expands
-    # (ROADMAP item 2); its terms take Python's float powers and it runs
-    # left to right, so its round-off does not depend on numpy's
-    # vectorized powers or summation order
-    xp = np.array([x ** e for e in range(N)])[np.maximum(j[:, None] - j, 0)]
+    # (ROADMAP item 2); its terms take the C library's powers (as Python's
+    # float powers do) and it runs left to right, so its round-off does
+    # not depend on numpy's vectorized powers or summation order
+    xp = _powers(x, N).take(np.maximum(j[:, None] - j, 0), axis=-1)
     vp = np.array([v ** ((m + e) / 2.0) for e in range(N)])
     terms = _binomials(N) * xp * (-1j) ** j * vp * gauss_moments(N - 1 + m)[m:]
-    col = np.cumsum(terms, axis=1)[:, -1]
+    col = np.cumsum(terms, axis=-1)[..., -1]
     return col.real / SQRT_PI + 1j * (col.imag / SQRT_PI)
 
 
@@ -208,14 +248,23 @@ def _col_rec(N, x, v, m):
     for j in range(m + 1):
         # one pass over n per j, reading r_n(j - 1) from the previous pass
         hj = h * j
-        cur, prev = (-1.0) ** (j // 2) * v ** (j / 2.0) * g[j] / SQRT_PI, 0.0
+        # (+ 0 x gives each point of a grid its seed)
+        cur, prev = (-1.0) ** (j // 2) * v ** (j / 2.0) * g[j] / SQRT_PI + 0.0 * x, 0.0
         col = [cur]
         for below, hn_n in zip(r, hn):
             cur, prev = x * cur + hj * below - hn_n * prev, cur
             col.append(cur)
         r = col
-    r = (-1.0) ** (m // 2) * np.array(r)
+    r = (-1.0) ** (m // 2) * np.array(r).T
     return r + 0j if m % 2 == 0 else -1j * r
+
+
+def _powers(x, n):
+    """x^e for e < n on a last axis, by the C library's pow: Python's float
+    powers at a point, np.float_power (the same pow) on a grid."""
+    if isinstance(x, np.ndarray):
+        return np.float_power.outer(x, np.arange(n))
+    return np.array([x ** e for e in range(n)])
 
 
 def correlations_convolution(req):
@@ -245,24 +294,30 @@ def _halfline_vec(N, x, L, v, m):
     # picks up L^(n+j) = L^(n+m): a_j vanishes unless j = m mod 2
     G = half_gauss_oscillatory(N + len(a) - 2, L * x, v / 4.0)
     window, phase = _halfline_layout(N, L, len(a))
-    return 1j * L ** (m + 1) * (phase * (a * G[window]).sum(axis=1))
+    return 1j * L ** (m + 1) * (phase * (a * G.T.take(window, axis=-1)).sum(axis=-1))
 
 
 @functools.lru_cache(maxsize=64)
 def _halfline_layout(N, L, width):
     """The (N, width) window n + j into the G tower and the phases
     (-i L)^n, n < N, read-only."""
-    window = np.arange(N)[:, None] + np.arange(width)
     phase = (-1j * L) ** np.arange(N)
-    window.setflags(write=False)
     phase.setflags(write=False)
-    return window, phase
+    return _window(N, width), phase
+
+
+@functools.lru_cache(maxsize=64)
+def _window(rows, width):
+    """The (rows, width) index table r + j, read-only."""
+    window = np.arange(rows)[:, None] + np.arange(width)
+    window.setflags(write=False)
+    return window
 
 
 def _jet_vec(N, x, v, m):
     """J_n = (1/pi) times the order-n Taylor coefficient of e^(-x r)
     (slot factor)(r) at 0."""
-    ex = np.array([(-x) ** j / math.factorial(j) for j in range(N)], dtype=complex)
+    ex = _powers(-x, N) / _factorials(N - 1)
     return jet_mul(ex, _slot_jet(v, m, N - 1), N - 1) / np.pi
 
 
@@ -317,13 +372,13 @@ def _row_osc_hat(N, x, L, v, m):
     """Sided companion row v^(-1/2) phi^_n(x / sqrt v), n < N
     (Im phi^_n = phi_n); the L = -1 row is its conjugate."""
     s = math.sqrt(v)
-    t = _osc_hat_tower(N - 1, x / s) / s
+    t = _osc_hat_tower(N - 1, x / s).T / s
     return t if L == 1 else t.conj()
 
 
 def _col_osc(N, x, v, m):
     """Oscillator column phi_n(x / sqrt v), n < N."""
-    return _osc_tower(N - 1, x / math.sqrt(v))
+    return _osc_tower(N - 1, x / math.sqrt(v)).T
 
 
 def _row_osc(N, x, L, v, m):

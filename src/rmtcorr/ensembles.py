@@ -459,13 +459,14 @@ def _reduced_density_mc(spec, h, k, samples, seed):
 
 def jet_mul(a, b, order):
     """Truncated product of Taylor coefficient arrays: out_n is the sum of
-    a_i b_(n-i) over i = 0..n, added in ascending i."""
-    a = np.asarray(a[: order + 1], dtype=complex)
+    a_i b_(n-i) over i = 0..n, added in ascending i.  Leading axes of a
+    (a grid's points) carry through."""
+    a = np.asarray(a[..., : order + 1], dtype=complex)
     b = np.asarray(b[: order + 1], dtype=complex)
-    # terms[i, n] = a_i b_(n-i), with the zero after b where n - i falls
-    # outside it; a sum over the first axis adds the rows in order
-    terms = a[:, None] * np.append(b, 0)[_jet_mul_index(len(a), len(b), order)]
-    return terms.sum(axis=0)
+    # terms[..., i, n] = a_i b_(n-i), with the zero after b where n - i
+    # falls outside it; a sum over the i axis adds the rows in order
+    terms = a[..., None] * np.append(b, 0)[_jet_mul_index(a.shape[-1], len(b), order)]
+    return terms.sum(axis=-2)
 
 
 @functools.lru_cache(maxsize=64)

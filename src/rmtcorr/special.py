@@ -8,6 +8,7 @@ P(H) ~ exp(-tr H^2).
 
 import functools
 import math
+import sys
 
 import numpy as np
 from scipy.special import wofz
@@ -121,11 +122,15 @@ def _osc_hat_tower(nmax, x):
     The upward recurrence cancels severely at large |x|; there the tower
     is rebuilt from F_n(x) e^(-x^2) = (1/pi) integral e^(-u^2) H_n(u) /
     (x - u - i0) du (both sides share the recurrence and the n = 0, 1
-    seeds), whose Cauchy transforms stay accurate in the far tail."""
+    seeds), whose Cauchy transforms stay accurate in the far tail.  Past
+    |x| ~ 37.7, where exp(x^2/2) overflows, it raises ValueError."""
     if nmax > HERMITE_CAP:
         raise ValueError(f"order {nmax} exceeds cap {HERMITE_CAP}")
     x = _operand(x, float)
-    e = _num(np.exp(0.5 * x * x))
+    half = 0.5 * x * x
+    if _any(half > _EXP_MAX):
+        raise ValueError(_OVERFLOW)
+    e = _num(np.exp(half))
     # wofz finds its loop fastest for a complex argument
     tower = [np.pi ** -0.25 * 1j * e * _num(wofz(-x + 0j))]
     if nmax >= 1:
@@ -159,9 +164,12 @@ def _osc_hat_tower(nmax, x):
             pv, _ = _truncated_sums(np.cumprod(terms, axis=1))
             flat[:, i] = norm * (np.exp(0.5 * xi * xi) / np.pi) * pv + 1j * ph[:, i]
     if not np.isfinite(out).all():
-        raise ValueError("the companion tower overflows: exp(x^2/2) is not finite "
-                         "past |x| ~ 37.7")
+        raise ValueError(_OVERFLOW)
     return out
+
+
+_EXP_MAX = math.log(sys.float_info.max)
+_OVERFLOW = "the companion tower overflows: exp(x^2/2) is not finite past |x| ~ 37.7"
 
 
 def gue_kernel(N, xp, xq, variant="full"):

@@ -90,6 +90,71 @@ def test_corr_output_file(capsys, tmp_path, gauss_cfg):
     assert dest.exists() and "value_re" in dest.read_text()
 
 
+@pytest.fixture
+def gauss6_cfg(tmp_path):
+    path = tmp_path / "gauss6.json"
+    path.write_text(json.dumps({"N": 6, "family": "gaussian"}))
+    return str(path)
+
+
+@pytest.mark.parametrize("variant", ["R", "Rhat"])
+@pytest.mark.parametrize("metric, levels", [("+", 6.0), ("-", -6.0)])
+def test_corr_footer_integrates_r1(capsys, gauss6_cfg, variant, metric, levels):
+    # R_1 is value_re for R and value_im for Rhat; it integrates to +-N
+    code, out, _ = run(capsys, "corr", "--ensemble", gauss6_cfg, "--grid", "-9:9:401",
+                       "--variant", variant, "--metric", metric)
+    assert code == 0
+    footer = float(out.strip().splitlines()[-1].split(":")[1])
+    assert abs(footer - levels) < 1e-9
+
+
+def counting_engine(monkeypatch):
+    """Count the calls the CLI makes into the engine, by name."""
+    calls = {"evaluate": 0, "evaluate_grid": 0}
+    for name in calls:
+        def counted(*args, name=name, fn=getattr(cli, name)):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(cli, name, counted)
+    return calls
+
+
+def test_corr_bad_format_exits_2_before_evaluating(capsys, monkeypatch, gauss6_cfg):
+    calls = counting_engine(monkeypatch)
+    code, out, err = run(capsys, "corr", "--ensemble", gauss6_cfg, "--grid", "36:40:5",
+                         "--method", "closed_form_gue", "--variant", "Rhat",
+                         "--format", "xml")
+    assert code == 2 and out == "" and "failure" not in err
+    assert calls == {"evaluate": 0, "evaluate_grid": 0}
+
+
+def test_corr_evaluates_its_table_in_one_call(capsys, monkeypatch, gauss6_cfg):
+    calls = counting_engine(monkeypatch)
+    code, out, _ = run(capsys, "corr", "--ensemble", gauss6_cfg, "--k", "2",
+                       "--grid", "-3:3:3", "--metric", "+-", "--variant", "Rhat")
+    assert code == 0 and calls == {"evaluate": 0, "evaluate_grid": 1}
+    rows = [line.split(",") for line in out.splitlines()
+            if line[:1] not in ("#", "m")]
+    assert [(float(r[3]), float(r[4])) for r in rows] == \
+        [(x, y) for x in (-3.0, 0.0, 3.0) for y in (-3.0, 0.0, 3.0)]
+
+
+@pytest.mark.filterwarnings("error")
+def test_corr_grid_keeps_per_point_failures(capsys, monkeypatch, gauss6_cfg):
+    # exp(x^2/2) is not finite past x ~ 37.7: the grid call raises, and the
+    # table falls back to one point at a time, reporting each failure
+    calls = counting_engine(monkeypatch)
+    code, out, err = run(capsys, "corr", "--ensemble", gauss6_cfg, "--grid", "36:40:5",
+                         "--method", "closed_form_gue", "--variant", "Rhat")
+    assert code == 1 and calls == {"evaluate": 5, "evaluate_grid": 1}
+    rows = [line for line in out.splitlines() if line[:1] not in ("#", "m")]
+    assert [float(r.split(",")[3]) for r in rows] == [36.0, 37.0]
+    failures = err.strip().splitlines()
+    assert [f.split(":")[0] for f in failures] == [
+        f"numeric failure at ({x},)" for x in (38.0, 39.0, 40.0)]
+    assert all("overflows" in f for f in failures)
+
+
 def test_corr_bad_method_exits_2(capsys, gauss_cfg):
     code, _, err = run(capsys, "corr", "--ensemble", gauss_cfg,
                        "--grid", "-1:1:3", "--method", "bogus")
@@ -176,9 +241,9 @@ def test_verify_mc_passes_empty_tail_bins_and_fails_a_wrong_density(capsys, monk
     # keeps them from failing at N=1, and a density 2% off still fails
     code, out, _ = run(capsys, "verify", "--suite", "mc", "--N", N, "--seed", "3")
     assert code == 0 and f"mc(N={N}): PASS" in out
-    evaluate = cli.evaluate
-    monkeypatch.setattr(cli, "evaluate",
-                        lambda req: CorrelationResult(1.02 * evaluate(req).value, 0.0))
+    evaluate_grid = cli.evaluate_grid
+    monkeypatch.setattr(cli, "evaluate_grid", lambda *args: CorrelationResult(
+        1.02 * evaluate_grid(*args).value, 0.0))
     code, out, _ = run(capsys, "verify", "--suite", "mc", "--N", N, "--seed", "3")
     assert code == 1 and f"mc(N={N}): FAIL" in out
 

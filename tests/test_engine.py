@@ -3,6 +3,7 @@ eigenvalue-space oracles, symmetries, generating function, and the
 time-domain transform."""
 
 import collections
+import itertools
 import math
 
 import mpmath as mp
@@ -544,6 +545,81 @@ def test_closed_form_gue_refuses_overflowing_companion_tower(spec):
     with np.errstate(all="ignore"), pytest.raises(ValueError, match="overflows"):
         r1(spec, 5.5, "closed_form_gue", "Rhat")
     assert r1(spec, 5.5, "closed_form_gue", "R") == 0.0
+
+
+# -- whole grids ------------------------------------------------------------
+
+def grid_cases(N):
+    """Bulk, edge, far-tail (past CAUCHY_ASYMP and the edge) and
+    coincident points at k = 1 and 2."""
+    edge = math.sqrt(2 * N)
+    xs = [0.0, 0.3, -1.1, edge, -edge, edge + 3, 7.3, -9.0, 13.0]
+    pairs = [(0.3, -1.1), (0.3, 0.3), (edge, -0.5), (7.3, 7.3), (-9.0, 2.0),
+             (edge + 3, edge + 3)]
+    return {1: [(x,) for x in xs], 2: pairs}
+
+
+@pytest.mark.parametrize("N", [1, 2, 6, 32])
+def test_evaluate_grid_matches_points(N):
+    # every route on the specs it takes, both variants, k = 1 and 2 on
+    # every metric: one grid call gives each point's evaluate value, and
+    # refuses where a point is refused
+    specs = {"g": (EnsembleSpec.gaussian(N), GAUSS_METHODS),
+             "g07": (EnsembleSpec.gaussian(N, 0.7), GAUSS_METHODS),
+             "spike": (EnsembleSpec.norm_dependent(N, ("spike", 0.4)), GAUSS_METHODS),
+             "tp41": (EnsembleSpec.higher_trace(N, 4, 1), ROUTES["tp41"])}
+    checked = 0
+    for spec, methods in specs.values():
+        for method in methods:
+            for variant in ("Rhat", "R"):
+                for k, pts in grid_cases(N).items():
+                    for sides in itertools.product((1, -1), repeat=k):
+                        try:
+                            ref = np.array([evaluate(CorrelationRequest(
+                                spec, k, [IncrementedPoint(x, s) for x, s in zip(pt, sides)],
+                                variant, method)).value for pt in pts])
+                        except ValueError as e:
+                            with pytest.raises(ValueError, match=str(e)[:20]):
+                                engine.evaluate_grid(spec, k, pts, variant, method, sides)
+                            continue
+                        res = engine.evaluate_grid(spec, k, pts, variant, method, sides)
+                        assert res.value.shape == (len(pts),) and res.value.dtype == complex
+                        if variant == "R":
+                            assert not res.value.imag.any()
+                        bound = 1e-13 * np.max(np.abs(ref)) + 1e-15
+                        assert np.max(np.abs(res.value - ref)) <= bound, (method, variant, sides)
+                        checked += 1
+    assert checked > 200
+
+
+def test_evaluate_grid_refusals():
+    spec = EnsembleSpec.gaussian(4)
+    grid = engine.evaluate_grid
+    with pytest.raises(ValueError, match="points must be finite"):
+        grid(spec, 1, [[0.3], [math.nan], [1.0]])
+    with pytest.raises(ValueError, match="points must be finite"):
+        grid(spec, 2, [[0.3, -math.inf]])
+    for pts in ([0.3, 0.4], [[[0.3]]]):
+        with pytest.raises(ValueError, match="shape"):
+            grid(spec, 1, pts)
+    with pytest.raises(ValueError, match="need exactly k points"):
+        grid(spec, 1, [[0.3, 0.4]])
+    for sides in ([0], [2], [1, -1], [-1.0 + 1e-9]):
+        with pytest.raises(ValueError, match="sides"):
+            grid(spec, 1, [[0.3]], sides=sides)
+    with pytest.raises(ValueError, match="variant"):
+        grid(spec, 1, [[0.3]], "bogus")
+    with pytest.raises(ValueError, match="method"):
+        grid(spec, 1, [[0.3]], method="bogus")
+    # a route that does not apply to the spec refuses the grid as it
+    # refuses a point
+    tp41 = EnsembleSpec.higher_trace(4, 4, 1)
+    for method, message in (("closed_form_gue", "Gaussian mixture"),
+                            ("factorized", "factorizing spec")):
+        with pytest.raises(ValueError, match=message):
+            r1(tp41, 0.3, method)
+        with pytest.raises(ValueError, match=message):
+            grid(tp41, 1, [[0.3], [0.5]], "R", method)
 
 
 # -- factorized kernel -----------------------------------------------------
