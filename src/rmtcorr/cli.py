@@ -7,6 +7,7 @@ criterion, 2 configuration/usage errors.
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -242,6 +243,7 @@ def _run_suite(suite, args):
     raise ConfigError(f"unknown suite {suite!r}")
 
 
+@functools.cache
 def build_parser():
     p = argparse.ArgumentParser(prog="rmtcorr",
                                 description="finite-N spectral correlations")

@@ -9,10 +9,10 @@ k x k determinants det[sum_{n<N} row_p(n) col_q(n)], taken by one engine
 its normalization (the eigenvalue-integral and factorized routes share
 theirs).
 
-evaluate_grid runs the same routes on a whole grid of points: every
-factor then takes a (P,) array per slot and returns (P, N), and
-_det_sums takes one dot per point and term (k = 1) or one stacked
-determinant over (terms, points).
+A factor function f(N, x, [L,] v, ms) returns the factors of one slot
+point for every moment m in ms of the slot weight h^m e^(-h^2/v) as one
+stack, (len(ms), N), built from one tower.  evaluate_grid runs the same
+routes on a whole grid: x is then a (P,) array and the stack (len(ms), P, N).
 
 Sides and variants follow one rule.  Row p carries the increment side L_p
 of its point.  Rhat: a row with L = -1 is the complex conjugate of its
@@ -20,14 +20,13 @@ L = +1 row.  R: the rows are the imaginary parts of the sided rows, so R
 carries prod_p L_p; its value is real.
 """
 
-import functools
 import math
 
 import numpy as np
 
-from .ensembles import correlation_terms, slot_phi_jet, jet_mul, _slot_phi_poly
+from .ensembles import correlation_terms, slot_phi_jet, _jet_mul_index, _slot_phi_poly
 from .kernels import IncrementedPoint
-from .special import (SQRT_PI, _factorials, _num, _osc_tower, _osc_hat_tower,
+from .special import (SQRT_PI, _factorials, _num, _osc_tower, _osc_hat_tower, _read_only,
                       gauss_moments, gauss_moment_cauchy, half_gauss_oscillatory)
 
 VARIANTS = ("Rhat", "R")
@@ -110,37 +109,67 @@ def evaluate_grid(spec, k, points, variant="Rhat", method="convolution", sides=N
 # The determinant engine
 # ---------------------------------------------------------------------------
 
-def _det_sums(terms, N, row, row_pts, col, col_pts):
-    """sum over terms (coef, slots) of coef det[sum_{n<N}
-    row(N, x_p, L_p, *slots[p])(n) col(N, y_q, *slots[k + q])(n)], with
-    row_pts[p] = (x_p, L_p) and col_pts[q] = y_q.  A factor is (N,) at a
-    point and (P, N) on a grid, whose x_p and y_q are (P,) arrays.  Terms
-    repeat slot factors, so each distinct row and column factor is built
-    once and shared by every term; for k >= 2 the determinants of all
-    terms and points are taken in one stacked call."""
-    k = len(row_pts)
-    rows, cols = {}, {}
-    for _, slots in terms:
-        for p in range(k):
-            if (p, slots[p]) not in rows:
-                rows[p, slots[p]] = row(N, *row_pts[p], *slots[p])
-            if (p, slots[k + p]) not in cols:
-                cols[p, slots[k + p]] = col(N, col_pts[p], *slots[k + p])
+def _det_sums(spec, row, col, xs, sides, ys=None):
+    """sum over the terms (coef, slots) of correlation_terms(spec, k) of
+    coef det[sum_{n<N} row_p(n) col_q(n)], row_p the factor of slot p at
+    xs[p] on side sides[p] and col_q that of slot k + q at ys[q] (default
+    xs[q]).  Each slot point builds one stack per family of the spec's
+    cached _layout, and each term indexes its rows and columns from them;
+    for k >= 2 all terms' and points' determinants are one stacked call."""
+    N, k = spec.N, len(xs)
+    if ("layout", k) not in spec._cache:
+        spec._cache["layout", k] = _layout(correlation_terms(spec, k))
+    coefs, fams, index = spec._cache["layout", k]
+    R, C = [], []
+    for p in range(k):
+        x, inv = xs[p], None
+        if ys is None and k > 1 and isinstance(x, np.ndarray):
+            # a k >= 2 table repeats each value of a slot: the slot's factors
+            # are built on its distinct values and gathered
+            x, inv = (u := np.unique(x)), np.searchsorted(u, x)
+        R.append(_factors(row, N, (x, sides[p]), fams[p], inv)[index[p]])
+        C.append(_factors(col, N, (x if ys is None else ys[p],), fams[k + p], inv)[index[k + p]])
     if k == 1:
-        # a 1 x 1 determinant is its entry, one dot over n per point
-        dets = np.array([_dot(rows[0, s[0]], cols[0, s[1]]) for _, s in terms])
+        # a 1 x 1 determinant is its entry, one dot over n per term and point
+        # (indexing keeps each factor's memory layout, which sets how BLAS sums)
+        dets = _dot(R[0], C[0])
     else:
-        # every term's k rows and columns, (T, k, N), or (T, k, P, N) on a
-        # grid, whose point axis then goes before (k, N)
-        R = np.array([[rows[p, s[p]] for p in range(k)] for _, s in terms]).swapaxes(1, -2)
-        C = np.array([[cols[p, s[k + p]] for p in range(k)] for _, s in terms]).swapaxes(1, -2)
+        # every term's k rows and columns as (T, k, N), or on a grid as
+        # (T, P, k, N): the point axis goes before (k, N)
+        R, C = (np.array(F).swapaxes(0, 1).swapaxes(1, -2) for F in (R, C))
         dets = np.linalg.det(R @ C.swapaxes(-1, -2))
-    return _dot(dets.T, [coef for coef, _ in terms])
+    return _dot(dets.T, coefs)
+
+
+def _layout(terms):
+    """A term list's coefficients; per slot the families [(v, ms)], ms the
+    sorted moments the slot takes at variance v; per slot each term's index
+    into the stacked families (a slice where term t takes member t)."""
+    fams, index = [], []
+    for slot in zip(*(slots for _, slots in terms)):
+        ms = {v: tuple(sorted({m for w, m in slot if w == v})) for v, _ in slot}
+        fams.append(list(ms.items()))
+        order = [(v, m) for v, family in fams[-1] for m in family]
+        index.append(slice(None) if order == list(slot) else np.array([*map(order.index, slot)]))
+    return np.array([c for c, _ in terms]), fams, index
+
+
+def _factors(f, N, pt, fams, inv=None):
+    """The stacks f(N, *pt, v, ms) of the families (v, ms) one after the
+    other, gathered by inv when pt holds a grid's distinct values."""
+    stack = f(N, *pt, *fams[0]) if len(fams) == 1 else \
+        np.concatenate([f(N, *pt, v, ms) for v, ms in fams])
+    return stack if inv is None else stack.take(inv, axis=1)
+
+
+def _members(table, x):
+    """A point-free (len(ms), ...) table, with a point axis after the first on a grid."""
+    return table[:, None] if isinstance(x, np.ndarray) else table
 
 
 def _dot(a, b):
-    """a.dot(b) over the last axis of a: at a point the ndarray method,
-    fastest for one call; on a grid one such dot per point (np.vecdot
+    """a.dot(b) over the last axis of a: the ndarray method for a vector,
+    fastest for one call; else one such dot per leading index (np.vecdot
     conjugates its first argument), which sums as the method does."""
     return a.dot(b) if a.ndim == 1 else np.vecdot(a.conj(), b)
 
@@ -148,14 +177,13 @@ def _dot(a, b):
 def _determinants(req, rows, col, metadata):
     """Evaluate req as one _det_sums over correlation_terms(req.spec, req.k),
     with error estimate 0.  rows = (Rhat row, R row) are factor functions
-    f(N, x, L, v, m); an R row of None is the imaginary part of the Rhat
-    row.  col is a factor function g(N, x, v, m).  Coincident points need
+    f(N, x, L, v, ms); an R row of None is the imaginary part of the Rhat
+    row.  col is a factor function g(N, x, v, ms).  Coincident points need
     no special case: the term sum is odd under swapping their columns."""
     rhat, r = rows
     row = rhat if req.variant == "Rhat" else r or (lambda *args: np.imag(rhat(*args)))
     # a point's value is a Python complex, a grid's a complex array
-    val = _num(_det_sums(correlation_terms(req.spec, req.k), req.spec.N, row,
-                         list(zip(req.xs, req.sides)), col, req.xs))
+    val = _num(_det_sums(req.spec, row, col, req.xs, req.sides))
     return CorrelationResult(val.real + 0j if req.variant == "R" else val, 0.0, metadata)
 
 
@@ -163,89 +191,94 @@ def _determinants(req, rows, col, metadata):
 # Convolution and trace-power closed form: h-space factors
 # ---------------------------------------------------------------------------
 
-def _row_rhat(N, x, L, v, m):
+def _row_rhat(N, x, L, v, ms):
     """row_n = (1/pi) integral (pi v)^(-1/2) e^(-a^2/v) a^m / (x - a - i L 0)^(n+1)
-    da, n = 0..N-1, via the scaled Gaussian Cauchy transforms."""
-    F = gauss_moment_cauchy(N - 1, m, x / math.sqrt(v), side=-L)
-    return _rhat_scale(N, v, m) * F[:, m].T
+    da, n = 0..N-1, for each m in ms, via one table of the scaled Gaussian
+    Cauchy transforms to max(ms)."""
+    F = gauss_moment_cauchy(N - 1, ms[-1], x / math.sqrt(v), side=-L)
+    # member m is F[:, m] laid out as the single-m row had it
+    F = F.swapaxes(0, 1).take(ms, axis=0).swapaxes(1, -1)
+    return _members(_row_scales(N, v, ms)[0], x) * F
 
 
-@functools.lru_cache(maxsize=64)
-def _rhat_scale(N, v, m):
-    """pi^(-3/2) v^((m - n - 1)/2), n < N, read-only."""
-    n = np.arange(N)
-    scale = SQRT_PI ** -3 * v ** ((m - n - 1) / 2.0)
-    scale.setflags(write=False)
-    return scale
+@_read_only
+def _row_scales(N, v, ms):
+    """The scales of the Rhat and the R rows, m in ms, n < N, read-only:
+    pi^(-3/2) v^((m - n - 1)/2) and (-1)^n (pi v)^(-1/2) v^((m - n)/2)."""
+    m, n = np.array(ms)[:, None], np.arange(N)
+    return (SQRT_PI ** -3 * v ** ((m - n - 1) / 2.0),
+            (-1.0) ** n * (np.pi * v) ** -0.5 * v ** ((m - n) / 2.0))
 
 
-def _row_r(N, x, L, v, m):
+def _row_r(N, x, L, v, ms):
     """Imaginary-part rows: the distributional limit
     Im row_n = L * (-1)^n (1/n!) d^n/dx^n [(pi v)^(-1/2) x^m e^(-x^2/v)],
-    by the Leibniz rule sum_j C(m, j) u^(m-j) e_(n-j) over the Gaussian
-    derivatives e_n = (1/n!) d^n/du^n e^(-u^2) at u = x / sqrt(v), taken
-    from e_(n+1) = -(2u e_n + 2e_(n-1)) / (n+1), after m zeros e_(-m..-1)."""
+    m in ms, by the Leibniz rule sum_j C(m, j) u^(m-j) e_(n-j) over the
+    Gaussian derivatives e_n = (1/n!) d^n/du^n e^(-u^2) at u = x / sqrt(v),
+    taken from e_(n+1) = -(2u e_n + 2e_(n-1)) / (n+1), after max(ms) zeros."""
+    M = ms[-1]
     u = x / math.sqrt(v)
     prev, cur = 0.0, _num(np.exp(-u * u))
-    e = [0.0 * cur] * m + [cur]
+    e = [0.0 * cur] * M + [cur]
     for n in range(N - 1):
         prev, cur = cur, -(2.0 * u * cur + 2.0 * prev) / (n + 1)
         e.append(cur)
-    d = e = np.array(e)
-    if m:
-        # row i of the table is C(m, j) u^(m-j) e_(n-j), j = m - i: a sum
-        # over the first axis adds the rows in order, left to right in e
-        w = _binomials(m + 1)[m] * np.asarray(u)[..., None] ** np.arange(m + 1)
-        d = (e[_window(m + 1, N)] * w.T[:, None]).sum(axis=0)
+    d = e = np.array(e)[None]
+    if M:
+        # member m's rows i >= M - m are C(m, j) u^(m-j) e_(n-j), j = M - i, and 0
+        # above them: a sum over the first axis adds them in order, left to right in e
+        i = np.maximum(np.arange(M + 1) - M + np.array(ms)[:, None], 0)
+        w = (_binomials(M + 1)[list(ms), ::-1] * np.asarray(u)[..., None, None] ** i).T
+        d = (e[0, _window(M + 1, N)][:, None] * w[:, :, None]).sum(axis=0)
     # L = +-1 changes signs only, so it may come first
-    return L * _r_scale(N, v, m) * d.T
+    return L * _members(_row_scales(N, v, ms)[1], x) * d.swapaxes(1, -1)
 
 
-@functools.lru_cache(maxsize=64)
-def _r_scale(N, v, m):
-    """(-1)^n (pi v)^(-1/2) v^((m - n)/2), n < N, read-only."""
-    n = np.arange(N)
-    scale = (-1.0) ** n * (np.pi * v) ** -0.5 * v ** ((m - n) / 2.0)
-    scale.setflags(write=False)
-    return scale
-
-
-@functools.lru_cache(maxsize=8)
+@_read_only
 def _binomials(N):
     """C(n, j) for n, j < N (0 for j > n), read-only."""
-    table = np.array([[math.comb(n, j) for j in range(N)] for n in range(N)], dtype=float)
-    table.setflags(write=False)
-    return table
+    return np.array([[math.comb(n, j) for j in range(N)] for n in range(N)], dtype=float)
 
 
-def _col_exact(N, x, v, m):
-    """col_n = integral (pi v)^(-1/2) e^(-b^2/v) b^m (x - ib)^n db
-    (the second kernel slot carries the i on the diagonal variable),
-    by binomial expansion into Gaussian moments: the (n, j) table
+def _col_exact(N, x, v, ms):
+    """col_n = integral (pi v)^(-1/2) e^(-b^2/v) b^m (x - ib)^n db, m in ms
+    (the second kernel slot carries the i on the diagonal variable), by
+    binomial expansion into Gaussian moments: the (n, j) table
     C(n, j) x^(n-j) (-i)^j v^((m+j)/2) gamma_(m+j), summed over j."""
-    j = np.arange(N)
     # the sum over j cancels like the Hermite polynomials it expands
     # (ROADMAP item 2); its terms take the C library's powers (as Python's
     # float powers do) and it runs left to right, so its round-off does
     # not depend on numpy's vectorized powers or summation order
-    xp = _powers(x, N).take(np.maximum(j[:, None] - j, 0), axis=-1)
-    vp = np.array([v ** ((m + e) / 2.0) for e in range(N)])
-    terms = _binomials(N) * xp * (-1j) ** j * vp * gauss_moments(N - 1 + m)[m:]
+    window, phase, vp, g = _exact_tables(N, v, ms)
+    terms = _binomials(N) * _powers(x, N).take(window, axis=-1) * phase \
+        * _members(vp, x) * _members(g, x)
     col = np.cumsum(terms, axis=-1)[..., -1]
     return col.real / SQRT_PI + 1j * (col.imag / SQRT_PI)
 
 
-def _col_rec(N, x, v, m):
+@_read_only
+def _exact_tables(N, v, ms):
+    """_col_exact's point-free tables, read-only: the index n - j into x's
+    powers (0 past the diagonal), the phases (-i)^j, and the (len(ms), 1, N)
+    tables v^((m+j)/2) (the C library's pow) and gamma_(m+j), m in ms."""
+    j, g = np.arange(N), gauss_moments(N - 1 + ms[-1])
+    return (np.maximum(j[:, None] - j, 0), (-1j) ** j,
+            np.array([[[v ** ((m + e) / 2.0) for e in range(N)]] for m in ms]),
+            np.array([[g[m:m + N]] for m in ms]))
+
+
+def _col_rec(N, x, v, ms):
     """The same column integrals by their recurrence in n: (x - ib)^(n+1) =
     (x - ib)^n (x - ib) and one integration by parts in b give
     col_n = (-i)^m r_n(m) with r real, r_0(j) = i^j v^(j/2) gamma_j / sqrt(pi)
-    and r_(n+1)(j) = x r_n(j) + (v/2)(j r_n(j-1) - n r_(n-1)(j)), j <= m.
+    and r_(n+1)(j) = x r_n(j) + (v/2)(j r_n(j-1) - n r_(n-1)(j)), j <= max(ms).
     Exact for every N and m; the odd-in-b part is exactly 0."""
     h = 0.5 * v
-    g = gauss_moments(m).tolist()
+    g = gauss_moments(ms[-1]).tolist()
     hn = [h * n for n in range(N - 1)]
     r = [0.0] * (N - 1)
-    for j in range(m + 1):
+    stack = []
+    for j in range(ms[-1] + 1):
         # one pass over n per j, reading r_n(j - 1) from the previous pass
         hj = h * j
         # (+ 0 x gives each point of a grid its seed)
@@ -255,8 +288,15 @@ def _col_rec(N, x, v, m):
             cur, prev = x * cur + hj * below - hn_n * prev, cur
             col.append(cur)
         r = col
-    r = (-1.0) ** (m // 2) * np.array(r).T
-    return r + 0j if m % 2 == 0 else -1j * r
+        if j in ms:
+            stack.append(r)
+    return _members(_col_phases(ms), x) * np.array(stack).swapaxes(1, -1)
+
+
+@_read_only
+def _col_phases(ms):
+    """The (len(ms), 1) phases (-i)^m, m in ms, read-only."""
+    return np.array([[(1, -1j, -1, 1j)[m % 4]] for m in ms], dtype=complex)
 
 
 def _powers(x, n):
@@ -285,48 +325,48 @@ def correlations_higher_trace(req):
 # Eigenvalue-integral (Fourier/jet) and factorized-kernel paths
 # ---------------------------------------------------------------------------
 
-def _halfline_vec(N, x, L, v, m):
+def _halfline_vec(N, x, L, v, ms):
     """i I_n, n = 0..N-1, with I_n the integral along the half-line from 0
-    to L infinity of (-i r)^n e^(-i x r) (slot Fourier factor)(r) dr.  The
-    orientation makes the L = -1 row the conjugate of the L = +1 row."""
-    a = _slot_phi_poly(v, m)
+    to L infinity of (-i r)^n e^(-i x r) (slot Fourier factor)(r) dr, for
+    each m in ms from one G tower.  The orientation makes the L = -1 row
+    the conjugate of the L = +1 row."""
     # r -> L r carries the half-line onto r > 0, and the term a_j G_(n+j)
     # picks up L^(n+j) = L^(n+m): a_j vanishes unless j = m mod 2
-    G = half_gauss_oscillatory(N + len(a) - 2, L * x, v / 4.0)
-    window, phase = _halfline_layout(N, L, len(a))
-    return 1j * L ** (m + 1) * (phase * (a * G.T.take(window, axis=-1)).sum(axis=-1))
+    G = half_gauss_oscillatory(N + ms[-1] - 1, L * x, v / 4.0).T
+    stack = []
+    for m in ms:
+        a = _slot_phi_poly(v, m)
+        window, phase = _halfline_layout(N, L, len(a))
+        stack.append(1j * L ** (m + 1) * (phase * (a * G.take(window, axis=-1)).sum(axis=-1)))
+    return np.array(stack)
 
 
-@functools.lru_cache(maxsize=64)
+@_read_only
 def _halfline_layout(N, L, width):
     """The (N, width) window n + j into the G tower and the phases
     (-i L)^n, n < N, read-only."""
-    phase = (-1j * L) ** np.arange(N)
-    phase.setflags(write=False)
-    return _window(N, width), phase
+    return _window(N, width), (-1j * L) ** np.arange(N)
 
 
-@functools.lru_cache(maxsize=64)
+@_read_only
 def _window(rows, width):
     """The (rows, width) index table r + j, read-only."""
-    window = np.arange(rows)[:, None] + np.arange(width)
-    window.setflags(write=False)
-    return window
+    return np.arange(rows)[:, None] + np.arange(width)
 
 
-def _jet_vec(N, x, v, m):
+def _jet_vec(N, x, v, ms):
     """J_n = (1/pi) times the order-n Taylor coefficient of e^(-x r)
-    (slot factor)(r) at 0."""
+    (slot factor)(r) at 0, m in ms, from one table of (-x)^i / i!."""
     ex = _powers(-x, N) / _factorials(N - 1)
-    return jet_mul(ex, _slot_jet(v, m, N - 1), N - 1) / np.pi
+    return (ex[..., None] * _members(_slot_jets(v, ms, N), x)).sum(axis=-2) / np.pi
 
 
-@functools.lru_cache(maxsize=64)
-def _slot_jet(v, m, order):
-    """slot_phi_jet(v, m, order), read-only: it does not depend on the point."""
-    jet = slot_phi_jet(v, m, order)
-    jet.setflags(write=False)
-    return jet
+@_read_only
+def _slot_jets(v, ms, N):
+    """The (len(ms), N, N) tables jet_(n-i) of slot_phi_jet(v, m, N - 1),
+    0 where n < i, read-only: they do not depend on the point."""
+    return np.array([np.append(slot_phi_jet(v, m, N - 1), 0)[_jet_mul_index(N, N, N - 1)]
+                     for m in ms])
 
 
 def correlations_eigenvalue_integral(req):
@@ -352,7 +392,7 @@ def factorized_kernel(spec, xp, xq, Lp=1):
     entrywise for the Gaussian case."""
     v = _factorizing_scale(spec)
     N = spec.N
-    val = np.dot(_halfline_vec(N, xp, Lp, v, 0), _jet_vec(N, xq, v, 0))
+    val = np.dot(_halfline_vec(N, xp, Lp, v, (0,))[0], _jet_vec(N, xq, v, (0,))[0])
     return val * np.exp((xp * xp - xq * xq) / (2.0 * v))
 
 
@@ -368,22 +408,22 @@ def correlations_factorized(req):
 # GUE closed form: oscillator-basis factors
 # ---------------------------------------------------------------------------
 
-def _row_osc_hat(N, x, L, v, m):
+def _row_osc_hat(N, x, L, v, ms):
     """Sided companion row v^(-1/2) phi^_n(x / sqrt v), n < N
-    (Im phi^_n = phi_n); the L = -1 row is its conjugate."""
+    (Im phi^_n = phi_n); the L = -1 row is its conjugate; ms = (0,)."""
     s = math.sqrt(v)
     t = _osc_hat_tower(N - 1, x / s).T / s
-    return t if L == 1 else t.conj()
+    return (t if L == 1 else t.conj())[None]
 
 
-def _col_osc(N, x, v, m):
-    """Oscillator column phi_n(x / sqrt v), n < N."""
-    return _osc_tower(N - 1, x / math.sqrt(v)).T
+def _col_osc(N, x, v, ms):
+    """Oscillator column phi_n(x / sqrt v), n < N, ms = (0,)."""
+    return _osc_tower(N - 1, x / math.sqrt(v)).T[None]
 
 
-def _row_osc(N, x, L, v, m):
+def _row_osc(N, x, L, v, ms):
     """Imaginary part of the sided companion row: L v^(-1/2) phi_n(x / sqrt v)."""
-    return L / np.sqrt(v) * _col_osc(N, x, v, m)
+    return L / np.sqrt(v) * _col_osc(N, x, v, ms)
 
 
 def correlations_closed_form_gue(req):
@@ -411,8 +451,7 @@ def generating_function_value(spec, k, x, J, metric=None):
     L = (metric or [1])[0]
     x1 = float(np.asarray(x).reshape(-1)[0])
     J1 = float(np.asarray(J).reshape(-1)[0])
-    total = _det_sums(correlation_terms(spec, 1), spec.N, _halfline_vec, [(x1 - J1, L)],
-                      _jet_vec, [x1 + J1])
+    total = _det_sums(spec, _halfline_vec, _jet_vec, [x1 - J1], [L], [x1 + J1])
     return 1.0 + 2.0 * np.pi * J1 * total
 
 

@@ -8,7 +8,6 @@ i.e. scale = 2t.
 """
 
 import collections
-import functools
 import itertools
 import json
 import math
@@ -16,7 +15,7 @@ import math
 import numpy as np
 from numpy.polynomial import hermite as nph
 
-from .special import _factorials, gauss_poly_derivatives
+from .special import _factorials, _read_only, gauss_poly_derivatives
 
 # bound on M1*M2, checked in characteristic_invariants only: it contracts
 # 2^(M1*M2) H/S words, grouped by canonical state.  Above it every
@@ -469,14 +468,12 @@ def jet_mul(a, b, order):
     return terms.sum(axis=-2)
 
 
-@functools.lru_cache(maxsize=64)
+@_read_only
 def _jet_mul_index(na, nb, order):
     """(na, order + 1) table of n - i, or nb where that falls outside
     0..nb-1, read-only."""
     j = np.arange(order + 1) - np.arange(na)[:, None]
-    index = np.where((j >= 0) & (j < nb), j, nb)
-    index.setflags(write=False)
-    return index
+    return np.where((j >= 0) & (j < nb), j, nb)
 
 
 def slot_phi(v, m, r):
@@ -491,22 +488,18 @@ def slot_phi(v, m, r):
     return v ** (m / 2.0) * (0.5j) ** m * hm * np.exp(-v * r * r / 4.0)
 
 
-@functools.lru_cache(maxsize=64)
+@_read_only
 def _slot_phi_poly(v, m):
     """Ascending coefficients a_j of the polynomial part of slot_phi:
     slot_phi(v, m, r) = sum_j a_j r^j e^(-v r^2/4), read-only."""
     hc = _hermite_coefficients(m)
-    a = v ** (m / 2.0) * (0.5j) ** m * hc * (np.sqrt(v) / 2.0) ** np.arange(m + 1)
-    a.setflags(write=False)
-    return a
+    return v ** (m / 2.0) * (0.5j) ** m * hc * (np.sqrt(v) / 2.0) ** np.arange(m + 1)
 
 
-@functools.lru_cache(maxsize=32)
+@_read_only
 def _hermite_coefficients(m):
     """Ascending monomial coefficients of H_m, read-only."""
-    hc = nph.herm2poly([0.0] * m + [1.0]) if m else np.array([1.0])
-    hc.setflags(write=False)
-    return hc
+    return nph.herm2poly([0.0] * m + [1.0]) if m else np.array([1.0])
 
 
 def slot_phi_jet(v, m, order):

@@ -55,6 +55,19 @@ def _any(cond):
     return cond.any() if isinstance(cond, np.ndarray) else cond
 
 
+def _read_only(fn):
+    """functools.lru_cache for tables that do not depend on the point: the
+    array returned, or each array of a returned tuple, is read-only."""
+    @functools.lru_cache(maxsize=64)
+    @functools.wraps(fn)
+    def table(*args):
+        out = fn(*args)
+        for a in out if isinstance(out, tuple) else (out,):
+            a.setflags(write=False)
+        return out
+    return table
+
+
 def hermite_poly(n, x):
     """Physicists' Hermite polynomial H_n(x) by three-term recurrence."""
     x = np.asarray(x, dtype=float)
@@ -240,7 +253,7 @@ def cauchy_gauss_tower(nmax, z, side=-1):
 CAUCHY_ASYMP = 6.5
 
 
-@functools.lru_cache(maxsize=8)
+@_read_only
 def _cauchy_coefficients(nmax):
     """Factors of the Faddeeva derivatives in C_n, n = 0..nmax, read-only:
     lower half plane (or z - i0): C_n = (i pi / n!) w^(n)(-z);
@@ -249,10 +262,7 @@ def _cauchy_coefficients(nmax):
     # n! as the running float product 1 * 1 * 2 * ... * n
     f = np.cumprod(np.maximum(n, 1).astype(float))
     lo = 1j * (np.pi / f)
-    hi = -lo * (-1.0) ** n
-    lo.setflags(write=False)
-    hi.setflags(write=False)
-    return lo, hi
+    return lo, -lo * (-1.0) ** n
 
 
 def _cauchy_gauss_far(nmax, z, upper):
@@ -282,22 +292,18 @@ def _cauchy_gauss_far(nmax, z, upper):
     return pv + (-1j if upper else 1j) * (_PI_LONG * np.array(h)).astype(float)
 
 
-@functools.lru_cache(maxsize=8)
+@_read_only
 def _far_coefficients(nmax):
     """C(n+m, n) gamma_m for n = 0..nmax and even m = 0..120, read-only."""
     g = gauss_moments(120)
-    table = np.array([[math.comb(n + m, n) * g[m] for m in range(0, 121, 2)]
-                      for n in range(nmax + 1)])
-    table.setflags(write=False)
-    return table
+    return np.array([[math.comb(n + m, n) * g[m] for m in range(0, 121, 2)]
+                     for n in range(nmax + 1)])
 
 
-@functools.lru_cache(maxsize=8)
+@_read_only
 def _factorials(nmax):
     """n! rounded once to a float, n = 0..nmax, read-only."""
-    f = np.array([float(math.factorial(n)) for n in range(nmax + 1)])
-    f.setflags(write=False)
-    return f
+    return np.array([float(math.factorial(n)) for n in range(nmax + 1)])
 
 
 def _truncated_sums(terms):

@@ -162,6 +162,21 @@ def test_corr_bad_method_exits_2(capsys, gauss_cfg):
     assert "convolution" in err  # valid methods are enumerated
 
 
+def test_failed_parse_leaves_the_parser_as_a_fresh_one(capsys, gauss_cfg):
+    # the parser is built once per process; a parse that fails with exit 2
+    # must not change what the next call prints
+    argv = ["corr", "--ensemble", gauss_cfg, "--grid", "-1:1:5", "--k", "2",
+            "--metric", "+-", "--variant", "Rhat"]
+    cli.build_parser.cache_clear()
+    fresh = run(capsys, *argv)
+    assert fresh[0] == 0
+    code, _, err = run(capsys, "corr", "--ensemble", gauss_cfg, "--k", "two", "--bogus")
+    assert code == 2 and "usage: rmtcorr corr" in err
+    assert run(capsys, *argv) == fresh
+    assert run(capsys, "--help")[0] == 0
+    assert run(capsys, *argv) == fresh
+
+
 def test_corr_bad_grid_exits_2(capsys, gauss_cfg):
     code, _, err = run(capsys, "corr", "--ensemble", gauss_cfg,
                        "--grid", "nonsense")

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from rmtcorr import engine, special
-from rmtcorr.ensembles import EnsembleSpec
+from rmtcorr.ensembles import EnsembleSpec, correlation_terms
 from rmtcorr.engine import (CorrelationRequest, evaluate, factorized_kernel,
                             generating_function_value, time_domain_transform)
 from rmtcorr.kernels import IncrementedPoint
@@ -300,7 +300,7 @@ def test_row_r_against_mpmath(N, x):
         a = np.pad(np.abs(ref), 1, mode="edge")
         scale = np.max([a[:-2], a[1:-1], a[2:]], axis=0)
         for L in (1, -1):
-            got = engine._row_r(N, x, L, v, m)
+            got = engine._row_r(N, x, L, v, (m,))[0]
             assert np.all(np.abs(got - L * ref) <= 1e-13 * scale)
 
 
@@ -320,7 +320,7 @@ def col_exact_loop(N, x, v, m):
 def test_col_exact_matches_binomial_loop(N):
     # same terms summed in the same order: equal to the last bit
     for x, v, m in ((0.0, 1.0, 0), (0.7, 1.0, 0), (-3.3, 0.8, 1), (9.1, 2.0, 3)):
-        assert np.array_equal(engine._col_exact(N, x, v, m), col_exact_loop(N, x, v, m))
+        assert np.array_equal(engine._col_exact(N, x, v, (m,))[0], col_exact_loop(N, x, v, m))
 
 
 def mp_col(N, x, v, m):
@@ -355,7 +355,7 @@ def test_col_rec_against_mpmath(N, x):
         scale = np.abs(ref)
         scale[1:] = np.maximum(scale[1:], np.abs(ref[:-1]))
         scale[:-1] = np.maximum(scale[:-1], np.abs(ref[1:]))
-        got = engine._col_rec(N, x, v, m)
+        got = engine._col_rec(N, x, v, (m,))[0]
         assert np.all(np.abs(got - ref) <= 2e-14 * scale), (v, m)
         keep, odd = (np.real, np.imag) if m % 2 == 0 else (np.imag, np.real)
         assert np.all(odd(got) == 0.0), (v, m)
@@ -372,7 +372,7 @@ def test_col_rec_keeps_its_own_recurrence(monkeypatch):
                          (engine, "gauss_moment_cauchy"), (special, "gauss_moment_cauchy")):
         monkeypatch.setattr(module, name, refuse)
     for v, m in COL_CASES:
-        assert np.all(np.isfinite(engine._col_rec(32, 7.4, v, m)))
+        assert np.all(np.isfinite(engine._col_rec(32, 7.4, v, (m,))))
 
 
 def test_convolution_matches_closed_form_gue_at_large_N():
@@ -402,7 +402,121 @@ def test_row_r_keeps_its_own_recurrence(monkeypatch):
     monkeypatch.setattr(engine, "_osc_tower", refuse)
     monkeypatch.setattr(special, "_osc_tower", refuse)
     monkeypatch.setattr(special, "hermite_poly", refuse)
-    assert np.all(np.isfinite(engine._row_r(32, 7.4, 1, 1.0, 2)))
+    assert np.all(np.isfinite(engine._row_r(32, 7.4, 1, 1.0, (2,))))
+
+
+# -- moment families ---------------------------------------------------------
+
+# each route's (Rhat row, R row) and column factor functions; an R row of
+# None is the imaginary part of the Rhat row
+ROUTE_FACTORS = {
+    "convolution": ((engine._row_rhat, engine._row_r), engine._col_rec),
+    "closed_form_higher_trace": ((engine._row_rhat, engine._row_r), engine._col_exact),
+    "eigenvalue_integral": ((engine._halfline_vec, None), engine._jet_vec),
+    "closed_form_gue": ((engine._row_osc_hat, engine._row_osc), engine._col_osc)}
+FAMILY_GRID = np.array([-7.3, -1.2, 0.0, 0.7, 2.9, 7.3])
+
+
+def slot_families(spec, k):
+    """The (v, ms) families of correlation_terms(spec, k), one per slot
+    and variance: ms are the sorted moments the slot takes."""
+    fams = {}
+    for _, slots in correlation_terms(spec, k):
+        for s, (v, m) in enumerate(slots):
+            fams.setdefault((s, v), set()).add(m)
+    return {(v, tuple(sorted(ms))) for (_, v), ms in fams.items()}
+
+
+@pytest.mark.parametrize("M1, M2", [(4, 1), (3, 2), (4, 2)])
+def test_factor_family_members_equal_single_factors(M1, M2):
+    # one stack per slot point and variance: its member i is the factor of
+    # the one moment ms[i], bit for bit, at a point and on a grid
+    N = 5
+    families = slot_families(EnsembleSpec.higher_trace(N, M1, M2), 1) \
+        | slot_families(EnsembleSpec.higher_trace(N, M1, M2), 2)
+    assert max(len(ms) for _, ms in families) >= 3
+    rows = {engine._row_rhat, engine._row_r, engine._halfline_vec}
+    cols = {engine._col_rec, engine._col_exact, engine._jet_vec}
+    for x in (0.7, FAMILY_GRID):
+        for v, ms in families:
+            for f, args in [(f, (L,)) for f in rows for L in (1, -1)] + [(f, ()) for f in cols]:
+                stack = f(N, x, *args, v, ms)
+                assert stack.shape == (len(ms),) + np.shape(x) + (N,), f.__name__
+                for i, m in enumerate(ms):
+                    assert np.array_equal(stack[i], f(N, x, *args, v, (m,))[0]), (f.__name__, m)
+        # the oscillator factors exist for m = 0 only
+        for f, args in ((engine._row_osc_hat, (-1,)), (engine._row_osc, (1,)), (engine._col_osc, ())):
+            assert f(N, x, *args, 0.8, (0,)).shape == (1,) + np.shape(x) + (N,)
+
+
+def test_layout_indexes_each_term_slot(monkeypatch):
+    # every term finds its own (v, m) in each slot's stacked families, in
+    # term lists from the specs and in one whose terms take a slot's
+    # members out of their sorted order; a spec builds one layout per k
+    lists = [correlation_terms(EnsembleSpec.higher_trace(4, M1, M2), k)
+             for M1, M2 in ((4, 1), (3, 2)) for k in (1, 2)]
+    lists.append([(1.0, [(1.0, 2), (0.5, 0)]), (2.0, [(1.0, 0), (0.5, 0)])])
+    for terms in lists:
+        coefs, fams, index = engine._layout(terms)
+        assert coefs.tolist() == [c for c, _ in terms]
+        for s, (families, idx) in enumerate(zip(fams, index)):
+            stacked = [(v, m) for v, ms in families for m in ms]
+            assert len(set(stacked)) == len(stacked)
+            assert [tuple(stacked[i]) for i in np.arange(len(terms))[idx]] \
+                == [tuple(slots[s]) for _, slots in terms]
+    calls = collections.Counter()
+    layout = engine._layout
+    monkeypatch.setattr(engine, "_layout", lambda terms: calls.update([len(terms)]) or layout(terms))
+    spec = EnsembleSpec.higher_trace(4, 4, 1)
+    for method in ROUTES["tp41"]:
+        for variant in ("Rhat", "R"):
+            r1(spec, 0.3, method, variant)
+            r2(spec, 0.4, -0.9, method, variant)
+    assert calls == {6: 1, 15: 1}
+
+
+def reference_sum(spec, k, xs, sides, variant, method):
+    """The route's value summed one term at a time from single-moment
+    factors: coef det[sum_n row_p(n) col_q(n)] per term."""
+    (rhat, r), col = ROUTE_FACTORS[method]
+    row = rhat if variant == "Rhat" else r or (lambda *args: np.imag(rhat(*args)))
+    N, total = spec.N, 0.0
+    for coef, slots in correlation_terms(spec, k):
+        R = np.stack([row(N, xs[p], sides[p], slots[p][0], slots[p][1:])[0]
+                      for p in range(k)], axis=-2)
+        C = np.stack([col(N, xs[q], slots[k + q][0], slots[k + q][1:])[0]
+                      for q in range(k)], axis=-2)
+        total = total + coef * np.linalg.det(R @ C.swapaxes(-1, -2))
+    return total.real + 0j if variant == "R" else total
+
+
+@pytest.mark.parametrize("name", ["tp41", "tp32", "two_node"])
+def test_evaluate_matches_term_by_term_reference(name):
+    # the cached layout indexes every term's rows and columns from the
+    # family stacks: its value is the plain sum over the terms
+    spec = {"tp41": EnsembleSpec.higher_trace(4, 4, 1), "tp32": EnsembleSpec.higher_trace(4, 3, 2),
+            "two_node": EnsembleSpec.norm_dependent(4, ([0.3, 0.9], [1 / 0.6, 1 / 0.6]))}[name]
+    methods = ROUTES["table"] if name == "two_node" else ROUTES["tp41"]
+    grid = np.linspace(-2.1, 1.7, 5)
+    cases = {1: ([(0.7,), (-1.2,)], grid[:, None]),
+             2: ([(0.4, -0.9), (0.3, 0.3)], np.array([(a, b) for a in grid for b in grid]))}
+    checked = 0
+    for method in methods:
+        for variant in ("Rhat", "R"):
+            for k, (pts, table) in cases.items():
+                for sides in itertools.product((1, -1), repeat=k):
+                    for pt in pts:
+                        got = evaluate(CorrelationRequest(
+                            spec, k, [IncrementedPoint(x, s) for x, s in zip(pt, sides)],
+                            variant, method)).value
+                        ref = reference_sum(spec, k, pt, sides, variant, method)
+                        assert abs(got - ref) <= 1e-13 * abs(ref) + 1e-15, (method, variant, pt)
+                    got = engine.evaluate_grid(spec, k, table, variant, method, sides).value
+                    ref = reference_sum(spec, k, list(table.T), sides, variant, method)
+                    bound = 1e-13 * np.max(np.abs(ref)) + 1e-15
+                    assert np.max(np.abs(got - ref)) <= bound, (method, variant, sides)
+                    checked += 1
+    assert checked == len(methods) * 2 * 6
 
 
 # -- symmetries ------------------------------------------------------------
