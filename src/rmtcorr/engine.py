@@ -122,13 +122,8 @@ def _det_sums(spec, row, col, xs, sides, ys=None):
     coefs, fams, index = spec._cache["layout", k]
     R, C = [], []
     for p in range(k):
-        x, inv = xs[p], None
-        if ys is None and k > 1 and isinstance(x, np.ndarray):
-            # a k >= 2 table repeats each value of a slot: the slot's factors
-            # are built on its distinct values and gathered
-            x, inv = (u := np.unique(x)), np.searchsorted(u, x)
-        R.append(_factors(row, N, (x, sides[p]), fams[p], inv)[index[p]])
-        C.append(_factors(col, N, (x if ys is None else ys[p],), fams[k + p], inv)[index[k + p]])
+        R.append(_factors(row, N, (xs[p], sides[p]), fams[p])[index[p]])
+        C.append(_factors(col, N, (xs[p] if ys is None else ys[p],), fams[k + p])[index[k + p]])
     if k == 1:
         # a 1 x 1 determinant is its entry, one dot over n per term and point
         # (indexing keeps each factor's memory layout, which sets how BLAS sums)
@@ -154,12 +149,11 @@ def _layout(terms):
     return np.array([c for c, _ in terms]), fams, index
 
 
-def _factors(f, N, pt, fams, inv=None):
-    """The stacks f(N, *pt, v, ms) of the families (v, ms) one after the
-    other, gathered by inv when pt holds a grid's distinct values."""
-    stack = f(N, *pt, *fams[0]) if len(fams) == 1 else \
-        np.concatenate([f(N, *pt, v, ms) for v, ms in fams])
-    return stack if inv is None else stack.take(inv, axis=1)
+def _factors(f, N, pt, fams):
+    """The stacks f(N, *pt, v, ms) of the families (v, ms) one after the other."""
+    if len(fams) == 1:
+        return f(N, *pt, *fams[0])
+    return np.concatenate([f(N, *pt, v, ms) for v, ms in fams])
 
 
 def _members(table, x):
@@ -201,7 +195,7 @@ def _row_rhat(N, x, L, v, ms):
     return _members(_row_scales(N, v, ms)[0], x) * F
 
 
-@_read_only
+@_read_only(64)
 def _row_scales(N, v, ms):
     """The scales of the Rhat and the R rows, m in ms, n < N, read-only:
     pi^(-3/2) v^((m - n - 1)/2) and (-1)^n (pi v)^(-1/2) v^((m - n)/2)."""
@@ -234,7 +228,7 @@ def _row_r(N, x, L, v, ms):
     return L * _members(_row_scales(N, v, ms)[1], x) * d.swapaxes(1, -1)
 
 
-@_read_only
+@_read_only(8)
 def _binomials(N):
     """C(n, j) for n, j < N (0 for j > n), read-only."""
     return np.array([[math.comb(n, j) for j in range(N)] for n in range(N)], dtype=float)
@@ -256,7 +250,7 @@ def _col_exact(N, x, v, ms):
     return col.real / SQRT_PI + 1j * (col.imag / SQRT_PI)
 
 
-@_read_only
+@_read_only(64)
 def _exact_tables(N, v, ms):
     """_col_exact's point-free tables, read-only: the index n - j into x's
     powers (0 past the diagonal), the phases (-i)^j, and the (len(ms), 1, N)
@@ -293,7 +287,7 @@ def _col_rec(N, x, v, ms):
     return _members(_col_phases(ms), x) * np.array(stack).swapaxes(1, -1)
 
 
-@_read_only
+@_read_only(64)
 def _col_phases(ms):
     """The (len(ms), 1) phases (-i)^m, m in ms, read-only."""
     return np.array([[(1, -1j, -1, 1j)[m % 4]] for m in ms], dtype=complex)
@@ -341,14 +335,14 @@ def _halfline_vec(N, x, L, v, ms):
     return np.array(stack)
 
 
-@_read_only
+@_read_only(64)
 def _halfline_layout(N, L, width):
     """The (N, width) window n + j into the G tower and the phases
     (-i L)^n, n < N, read-only."""
     return _window(N, width), (-1j * L) ** np.arange(N)
 
 
-@_read_only
+@_read_only(64)
 def _window(rows, width):
     """The (rows, width) index table r + j, read-only."""
     return np.arange(rows)[:, None] + np.arange(width)
@@ -361,7 +355,7 @@ def _jet_vec(N, x, v, ms):
     return (ex[..., None] * _members(_slot_jets(v, ms, N), x)).sum(axis=-2) / np.pi
 
 
-@_read_only
+@_read_only(64)
 def _slot_jets(v, ms, N):
     """The (len(ms), N, N) tables jet_(n-i) of slot_phi_jet(v, m, N - 1),
     0 where n < i, read-only: they do not depend on the point."""

@@ -468,7 +468,7 @@ def jet_mul(a, b, order):
     return terms.sum(axis=-2)
 
 
-@_read_only
+@_read_only(64)
 def _jet_mul_index(na, nb, order):
     """(na, order + 1) table of n - i, or nb where that falls outside
     0..nb-1, read-only."""
@@ -488,7 +488,7 @@ def slot_phi(v, m, r):
     return v ** (m / 2.0) * (0.5j) ** m * hm * np.exp(-v * r * r / 4.0)
 
 
-@_read_only
+@_read_only(64)
 def _slot_phi_poly(v, m):
     """Ascending coefficients a_j of the polynomial part of slot_phi:
     slot_phi(v, m, r) = sum_j a_j r^j e^(-v r^2/4), read-only."""
@@ -496,7 +496,7 @@ def _slot_phi_poly(v, m):
     return v ** (m / 2.0) * (0.5j) ** m * hc * (np.sqrt(v) / 2.0) ** np.arange(m + 1)
 
 
-@_read_only
+@_read_only(32)
 def _hermite_coefficients(m):
     """Ascending monomial coefficients of H_m, read-only."""
     return nph.herm2poly([0.0] * m + [1.0]) if m else np.array([1.0])

@@ -55,17 +55,20 @@ def _any(cond):
     return cond.any() if isinstance(cond, np.ndarray) else cond
 
 
-def _read_only(fn):
-    """functools.lru_cache for tables that do not depend on the point: the
-    array returned, or each array of a returned tuple, is read-only."""
-    @functools.lru_cache(maxsize=64)
-    @functools.wraps(fn)
-    def table(*args):
-        out = fn(*args)
-        for a in out if isinstance(out, tuple) else (out,):
-            a.setflags(write=False)
-        return out
-    return table
+def _read_only(maxsize):
+    """A functools.lru_cache of maxsize entries for tables that do not depend
+    on the point: the array returned, or each array of a returned tuple, is
+    read-only."""
+    def cache(fn):
+        @functools.lru_cache(maxsize=maxsize)
+        @functools.wraps(fn)
+        def table(*args):
+            out = fn(*args)
+            for a in out if isinstance(out, tuple) else (out,):
+                a.setflags(write=False)
+            return out
+        return table
+    return cache
 
 
 def hermite_poly(n, x):
@@ -253,7 +256,7 @@ def cauchy_gauss_tower(nmax, z, side=-1):
 CAUCHY_ASYMP = 6.5
 
 
-@_read_only
+@_read_only(8)
 def _cauchy_coefficients(nmax):
     """Factors of the Faddeeva derivatives in C_n, n = 0..nmax, read-only:
     lower half plane (or z - i0): C_n = (i pi / n!) w^(n)(-z);
@@ -292,7 +295,7 @@ def _cauchy_gauss_far(nmax, z, upper):
     return pv + (-1j if upper else 1j) * (_PI_LONG * np.array(h)).astype(float)
 
 
-@_read_only
+@_read_only(8)
 def _far_coefficients(nmax):
     """C(n+m, n) gamma_m for n = 0..nmax and even m = 0..120, read-only."""
     g = gauss_moments(120)
@@ -300,7 +303,7 @@ def _far_coefficients(nmax):
                      for n in range(nmax + 1)])
 
 
-@_read_only
+@_read_only(8)
 def _factorials(nmax):
     """n! rounded once to a float, n = 0..nmax, read-only."""
     return np.array([float(math.factorial(n)) for n in range(nmax + 1)])
