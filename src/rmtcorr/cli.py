@@ -66,7 +66,9 @@ def _load_spec(path):
             return EnsembleSpec.from_json(fh.read())
     except FileNotFoundError:
         raise ConfigError(f"ensemble file not found: {path}")
-    except (ValueError, KeyError, json.JSONDecodeError) as e:
+    except OSError as e:
+        raise ConfigError(f"cannot read ensemble file: {e}")
+    except (ValueError, KeyError, TypeError, OverflowError) as e:
         raise ConfigError(f"bad ensemble config: {e}")
 
 
@@ -90,15 +92,9 @@ def _fmt(x):
 
 def cmd_corr(args):
     spec = _load_spec(args.ensemble)
-    if args.method not in METHODS:
-        raise ConfigError(f"unknown method {args.method!r}; valid: {', '.join(METHODS)}")
-    if args.variant not in VARIANTS:
-        raise ConfigError(f"unknown variant {args.variant!r}; valid: {', '.join(VARIANTS)}")
     k = args.k
     metric = _parse_metric(args.metric, k)
     g = _parse_grid(args.grid)
-    if k not in (1, 2):
-        raise ConfigError("corr supports k = 1 or 2")
     probe = g[:, None] if k == 1 else np.array([(x, y) for x in g for y in g])
 
     header = _header(args)
@@ -173,8 +169,6 @@ SUITES = ("duality", "kernel-identity", "pairing", "hciz", "mc", "all")
 
 
 def cmd_verify(args):
-    if args.suite not in SUITES:
-        raise ConfigError(f"unknown suite {args.suite!r}; valid: {', '.join(SUITES)}")
     run = [args.suite] if args.suite != "all" else list(SUITES[:-1])
     header = _header(args, seed=args.seed)
     for key, v in header.items():
@@ -240,7 +234,6 @@ def _run_suite(suite, args):
         err = np.fmax(hist.errors, np.sqrt(ref / (batch.count * width)))
         frac = np.count_nonzero(np.abs(hist.density - ref) > 3 * err) / len(xs)
         return f"mc(N={spec.N})", frac <= 0.05, frac
-    raise ConfigError(f"unknown suite {suite!r}")
 
 
 @functools.cache
@@ -251,16 +244,16 @@ def build_parser():
 
     pc = sub.add_parser("corr", help="correlation table on a grid")
     pc.add_argument("--ensemble", required=True)
-    pc.add_argument("--k", type=int, default=1)
+    pc.add_argument("--k", type=int, default=1, choices=(1, 2))
     pc.add_argument("--grid", required=True, help="lo:hi:count")
-    pc.add_argument("--method", default="convolution")
-    pc.add_argument("--variant", default="R")
+    pc.add_argument("--method", default="convolution", choices=METHODS)
+    pc.add_argument("--variant", default="R", choices=VARIANTS)
     pc.add_argument("--metric", default=None, help="k signs, e.g. +- for k=2")
     pc.add_argument("--output", default="-")
     pc.add_argument("--format", default="csv", choices=("csv", "json"))
 
     pv = sub.add_parser("verify", help="verification suites")
-    pv.add_argument("--suite", default="all")
+    pv.add_argument("--suite", default="all", choices=SUITES)
     pv.add_argument("--k", type=int, default=None)
     pv.add_argument("--N", type=int, default=None)
     pv.add_argument("--seed", type=int, default=7)

@@ -125,9 +125,9 @@ def _det_sums(spec, row, col, xs, sides, ys=None):
         R.append(_factors(row, N, (xs[p], sides[p]), fams[p])[index[p]])
         C.append(_factors(col, N, (xs[p] if ys is None else ys[p],), fams[k + p])[index[k + p]])
     if k == 1:
-        # a 1 x 1 determinant is its entry, one dot over n per term and point
-        # (indexing keeps each factor's memory layout, which sets how BLAS sums)
-        dets = _dot(R[0], C[0])
+        # a 1 x 1 determinant is its entry, one dot over n per term and point,
+        # on contiguous operands so that the order of the sum is fixed
+        dets = _dot(np.ascontiguousarray(R[0]), np.ascontiguousarray(C[0]))
     else:
         # every term's k rows and columns as (T, k, N), or on a grid as
         # (T, P, k, N): the point axis goes before (k, N)
@@ -190,7 +190,6 @@ def _row_rhat(N, x, L, v, ms):
     da, n = 0..N-1, for each m in ms, via one table of the scaled Gaussian
     Cauchy transforms to max(ms)."""
     F = gauss_moment_cauchy(N - 1, ms[-1], x / math.sqrt(v), side=-L)
-    # member m is F[:, m] laid out as the single-m row had it
     F = F.swapaxes(0, 1).take(ms, axis=0).swapaxes(1, -1)
     return _members(_row_scales(N, v, ms)[0], x) * F
 

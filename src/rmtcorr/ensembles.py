@@ -71,7 +71,7 @@ class EnsembleSpec:
             spread = ("spike", params["scale"] / 2.0)
         else:
             spread = params["spread"]
-        self.spread_nodes = _spread_nodes(spread)
+        self.spread_nodes, self._spread_doc = _spread_nodes(spread)
 
     # -- constructors -------------------------------------------------------
 
@@ -92,22 +92,11 @@ class EnsembleSpec:
     # -- serialization ------------------------------------------------------
 
     def to_json(self):
-        d = {"N": self.N, "family": self.family}
-        if self.family == "gaussian":
-            d["scale"] = self.params["scale"]
-        elif self.family == "higher_trace":
-            d["M1"] = self.params["M1"]
-            d["M2"] = self.params["M2"]
-        else:
-            sp = self.params["spread"]
-            if isinstance(sp, tuple) and isinstance(sp[0], str) and sp[0] == "spike":
-                d["spread"] = {"type": "spike", "t0": sp[1]}
-            elif isinstance(sp, tuple) and len(sp) == 2:
-                d["spread"] = {"type": "table",
-                               "t": list(np.asarray(sp[0], float)),
-                               "f": list(np.asarray(sp[1], float))}
-            else:
+        d = {"N": self.N, "family": self.family, **self.params}
+        if self.family == "norm_dependent":
+            if self._spread_doc is None:
                 raise ValueError("callable spreads are not serializable")
+            d["spread"] = self._spread_doc
         return json.dumps(d)
 
     @classmethod
@@ -153,12 +142,14 @@ def _whole(name, x):
 
 def _spread_nodes(sp):
     """Discrete (t, weight) nodes with sum(w) ~ integral f dt = 1, built
-    once per spec as spec.spread_nodes.  Every node is a Gaussian
-    component of variance 2t with a probability weight, so a spread with a
-    non-finite node or weight, a node at t <= 0 or a negative weight is
-    refused, whatever its kind."""
+    once per spec as spec.spread_nodes, and the spread's JSON document
+    (None for a callable): the one place that tells a spike, a table and a
+    callable apart.  Every node is a Gaussian component of variance 2t with
+    a probability weight, so a spread with a non-finite node or weight, a
+    node at t <= 0 or a negative weight is refused, whatever its kind."""
     if isinstance(sp, tuple) and isinstance(sp[0], str) and sp[0] == "spike":
         t, w = np.array([sp[1]]), np.array([1.0])
+        doc = {"type": "spike", "t0": sp[1]}
     elif isinstance(sp, tuple) and len(sp) == 2 and not callable(sp[0]) \
             and not isinstance(sp[0], str):
         t = np.asarray(sp[0], float)
@@ -170,12 +161,14 @@ def _spread_nodes(sp):
         w[:-1] += 0.5 * dt
         w[1:] += 0.5 * dt
         w *= f
+        doc = {"type": "table", "t": t.tolist(), "f": f.tolist()}
     else:
         func = sp[0] if isinstance(sp, tuple) else sp
         lo, hi = sp[1] if isinstance(sp, tuple) else (0.0, _spread_reach(func))
         x, gw = np.polynomial.legendre.leggauss(256)
         t = 0.5 * (hi - lo) * (x + 1.0) + lo
         w = 0.5 * (hi - lo) * gw * np.array([func(v) for v in t])
+        doc = None
     if not (np.all(np.isfinite(t)) and np.all(np.isfinite(w))):
         raise ValueError("the spread has a node or weight that is nan or inf")
     if np.any(t <= 0):
@@ -190,7 +183,7 @@ def _spread_nodes(sp):
                          "as (f, (lo, hi))")
     if abs(total - 1.0) > 1e-6:
         raise ValueError(f"spread integrates to {total}, not 1")
-    return t, w
+    return (t, w), doc
 
 
 def _spread_reach(func):

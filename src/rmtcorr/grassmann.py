@@ -199,12 +199,6 @@ def tr_power(K, m):
     return _signed_trace(_powers(K, m)[-1], [1] * len(K))
 
 
-def strg_power(B, m):
-    """Supertrace of B^m: trace of the boson block minus the fermion block."""
-    k = len(B) // 2
-    return _signed_trace(_powers(B, m)[-1], [1] * k + [-1] * k)
-
-
 def verify_duality(k, N, m_max, seed):
     """Max coefficient deviation of tr K^m - trg B^m for m = 1..m_max,
     both sides read off one chain of powers."""

@@ -206,6 +206,25 @@ def test_corr_invalid_config_exits_2(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("cfg", [
+    None,  # the path is a directory
+    {"N": 4, "family": "gaussian", "scale": "1"},
+    {"N": None, "family": "gaussian"},
+    {"N": float("inf"), "family": "gaussian"},
+    {"N": 4, "family": "norm_dependent", "spread": [1, 2]},
+    [1, 2],
+])
+def test_corr_malformed_config_exits_2(capsys, tmp_path, cfg):
+    path = tmp_path / "cfg.json"
+    if cfg is None:
+        path.mkdir()
+    else:
+        path.write_text(json.dumps(cfg))
+    code, out, err = run(capsys, "corr", "--ensemble", str(path), "--grid", "0:1:2")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_corr_non_integer_dimension_exits_2(capsys, tmp_path):
     path = tmp_path / "n.json"
     path.write_text(json.dumps({"N": 4.7, "family": "higher_trace", "M1": 4.9, "M2": 1}))

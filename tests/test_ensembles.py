@@ -626,6 +626,10 @@ def test_serialization_roundtrip():
         a, _ = reduced_density(spec, h, 1)
         b, _ = reduced_density(back, h, 1)
         assert abs(a - b) < 1e-12
+    # a bounded callable spread is a callable, not a table
+    spec = EnsembleSpec.norm_dependent(4, (lambda t: 1.0, (0.25, 1.25)))
+    with pytest.raises(ValueError, match="not serializable"):
+        spec.to_json()
 
 
 def test_from_json_rejects_numeric_b():
