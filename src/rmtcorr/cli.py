@@ -6,7 +6,6 @@ criterion, 2 configuration/usage errors.
 """
 
 import argparse
-import csv
 import functools
 import hashlib
 import json

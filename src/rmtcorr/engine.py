@@ -20,6 +20,7 @@ L = +1 row.  R: the rows are the imaginary parts of the sided rows, so R
 carries prod_p L_p; its value is real.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -41,11 +42,9 @@ class CorrelationRequest:
     per slot, a (P,) array per slot for a grid) and sides."""
 
     def __init__(self, spec, k, points, variant="Rhat", method="convolution"):
-        self.points = [p if isinstance(p, IncrementedPoint) else IncrementedPoint(p)
-                       for p in points]
-        self._take(spec, k, [p.value for p in self.points], [p.side for p in self.points],
-                   variant, method)
-        if any(p.epsilon != 0 for p in self.points):
+        points = [p if isinstance(p, IncrementedPoint) else IncrementedPoint(p) for p in points]
+        self._take(spec, k, [p.value for p in points], [p.side for p in points], variant, method)
+        if any(p.epsilon != 0 for p in points):
             raise ValueError("the engine routes compute the epsilon -> 0+ limit; "
                              "points must have epsilon = 0")
 
@@ -66,7 +65,7 @@ class CorrelationRequest:
 
 def _finite(x):
     """Whether x, a point's number or a grid's array, is finite throughout."""
-    return np.isfinite(x).all() if isinstance(x, np.ndarray) else math.isfinite(x)
+    return np.isfinite(x).all() if isinstance(x, np.ndarray) else cmath.isfinite(x)
 
 
 class CorrelationResult:
@@ -178,6 +177,8 @@ def _determinants(req, rows, col, metadata):
     row = rhat if req.variant == "Rhat" else r or (lambda *args: np.imag(rhat(*args)))
     # a point's value is a Python complex, a grid's a complex array
     val = _num(_det_sums(req.spec, row, col, req.xs, req.sides))
+    if not _finite(val):
+        raise ValueError(f"{req.method} gives a value that is not finite at N = {req.spec.N}")
     return CorrelationResult(val.real + 0j if req.variant == "R" else val, 0.0, metadata)
 
 
@@ -441,9 +442,11 @@ def generating_function_value(spec, k, x, J, metric=None):
     (1/2pi) dZ/dJ at J = 0 equals Rhat_1(x) on the side of the metric."""
     if k != 1:
         raise NotImplementedError("generating function implemented for k = 1")
-    L = (metric or [1])[0]
-    x1 = float(np.asarray(x).reshape(-1)[0])
-    J1 = float(np.asarray(J).reshape(-1)[0])
+    x, J, metric = np.ravel(x), np.ravel(J), [1] if metric is None else list(metric)
+    if not len(x) == len(J) == len(metric) == 1:
+        raise ValueError(f"k = 1 takes one x, one J and one metric sign, got {len(x)}, "
+                         f"{len(J)} and {len(metric)}")
+    L, x1, J1 = metric[0], float(x[0]), float(J[0])
     total = _det_sums(spec, _halfline_vec, _jet_vec, [x1 - J1], [L], [x1 + J1])
     return 1.0 + 2.0 * np.pi * J1 * total
 

@@ -101,25 +101,28 @@ class EnsembleSpec:
 
     @classmethod
     def from_json(cls, text):
-        d = json.loads(text)
-        fam = d["family"]
-        if fam == "gaussian":
-            return cls.gaussian(d["N"], d.get("scale", 1.0))
-        if fam == "higher_trace":
-            # older configs spell out the derived normalization as "b": "auto"
-            if d.get("b", "auto") != "auto":
-                raise ValueError(f"b = {d['b']!r}: the trace-power normalization is "
-                                 "derived from M1, M2 and N; omit b or give \"auto\"")
-            return cls.higher_trace(d["N"], d["M1"], d["M2"])
+        """The spec of a to_json document, built by the family's named
+        constructor, so that a key the family does not take raises TypeError."""
+        d = _json_object(json.loads(text), "an ensemble config")
+        N, fam = d.pop("N"), d.pop("family")
+        if fam not in FAMILIES:
+            raise ValueError(f"unknown family {fam!r}")
+        # older configs spell out the derived normalization as "b": "auto"
+        if fam == "higher_trace" and (b := d.pop("b", "auto")) != "auto":
+            raise ValueError(f"b = {b!r}: the trace-power normalization is "
+                             "derived from M1, M2 and N; omit b or give \"auto\"")
         if fam == "norm_dependent":
-            sp = d["spread"]
-            if sp["type"] == "spike":
-                return cls.norm_dependent(d["N"], ("spike", float(sp["t0"])))
-            if sp["type"] == "table":
-                return cls.norm_dependent(
-                    d["N"], (np.asarray(sp["t"], float), np.asarray(sp["f"], float)))
-            raise ValueError(f"unknown spread type {sp['type']!r}")
-        raise ValueError(f"unknown family {fam!r}")
+            sp = _json_object(d.pop("spread"), "the spread")
+            kind = sp.pop("type")
+            if kind == "spike":
+                d["spread"] = ("spike", float(sp.pop("t0")))
+            elif kind == "table":
+                d["spread"] = (np.asarray(sp.pop("t"), float), np.asarray(sp.pop("f"), float))
+            else:
+                raise ValueError(f"unknown spread type {kind!r}")
+            if sp:
+                raise TypeError(f"a {kind} spread takes no {', '.join(sp)}")
+        return getattr(cls, fam)(N, **d)
 
     # -- higher-trace moments ----------------------------------------------
 
@@ -131,6 +134,12 @@ class EnsembleSpec:
     def normalization_b(self):
         """b making b (tr H^M1)^M2 exp(-tr H^2) a normalized density."""
         return 1.0 / (self.full_moment() * flat_gauss_norm(self.N, 1.0))
+
+
+def _json_object(doc, what):
+    if not isinstance(doc, dict):
+        raise TypeError(f"{what} must be a JSON object, got {doc!r}")
+    return doc
 
 
 def _whole(name, x):

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from .special import faddeeva_derivatives, gauss_moments
+from .special import cauchy_gauss_tower, gauss_moments
 
 DELTA_CONF = 1e-8
 
@@ -154,15 +154,11 @@ def ingham_siegel_pair(N, test, metric=None, variant="full", epsilon=0.0):
         L = metric[p]
         lo, hi = (0.0, np.inf) if L == 1 else (-np.inf, 0.0)
 
-        def integrand_re(r):
-            return np.real((1j * r) ** N * np.exp(-L * epsilon * r) * f(r))
+        def integrand(r):
+            return (1j * r) ** N * np.exp(-L * epsilon * r) * f(r)
 
-        def integrand_im(r):
-            return np.imag((1j * r) ** N * np.exp(-L * epsilon * r) * f(r))
-
-        re = quad(integrand_re, lo, hi, limit=200)[0]
-        im = quad(integrand_im, lo, hi, limit=200)[0]
-        out *= (re + 1j * im) * (-1.0) ** (N - 1) * math.factorial(N - 1) * jet[N - 1]
+        val = quad(integrand, lo, hi, limit=200, complex_func=True)[0]
+        out *= val * (-1.0) ** (N - 1) * math.factorial(N - 1) * jet[N - 1]
     return out
 
 
@@ -202,12 +198,11 @@ def gaussian_pairing(N, k=1):
     # s1 integrals: int e^(-s1^2/4) (s1 - i0)^(-j) ds1
     #             = 2^(1-j) (-1)^j C_{j-1}(i0+), pole side above the axis
     g = gauss_moments(N)
-    w0 = faddeeva_derivatives(np.array(0j), N + 1)
+    # C_0..C_N at z -> 0 from the upper half plane
+    C = cauchy_gauss_tower(N, 0j, side=1)
 
     def s1_int(j):
-        # C_{j-1} at z -> 0 from the upper half plane
-        c = (-1j * np.pi / math.factorial(j - 1)) * ((-1.0) ** (j - 1)) * w0[j - 1]
-        return 2.0 ** (1 - j) * ((-1.0) ** j) * c
+        return 2.0 ** (1 - j) * ((-1.0) ** j) * C[j - 1]
 
     def s2_int(m):
         return (1j ** m) * 2.0 ** (m + 1) * g[m] if m % 2 == 0 else 0.0

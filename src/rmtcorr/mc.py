@@ -54,7 +54,8 @@ class BinnedDensity:
 def gaussian_matrices(rng, N, count):
     """count Hermitean N x N matrices with weight exp(-tr H^2): diagonal
     variance 1/2, off-diagonal Re/Im variance 1/4."""
-    A = _ginibre(rng, N, count)
+    re, im = _ginibre(rng, N, count)
+    A = re + 1j * im
     H = (A + np.transpose(A, (0, 2, 1)).conj()) * (1.0 / np.sqrt(8.0))
     ii = np.arange(N)
     H[:, ii, ii] = rng.standard_normal((count, N)) * np.sqrt(0.5)
@@ -181,8 +182,9 @@ def estimate_r2(batch, grid):
 
 
 def _ginibre(rng, N, count):
-    """count complex Ginibre N x N matrices: real parts, then imaginary."""
-    return rng.standard_normal((count, N, N)) + 1j * rng.standard_normal((count, N, N))
+    """count complex Ginibre N x N matrices as their real and imaginary
+    parts, stacked (2, count, N, N): all real parts, then all imaginary."""
+    return rng.standard_normal((2, count, N, N))
 
 
 def _gram_schmidt(X):
@@ -202,12 +204,12 @@ def _gram_schmidt(X):
 
 
 def _haar_columns(A):
-    """Haar unitaries U_s of complex Ginibre matrices A (count, N, N)
-    (Mezzadri 2007), returned as X (N, N, count) with X[a, b, s] = U_s[b, a].
-    A may also be the real and imaginary parts stacked as (2, count, N, N).
-    The sample axis is last so every step works on long contiguous rows;
-    tiles of TILE entries keep a step's operands in cache."""
-    re, im = (A.real, A.imag) if np.iscomplexobj(A) else A
+    """Haar unitaries U_s of complex Ginibre matrices A_s (Mezzadri 2007),
+    given as their real and imaginary parts stacked (2, count, N, N) and
+    returned as X (N, N, count) with X[a, b, s] = U_s[b, a].  The sample
+    axis is last so every step works on long contiguous rows; tiles of
+    TILE entries keep a step's operands in cache."""
+    re, im = A
     count, N = re.shape[0], re.shape[-1]
     X = np.empty((N, N, count), dtype=complex)
     tile = max(TILE // (N * N), 1)
@@ -227,9 +229,8 @@ def haar_unitary(N, seed):
 def hciz_mc(E, R, samples, seed):
     """MC mean of exp(i tr U E U^dag R) over Haar U, with jackknife
     standard error over min(200, samples) blocks; returns (value, stderr).
-    Each block draws its matrices at most CHUNK // N at a time; whole draws
-    are gathered into chunks of at most that size and orthogonalised
-    together."""
+    The samples are drawn (_ginibre) and orthogonalised in chunks of at
+    most CHUNK // N, and each sample's phase is added into its block."""
     E = np.asarray(E, dtype=float)
     R = np.asarray(R, dtype=float)
     if E.ndim != 1 or E.shape != R.shape:
@@ -240,31 +241,15 @@ def hciz_mc(E, R, samples, seed):
     cap = CHUNK // max(N, 1)
     rng = np.random.default_rng(seed)
     counts = _block_sizes(samples)
-    draws = [(b, min(cap, c - done)) for b, c in enumerate(counts)
-             for done in range(0, c, cap)]
-    sums = np.zeros(len(counts), dtype=complex)
-    first = 0
-    while first < len(draws):
-        last, total = first, 0
-        while last < len(draws) and total + draws[last][1] <= cap:
-            total += draws[last][1]
-            last += 1
-        blocks, sizes = zip(*draws[first:last])
-        # every draw's real parts, then its imaginary parts, as _ginibre
-        # draws them, generated in place into one buffer per chunk
-        parts = np.empty((2, total, N, N))
-        start = 0
-        for c in sizes:
-            for part in parts:
-                rng.standard_normal((c, N, N), out=part[start: start + c])
-            start += c
-        X = _haar_columns(parts)
+    ends = np.cumsum(counts)
+    # per block, the sums of the phases' real and imaginary parts
+    sums = np.zeros((2, len(counts)))
+    for s in range(0, samples, cap):
+        X = _haar_columns(_ginibre(rng, N, min(cap, samples - s)))
         # tr U E U^dag R = sum_{a,b} E_a R_b |U_{b a}|^2, X[a, b] = U[b, a]
         P = (X.real ** 2 + X.imag ** 2).reshape(N * N, -1)
         vals = np.exp(1j * (np.outer(E, R).ravel() @ P))
-        np.add.at(sums, list(blocks), np.add.reduceat(vals, np.cumsum(sizes) - sizes))
-        first = last
-    est, err_re = _jackknife_ratio(np.real(sums)[:, None], counts[:, None])
-    _, err_im = _jackknife_ratio(np.imag(sums)[:, None], counts[:, None])
-    est_c = complex(np.sum(sums) / samples)
-    return est_c, float(np.hypot(err_re[0], err_im[0]))
+        blk = np.searchsorted(ends, np.arange(s, s + len(vals)), side="right")
+        sums += [np.bincount(blk, weights=v, minlength=len(counts)) for v in (vals.real, vals.imag)]
+    est, err = _jackknife_ratio(sums.T, counts[:, None])
+    return complex(*est), float(np.hypot(*err))

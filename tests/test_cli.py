@@ -155,6 +155,18 @@ def test_corr_grid_keeps_per_point_failures(capsys, monkeypatch, gauss6_cfg):
     assert all("overflows" in f for f in failures)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_corr_non_finite_value_is_a_numeric_failure(capsys, tmp_path):
+    # the convolution factors overflow at N = 400 (N = 300 gives R(0) = 7.79)
+    path = tmp_path / "gauss400.json"
+    path.write_text(json.dumps({"N": 400, "family": "gaussian"}))
+    code, out, err = run(capsys, "corr", "--ensemble", str(path), "--grid", "0:1:2")
+    assert code == 1 and "nan" not in out
+    assert [f.split(":")[0] for f in err.strip().splitlines()] == [
+        f"numeric failure at ({x},)" for x in (0.0, 1.0)]
+    assert "not finite" in err
+
+
 def test_corr_bad_method_exits_2(capsys, gauss_cfg):
     code, _, err = run(capsys, "corr", "--ensemble", gauss_cfg,
                        "--grid", "-1:1:3", "--method", "bogus")
@@ -213,6 +225,11 @@ def test_corr_invalid_config_exits_2(capsys, tmp_path):
     {"N": float("inf"), "family": "gaussian"},
     {"N": 4, "family": "norm_dependent", "spread": [1, 2]},
     [1, 2],
+    "gaussian",
+    # a misspelt or extra key is refused, not dropped
+    {"N": 4, "family": "gaussian", "sclae": 0.5},
+    {"N": 4, "family": "higher_trace", "M1": 4, "M2": 1, "M3": 2},
+    {"N": 4, "family": "norm_dependent", "spread": {"type": "spike", "t0": 0.4, "f": 1}},
 ])
 def test_corr_malformed_config_exits_2(capsys, tmp_path, cfg):
     path = tmp_path / "cfg.json"

@@ -833,6 +833,16 @@ def test_generating_function_derivative_is_rhat():
                 assert abs(deriv - ref) < 1e-6 * max(abs(ref), 1.0)
 
 
+def test_generating_function_refuses_more_than_one_entry():
+    spec = EnsembleSpec.gaussian(4)
+    assert (generating_function_value(spec, 1, [0.3], [0.01], [-1])
+            == generating_function_value(spec, 1, 0.3, 0.01, metric=(-1,)))
+    for x, J, metric in (([0.3, 5.0], 0.01, None), (0.3, [0.01, 7.0], None),
+                         (0.3, 0.01, [1, -1]), ([], 0.01, None)):
+        with pytest.raises(ValueError, match="one x, one J and one metric sign"):
+            generating_function_value(spec, 1, x, J, metric)
+
+
 # -- time domain -----------------------------------------------------------
 
 def test_time_domain_gaussian_n1():

@@ -209,7 +209,7 @@ def test_haar_gram_schmidt_matches_qr(N):
     count = 2000
     rng = np.random.default_rng(40 + N)
     A = rng.standard_normal((count, N, N)) + 1j * rng.standard_normal((count, N, N))
-    U = _haar_columns(A).transpose(2, 1, 0)
+    U = _haar_columns(np.stack([A.real, A.imag])).transpose(2, 1, 0)
     assert U.shape == (count, N, N)
     assert np.max(np.abs(U - qr_haar(A))) < 1e-13
     eye = np.eye(N)
@@ -221,6 +221,22 @@ def test_haar_gram_schmidt_matches_qr(N):
         assert np.max(np.abs(haar_unitary(N, seed) - qr_haar(A1)[0])) < 1e-13
 
 
+@pytest.mark.parametrize("N", [2, 4])
+def test_gaussian_and_haar_draws_are_two_standard_normal_calls(N):
+    # _ginibre's one (2, count, N, N) call draws what two successive
+    # (count, N, N) calls draw: the real parts, then the imaginary parts
+    count = 6
+    for seed in (0, 9):
+        r = np.random.default_rng(seed)
+        A = r.standard_normal((count, N, N)) + 1j * r.standard_normal((count, N, N))
+        H = (A + A.conj().transpose(0, 2, 1)) * (1.0 / np.sqrt(8.0))
+        H[:, range(N), range(N)] = r.standard_normal((count, N)) * np.sqrt(0.5)
+        assert np.array_equal(gaussian_matrices(np.random.default_rng(seed), N, count), H)
+        r = np.random.default_rng(seed)
+        parts = np.stack([r.standard_normal((1, N, N)), r.standard_normal((1, N, N))])
+        assert np.array_equal(haar_unitary(N, seed), _haar_columns(parts)[:, :, 0].T)
+
+
 def test_haar_columns_stay_unitary_when_ill_conditioned():
     # nearly parallel columns: one Gram-Schmidt pass loses orthogonality
     # in proportion to cond(A)^2, the second pass restores it
@@ -228,7 +244,8 @@ def test_haar_columns_stay_unitary_when_ill_conditioned():
     N, count = 5, 200
     base = rng.standard_normal((count, N, 1)) + 1j * rng.standard_normal((count, N, 1))
     noise = rng.standard_normal((count, N, N)) + 1j * rng.standard_normal((count, N, N))
-    X = _haar_columns(base + 1e-6 * noise)
+    A = base + 1e-6 * noise
+    X = _haar_columns(np.stack([A.real, A.imag]))
     U = X.transpose(2, 1, 0)
     assert np.max(np.abs(U.conj().transpose(0, 2, 1) @ U - np.eye(N))) < 1e-12
 
@@ -311,31 +328,49 @@ def test_histograms_match_block_loop_on_sampled_batch():
         assert np.max(np.abs(hist.errors - err)) <= 1e-12 * np.max(err)
 
 
-# estimates and errors of the per-block QR code, same seeds and draw order:
+def hciz_qr(E, R, samples, seed):
+    """hciz_mc's estimate and jackknife error through LAPACK QR, from the
+    same draws: chunks of at most CHUNK // N samples, each drawn as all its
+    real parts, then all its imaginary parts."""
+    N, cap = len(E), mc.CHUNK // len(E)
+    rng = np.random.default_rng(seed)
+    vals = []
+    for s in range(0, samples, cap):
+        re, im = rng.standard_normal((2, min(cap, samples - s), N, N))
+        U = qr_haar(re + 1j * im)
+        vals.append(np.exp(1j * np.einsum("sba,a,b->s", np.abs(U) ** 2, E, R)))
+    blocks = np.array_split(np.concatenate(vals), min(200, samples))
+    sums = np.array([b.sum() for b in blocks])
+    sizes = np.array([len(b) for b in blocks])
+    est = sums.sum() / samples
+    loo = (sums.sum() - sums) / (samples - sizes)
+    B = len(blocks)
+    return est, np.sqrt((B - 1) / B * np.sum(np.abs(loo - est) ** 2))
+
+
 # three chunks at N=2, blocks of 62 and 61 samples, and N=4
 @pytest.mark.parametrize("E,R,samples,seed,value,err", [
     ((0.3, -1.1), (0.8, -0.4), 300000, 5,
-     0.8752670162154664 - 0.14119336375968725j, 0.0008368840389673698),
+     0.8752416085706166 - 0.1414866380585475j, 0.0007710979354337503),
     ((0.2, -0.9, 1.1), (0.5, 1.3, -0.4), 12345, 8,
-     0.8192446441604838 + 0.14744432748325603j, 0.005062001368338503),
+     0.8169573319556502 + 0.15284416480401752j, 0.0051316799718866025),
     ((-1.2, -0.3, 0.4, 1.5), (-0.7, 0.1, 0.6, 1.9), 20000, 3,
-     0.6131916928036861 + 0.11191098013047682j, 0.005577680299617932),
+     0.6076105416223271 + 0.10918414168724369j, 0.005576972646276602),
 ])
 def test_hciz_mc_pinned(E, R, samples, seed, value, err):
     got, got_err = hciz_mc(E, R, samples, seed)
-    assert abs(got - value) <= 1e-12 * abs(value)
-    assert abs(got_err - err) <= 1e-12 * err
+    for v, e in ((value, err), hciz_qr(E, R, samples, seed)):
+        assert abs(got - v) <= 1e-12 * abs(v)
+        assert abs(got_err - e) <= 1e-12 * e
 
 
 def test_hciz_mc_small_count_has_one_sample_per_block():
     E, R = np.array([0.4, -0.6, 1.0]), np.array([1.2, 0.3, -0.8])
     samples, seed = 57, 4
-    rng = np.random.default_rng(seed)
-    vals = []
-    for _ in range(samples):
-        U = qr_haar(rng.standard_normal((1, 3, 3)) + 1j * rng.standard_normal((1, 3, 3)))[0]
-        vals.append(np.exp(1j * np.real(np.trace(U @ np.diag(E) @ U.conj().T @ np.diag(R)))))
-    vals = np.array(vals)
+    # one chunk: every real part, then every imaginary part
+    re, im = np.random.default_rng(seed).standard_normal((2, samples, 3, 3))
+    vals = np.array([np.exp(1j * np.real(np.trace(U @ np.diag(E) @ U.conj().T @ np.diag(R))))
+                     for U in qr_haar(re + 1j * im)])
     est, err = hciz_mc(E, R, samples, seed)
     assert abs(est - vals.mean()) < 1e-13
     # delete-1 jackknife of a mean is its standard error
