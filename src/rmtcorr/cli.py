@@ -97,13 +97,7 @@ def cmd_corr(args):
     probe = g[:, None] if k == 1 else np.array([(x, y) for x in g for y in g])
 
     header = _header(args)
-    # the whole table in one call; if it raises, point by point, so that
-    # each failing point is reported and the others still print
-    try:
-        res = evaluate_grid(spec, k, probe, args.variant, args.method, metric)
-        results = [(v, res.error_estimate) for v in res.value]
-    except Exception:
-        results = [_point_result(spec, k, pt, metric, args) for pt in probe.tolist()]
+    results = _table_results(spec, k, probe, metric, args)
     rows = [(args.method, args.variant, k) + tuple(pt) + (np.real(r[0]), np.imag(r[0]), r[1])
             for pt, r in zip(probe.tolist(), results) if r is not None]
 
@@ -117,6 +111,21 @@ def cmd_corr(args):
 
     _emit(args.output, args.format, header, rows, k, footer)
     return 1 if len(rows) < len(probe) else 0
+
+
+def _table_results(spec, k, probe, metric, args):
+    """(value, error estimate) per row of probe, or None for a failed row.
+    The rows go in one call; if it raises, each half goes the same way, so
+    that only a failing point ends up evaluated alone, which reports it."""
+    try:
+        res = evaluate_grid(spec, k, probe, args.variant, args.method, metric)
+        return [(v, res.error_estimate) for v in res.value]
+    except Exception:
+        if len(probe) == 1:
+            return [_point_result(spec, k, probe[0].tolist(), metric, args)]
+    h = len(probe) // 2
+    return (_table_results(spec, k, probe[:h], metric, args)
+            + _table_results(spec, k, probe[h:], metric, args))
 
 
 def _point_result(spec, k, pt, metric, args):

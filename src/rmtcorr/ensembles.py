@@ -439,15 +439,16 @@ def _reduced_density_mc(spec, h, k, samples, seed):
         raise ValueError("the Monte Carlo check of reduced_density needs a trace-power "
                          "spec; a Gaussian mixture has only its closed form")
     gauss = np.prod(np.pi ** -0.5 * np.exp(-h * h))
-    from .mc import gaussian_matrices
+    from .mc import gaussian_tiles
     rng = np.random.default_rng(seed)
     vals = np.empty(samples)
-    chunk = 20000
+    n, chunk = 0, 20000
     ii = np.arange(2 * k)
     for s in range(0, samples, chunk):
-        Hm = gaussian_matrices(rng, spec.N, min(chunk, samples - s))
-        Hm[:, ii, ii] = h
-        vals[s: s + chunk] = _trace_power(Hm, M1) ** M2
+        for Hm in gaussian_tiles(rng, spec.N, min(chunk, samples - s)):
+            Hm[:, ii, ii] = h
+            vals[n: n + len(Hm)] = _trace_power(Hm, M1) ** M2
+            n += len(Hm)
     mean = float(np.mean(vals))
     err = float(np.std(vals) / np.sqrt(samples))
     full = spec.full_moment()

@@ -5,6 +5,7 @@ integrals with their degenerate limit.
 """
 
 import math
+import warnings
 
 import numpy as np
 
@@ -140,7 +141,7 @@ def ingham_siegel_pair(N, test, metric=None, variant="full", epsilon=0.0):
     'imaginary_part' uses 2^(-k(k-1)) (pi (-1)^(N-1) / (N-1)!)^k.
     """
     # scipy.integrate is slow to import, and only this pairing needs it
-    from scipy.integrate import quad
+    from scipy.integrate import IntegrationWarning, quad
     k = len(test)
     metric = list(metric) if metric is not None else [1] * k
     if variant not in ("full", "imaginary_part"):
@@ -157,19 +158,29 @@ def ingham_siegel_pair(N, test, metric=None, variant="full", epsilon=0.0):
         def integrand(r):
             return (1j * r) ** N * np.exp(-L * epsilon * r) * f(r)
 
-        val = quad(integrand, lo, hi, limit=200, complex_func=True)[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", IntegrationWarning)
+            try:
+                val = quad(integrand, lo, hi, limit=200, complex_func=True)[0]
+            except IntegrationWarning as e:
+                raise ValueError(f"the half-line integral of point {p} did not converge at "
+                                 f"epsilon = {epsilon}; a larger epsilon damps it "
+                                 f"({str(e).splitlines()[0]})") from None
         out *= val * (-1.0) ** (N - 1) * math.factorial(N - 1) * jet[N - 1]
     return out
 
 
-def ingham_siegel_kernel(N, s1, s2, epsilon=1e-6):
+def ingham_siegel_kernel(N, s1, s2, epsilon):
     """Fundamental kernel rebuilt from the half-line/derivative functional:
     the order-(N-1) derivative of e^(-i s2 r2) / (r1 - i r2) at r2 = 0 is
     expanded by the Leibniz rule and each term is one pairing call.
     Cross-checks the closed kernel against the functional's constant: the
-    functional carries c_N1 * (-1)^(N-1)(N-1)! = i 2 pi and the kernel a
-    1/pi, so the pairing sum equals -i 2 pi^2 times the kernel (the extra
-    minus is the orientation of the half-line contour)."""
+    functional carries c_N1 * (-1)^(N-1)(N-1)! = i 2 pi, and the Leibniz
+    term with (i s2)^n pairs to (-1)^(N-1) i 2 pi (i s2)^n / (s1 - i eps)^(n+1),
+    so the pairing sum equals (-1)^(N-1) i 2 pi^2 times the kernel
+    (1/pi) sum_n (i s2)^n / (s1 - i eps)^(n+1).  The damping
+    epsilon > 0 is the increment of s1; the half-line integrals need one
+    large enough to converge (ingham_siegel_pair raises otherwise)."""
     total = 0j
     for j in range(N):
         def f(r, j=j):
@@ -179,7 +190,7 @@ def ingham_siegel_kernel(N, s1, s2, epsilon=1e-6):
         jet[N - 1] = (-1j * s2) ** (N - 1 - j) / (
             math.factorial(j) * math.factorial(N - 1 - j))
         total += ingham_siegel_pair(N, [(f, jet)], epsilon=epsilon)
-    return total / (-2j * np.pi ** 2)
+    return total * (-1.0) ** (N - 1) / (2j * np.pi ** 2)
 
 
 def gaussian_pairing(N, k=1):

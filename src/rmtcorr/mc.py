@@ -7,9 +7,17 @@ import warnings
 
 import numpy as np
 
+# samples drawn in one go, which fixes the order of the draws
 CHUNK = 200000
-# complex entries (512 KB) per Gram-Schmidt tile
+# entries in a working array built from the draws (512 KB when complex)
 TILE = 32768
+
+
+def _tiles(count, per_sample):
+    """Slices of range(count) of at most TILE entries at per_sample entries
+    a sample, and at least one sample."""
+    step = max(TILE // per_sample, 1)
+    return [slice(a, a + step) for a in range(0, count, step)]
 
 
 class SampleBatch:
@@ -51,29 +59,46 @@ class BinnedDensity:
         return float(np.sum(self.density * np.diff(self.edges)))
 
 
-def gaussian_matrices(rng, N, count):
-    """count Hermitean N x N matrices with weight exp(-tr H^2): diagonal
-    variance 1/2, off-diagonal Re/Im variance 1/4."""
+def gaussian_tiles(rng, N, count):
+    """count Hermitean N x N matrices with weight exp(-tr H^2), diagonal
+    variance 1/2 and off-diagonal Re/Im variance 1/4, yielded a tile at a
+    time.  All draws come first: _ginibre, then the (count, N) diagonal."""
     re, im = _ginibre(rng, N, count)
-    A = re + 1j * im
-    H = (A + np.transpose(A, (0, 2, 1)).conj()) * (1.0 / np.sqrt(8.0))
+    diag = rng.standard_normal((count, N)) * np.sqrt(0.5)
     ii = np.arange(N)
-    H[:, ii, ii] = rng.standard_normal((count, N)) * np.sqrt(0.5)
-    return H
+    for t in _tiles(count, N * N):
+        A = re[t] + 1j * im[t]
+        H = (A + np.transpose(A, (0, 2, 1)).conj()) * (1.0 / np.sqrt(8.0))
+        H[:, ii, ii] = diag[t]
+        yield H
+
+
+def gaussian_matrices(rng, N, count):
+    """The matrices of gaussian_tiles as one (count, N, N) stack."""
+    return np.concatenate(list(gaussian_tiles(rng, N, count)))
 
 
 def _gaussian_eigs(rng, N, count):
     """Eigenvalues of exp(-tr H^2) matrices from the tridiagonal beta = 2
     model (Dumitriu-Edelman 2002).  Per CHUNK of c samples: the (c, N)
     diagonal a_j ~ N(0, 1/2), then the (c, N-1) subdiagonal
-    b_j = chi_(2(N-j))/2, j = 1..N-1; eigvalsh reads the lower triangle."""
+    b_j = chi_(2(N-j))/2, j = 1..N-1.  The diagonal is drawn into the
+    output, and the dense matrices are built and solved a tile at a time,
+    each tile's eigenvalues replacing its diagonal; eigvalsh reads the lower
+    triangle."""
     out = np.empty((count, N))
     ii = np.arange(N)
     for s in range(0, count, CHUNK):
-        T = np.zeros((min(CHUNK, count - s), N, N))
-        T[:, ii, ii] = rng.standard_normal(T.shape[:2]) * np.sqrt(0.5)
-        T[:, ii[1:], ii[:-1]] = np.sqrt(rng.chisquare(2.0 * (N - ii[1:]), (len(T), N - 1))) / 2
-        out[s: s + CHUNK] = np.linalg.eigvalsh(T)
+        a = rng.standard_normal(out=out[s: s + CHUNK])
+        a *= np.sqrt(0.5)
+        b = rng.chisquare(2.0 * (N - ii[1:]), (len(a), N - 1))
+        np.sqrt(b, out=b)
+        b /= 2
+        for t in _tiles(len(a), N * N):
+            T = np.zeros((len(a[t]), N, N))
+            T[:, ii, ii] = a[t]
+            T[:, ii[1:], ii[:-1]] = b[t]
+            a[t] = np.linalg.eigvalsh(T)
     return out
 
 
@@ -91,7 +116,10 @@ def sample_batch(spec, count, seed):
     ev = _gaussian_eigs(rng, spec.N, count)
     ev *= np.sqrt(2.0 * tv)[:, None]
     M1, M2 = spec.trace_power
-    batch = SampleBatch(ev, np.sum(ev ** M1, axis=1) ** M2, seed, spec)
+    weights = np.empty(count)
+    for s in _tiles(count, spec.N):
+        weights[s] = np.sum(ev[s] ** M1, axis=1) ** M2
+    batch = SampleBatch(ev, weights, seed, spec)
     ess = batch.effective_sample_size()
     if ess < 0.01 * count:
         msg = f"effective sample size {ess:.1f} below 1% of {count}"
@@ -143,42 +171,48 @@ def _bin_index(x, edges):
     return i, keep
 
 
-def _block_density(batch, sizes, cells, weights, edges, ndim):
-    """Blocked weighted ndim-point histogram from one bincount: cells holds
-    each value's flat (block, bin) index, block-major, and weights its
-    weight (0 for a value that does not count).  Jackknife over blocks."""
-    B, shape = len(sizes), (len(edges) - 1,) * ndim
-    num = np.bincount(cells.ravel(), weights=weights.ravel(), minlength=B * np.prod(shape))
-    den = np.add.reduceat(batch.weights, np.cumsum(sizes) - sizes) * (edges[1] - edges[0]) ** ndim
-    est, err = _jackknife_ratio(num.reshape((B,) + shape), den.reshape((B,) + (1,) * ndim))
-    return BinnedDensity(edges, est, err)
-
-
-def _binned_eigenvalues(batch, bins):
-    """Edges, block sizes, and for each eigenvalue its (block, bin) index
-    block * bins + bin, its bin index, and its in-range mask."""
+def _block_density(batch, bins, ndim):
+    """Weighted histogram of the eigenvalues (ndim 1) or of the ordered
+    pairs of distinct eigenvalues (ndim 2), normalized by the total weight;
+    delete-1 jackknife over the contiguous blocks of _block_sizes.  Runs of
+    whole blocks, each of at most TILE (value, bin) cells or of one block,
+    are binned with one bincount per run, which adds every (block, bin) sum
+    in sample order."""
     edges = _check_bins(bins)
+    nb, N = len(edges) - 1, batch.eigenvalues.shape[1]
     sizes = _block_sizes(batch.count)
-    i, keep = _bin_index(batch.eigenvalues, edges)
-    blk = np.repeat(np.arange(len(sizes)), sizes)[:, None]
-    return edges, sizes, blk * (len(edges) - 1) + i, i, keep
+    starts = np.cumsum(sizes) - sizes
+    num = np.empty((len(sizes), nb ** ndim))
+    step = max(TILE // (sizes[0] * N ** ndim), 1)
+    for b in range(0, len(sizes), step):
+        blocks = sizes[b: b + step]
+        run = slice(starts[b], starts[b] + blocks.sum())
+        i, keep = _bin_index(batch.eigenvalues[run], edges)
+        # each value's flat (block, bin) index within the run, block-major,
+        # and its weight (0 for a value that does not count)
+        cells = np.repeat(np.arange(len(blocks)), blocks)[:, None] * nb + i
+        w = batch.weights[run, None] * keep
+        if ndim == 2:
+            cells = cells[:, :, None] * nb + i[:, None, :]
+            w = w[:, :, None] * (keep[:, None, :] & ~np.eye(N, dtype=bool))
+        num[b: b + step] = np.bincount(cells.ravel(), weights=w.ravel(),
+                                       minlength=len(blocks) * nb ** ndim).reshape(len(blocks), -1)
+    den = np.add.reduceat(batch.weights, starts) * (edges[1] - edges[0]) ** ndim
+    est, err = _jackknife_ratio(num.reshape((-1,) + (nb,) * ndim),
+                                den.reshape((-1,) + (1,) * ndim))
+    return BinnedDensity(edges, est, err)
 
 
 def estimate_r1(batch, bins):
     """Weighted one-point eigenvalue histogram, normalized so the full
     density integrates to N; per-bin delete-1 jackknife errors."""
-    edges, sizes, cells, _, keep = _binned_eigenvalues(batch, bins)
-    return _block_density(batch, sizes, cells, batch.weights[:, None] * keep, edges, 1)
+    return _block_density(batch, bins, 1)
 
 
 def estimate_r2(batch, grid):
     """Weighted two-point histogram over ordered distinct eigenvalue pairs
     (self-pairs excluded); integrates to N(N-1)."""
-    edges, sizes, rows, i, keep = _binned_eigenvalues(batch, grid)
-    N = batch.eigenvalues.shape[1]
-    cells = rows[:, :, None] * (len(edges) - 1) + i[:, None, :]
-    w = (batch.weights[:, None] * keep)[:, :, None] * (keep[:, None, :] & ~np.eye(N, dtype=bool))
-    return _block_density(batch, sizes, cells, w, edges, 2)
+    return _block_density(batch, grid, 2)
 
 
 def _ginibre(rng, N, count):
@@ -205,20 +239,15 @@ def _gram_schmidt(X):
 
 def _haar_columns(A):
     """Haar unitaries U_s of complex Ginibre matrices A_s (Mezzadri 2007),
-    given as their real and imaginary parts stacked (2, count, N, N) and
-    returned as X (N, N, count) with X[a, b, s] = U_s[b, a].  The sample
-    axis is last so every step works on long contiguous rows; tiles of
-    TILE entries keep a step's operands in cache."""
+    given as their real and imaginary parts (re, im), each (count, N, N),
+    and returned as X (N, N, count) with X[a, b, s] = U_s[b, a].  The sample
+    axis is last so every step works on long contiguous rows; hciz_mc
+    passes one tile at a time, which keeps a step's operands in cache."""
     re, im = A
-    count, N = re.shape[0], re.shape[-1]
-    X = np.empty((N, N, count), dtype=complex)
-    tile = max(TILE // (N * N), 1)
-    for s in range(0, count, tile):
-        Y = np.empty((N, N, min(tile, count - s)), dtype=complex)
-        Y.real = re[s: s + tile].transpose(2, 1, 0)
-        Y.imag = im[s: s + tile].transpose(2, 1, 0)
-        X[:, :, s: s + tile] = _gram_schmidt(Y)
-    return X
+    X = np.empty(re.shape[::-1], dtype=complex)
+    X.real = re.transpose(2, 1, 0)
+    X.imag = im.transpose(2, 1, 0)
+    return _gram_schmidt(X)
 
 
 def haar_unitary(N, seed):
@@ -226,11 +255,27 @@ def haar_unitary(N, seed):
     return _haar_columns(_ginibre(rng, N, 1))[:, :, 0].T
 
 
+def _haar_phases(rng, N, count, ER):
+    """tr U E U^dag R = sum_{a,b} E_a R_b |U_{b a}|^2 of count Haar U drawn
+    by one _ginibre call and orthogonalised a tile at a time; ER is the
+    flat outer product of E and R.  The |U_{b a}|^2 of all count samples go
+    into one product: BLAS rounds an entry by where it falls in the call,
+    so a product per tile would move the phases."""
+    re, im = _ginibre(rng, N, count)
+    P = np.empty((N * N, count))
+    for t in _tiles(count, N * N):
+        # X[a, b] = U[b, a]
+        X = _haar_columns((re[t], im[t]))
+        P[:, t] = (X.real ** 2 + X.imag ** 2).reshape(N * N, -1)
+    return ER @ P
+
+
 def hciz_mc(E, R, samples, seed):
     """MC mean of exp(i tr U E U^dag R) over Haar U, with jackknife
     standard error over min(200, samples) blocks; returns (value, stderr).
-    The samples are drawn (_ginibre) and orthogonalised in chunks of at
-    most CHUNK // N, and each sample's phase is added into its block."""
+    The samples are drawn (_ginibre) in chunks of at most CHUNK // N and
+    orthogonalised a tile at a time; each sample's phase is added into its
+    block."""
     E = np.asarray(E, dtype=float)
     R = np.asarray(R, dtype=float)
     if E.ndim != 1 or E.shape != R.shape:
@@ -245,10 +290,7 @@ def hciz_mc(E, R, samples, seed):
     # per block, the sums of the phases' real and imaginary parts
     sums = np.zeros((2, len(counts)))
     for s in range(0, samples, cap):
-        X = _haar_columns(_ginibre(rng, N, min(cap, samples - s)))
-        # tr U E U^dag R = sum_{a,b} E_a R_b |U_{b a}|^2, X[a, b] = U[b, a]
-        P = (X.real ** 2 + X.imag ** 2).reshape(N * N, -1)
-        vals = np.exp(1j * (np.outer(E, R).ravel() @ P))
+        vals = np.exp(1j * _haar_phases(rng, N, min(cap, samples - s), np.outer(E, R).ravel()))
         blk = np.searchsorted(ends, np.arange(s, s + len(vals)), side="right")
         sums += [np.bincount(blk, weights=v, minlength=len(counts)) for v in (vals.real, vals.imag)]
     est, err = _jackknife_ratio(sums.T, counts[:, None])

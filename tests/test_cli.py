@@ -2,16 +2,20 @@
 codes, and determinism."""
 
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from rmtcorr import cli
 from rmtcorr.cli import main
-from rmtcorr.engine import CorrelationResult
+from rmtcorr.engine import CorrelationRequest, CorrelationResult, evaluate
+from rmtcorr.ensembles import EnsembleSpec
+from rmtcorr.kernels import IncrementedPoint
 
 
 @pytest.fixture
@@ -142,17 +146,45 @@ def test_corr_evaluates_its_table_in_one_call(capsys, monkeypatch, gauss6_cfg):
 @pytest.mark.filterwarnings("error")
 def test_corr_grid_keeps_per_point_failures(capsys, monkeypatch, gauss6_cfg):
     # exp(x^2/2) is not finite past x ~ 37.7: the grid call raises, and the
-    # table falls back to one point at a time, reporting each failure
+    # table is split in halves, (36, 37) | (38 | (39 | 40)), down to the
+    # failing points, each evaluated alone and reported
     calls = counting_engine(monkeypatch)
     code, out, err = run(capsys, "corr", "--ensemble", gauss6_cfg, "--grid", "36:40:5",
                          "--method", "closed_form_gue", "--variant", "Rhat")
-    assert code == 1 and calls == {"evaluate": 5, "evaluate_grid": 1}
+    assert code == 1 and calls == {"evaluate": 3, "evaluate_grid": 7}
     rows = [line for line in out.splitlines() if line[:1] not in ("#", "m")]
     assert [float(r.split(",")[3]) for r in rows] == [36.0, 37.0]
     failures = err.strip().splitlines()
     assert [f.split(":")[0] for f in failures] == [
         f"numeric failure at ({x},)" for x in (38.0, 39.0, 40.0)]
     assert all("overflows" in f for f in failures)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_corr_evaluates_only_failing_points_alone(capsys, monkeypatch, gauss6_cfg):
+    # the three points at either end of -38:38:601 fail; halving the table
+    # evaluates just those six alone, and prints what evaluating every
+    # point alone prints
+    calls = counting_engine(monkeypatch)
+    code, out, err = run(capsys, "corr", "--ensemble", gauss6_cfg, "--grid", "-38:38:601",
+                         "--method", "closed_form_gue", "--variant", "Rhat")
+    xs = np.linspace(-38.0, 38.0, 601)
+    spec = EnsembleSpec.gaussian(6)
+    alone, failed = [], []
+    for x in xs:
+        try:
+            v = evaluate(CorrelationRequest(spec, 1, [IncrementedPoint(x)], "Rhat",
+                                            "closed_form_gue")).value
+            alone.append((x, complex(v)))
+        except ValueError:
+            failed.append(f"numeric failure at ({x},)")
+    assert code == 1 and len(failed) == 6
+    assert calls["evaluate"] == 6
+    # at most two calls per level of halving for each failing point
+    assert calls["evaluate_grid"] <= 1 + 2 * 6 * math.ceil(math.log2(601))
+    rows = [line.split(",") for line in out.splitlines() if line[:1] not in ("#", "m")]
+    assert [(float(r[3]), complex(float(r[4]), float(r[5]))) for r in rows] == alone
+    assert [f.split(":")[0] for f in err.strip().splitlines()] == failed
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

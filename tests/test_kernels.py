@@ -190,11 +190,27 @@ def test_functional_k_from_test_data():
 def test_functional_rebuilds_kernel():
     # the e^(-eps r) damping is exactly the increment s1 - i eps, so the
     # functional route at finite eps matches the kernel at the shifted point
+    # at odd and even N alike
     s1, s2, eps = 0.8, -0.5, 0.2
-    for N in (2, 4):
+    for N in range(1, 6):
         via = ingham_siegel_kernel(N, s1, s2, epsilon=eps)
         direct = fundamental_kernel(N, IncrementedPoint(s1, side=1, epsilon=eps), s2)
+        assert abs(via - direct) < 1e-6 * abs(direct), N
+
+
+@pytest.mark.filterwarnings("error")
+def test_functional_refuses_an_undamped_integral():
+    # at epsilon = 1e-6 the half-line integrals do not converge: quad's
+    # warning becomes an error that names epsilon, where it used to return
+    # 4.9e10 (N=2) for a kernel of about 0.5; epsilon has no default
+    for N in (2, 3):
+        with pytest.raises(ValueError, match="epsilon = 1e-06"):
+            ingham_siegel_kernel(N, 0.7, -0.4, epsilon=1e-6)
+        via = ingham_siegel_kernel(N, 0.7, -0.4, epsilon=0.2)
+        direct = fundamental_kernel(N, IncrementedPoint(0.7, side=1, epsilon=0.2), -0.4)
         assert abs(via - direct) < 1e-6 * abs(direct)
+    with pytest.raises(TypeError):
+        ingham_siegel_kernel(2, 0.7, -0.4)
 
 
 def test_hciz_single_level():

@@ -1,6 +1,7 @@
 """Monte Carlo sampling, weighted histograms with jackknife errors, and
 Haar-unitary group averages."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,7 +10,7 @@ from scipy.linalg import eigvalsh_tridiagonal
 from scipy.stats import ks_2samp
 
 from rmtcorr import mc
-from rmtcorr.ensembles import EnsembleSpec
+from rmtcorr.ensembles import EnsembleSpec, reduced_density
 from rmtcorr.engine import CorrelationRequest, evaluate
 from rmtcorr.kernels import IncrementedPoint, hciz_exact
 from rmtcorr.mc import (SampleBatch, sample_batch, estimate_r1, estimate_r2, gaussian_matrices,
@@ -376,3 +377,98 @@ def test_hciz_mc_small_count_has_one_sample_per_block():
     # delete-1 jackknife of a mean is its standard error
     se = np.hypot(np.std(vals.real, ddof=1), np.std(vals.imag, ddof=1)) / np.sqrt(samples)
     assert abs(err - se) < 1e-12
+
+
+# -- bounded working memory ------------------------------------------------
+
+def traced_peak(fn, *args, **kwargs):
+    """fn's result and the peak bytes it had allocated at once beyond what
+    was allocated when it started (numpy reports its arrays to tracemalloc)."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn(*args, **kwargs)
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+# bytes of one working array of TILE float or complex entries
+TILE_F8, TILE_C16 = 8 * mc.TILE, 16 * mc.TILE
+
+
+def test_sampler_and_histograms_work_in_tiles():
+    # N=12: one dense (count, 12, 12) stack is 12 times the eigenvalues;
+    # the sampler holds its output, one chunk's subdiagonal and a few tiles,
+    # the histograms a few arrays of one run of blocks
+    spec = EnsembleSpec.gaussian(12)
+    batch, peak = traced_peak(sample_batch, spec, 20000, 4)
+    assert peak <= 2 * batch.eigenvalues.nbytes + 8 * TILE_F8, peak
+    for estimate, bins in ((estimate_r1, (-5.0, 5.0, 40)), (estimate_r2, (-5.0, 5.0, 20))):
+        _, peak = traced_peak(estimate, batch, bins)
+        assert peak <= batch.eigenvalues.nbytes / 4 + 10 * TILE_F8, (estimate, peak)
+
+
+def test_hciz_mc_works_in_tiles():
+    # one chunk of 20000 samples at N=8: its draws (2 x 20000 x 64 floats)
+    # and the squared moduli of one product (half as many) are all that
+    # grows with the samples; the Gram-Schmidt runs on one tile at a time
+    E, R = np.linspace(-1.0, 1.0, 8), np.linspace(-0.5, 1.5, 8)
+    draws = 2 * 20000 * 64 * 8
+    _, peak = traced_peak(hciz_mc, E, R, 20000, 6)
+    assert peak <= 1.5 * draws + 6 * TILE_C16, peak
+
+
+def test_reduced_density_mc_works_in_tiles():
+    # one chunk of 20000 samples at N=6: the draws, Ginibre and diagonal,
+    # plus the matrices and powers of one tile at a time
+    spec = EnsembleSpec.higher_trace(6, 2, 1)
+    draws = 20000 * (2 * 36 + 6) * 8
+    _, peak = traced_peak(reduced_density, spec, np.array([0.1, -0.3, 0.4, 0.2]), 2,
+                          method="mc", samples=20000, seed=1)
+    assert peak <= 1.1 * draws + 6 * TILE_C16, peak
+
+
+def whole_chunk_eigs(seed, N, count):
+    """The sampler's draws solved as one dense stack per CHUNK."""
+    rng = np.random.default_rng(seed)
+    out = np.empty((count, N))
+    ii = np.arange(N)
+    for s in range(0, count, mc.CHUNK):
+        T = np.zeros((min(mc.CHUNK, count - s), N, N))
+        T[:, ii, ii] = rng.standard_normal(T.shape[:2]) * np.sqrt(0.5)
+        T[:, ii[1:], ii[:-1]] = np.sqrt(rng.chisquare(2.0 * (N - ii[1:]), (len(T), N - 1))) / 2
+        out[s: s + mc.CHUNK] = np.linalg.eigvalsh(T)
+    return out
+
+
+def whole_batch_density(batch, bins, ndim):
+    """The blocked histogram as one bincount over every value of the batch."""
+    lo, hi, nb = bins
+    edges = np.linspace(lo, hi, nb + 1)
+    N = batch.eigenvalues.shape[1]
+    sizes = mc._block_sizes(batch.count)
+    i, keep = mc._bin_index(batch.eigenvalues, edges)
+    cells = np.repeat(np.arange(len(sizes)), sizes)[:, None] * nb + i
+    w = batch.weights[:, None] * keep
+    if ndim == 2:
+        cells = cells[:, :, None] * nb + i[:, None, :]
+        w = w[:, :, None] * (keep[:, None, :] & ~np.eye(N, dtype=bool))
+    num = np.bincount(cells.ravel(), weights=w.ravel(), minlength=len(sizes) * nb ** ndim)
+    den = np.add.reduceat(batch.weights, np.cumsum(sizes) - sizes) * (edges[1] - edges[0]) ** ndim
+    return _jackknife_ratio(num.reshape((-1,) + (nb,) * ndim), den.reshape((-1,) + (1,) * ndim))
+
+
+def test_tiles_and_runs_equal_whole_batch_formulas():
+    # a count past CHUNK: two chunks of draws, tiles of the dense matrices,
+    # and 20 runs of r1 and 67 runs of r2 blocks, all equal to the
+    # whole-chunk and whole-batch formulas
+    spec, count, seed = EnsembleSpec.higher_trace(3, 4, 1), mc.CHUNK + 1, 17
+    batch = sample_batch(spec, count, seed)
+    assert np.array_equal(batch.eigenvalues, whole_chunk_eigs(seed, 3, count))
+    for estimate, bins, ndim in ((estimate_r1, (-3.0, 3.0, 30), 1),
+                                 (estimate_r2, (-2.4, 2.4, 8), 2)):
+        hist = estimate(batch, bins)
+        est, err = whole_batch_density(batch, bins, ndim)
+        assert np.array_equal(hist.density, est) and np.array_equal(hist.errors, err)
