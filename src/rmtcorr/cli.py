@@ -220,15 +220,12 @@ def _run_suite(suite, args):
             dev = max(dev, abs(gaussian_pairing(N) - 1.0))
         return "pairing(N=2..6)", dev < 1e-8, dev
     if suite == "hciz":
-        rng = np.random.default_rng(args.seed)
         N = args.N or 2
-        dev = 0.0
-        for _ in range(3):
-            E = np.sort(rng.uniform(-2, 2, N))
-            R = np.sort(rng.uniform(-2, 2, N))
-            exact = hciz_exact(E, R)
-            est, err = hciz_mc(E, R, 200000, args.seed)
-            dev = max(dev, abs(est - exact) / max(3 * err, 1e-300))
+        # three pairs (E, R), drawn E, R, E, R, E, R, on one Haar sample
+        ER = np.sort(np.random.default_rng(args.seed).uniform(-2, 2, (3, 2, N)), axis=-1)
+        est, err = hciz_mc(ER[:, 0], ER[:, 1], 200000, args.seed)
+        exact = np.array([hciz_exact(E, R) for E, R in ER])
+        dev = float(np.max(np.abs(est - exact) / np.fmax(3 * err, 1e-300)))
         return f"hciz(N={N})", dev < 1.0, dev
     if suite == "mc":
         spec = EnsembleSpec.gaussian(args.N or 4)

@@ -141,10 +141,13 @@ def _layout(terms):
     into the stacked families (a slice where term t takes member t)."""
     fams, index = [], []
     for slot in zip(*(slots for _, slots in terms)):
-        ms = {v: tuple(sorted({m for w, m in slot if w == v})) for v, _ in slot}
-        fams.append(list(ms.items()))
+        ms = {}
+        for v, m in slot:
+            ms.setdefault(v, set()).add(m)
+        fams.append([(v, tuple(sorted(family))) for v, family in ms.items()])
         order = [(v, m) for v, family in fams[-1] for m in family]
-        index.append(slice(None) if order == list(slot) else np.array([*map(order.index, slot)]))
+        at = {vm: i for i, vm in enumerate(order)}
+        index.append(slice(None) if order == list(slot) else np.array([at[vm] for vm in slot]))
     return np.array([c for c, _ in terms]), fams, index
 
 

@@ -439,7 +439,7 @@ def _reduced_density_mc(spec, h, k, samples, seed):
         raise ValueError("the Monte Carlo check of reduced_density needs a trace-power "
                          "spec; a Gaussian mixture has only its closed form")
     gauss = np.prod(np.pi ** -0.5 * np.exp(-h * h))
-    from .mc import gaussian_tiles
+    from .mc import gaussian_tiles, _int_power
     rng = np.random.default_rng(seed)
     vals = np.empty(samples)
     n, chunk = 0, 20000
@@ -447,7 +447,7 @@ def _reduced_density_mc(spec, h, k, samples, seed):
     for s in range(0, samples, chunk):
         for Hm in gaussian_tiles(rng, spec.N, min(chunk, samples - s)):
             Hm[:, ii, ii] = h
-            vals[n: n + len(Hm)] = _trace_power(Hm, M1) ** M2
+            vals[n: n + len(Hm)] = _int_power(_trace_power(Hm, M1), M2)
             n += len(Hm)
     mean = float(np.mean(vals))
     err = float(np.std(vals) / np.sqrt(samples))

@@ -20,6 +20,21 @@ def _tiles(count, per_sample):
     return [slice(a, a + step) for a in range(0, count, step)]
 
 
+def _int_power(x, n):
+    """x ** n of an array for an integer n >= 0 by repeated squaring (the
+    result may be x itself).  numpy sends a float array to any integer
+    power but 0, 1 and 2 through the C library's pow, which costs ten times
+    as much as the products; these differ from pow by a few ulps."""
+    out, n = None, int(n)
+    while n:
+        if n & 1:
+            out = x if out is None else out * x
+        n >>= 1
+        if n:
+            x = x * x
+    return np.ones_like(x) if out is None else out
+
+
 class SampleBatch:
     """Eigenvalues (count x N), importance weights (count,), and the
     provenance needed to reproduce the batch."""
@@ -118,7 +133,7 @@ def sample_batch(spec, count, seed):
     M1, M2 = spec.trace_power
     weights = np.empty(count)
     for s in _tiles(count, spec.N):
-        weights[s] = np.sum(ev[s] ** M1, axis=1) ** M2
+        weights[s] = _int_power(np.sum(_int_power(ev[s], M1), axis=1), M2)
     batch = SampleBatch(ev, weights, seed, spec)
     ess = batch.effective_sample_size()
     if ess < 0.01 * count:
@@ -255,43 +270,60 @@ def haar_unitary(N, seed):
     return _haar_columns(_ginibre(rng, N, 1))[:, :, 0].T
 
 
-def _haar_phases(rng, N, count, ER):
-    """tr U E U^dag R = sum_{a,b} E_a R_b |U_{b a}|^2 of count Haar U drawn
-    by one _ginibre call and orthogonalised a tile at a time; ER is the
-    flat outer product of E and R.  The |U_{b a}|^2 of all count samples go
-    into one product: BLAS rounds an entry by where it falls in the call,
-    so a product per tile would move the phases."""
+def _haar_moduli(rng, N, count):
+    """|U_{b a}|^2 of count Haar U drawn by one _ginibre call and
+    orthogonalised a tile at a time, as an (N*N, count) array with sample
+    s in column s and U_{b a} in row a*N + b."""
     re, im = _ginibre(rng, N, count)
-    P = np.empty((N * N, count))
+    U2 = np.empty((N * N, count))
     for t in _tiles(count, N * N):
         # X[a, b] = U[b, a]
         X = _haar_columns((re[t], im[t]))
-        P[:, t] = (X.real ** 2 + X.imag ** 2).reshape(N * N, -1)
-    return ER @ P
+        U2[:, t] = (X.real ** 2 + X.imag ** 2).reshape(N * N, -1)
+    return U2
 
 
 def hciz_mc(E, R, samples, seed):
     """MC mean of exp(i tr U E U^dag R) over Haar U, with jackknife
     standard error over min(200, samples) blocks; returns (value, stderr).
-    The samples are drawn (_ginibre) in chunks of at most CHUNK // N and
-    orthogonalised a tile at a time; each sample's phase is added into its
-    block."""
+    E and R may also be (P, N) stacks of P pairs, which share the draws;
+    then value and stderr are arrays of length P, each entry == the
+    single-pair call.  The samples are drawn (_ginibre) in chunks of at
+    most CHUNK // N and orthogonalised a tile at a time; each sample's
+    phase is added into its block."""
     E = np.asarray(E, dtype=float)
     R = np.asarray(R, dtype=float)
-    if E.ndim != 1 or E.shape != R.shape:
-        raise ValueError(f"E and R must be 1-d of one length, got shapes {E.shape} and {R.shape}")
+    if E.ndim not in (1, 2) or E.shape != R.shape:
+        raise ValueError("E and R must be of one shape, N or (P, N), "
+                         f"got shapes {E.shape} and {R.shape}")
     if samples < 1 or samples != int(samples):
         raise ValueError(f"samples must be a positive integer, got {samples}")
-    samples, N = int(samples), len(E)
+    samples, N = int(samples), E.shape[-1]
+    ER = (E[..., :, None] * R[..., None, :]).reshape(-1, N * N)
     cap = CHUNK // max(N, 1)
     rng = np.random.default_rng(seed)
     counts = _block_sizes(samples)
     ends = np.cumsum(counts)
-    # per block, the sums of the phases' real and imaginary parts
-    sums = np.zeros((2, len(counts)))
+    # per pair, the block sums of the phases' real and imaginary parts
+    sums = np.zeros((len(ER), 2, len(counts)))
     for s in range(0, samples, cap):
-        vals = np.exp(1j * _haar_phases(rng, N, min(cap, samples - s), np.outer(E, R).ravel()))
-        blk = np.searchsorted(ends, np.arange(s, s + len(vals)), side="right")
-        sums += [np.bincount(blk, weights=v, minlength=len(counts)) for v in (vals.real, vals.imag)]
-    est, err = _jackknife_ratio(sums.T, counts[:, None])
-    return complex(*est), float(np.hypot(*err))
+        n = min(cap, samples - s)
+        blk = np.searchsorted(ends, np.arange(s, s + n), side="right")
+        U2 = _haar_moduli(rng, N, n)
+        for p, er in enumerate(ER):
+            # tr U E U^dag R = sum_{a,b} E_a R_b |U_{b a}|^2: one product per
+            # pair over the whole chunk, since BLAS rounds an entry by where it
+            # falls in the call (a product per tile, or one (P, N*N) product
+            # for all pairs, would move the phases)
+            vals = np.exp(1j * (er @ U2))
+            sums[p] += [np.bincount(blk, weights=v, minlength=len(counts))
+                        for v in (vals.real, vals.imag)]
+        # spent: free them before the next chunk's draws
+        U2 = vals = None
+    value, err = np.empty(len(ER), complex), np.empty(len(ER))
+    for p, pair in enumerate(sums):
+        est, e = _jackknife_ratio(pair.T, counts[:, None])
+        value[p], err[p] = complex(*est), np.hypot(*e)
+    if E.ndim == 1:
+        return complex(value[0]), float(err[0])
+    return value, err

@@ -311,6 +311,18 @@ def test_verify_line_ends_with_elapsed(capsys):
     assert re.fullmatch(r"pairing\(N=2\.\.6\): PASS max_deviation=\S+ elapsed=\d+\.\d+s", line)
 
 
+@pytest.mark.parametrize("seed,dev", [("7", "3.259e-01"), ("3", "1.494e-01")])
+def test_verify_hciz_draws_one_haar_sample_for_its_three_pairs(capsys, monkeypatch, seed, dev):
+    # the line of three single-pair calls on one seed, from one stacked call
+    calls = []
+    hciz_mc = cli.hciz_mc
+    monkeypatch.setattr(cli, "hciz_mc", lambda E, R, *a: calls.append(np.shape(E)) or hciz_mc(E, R, *a))
+    code, out, _ = run(capsys, "verify", "--suite", "hciz", "--seed", seed)
+    assert code == 0 and calls == [(3, 2)]
+    assert re.fullmatch(rf"hciz\(N=2\): PASS max_deviation={dev} elapsed=\d+\.\d+s",
+                        out.splitlines()[-1])
+
+
 @pytest.mark.parametrize("suite,name", [("hciz", "hciz(N=2)"), ("mc", "mc(N=4)")])
 def test_verify_mc_suites_pass_at_default_seed(capsys, suite, name):
     code, out, _ = run(capsys, "verify", "--suite", suite)

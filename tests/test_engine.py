@@ -449,6 +449,34 @@ def test_factor_family_members_equal_single_factors(M1, M2):
             assert f(N, x, *args, 0.8, (0,)).shape == (1,) + np.shape(x) + (N,)
 
 
+class CountedFloat(float):
+    """A float that counts the == comparisons made on it."""
+
+    eqs = 0
+    __hash__ = float.__hash__
+
+    def __eq__(self, other):
+        CountedFloat.eqs += 1
+        return float.__eq__(self, other)
+
+
+def test_layout_finds_term_indices_by_hash():
+    # the (6, 2) k=2 term list, every variance a fresh object: the index
+    # arrays equal a scan of each slot's stacked families, and the layout
+    # compares (v, m) keys a bounded number of times per term and slot,
+    # where a scan or a per-term pass over the slot takes some T^2
+    terms = correlation_terms(EnsembleSpec.higher_trace(5, 6, 2), 2)
+    counted = [(c, [(CountedFloat(v), m) for v, m in slots]) for c, slots in terms]
+    CountedFloat.eqs = 0
+    coefs, fams, index = engine._layout(counted)
+    assert CountedFloat.eqs <= 4 * len(terms) * len(index), CountedFloat.eqs
+    for s, (families, idx) in enumerate(zip(fams, index)):
+        order = [(v, m) for v, ms in families for m in ms]
+        scan = [order.index(slots[s]) for _, slots in terms]
+        assert np.array_equal(np.arange(len(terms))[idx], scan)
+    assert np.array_equal(coefs, [c for c, _ in terms]) and len(terms) > 300
+
+
 def test_layout_indexes_each_term_slot(monkeypatch):
     # every term finds its own (v, m) in each slot's stacked families, in
     # term lists from the specs and in one whose terms take a slot's

@@ -7,7 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from rmtcorr.grassmann import (GrassmannElement, ge_mul, ge_conjugate,
                                build_dual_pair, tr_power, verify_duality,
-                               _powers, _signed_trace)
+                               _table, _half_powers, _trace_power, _mul, _odd)
+
+
+def supertrace_power(M, m, signs):
+    return _trace_power(_half_powers(_table(M), m), m, signs)
 
 
 def gen(idx, ngen=6):
@@ -66,6 +70,32 @@ def test_product_associative(m1, m2, m3):
     lhs = ge_mul(ge_mul(a, b), c)
     rhs = ge_mul(a, ge_mul(b, c))
     assert (lhs - rhs).max_abs_coeff() < 1e-12
+
+
+def merge_sign(m1, m2):
+    """Koszul sign of the ordered monomials m1 * m2 (disjoint masks), one
+    generator of m2 at a time: each crosses every generator of m1 above it."""
+    swaps = 0
+    m = m2
+    while m:
+        j = (m & -m).bit_length() - 1
+        swaps += (m1 >> (j + 1)).bit_count()
+        m &= m - 1
+    return -1 if swaps & 1 else 1
+
+
+def test_product_kernel_signs_every_disjoint_pair():
+    # every pair of the 256 monomials at G = 8, each product into its own
+    # entry: overlapping pairs vanish, disjoint ones carry the Koszul sign
+    G, masks = 8, np.arange(256)
+    want = {(int(a) * 256 + int(b), int(a | b)): merge_sign(int(a), int(b))
+            for a in masks for b in masks if not a & b}
+    assert len(want) == 3 ** G
+    ones, zeros = np.ones(256, complex), np.zeros(256, np.int64)
+    entry, mask, coef = _mul(G, (masks, ones), (masks, ones), zeros, zeros, masks * 256, masks)
+    assert dict(zip(zip(entry.tolist(), mask.tolist()), coef.tolist())) == want
+    a, b = (np.array(m) for m in zip(*((a, b) for a in masks for b in masks if not a & b)))
+    assert np.array_equal(np.where(_odd(a, b), -1, 1), [merge_sign(int(x), int(y)) for x, y in zip(a, b)])
 
 
 def test_mismatched_universes_rejected():
@@ -141,7 +171,7 @@ def test_trace_identity_first_power():
     rng = np.random.default_rng(7)
     z = [rng.standard_normal(3) + 1j * rng.standard_normal(3)]
     K, B = build_dual_pair(z, 1, 3, [1])
-    diff = tr_power(K, 1) - _signed_trace(_powers(B, 1)[-1], [1, -1])
+    diff = tr_power(K, 1) - supertrace_power(B, 1, [1, -1])
     assert diff.max_abs_coeff() < 1e-12
 
 
@@ -151,13 +181,37 @@ def test_trace_identity_all_powers(k, N):
     assert max(rep.values()) < 1e-10
 
 
+def chain_power_trace(M, m, signs):
+    """sum_i s_i (M^m)_ii with M^m = M^(m-1) M, entry by entry through ge_mul."""
+    P = M
+    for _ in range(m - 1):
+        P = [[sum((ge_mul(P[i][l], M[l][j]) for l in range(len(M))), GrassmannElement(M[0][0].ngen))
+              for j in range(len(M))] for i in range(len(M))]
+    return sum((s * P[i][i] for i, s in enumerate(signs)), GrassmannElement(M[0][0].ngen))
+
+
+@pytest.mark.parametrize("k,N", [(1, 2), (2, 2), (2, 3)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_half_power_traces_equal_full_chain(k, N, seed):
+    rng = np.random.default_rng(seed)
+    z = [rng.standard_normal(N) + 1j * rng.standard_normal(N) for _ in range(k)]
+    L = [int(s) for s in rng.choice([1, -1], size=k)]
+    K, B = build_dual_pair(z, k, N, L)
+    for M, signs in ((K, [1] * N), (B, [1] * k + [-1] * k)):
+        for m in range(1, 5):
+            want = chain_power_trace(M, m, signs)
+            got = supertrace_power(M, m, signs)
+            assert len(want.terms) > 0
+            assert (got - want).max_abs_coeff() <= 1e-12 * want.max_abs_coeff()
+
+
 def test_zero_sources_pure_odd_sector():
     K, B = build_dual_pair([np.zeros(2)], 1, 2, [1])
     for i in range(2):
         for j in range(2):
             assert abs(K[i][j].scalar_part()) == 0.0
     assert abs(B[0][0].scalar_part()) == 0.0
-    diff = tr_power(K, 2) - _signed_trace(_powers(B, 2)[-1], [1, -1])
+    diff = tr_power(K, 2) - supertrace_power(B, 2, [1, -1])
     assert diff.max_abs_coeff() < 1e-12
 
 

@@ -187,6 +187,42 @@ def test_hciz_mc_rejects_bad_inputs():
         hciz_mc([0.1, 0.2], [0.3, 0.4, 0.5], 1000, seed=1)
 
 
+def test_int_power_squares_repeatedly():
+    # exact where every product is: small integers
+    x = np.arange(-7.0, 8.0)
+    for n in range(10):
+        assert np.array_equal(mc._int_power(x, n), x ** n)
+    # within a few ulps of the C library's pow elsewhere
+    y = np.random.default_rng(3).standard_normal(1000)
+    for n in range(10):
+        assert np.all(np.abs(mc._int_power(y, n) - y ** n) <= n * np.spacing(np.abs(y ** n)))
+    # the (4, 1) trace-power weights are sums of squared squares
+    batch = sample_batch(EnsembleSpec.higher_trace(4, 4, 1), 2000, 5)
+    assert np.array_equal(batch.weights, np.sum((batch.eigenvalues ** 2) ** 2, axis=1))
+
+
+# three chunks at N=2, and N=3 with blocks of 61 and 60 samples
+@pytest.mark.parametrize("N,samples,seed", [(2, 300000, 5), (3, 12150, 8)])
+def test_hciz_mc_stacked_pairs_equal_single_pair_calls(N, samples, seed):
+    rng = np.random.default_rng(N)
+    E, R = rng.uniform(-2, 2, (2, 3, N))
+    est, err = hciz_mc(E, R, samples, seed)
+    assert est.shape == err.shape == (3,)
+    for p in range(3):
+        assert (est[p], err[p]) == hciz_mc(E[p], R[p], samples, seed)
+
+
+@pytest.mark.parametrize("E,R", [
+    (np.zeros((3, 2)), np.zeros((2, 2))),
+    (np.zeros((3, 2)), np.zeros((3, 3))),
+    (np.zeros((3, 2)), np.zeros(2)),
+    (np.zeros((1, 3, 2)), np.zeros((1, 3, 2))),
+])
+def test_hciz_mc_rejects_mismatched_stacks(E, R):
+    with pytest.raises(ValueError, match="one shape"):
+        hciz_mc(E, R, 1000, seed=1)
+
+
 @pytest.mark.parametrize("bins", [(1.0, 1.0, 10), (2.0, -1.0, 10), (-1.0, 1.0, 0)])
 def test_histograms_reject_bad_bins(bins):
     batch = sample_batch(EnsembleSpec.gaussian(2), 500, 3)
