@@ -20,7 +20,7 @@ from .ensembles import EnsembleSpec
 from .engine import (METHODS, VARIANTS, CorrelationRequest, evaluate, evaluate_grid)
 from .kernels import (IncrementedPoint, fundamental_kernel, kernel_series,
                       hciz_exact, gaussian_pairing)
-from .grassmann import verify_duality
+from .grassmann import duality_report
 from .mc import sample_batch, estimate_r1, hciz_mc
 
 
@@ -196,9 +196,10 @@ def _run_suite(suite, args):
     if suite == "duality":
         k = args.k or 1
         N = args.N or 2
-        rep = verify_duality(k, N, 4, args.seed)
+        rep, scale = duality_report(k, N, 4, args.seed)
         dev = max(rep.values())
-        return f"duality(k={k},N={N})", dev < 1e-10, dev
+        # round-off on coefficients of tr K^m that reach 1e5 at N=4
+        return f"duality(k={k},N={N})", dev <= 1e-13 * scale, dev
     if suite == "kernel-identity":
         N = args.N or 20
         rng = np.random.default_rng(args.seed)

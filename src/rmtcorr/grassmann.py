@@ -285,13 +285,20 @@ def tr_power(K, m):
     return _trace_power(_half_powers(T, m), m, np.ones(T.rows))
 
 
-def verify_duality(k, N, m_max, seed):
-    """Max coefficient deviation of tr K^m - trg B^m for m = 1..m_max,
-    both sides read off the half powers K^j and B^j, j <= ceil(m_max/2)."""
+def duality_report(k, N, m_max, seed):
+    """(deviations, scale): verify_duality's deviations, and the largest
+    coefficient of tr K^m, m = 1..m_max, on which they are round-off."""
     rng = np.random.default_rng(seed)
     z = [rng.standard_normal(N) + 1j * rng.standard_normal(N) for _ in range(k)]
     L = [int(s) for s in rng.choice([1, -1], size=k)]
     K, B = (_half_powers(_table(M), m_max) for M in build_dual_pair(z, k, N, L))
     supersigns = [1] * k + [-1] * k
-    return {m: (_trace_power(K, m, np.ones(N)) - _trace_power(B, m, supersigns)).max_abs_coeff()
-            for m in range(1, m_max + 1)}
+    trK = {m: _trace_power(K, m, np.ones(N)) for m in range(1, m_max + 1)}
+    return ({m: (t - _trace_power(B, m, supersigns)).max_abs_coeff() for m, t in trK.items()},
+            max(t.max_abs_coeff() for t in trK.values()))
+
+
+def verify_duality(k, N, m_max, seed):
+    """Max coefficient deviation of tr K^m - trg B^m for m = 1..m_max,
+    both sides read off the half powers K^j and B^j, j <= ceil(m_max/2)."""
+    return duality_report(k, N, m_max, seed)[0]

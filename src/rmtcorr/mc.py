@@ -3,6 +3,7 @@ weighted spectral histograms with jackknife errors, and Haar-unitary
 group-integral estimation.
 """
 
+import os
 import warnings
 
 import numpy as np
@@ -93,6 +94,30 @@ def gaussian_matrices(rng, N, count):
     return np.concatenate(list(gaussian_tiles(rng, N, count)))
 
 
+def _cpu_count():
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _each_on_cores(fn, jobs):
+    """fn(job) for every job, on up to one thread per CPU (_cpu_count);
+    with one CPU or one job, in the calling thread and with no thread
+    started.  The threads overlap only where fn releases the GIL.  The
+    first exception a job raises reaches the caller unchanged."""
+    workers = min(_cpu_count(), len(jobs))
+    if workers <= 1:
+        for job in jobs:
+            fn(job)
+        return
+    # imported where a pool starts: loading it alone takes about 9 ms
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(workers) as pool:
+        for _ in pool.map(fn, jobs):
+            pass
+
+
 def _gaussian_eigs(rng, N, count):
     """Eigenvalues of exp(-tr H^2) matrices from the tridiagonal beta = 2
     model (Dumitriu-Edelman 2002).  Per CHUNK of c samples: the (c, N)
@@ -100,7 +125,9 @@ def _gaussian_eigs(rng, N, count):
     b_j = chi_(2(N-j))/2, j = 1..N-1.  The diagonal is drawn into the
     output, and the dense matrices are built and solved a tile at a time,
     each tile's eigenvalues replacing its diagonal; eigvalsh reads the lower
-    triangle."""
+    triangle.  Every draw is made in the calling thread; the tiles are
+    solved on up to one thread per CPU (eigvalsh releases the GIL), each
+    into its own rows, so the result does not depend on the thread count."""
     out = np.empty((count, N))
     ii = np.arange(N)
     for s in range(0, count, CHUNK):
@@ -109,11 +136,14 @@ def _gaussian_eigs(rng, N, count):
         b = rng.chisquare(2.0 * (N - ii[1:]), (len(a), N - 1))
         np.sqrt(b, out=b)
         b /= 2
-        for t in _tiles(len(a), N * N):
+
+        def solve(t, a=a, b=b):
             T = np.zeros((len(a[t]), N, N))
             T[:, ii, ii] = a[t]
             T[:, ii[1:], ii[:-1]] = b[t]
             a[t] = np.linalg.eigvalsh(T)
+
+        _each_on_cores(solve, _tiles(len(a), N * N))
     return out
 
 
@@ -190,28 +220,40 @@ def _block_density(batch, bins, ndim):
     """Weighted histogram of the eigenvalues (ndim 1) or of the ordered
     pairs of distinct eigenvalues (ndim 2), normalized by the total weight;
     delete-1 jackknife over the contiguous blocks of _block_sizes.  Runs of
-    whole blocks, each of at most TILE (value, bin) cells or of one block,
-    are binned with one bincount per run, which adds every (block, bin) sum
-    in sample order."""
+    whole blocks, each of at most TILE (value, bin) cells, are binned with
+    one bincount per run, which adds every (block, bin) sum in sample order.
+    A block of more than TILE cells is its own run, binned in pieces of at
+    most TILE cells: each piece's bincount starts from the sums of the
+    pieces before it, so the sums still add in sample order."""
     edges = _check_bins(bins)
     nb, N = len(edges) - 1, batch.eigenvalues.shape[1]
     sizes = _block_sizes(batch.count)
     starts = np.cumsum(sizes) - sizes
     num = np.empty((len(sizes), nb ** ndim))
     step = max(TILE // (sizes[0] * N ** ndim), 1)
+    piece = max(TILE // N ** ndim, 1)
     for b in range(0, len(sizes), step):
         blocks = sizes[b: b + step]
-        run = slice(starts[b], starts[b] + blocks.sum())
-        i, keep = _bin_index(batch.eigenvalues[run], edges)
-        # each value's flat (block, bin) index within the run, block-major,
-        # and its weight (0 for a value that does not count)
-        cells = np.repeat(np.arange(len(blocks)), blocks)[:, None] * nb + i
-        w = batch.weights[run, None] * keep
-        if ndim == 2:
-            cells = cells[:, :, None] * nb + i[:, None, :]
-            w = w[:, :, None] * (keep[:, None, :] & ~np.eye(N, dtype=bool))
-        num[b: b + step] = np.bincount(cells.ravel(), weights=w.ravel(),
-                                       minlength=len(blocks) * nb ** ndim).reshape(len(blocks), -1)
+        block = np.repeat(np.arange(len(blocks)), blocks)
+        sums = None
+        # a run of several blocks has at most piece samples, so one piece
+        for p in range(0, len(block), piece):
+            run = slice(starts[b] + p, starts[b] + min(p + piece, len(block)))
+            i, keep = _bin_index(batch.eigenvalues[run], edges)
+            # each value's flat (block, bin) index within the run,
+            # block-major, and its weight (0 for a value that does not count)
+            cells = block[p: p + piece, None] * nb + i
+            w = batch.weights[run, None] * keep
+            if ndim == 2:
+                cells = cells[:, :, None] * nb + i[:, None, :]
+                w = w[:, :, None] * (keep[:, None, :] & ~np.eye(N, dtype=bool))
+            cells, w = cells.ravel(), w.ravel()
+            if sums is not None:
+                # 0 + sum is exact, and bincount adds in input order
+                cells = np.concatenate([np.arange(len(sums)), cells])
+                w = np.concatenate([sums, w])
+            sums = np.bincount(cells, weights=w, minlength=len(blocks) * nb ** ndim)
+        num[b: b + step] = sums.reshape(len(blocks), -1)
     den = np.add.reduceat(batch.weights, starts) * (edges[1] - edges[0]) ** ndim
     est, err = _jackknife_ratio(num.reshape((-1,) + (nb,) * ndim),
                                 den.reshape((-1,) + (1,) * ndim))

@@ -304,6 +304,14 @@ def test_verify_pass_suites(capsys):
     assert "PASS" in out
 
 
+def test_verify_duality_bound_scales_with_coefficients(capsys):
+    # round-off of 1.5e-10 on coefficients of 2.2e5, once read as a failure
+    code, out, _ = run(capsys, "verify", "--suite", "duality", "--k", "2",
+                       "--N", "4", "--seed", "108")
+    assert code == 0
+    assert "duality(k=2,N=4): PASS max_deviation=1.455e-10" in out
+
+
 def test_verify_line_ends_with_elapsed(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "pairing")
     assert code == 0

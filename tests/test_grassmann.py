@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rmtcorr.grassmann import (GrassmannElement, ge_mul, ge_conjugate,
-                               build_dual_pair, tr_power, verify_duality,
+                               build_dual_pair, tr_power, verify_duality, duality_report,
                                _table, _half_powers, _trace_power, _mul, _odd)
 
 
@@ -177,8 +177,22 @@ def test_trace_identity_first_power():
 
 @pytest.mark.parametrize("k,N", [(1, 2), (1, 4), (2, 2), (2, 3)])
 def test_trace_identity_all_powers(k, N):
-    rep = verify_duality(k, N, 4, seed=42)
-    assert max(rep.values()) < 1e-10
+    rep, scale = duality_report(k, N, 4, seed=42)
+    assert rep == verify_duality(k, N, 4, seed=42)
+    assert max(rep.values()) <= 1e-13 * scale
+
+
+def test_trace_identity_scaled_to_coefficients():
+    # coefficients of tr K^4 reach 2.2e5 here, and the deviation 1.5e-10:
+    # round-off, which an absolute 1e-10 bound called a failure
+    k, N, seed = 2, 4, 108
+    rep, scale = duality_report(k, N, 4, seed)
+    rng = np.random.default_rng(seed)
+    z = [rng.standard_normal(N) + 1j * rng.standard_normal(N) for _ in range(k)]
+    K, _ = build_dual_pair(z, k, N, [int(s) for s in rng.choice([1, -1], size=k)])
+    assert scale == max(tr_power(K, m).max_abs_coeff() for m in range(1, 5))
+    assert scale > 1e5 and max(rep.values()) > 1e-10
+    assert max(rep.values()) <= 1e-13 * scale
 
 
 def chain_power_trace(M, m, signs):

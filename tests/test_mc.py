@@ -1,6 +1,8 @@
 """Monte Carlo sampling, weighted histograms with jackknife errors, and
 Haar-unitary group averages."""
 
+import itertools
+import threading
 import tracemalloc
 import warnings
 
@@ -479,20 +481,28 @@ def whole_chunk_eigs(seed, N, count):
     return out
 
 
-def whole_batch_density(batch, bins, ndim):
-    """The blocked histogram as one bincount over every value of the batch."""
+def whole_batch_density(batch, bins, ndim, per_block=False):
+    """The blocked histogram as one bincount over every value of the batch,
+    or with per_block one bincount over each whole jackknife block."""
     lo, hi, nb = bins
     edges = np.linspace(lo, hi, nb + 1)
     N = batch.eigenvalues.shape[1]
     sizes = mc._block_sizes(batch.count)
-    i, keep = mc._bin_index(batch.eigenvalues, edges)
-    cells = np.repeat(np.arange(len(sizes)), sizes)[:, None] * nb + i
-    w = batch.weights[:, None] * keep
-    if ndim == 2:
-        cells = cells[:, :, None] * nb + i[:, None, :]
-        w = w[:, :, None] * (keep[:, None, :] & ~np.eye(N, dtype=bool))
-    num = np.bincount(cells.ravel(), weights=w.ravel(), minlength=len(sizes) * nb ** ndim)
-    den = np.add.reduceat(batch.weights, np.cumsum(sizes) - sizes) * (edges[1] - edges[0]) ** ndim
+    starts = np.cumsum(sizes) - sizes
+    runs = zip(starts, sizes) if per_block else [(0, batch.count)]
+    block = np.repeat(np.arange(len(sizes)), sizes)
+    num = np.empty((len(sizes), nb ** ndim))
+    for s, n in runs:
+        i, keep = mc._bin_index(batch.eigenvalues[s: s + n], edges)
+        cells = (block[s: s + n] - block[s])[:, None] * nb + i
+        w = batch.weights[s: s + n, None] * keep
+        if ndim == 2:
+            cells = cells[:, :, None] * nb + i[:, None, :]
+            w = w[:, :, None] * (keep[:, None, :] & ~np.eye(N, dtype=bool))
+        rows = slice(block[s], block[s + n - 1] + 1)
+        num[rows] = np.bincount(cells.ravel(), weights=w.ravel(),
+                                minlength=num[rows].size).reshape(-1, nb ** ndim)
+    den = np.add.reduceat(batch.weights, starts) * (edges[1] - edges[0]) ** ndim
     return _jackknife_ratio(num.reshape((-1,) + (nb,) * ndim), den.reshape((-1,) + (1,) * ndim))
 
 
@@ -508,3 +518,75 @@ def test_tiles_and_runs_equal_whole_batch_formulas():
         hist = estimate(batch, bins)
         est, err = whole_batch_density(batch, bins, ndim)
         assert np.array_equal(hist.density, est) and np.array_equal(hist.errors, err)
+
+
+def test_histograms_split_a_block_larger_than_a_tile():
+    # N=12: a block of 1000 samples holds 144,000 (value, bin) cells of r2,
+    # over four tiles; the pieces' sums carried from one bincount to the
+    # next add in sample order, as one bincount over the whole block does
+    # (uneven weights, so that a sum in another order would round apart)
+    batch = sample_batch(EnsembleSpec.higher_trace(12, 2, 1), 200000, 4)
+    bins = (-5.0, 5.0, 20)
+    hist, peak = traced_peak(estimate_r2, batch, bins)
+    est, err = whole_batch_density(batch, bins, 2, per_block=True)
+    assert np.array_equal(hist.density, est) and np.array_equal(hist.errors, err)
+    # whole blocks peaked at 4.4 MB: the (block, bin) sums and a few tiles
+    sums = 200 * est.size * 8
+    assert peak <= 2 * sums + 6 * TILE_F8, peak
+
+
+@pytest.mark.parametrize("tile", [1, 50, 200])
+def test_histograms_split_blocks_of_a_small_tile(monkeypatch, tile):
+    # blocks of 7 and 6 samples at N=4 (4 r1 and 16 r2 cells a sample):
+    # pieces of one sample (TILE 1), r2 pieces of three samples (TILE 50),
+    # and runs of whole blocks (TILE 200)
+    monkeypatch.setattr(mc, "TILE", tile)
+    bins = (-3.5, 3.5, 9)
+    batch = edge_batch(1234, 4, bins, seed=5)
+    for estimate, ndim in ((estimate_r1, 1), (estimate_r2, 2)):
+        hist = estimate(batch, bins)
+        est, err = whole_batch_density(batch, bins, ndim)
+        assert np.array_equal(hist.density, est) and np.array_equal(hist.errors, err)
+
+
+# -- tile solves on a thread pool ------------------------------------------
+
+@pytest.mark.parametrize("N", [2, 5])
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_sampler_does_not_depend_on_worker_count(monkeypatch, N, cpus):
+    # two CHUNKs, the second of three whole tiles and a part of one
+    count, seed = mc.CHUNK + 3 * (mc.TILE // N ** 2) + 7, 21
+    spec = EnsembleSpec.higher_trace(N, 4, 1)
+    eigs = mc._gaussian_eigs(np.random.default_rng(seed), N, count)
+    batch = sample_batch(spec, count, seed)
+    threads = set()
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(mc, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda T: threads.add(threading.current_thread()) or eigvalsh(T))
+    assert np.array_equal(mc._gaussian_eigs(np.random.default_rng(seed), N, count), eigs)
+    forced = sample_batch(spec, count, seed)
+    assert np.array_equal(forced.eigenvalues, batch.eigenvalues)
+    assert np.array_equal(forced.weights, batch.weights)
+    # one worker solves in the calling thread; a pool leaves it waiting
+    if cpus == 1:
+        assert threads == {threading.current_thread()}
+    else:
+        assert threads and threading.current_thread() not in threads
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_sampler_tile_error_reaches_caller(monkeypatch, cpus):
+    calls, error = itertools.count(), np.linalg.LinAlgError("second tile")
+    eigvalsh = np.linalg.eigvalsh
+
+    def fail_second(T):
+        if next(calls) == 1:
+            raise error
+        return eigvalsh(T)
+
+    monkeypatch.setattr(mc, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail_second)
+    with pytest.raises(np.linalg.LinAlgError) as raised:
+        sample_batch(EnsembleSpec.gaussian(4), 5 * (mc.TILE // 16), 3)
+    assert raised.value is error
