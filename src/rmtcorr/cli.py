@@ -16,7 +16,7 @@ import time
 import numpy as np
 
 from . import __version__, CONVENTIONS
-from .ensembles import EnsembleSpec
+from .ensembles import EnsembleSpec, characteristic_invariants
 from .engine import (METHODS, VARIANTS, CorrelationRequest, evaluate, evaluate_grid)
 from .kernels import (IncrementedPoint, fundamental_kernel, kernel_series,
                       hciz_exact, gaussian_pairing)
@@ -62,13 +62,16 @@ def _parse_metric(text, k):
 def _load_spec(path):
     try:
         with open(path) as fh:
-            return EnsembleSpec.from_json(fh.read())
+            spec = EnsembleSpec.from_json(fh.read())
+        # the trace-power cap, refused here once rather than at every point
+        characteristic_invariants(spec)
     except FileNotFoundError:
         raise ConfigError(f"ensemble file not found: {path}")
     except OSError as e:
         raise ConfigError(f"cannot read ensemble file: {e}")
     except (ValueError, KeyError, TypeError, OverflowError) as e:
         raise ConfigError(f"bad ensemble config: {e}")
+    return spec
 
 
 def _config_hash(args_dict):

@@ -132,7 +132,9 @@ def _det_sums(spec, row, col, xs, sides, ys=None):
         # (T, P, k, N): the point axis goes before (k, N)
         R, C = (np.array(F).swapaxes(0, 1).swapaxes(1, -2) for F in (R, C))
         dets = np.linalg.det(R @ C.swapaxes(-1, -2))
-    return _dot(dets.T, coefs)
+    # a grid's rows contiguous, so that each point's term sum is the same
+    # dot as evaluate's: the sum can cancel to its round-off
+    return _dot(np.ascontiguousarray(dets.T), coefs)
 
 
 def _layout(terms):

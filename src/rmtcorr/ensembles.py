@@ -7,7 +7,6 @@ reference Gaussian.  The variance-mixed family uses the 1/(2t) form,
 i.e. scale = 2t.
 """
 
-import collections
 import itertools
 import json
 import math
@@ -17,8 +16,9 @@ from numpy.polynomial import hermite as nph
 
 from .special import _factorials, _read_only, gauss_poly_derivatives
 
-# bound on M1*M2, checked in characteristic_invariants only: it contracts
-# 2^(M1*M2) H/S words, grouped by canonical state.  Above it every
+# bound on M1*M2, checked in characteristic_invariants only: _heat_series
+# is exact at any degree, but the cancellation in the term sums of
+# correlation_terms is not measured above 12.  Above it every
 # trace-power quantity (full_moment, normalization_b, evaluate_density,
 # reduced_density, correlation_terms) raises ValueError; the only Monte
 # Carlo path is the independent check reduced_density(method="mc")
@@ -228,38 +228,34 @@ def reduced_terms(spec, k):
     return _slot_terms(spec, k, graded=False)
 
 
-def _least_rotation(w):
-    return min(w[i:] + w[:i] for i in range(len(w))) if w else w
+def _heat_series(lam, N):
+    """E[p_lam(A + H)] under exp(-tr H^2) as a polynomial in the power sums
+    p_j = tr A^j of an N x N matrix A: the heat series exp(Delta/4) p_lam,
+    Delta = sum_ab d/dA_ab d/dA_ba, which cuts each part m into
+    m sum_{j=0}^{m-2} p_j p_{m-2-j} and joins each pair of parts p, q into
+    2 p q p_{p+q-2}, with p_0 = N (Goulden & Jackson, Proc. AMS 125 (1997)
+    51).  Delta lowers the degree by 2, so the series ends after |lam|/2
+    steps.  Delta^t contracts t ordered letter pairs, so its integer
+    coefficients are divisible by 2^t t!: the t-th term is divided exactly
+    by t!, then by 4^t, its one rounding.
+    Returns {sorted tuple of nonzero parts: float coefficient}."""
+    def put(acc, parts, c):
+        key = tuple(sorted(p for p in parts if p))
+        acc[key] = acc.get(key, 0) + c * N ** (len(parts) - len(key))
 
-
-def _wick_trace_words(words, memo):
-    """Contract all Gaussian letters 'H' inside a sorted tuple of cyclic
-    trace words over the alphabet {'H', 'S'}, each at its least rotation,
-    using E[H_ab H_cd] = d_ad d_bc / 2.
-
-    A same-trace pairing splits the word, tr(U H V H) -> (1/2) tr(U) tr(V);
-    a cross-trace pairing merges, tr(U H) tr(V1 H V2) -> (1/2) tr(U V2 V1).
-    Returns {sorted tuple of surviving (all-'S') word lengths: coefficient}.
-    Every state reached is put in the same canonical form and contracted
-    once per memo; the coefficients are integers times powers of 1/2."""
-    if words in memo:
-        return memo[words]
-    wi = next((i for i, w in enumerate(words) if "H" in w), None)
-    if wi is None:
-        memo[words] = res = {tuple(len(w) for w in words): 1.0}
-        return res
-    hpos = words[wi].index("H")
-    w = words[wi][hpos + 1:] + words[wi][:hpos]
-    rest = words[:wi] + words[wi + 1:]
-    children = [(w[:p], w[p + 1:]) + rest for p, ch in enumerate(w) if ch == "H"]
-    children += [(w + r[p + 1:] + r[:p],) + rest[:rj] + rest[rj + 1:]
-                 for rj, r in enumerate(rest) for p, ch in enumerate(r) if ch == "H"]
-    res = {}
-    for child in children:
-        state = tuple(sorted(_least_rotation(c) for c in child))
-        for lens, c in _wick_trace_words(state, memo).items():
-            res[lens] = res.get(lens, 0.0) + 0.5 * c
-    memo[words] = res
+    term, res, t = {}, {}, 0
+    put(term, lam, 1)
+    while term:
+        nxt = {}
+        for parts, c in term.items():
+            res[parts] = c // math.factorial(t) / 4 ** t
+            for i, m in enumerate(parts):
+                rest = parts[:i] + parts[i + 1:]
+                for j in range(m - 1):
+                    put(nxt, rest + (j, m - 2 - j), m * c)
+                for r in range(i, len(rest)):
+                    put(nxt, rest[:r] + rest[r + 1:] + (m + rest[r] - 2,), 2 * m * rest[r] * c)
+        term, t = nxt, t + 1
     return res
 
 
@@ -269,40 +265,20 @@ def characteristic_invariants(spec):
     For the weight (tr H^M1)^M2 exp(-tr H^2) the characteristic function
     is exp(-tr K^2/4) times the shifted Gaussian average
     E[(tr (H + iK/2)^M1)^M2], a polynomial in the invariants tr K^j.
-    Returns {sorted tuple of trace orders: complex coefficient}; empty
-    traces contribute factors of N and each tr K^j carries (i/2)^j.
-    The expansion is not normalized; the constant term is the full
-    moment E[(tr H^M1)^M2].  The 2^(M1*M2) H/S choices of the binomial
-    expansion are grouped by canonical state before contraction.  This is
-    the one place TRACE_POWER_CAP is checked, so every trace-power
-    quantity raises above it."""
+    Returns {sorted tuple of trace orders: complex coefficient}; each
+    tr K^j carries (i/2)^j.  The average is the heat series of
+    _heat_series at A = iK/2, exact in integers up to its one division by
+    4^t.  The expansion is not normalized; the constant term is the full
+    moment E[(tr H^M1)^M2].  This is the one place TRACE_POWER_CAP is
+    checked, so every trace-power quantity raises above it."""
     key = "char_inv"
     if key in spec._cache:
         return spec._cache[key]
     M1, M2 = spec.trace_power
     if M1 * M2 > TRACE_POWER_CAP:
         raise ValueError(f"M1*M2 = {M1 * M2} exceeds cap {TRACE_POWER_CAP}")
-    states = collections.Counter(
-        tuple(sorted(_least_rotation("".join(c)) for c in combo))
-        for combo in itertools.product(itertools.product("HS", repeat=M1), repeat=M2))
-    memo = {}
-    raw = {}
-    for state, mult in states.items():
-        for lens, c in _wick_trace_words(state, memo).items():
-            raw[lens] = raw.get(lens, 0.0) + mult * c
-    res = {}
-    for lens, c in raw.items():
-        coef = complex(c)
-        js = []
-        for L in lens:
-            if L == 0:
-                coef *= spec.N
-            else:
-                coef *= (0.5j) ** L
-                js.append(L)
-        k2 = tuple(sorted(js))
-        res[k2] = res.get(k2, 0.0) + coef
-    spec._cache[key] = res
+    spec._cache[key] = res = {parts: c * 0.5j ** sum(parts)
+                              for parts, c in _heat_series((M1,) * M2, spec.N).items()}
     return res
 
 

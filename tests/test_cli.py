@@ -262,6 +262,8 @@ def test_corr_invalid_config_exits_2(capsys, tmp_path):
     {"N": 4, "family": "gaussian", "sclae": 0.5},
     {"N": 4, "family": "higher_trace", "M1": 4, "M2": 1, "M3": 2},
     {"N": 4, "family": "norm_dependent", "spread": {"type": "spike", "t0": 0.4, "f": 1}},
+    # above the trace-power cap: refused once on loading, not at every point
+    {"N": 4, "family": "higher_trace", "M1": 7, "M2": 2},
 ])
 def test_corr_malformed_config_exits_2(capsys, tmp_path, cfg):
     path = tmp_path / "cfg.json"

@@ -734,6 +734,23 @@ def test_evaluate_grid_matches_points(N):
     assert checked > 200
 
 
+@pytest.mark.parametrize("order", [1, -1])
+def test_evaluate_grid_sums_terms_as_points(order):
+    # at the trace-power (4,1) N=32 tail the term sum cancels to its
+    # round-off (terms up to 6e32, eigenvalue_integral Rhat -1.6e16 at
+    # (11, 11)): a grid equals its points to the bit, in either term order,
+    # only if each row sums its terms by the same dot as a point
+    spec = EnsembleSpec.higher_trace(32, 4, 1)
+    spec._cache["slot_terms", 2, True] = correlation_terms(spec, 2)[::order]
+    pts = grid_cases(32)[2]
+    for method in ROUTES["tp41"]:
+        for variant in ("Rhat", "R"):
+            ref = [evaluate(CorrelationRequest(spec, 2, list(pt), variant, method)).value
+                   for pt in pts]
+            assert np.array_equal(engine.evaluate_grid(spec, 2, pts, variant, method).value,
+                                  ref), (method, variant)
+
+
 def test_evaluate_grid_refusals():
     spec = EnsembleSpec.gaussian(4)
     grid = engine.evaluate_grid

@@ -16,7 +16,8 @@ from rmtcorr.ensembles import (EnsembleSpec, flat_gauss_norm,
                                characteristic_function, slot_phi,
                                slot_phi_jet, jet_mul,
                                superspace_density_norm_dependent,
-                               TRACE_POWER_CAP, _trace_power, _slot_phi_poly)
+                               TRACE_POWER_CAP, _heat_series, _trace_power,
+                               _slot_phi_poly)
 from rmtcorr.mc import haar_unitary, gaussian_matrices, sample_batch
 
 
@@ -244,7 +245,7 @@ def test_characteristic_invariants_constant_is_full_moment():
     # under exp(-tr H^2), so E (tr H^2)^M2 = Gamma(N^2/2 + M2) / Gamma(N^2/2)
     cases = [(4, 4, 1, (2 * 4 ** 3 + 4) / 4), (12, 4, 1, (2 * 12 ** 3 + 12) / 4)]
     assert all(_harer_zagier(N, 2) == ref for N, _, _, ref in cases)
-    cases += [(N, 12, 1, _harer_zagier(N, 6)) for N in (4, 6)]
+    cases += [(N, 2 * k, 1, _harer_zagier(N, k)) for k in range(1, 7) for N in range(1, 9)]
     for N, M2 in [(4, 3), (12, 4), (16, 4), (4, 6), (6, 6)]:
         cases.append((N, 2, M2, math.prod(N * N / 2 + j for j in range(M2))))
     for N, M1, M2, ref in cases:
@@ -255,9 +256,9 @@ def test_characteristic_invariants_constant_is_full_moment():
 
 
 def _enumerated_invariants(N, M1, M2):
-    """characteristic_invariants as the plain recursion computed it
-    before the contraction was memoized: every H/S choice contracted on
-    its own, without canonical states."""
+    """characteristic_invariants by Wick's theorem, independently of the
+    heat series: each of the 2^(M1*M2) H/S choices of the binomial
+    expansion contracted on its own, E[H_ab H_cd] = d_ad d_bc / 2."""
     raw = {}
 
     def contract(words, pref):
@@ -301,13 +302,39 @@ def _enumerated_invariants(N, M1, M2):
     return res
 
 
-@pytest.mark.parametrize("M1,M2", [(4, 1), (4, 2), (2, 4), (8, 1), (3, 2)])
+@pytest.mark.parametrize("M1,M2", [(4, 1), (4, 2), (2, 4), (8, 1), (3, 2),
+                                   (0, 5), (5, 0), (1, 4), (6, 2)])
 def test_characteristic_invariants_equal_enumeration(M1, M2):
-    # every contribution is an integer times a power of 1/2, so grouping
-    # the H/S choices changes no bit
-    for N in (1, 3, 4, 7):
+    # every contribution is an integer times a power of 1/2, so the heat
+    # series and the enumeration agree to the bit; the enumeration of a
+    # degree-12 shape takes seconds, so it runs at one N
+    for N in (5,) if M1 * M2 == 12 else (1, 3, 4, 7):
         spec = EnsembleSpec.higher_trace(N, M1, M2)
         assert characteristic_invariants(spec) == _enumerated_invariants(N, M1, M2)
+
+
+def _partitions(n, most):
+    """The partitions of n into parts of at most most, largest part first."""
+    if n == 0:
+        yield ()
+    for m in range(min(n, most), 0, -1):
+        for rest in _partitions(n - m, m):
+            yield (m,) + rest
+
+
+def test_heat_series_homogeneity():
+    # for f homogeneous of degree d, integrating sum_ab d/dH_ab (H_ab f
+    # exp(-tr H^2)) by parts gives E[tr H^2 f] = (N^2 + d)/2 E[f], an
+    # identity the cut-and-join rule does not encode; every constant term
+    # is a dyadic rational far below 2^53, so it holds to the bit
+    cases = 0
+    for N in range(1, 8):
+        for d in range(11):
+            for lam in _partitions(d, d):
+                moment = _heat_series(lam, N).get((), 0.0)
+                assert _heat_series(lam + (2,), N).get((), 0.0) == (N * N + d) / 2 * moment
+                cases += 1
+    assert cases == 973
 
 
 def test_trace_power_cap_enforced():
