@@ -11,10 +11,12 @@ Re w(x) is numpy's exp(-x*x) and Im w(x) = (2/sqrt(pi)) D(x), D Dawson's
 integral, comes from short polynomials on cells of |x| (Cody, Paciorek &
 Thacher, Math. Comp. 24 (1970) 171 use the same split), from its odd
 series near 0 and from its asymptotic series past 16; against 50-digit
-mpmath it is within 0.58 ulp, and correctly rounded at about 98% of
-points.  Off the axis it is Weideman's rational series with N = 40 (SIAM
+mpmath on the 10,207 test points with |x| <= 30 it is within 0.56 ulp,
+and correctly rounded at 99% of them.  A grid goes point by point.  Off
+the axis it is Weideman's rational series with N = 40 (SIAM
 J. Numer. Anal. 31 (1994) 1497) above, and w(z) = 2 exp(-z^2) - w(-z)
-below, within a relative 2e-15 for |z| <= 10.
+below, within a relative 6.4e-16 on |z| < 10 and 9.7e-16 for
+0 < Im z < 1e-3 on the test points.
 """
 
 import functools
@@ -226,64 +228,35 @@ def gue_kernel(N, xp, xq, variant="full"):
 # The Faddeeva function
 # ---------------------------------------------------------------------------
 
-# below about 32 points a grid's numpy calls (about 110 on a mixed grid)
-# cost more than the points' own Python arithmetic, about 1 us each
-_FADDEEVA_LOOP = 32
-
-
 def _faddeeva(z):
     """w(z) = exp(-z^2) erfc(-iz) at a point (a Python float or complex) or
-    on a grid (a real or complex ndarray), through the same float
-    operations for both, so a point equals its grid element to the bit.
+    on a grid (a real or complex ndarray), whose every element goes through
+    the point's body, so a point equals its grid element by construction.
 
     On the real axis (Im z == 0, of either sign) Re w(x) is numpy's
     exp(-x*x) and Im w(x) is _dawson's, odd in x; w(0) == 1.  Off the
     axis, Weideman's series for Im z > 0 and the reflection below
-    (_faddeeva_off).  A point takes a few microseconds off the axis and
-    about one on it; a grid of up to _FADDEEVA_LOOP points goes point by
-    point."""
-    if not isinstance(z, np.ndarray):
-        if not z.imag:
-            x = z.real
-            return complex(float(np.exp(-x * x)), math.copysign(_dawson(abs(x)), x))
-        return complex(*_faddeeva_off(z.real, z.imag))
-    if z.size <= _FADDEEVA_LOOP:
+    (_faddeeva_off).  A point takes about a microsecond on the axis and a
+    few off it."""
+    if isinstance(z, np.ndarray):
         return np.array([_faddeeva(v) for v in z.ravel().tolist()], dtype=complex).reshape(z.shape)
-    x = z.real
-    out = np.empty(z.shape, dtype=complex)
-    on = z.imag == 0
-    xa = x[on]
-    out.real[on] = np.exp(-xa * xa)
-    out.imag[on] = np.copysign(_dawson(np.abs(xa)), xa)
-    if not on.all():
-        out.real[~on], out.imag[~on] = _faddeeva_off(x[~on], z.imag[~on])
-    return out
+    if not z.imag:
+        x = z.real
+        return complex(float(np.exp(-x * x)), math.copysign(_dawson(abs(x)), x))
+    return complex(*_faddeeva_off(z.real, z.imag))
 
 
 def _dawson(a):
-    """Im w(a) = (2/sqrt(pi)) D(a) for a >= 0, a point or a grid: the odd
-    series below 0.25, the asymptotic series from 16 (which also takes
-    inf and NaN), and between them the cells: cell j of the octave
-    [2^(e-1), 2^e) holds the polynomial of Im w about its centre
-    c = (j + 8.5) 2^(e-4), its constant term a sum of two floats; t = a - c
-    is exact."""
-    if isinstance(a, np.ndarray):
-        inside = (a >= 0.25) & (a < 16.0)
-        if not inside.all():
-            v = np.empty_like(a)
-            v[inside] = _dawson(a[inside])
-            for part, sel in ((_dawson_series, a < 0.25), (_dawson_asymptotic, ~(a < 16.0))):
-                if sel.any():
-                    v[sel] = part(a[sel])
-            return v
-        cell = _CELL_TABLE[:, _CELL_OF[(a * 32.0).astype(np.intp)]]
-        c, hi, lo, coef = cell[0], cell[1], cell[2], cell[3:]
-    elif a < 0.25:
+    """Im w(a) = (2/sqrt(pi)) D(a) for a >= 0: the odd series below 0.25,
+    the asymptotic series from 16 (which also takes inf and NaN), and
+    between them the cells: cell j of the octave [2^(e-1), 2^e) holds the
+    polynomial of Im w about its centre c = (j + 8.5) 2^(e-4), its constant
+    term a sum of two floats; t = a - c is exact."""
+    if a < 0.25:
         return _dawson_series(a)
-    elif a < 16.0:
-        c, hi, lo, coef = _CELLS[int(a * 32.0)]
-    else:
+    if not a < 16.0:
         return _dawson_asymptotic(a)
+    c, hi, lo, coef = _CELLS[int(a * 32.0)]
     t = a - c
     p = 0.0
     for row in coef:
@@ -326,22 +299,16 @@ def _dawson_asymptotic(a):
     remainder k - q a from the mantissa of a, and the remainder joins
     the series' tail before the one final addition."""
     k, k_lo = _RSQRT_PI
+    q = k / a
+    if not math.isfinite(a):
+        return q
     r = 1.0 / a
     y = r * r
     p = 0.0
     for c in _ASYMPTOTIC:
         p = p * y + c
-    q = k / a
-    if isinstance(a, np.ndarray):
-        m, e = np.frexp(a)
-        qm = np.ldexp(q, e)
-        finite = np.isfinite(a)
-        m, qm = np.where(finite, m, 0.5), np.where(finite, qm, 0.0)
-    elif math.isfinite(a):
-        m, e = math.frexp(a)
-        qm = math.ldexp(q, e)
-    else:
-        return q
+    m, e = math.frexp(a)
+    qm = math.ldexp(q, e)
     prod = qm * m
     rem = (k - prod) - _product_error(qm, m, prod)
     return q + (rem + k_lo + k * (y * p)) / a
@@ -355,7 +322,7 @@ def _faddeeva_off(x, y):
     two floats each, so exp and its phase lose no digits to the rounding
     of the squares.  Valid for |z| below about 1e150."""
     below = y < 0
-    xs, ys = _select(below, -x, x), abs(y)
+    xs, ys = -x if below else x, abs(y)
     s = _WEIDEMAN_L + ys
     d = s * s + xs * xs
     zr = ((_WEIDEMAN_L - ys) * s - xs * xs) / d
@@ -367,10 +334,7 @@ def _faddeeva_off(x, y):
     u2r, u2i = ur * ur - ui * ui, 2.0 * ur * ui
     re = 2.0 * (pr * u2r - pi * u2i) + _RSQRT_PI[0] * ur
     im = 2.0 * (pr * u2i + pi * u2r) + _RSQRT_PI[0] * ui
-    if isinstance(below, np.ndarray):
-        if below.any():
-            re[below], im[below] = _reflect(x[below], y[below], re[below], im[below])
-    elif below:
+    if below:
         re, im = _reflect(x, y, re, im)
     return re, im
 
@@ -381,10 +345,10 @@ def _reflect(x, y, re, im):
     s = yy - xx
     b = s - yy
     lo = ((yy - (s - b)) + (-xx - b)) + (_product_error(y, y, yy) - _product_error(x, x, xx))
-    mag = 2.0 * _num(np.exp(s))
+    mag = 2.0 * float(np.exp(s))
     mag = mag + mag * lo
     ph, ph_lo = 2.0 * xy, 2.0 * _product_error(x, y, xy)
-    cos, sin = _num(np.cos(ph)), _num(np.sin(ph))
+    cos, sin = float(np.cos(ph)), float(np.sin(ph))
     return mag * (cos - sin * ph_lo) - re, -(mag * (sin + cos * ph_lo)) - im
 
 
@@ -782,26 +746,17 @@ _WEIDEMAN_L = math.sqrt(40 / math.sqrt(2))
 
 
 def _cell_tables():
-    """_DAWSON_CELLS by k = int(32 a), 0.25 <= a < 16: at a point, the
-    cell's (centre, hi, lo, coefficients from the top); for a grid, the
-    cell index of each k and one table (3 + degree, cells) of the same,
-    the coefficients padded with leading zeros."""
-    width = max(map(len, _DAWSON_CELLS)) - 2
-    cells, cell_of = [None] * 512, np.zeros(512, dtype=np.intp)
-    table = np.zeros((3 + width, len(_DAWSON_CELLS)))
+    """_DAWSON_CELLS by k = int(32 a), 0.25 <= a < 16: the cell's (centre,
+    hi, lo, coefficients from the top)."""
+    cells = [None] * 512
     for i, (hi, lo, *a) in enumerate(_DAWSON_CELLS):
         e, j = i // 8 - 1, i % 8
-        c, coef = math.ldexp(j + 8.5, e - 4), tuple(reversed(a))
-        table[:3, i] = c, hi, lo
-        table[3 + width - len(coef):, i] = coef
         first, end = (8 + j) << (e + 1), (9 + j) << (e + 1)
-        cell_of[first:end] = i
-        cells[first:end] = [(c, hi, lo, coef)] * (end - first)
-    table.setflags(write=False)
-    return cells, cell_of, table
+        cells[first:end] = [(math.ldexp(j + 8.5, e - 4), hi, lo, tuple(reversed(a)))] * (end - first)
+    return cells
 
 
-_CELLS, _CELL_OF, _CELL_TABLE = _cell_tables()
+_CELLS = _cell_tables()
 # the series' constant term and its coefficients from the top
 _SERIES = (_DAWSON_SERIES[0], _DAWSON_SERIES[1], _DAWSON_SERIES[:1:-1])
 # (2k-1)!! / 2^k for k = 10 down to 1, each exact

@@ -411,7 +411,7 @@ def test_cli_import_leaves_scipy_integrate_unloaded(gauss6_cfg):
     # scipy module at all.
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
     out = subprocess.run([sys.executable, "-c", CLI_WITHOUT_SCIPY, gauss6_cfg], env=env,
-                         capture_output=True, text=True, check=True, timeout=300)
+                         capture_output=True, text=True, check=True, timeout=60)
     codes, modules = out.stdout.splitlines()
     assert codes == str([0] * (2 * len(cli.METHODS) + 1))
     assert modules == "[]"
