@@ -407,7 +407,10 @@ def _trace_power(H, M):
 
 def _reduced_density_mc(spec, h, k, samples, seed):
     """Integrate the complement variables by sampling them from the
-    exp(-tr H^2) Gaussian and averaging the conditional weight."""
+    exp(-tr H^2) Gaussian and averaging the conditional weight.  The 2k
+    diagonal entries h are fixed in every matrix and never drawn, so a
+    chunk of up to 20,000 samples draws N^2 - 2k normals a sample
+    (gaussian_tiles)."""
     if samples is None or samples < 10 ** 3:
         raise ValueError("mc needs at least 10^3 samples")
     M1, M2 = spec.trace_power
@@ -419,10 +422,8 @@ def _reduced_density_mc(spec, h, k, samples, seed):
     rng = np.random.default_rng(seed)
     vals = np.empty(samples)
     n, chunk = 0, 20000
-    ii = np.arange(2 * k)
     for s in range(0, samples, chunk):
-        for Hm in gaussian_tiles(rng, spec.N, min(chunk, samples - s)):
-            Hm[:, ii, ii] = h
+        for Hm in gaussian_tiles(rng, spec.N, min(chunk, samples - s), h):
             vals[n: n + len(Hm)] = _int_power(_trace_power(Hm, M1), M2)
             n += len(Hm)
     mean = float(np.mean(vals))

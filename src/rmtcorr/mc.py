@@ -75,17 +75,29 @@ class BinnedDensity:
         return float(np.sum(self.density * np.diff(self.edges)))
 
 
-def gaussian_tiles(rng, N, count):
-    """count Hermitean N x N matrices with weight exp(-tr H^2), diagonal
-    variance 1/2 and off-diagonal Re/Im variance 1/4, yielded a tile at a
-    time.  All draws come first: _ginibre, then the (count, N) diagonal."""
-    re, im = _ginibre(rng, N, count)
-    diag = rng.standard_normal((count, N)) * np.sqrt(0.5)
+def gaussian_tiles(rng, N, count, diag=()):
+    """count Hermitean N x N matrices with weight exp(-tr H^2), yielded a
+    tile at a time.  Every draw comes first, one standard_normal call of
+    N*N - len(diag) entries a matrix: per matrix, its free diagonal
+    entries (variance 1/2), then the real parts of its upper triangle,
+    row by row, then their imaginary parts (variance 1/4 each).  The
+    first len(diag) diagonal entries of every matrix are diag, as given,
+    and are not drawn."""
+    diag = np.asarray(diag, dtype=float)
+    k, m = len(diag), N * (N - 1) // 2
+    z = rng.standard_normal((count, N * N - k))
+    z[:, : N - k] *= np.sqrt(0.5)
+    z[:, N - k:] *= 0.5
     ii = np.arange(N)
+    iu, ju = np.triu_indices(N, 1)
     for t in _tiles(count, N * N):
-        A = re[t] + 1j * im[t]
-        H = (A + np.transpose(A, (0, 2, 1)).conj()) * (1.0 / np.sqrt(8.0))
-        H[:, ii, ii] = diag[t]
+        zt = z[t]
+        H = np.empty((len(zt), N, N), dtype=complex)
+        H[:, ii[:k], ii[:k]] = diag
+        H[:, ii[k:], ii[k:]] = zt[:, : N - k]
+        upper = zt[:, N - k: N - k + m] + 1j * zt[:, N - k + m:]
+        H[:, iu, ju] = upper
+        H[:, ju, iu] = upper.conj()
         yield H
 
 
@@ -101,12 +113,15 @@ def _cpu_count():
     return os.cpu_count() or 1
 
 
-def _each_on_cores(fn, jobs):
-    """fn(job) for every job, on up to one thread per CPU (_cpu_count);
-    with one CPU or one job, in the calling thread and with no thread
-    started.  The threads overlap only where fn releases the GIL.  The
-    first exception a job raises reaches the caller unchanged."""
-    workers = min(_cpu_count(), len(jobs))
+def _each_on_cores(fn, jobs, n):
+    """fn(job) for each of the n jobs of the iterable jobs, on up to one
+    thread per CPU (_cpu_count); with one CPU or one job, in the calling
+    thread and with no thread started.  jobs is read in the calling
+    thread, and each job is handed to a thread as soon as it is read, so
+    the work of making the next job overlaps fn on the ones before it.
+    The threads overlap only where fn and the reading of jobs release the
+    GIL.  The first exception a job raises reaches the caller unchanged."""
+    workers = min(_cpu_count(), n)
     if workers <= 1:
         for job in jobs:
             fn(job)
@@ -114,6 +129,7 @@ def _each_on_cores(fn, jobs):
     # imported where a pool starts: loading it alone takes about 9 ms
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(workers) as pool:
+        # map submits every job as jobs yields it, then waits in order
         for _ in pool.map(fn, jobs):
             pass
 
@@ -123,27 +139,37 @@ def _gaussian_eigs(rng, N, count):
     model (Dumitriu-Edelman 2002).  Per CHUNK of c samples: the (c, N)
     diagonal a_j ~ N(0, 1/2), then the (c, N-1) subdiagonal
     b_j = chi_(2(N-j))/2, j = 1..N-1.  The diagonal is drawn into the
-    output, and the dense matrices are built and solved a tile at a time,
-    each tile's eigenvalues replacing its diagonal; eigvalsh reads the lower
+    output in one call; the subdiagonal is drawn a tile at a time, in
+    order, which is the stream of one call.  Each tile's dense matrices
+    are built and solved as soon as its subdiagonal is drawn, the tile's
+    eigenvalues replacing its diagonal; eigvalsh reads the lower
     triangle.  Every draw is made in the calling thread; the tiles are
-    solved on up to one thread per CPU (eigvalsh releases the GIL), each
-    into its own rows, so the result does not depend on the thread count."""
+    solved on up to one thread per CPU (eigvalsh and the draws release
+    the GIL, so the next tile's draw overlaps the solves), each into its
+    own rows, so the result does not depend on the thread count."""
     out = np.empty((count, N))
     ii = np.arange(N)
+    df = 2.0 * (N - ii[1:])
     for s in range(0, count, CHUNK):
         a = rng.standard_normal(out=out[s: s + CHUNK])
         a *= np.sqrt(0.5)
-        b = rng.chisquare(2.0 * (N - ii[1:]), (len(a), N - 1))
-        np.sqrt(b, out=b)
-        b /= 2
+        tiles = _tiles(len(a), N * N)
 
-        def solve(t, a=a, b=b):
-            T = np.zeros((len(a[t]), N, N))
+        def draws(a=a):
+            for t in tiles:
+                b = rng.chisquare(df, (len(a[t]), N - 1))
+                np.sqrt(b, out=b)
+                b /= 2
+                yield t, b
+
+        def solve(job, a=a):
+            t, b = job
+            T = np.zeros((len(b), N, N))
             T[:, ii, ii] = a[t]
-            T[:, ii[1:], ii[:-1]] = b[t]
+            T[:, ii[1:], ii[:-1]] = b
             a[t] = np.linalg.eigvalsh(T)
 
-        _each_on_cores(solve, _tiles(len(a), N * N))
+        _each_on_cores(solve, draws(), len(tiles))
     return out
 
 
@@ -219,19 +245,24 @@ def _bin_index(x, edges):
 def _block_density(batch, bins, ndim):
     """Weighted histogram of the eigenvalues (ndim 1) or of the ordered
     pairs of distinct eigenvalues (ndim 2), normalized by the total weight;
-    delete-1 jackknife over the contiguous blocks of _block_sizes.  Runs of
-    whole blocks, each of at most TILE (value, bin) cells, are binned with
-    one bincount per run, which adds every (block, bin) sum in sample order.
-    A block of more than TILE cells is its own run, binned in pieces of at
-    most TILE cells: each piece's bincount starts from the sums of the
-    pieces before it, so the sums still add in sample order."""
+    delete-1 jackknife over the contiguous blocks of _block_sizes.  A
+    sample has N values or N(N-1) pairs: the self-pairs are never built.
+    Runs of whole blocks, each of at most TILE values or pairs, are binned
+    with one bincount per run, which adds every (block, bin) sum in sample
+    order; a value or pair outside the bins adds 0.  A block of more than
+    TILE is its own run, binned in pieces of at most TILE: each piece's
+    bincount starts from the sums of the pieces before it, so the sums
+    still add in sample order."""
     edges = _check_bins(bins)
     nb, N = len(edges) - 1, batch.eigenvalues.shape[1]
+    # the columns of the values, or of the two values of each pair
+    cols = (slice(None),) if ndim == 1 else np.nonzero(~np.eye(N, dtype=bool))
+    per = max(N if ndim == 1 else N * (N - 1), 1)
     sizes = _block_sizes(batch.count)
     starts = np.cumsum(sizes) - sizes
     num = np.empty((len(sizes), nb ** ndim))
-    step = max(TILE // (sizes[0] * N ** ndim), 1)
-    piece = max(TILE // N ** ndim, 1)
+    step = max(TILE // (sizes[0] * per), 1)
+    piece = max(TILE // per, 1)
     for b in range(0, len(sizes), step):
         blocks = sizes[b: b + step]
         block = np.repeat(np.arange(len(blocks)), blocks)
@@ -240,14 +271,14 @@ def _block_density(batch, bins, ndim):
         for p in range(0, len(block), piece):
             run = slice(starts[b] + p, starts[b] + min(p + piece, len(block)))
             i, keep = _bin_index(batch.eigenvalues[run], edges)
-            # each value's flat (block, bin) index within the run,
-            # block-major, and its weight (0 for a value that does not count)
-            cells = block[p: p + piece, None] * nb + i
-            w = batch.weights[run, None] * keep
-            if ndim == 2:
-                cells = cells[:, :, None] * nb + i[:, None, :]
-                w = w[:, :, None] * (keep[:, None, :] & ~np.eye(N, dtype=bool))
-            cells, w = cells.ravel(), w.ravel()
+            # each value's or pair's flat (block, bin) index within the
+            # run, block-major, and its weight, 0 outside the bins (a mask
+            # that dropped those would cost more than binning them)
+            cells, inside = block[p: p + piece, None], True
+            for c in cols:
+                cells = cells * nb + i[:, c]
+                inside = inside & keep[:, c]
+            cells, w = cells.ravel(), (batch.weights[run, None] * inside).ravel()
             if sums is not None:
                 # 0 + sum is exact, and bincount adds in input order
                 cells = np.concatenate([np.arange(len(sums)), cells])
@@ -272,10 +303,11 @@ def estimate_r2(batch, grid):
     return _block_density(batch, grid, 2)
 
 
-def _ginibre(rng, N, count):
-    """count complex Ginibre N x N matrices as their real and imaginary
-    parts, stacked (2, count, N, N): all real parts, then all imaginary."""
-    return rng.standard_normal((2, count, N, N))
+def _ginibre(rng, N, count, columns=None):
+    """count complex Ginibre matrices, N x N or N x columns, as their real
+    and imaginary parts, stacked (2, count, N, columns): all real parts,
+    then all imaginary."""
+    return rng.standard_normal((2, count, N, N if columns is None else columns))
 
 
 def _gram_schmidt(X):
@@ -295,11 +327,13 @@ def _gram_schmidt(X):
 
 
 def _haar_columns(A):
-    """Haar unitaries U_s of complex Ginibre matrices A_s (Mezzadri 2007),
-    given as their real and imaginary parts (re, im), each (count, N, N),
-    and returned as X (N, N, count) with X[a, b, s] = U_s[b, a].  The sample
-    axis is last so every step works on long contiguous rows; hciz_mc
-    passes one tile at a time, which keeps a step's operands in cache."""
+    """The first columns of Haar unitaries U_s (Mezzadri 2007): those of
+    the Q of complex Ginibre matrices A_s, given as their real and
+    imaginary parts (re, im), each (count, N, n), n <= N, and returned as
+    X (n, N, count) with X[a, b, s] = U_s[b, a].  Column a of U depends on
+    the first a + 1 columns of A alone.  The sample axis is last so every
+    step works on long contiguous rows; _haar_moduli passes one tile at a
+    time, which keeps a step's operands in cache."""
     re, im = A
     X = np.empty(re.shape[::-1], dtype=complex)
     X.real = re.transpose(2, 1, 0)
@@ -313,15 +347,21 @@ def haar_unitary(N, seed):
 
 
 def _haar_moduli(rng, N, count):
-    """|U_{b a}|^2 of count Haar U drawn by one _ginibre call and
-    orthogonalised a tile at a time, as an (N*N, count) array with sample
-    s in column s and U_{b a} in row a*N + b."""
-    re, im = _ginibre(rng, N, count)
+    """|U_{b a}|^2 of count Haar U, as an (N*N, count) array with sample
+    s in column s and U_{b a} in row a*N + b.  One _ginibre call draws
+    the first N-1 columns of every sample's Ginibre matrix, 2N(N-1)
+    normals a sample (all real parts, then all imaginary), and those
+    columns are orthogonalised a tile at a time; the rows of U are unit
+    vectors, so the last column is |U_{b N}|^2 = 1 - sum_{a<N} |U_{b a}|^2.
+    At N = 1 nothing is drawn."""
+    re, im = _ginibre(rng, N, count, N - 1)
     U2 = np.empty((N * N, count))
+    # views: head[a, b] = |U_{b a}|^2 for a < N - 1, and the last column
+    head, last = U2[: N * (N - 1)].reshape(N - 1, N, count), U2[N * (N - 1):]
     for t in _tiles(count, N * N):
-        # X[a, b] = U[b, a]
         X = _haar_columns((re[t], im[t]))
-        U2[:, t] = (X.real ** 2 + X.imag ** 2).reshape(N * N, -1)
+        head[:, :, t] = X.real ** 2 + X.imag ** 2
+    np.subtract(1.0, head.sum(axis=0), out=last)
     return U2
 
 
@@ -330,9 +370,10 @@ def hciz_mc(E, R, samples, seed):
     standard error over min(200, samples) blocks; returns (value, stderr).
     E and R may also be (P, N) stacks of P pairs, which share the draws;
     then value and stderr are arrays of length P, each entry == the
-    single-pair call.  The samples are drawn (_ginibre) in chunks of at
-    most CHUNK // N and orthogonalised a tile at a time; each sample's
-    phase is added into its block."""
+    single-pair call.  The samples are drawn in chunks of at most
+    CHUNK // N, one _haar_moduli call a chunk (2N(N-1) normals a sample);
+    each sample's phase, cos and sin of its trace, is added into its
+    block."""
     E = np.asarray(E, dtype=float)
     R = np.asarray(R, dtype=float)
     if E.ndim not in (1, 2) or E.shape != R.shape:
@@ -345,23 +386,22 @@ def hciz_mc(E, R, samples, seed):
     cap = CHUNK // max(N, 1)
     rng = np.random.default_rng(seed)
     counts = _block_sizes(samples)
-    ends = np.cumsum(counts)
+    blocks = np.repeat(np.arange(len(counts)), counts)
     # per pair, the block sums of the phases' real and imaginary parts
     sums = np.zeros((len(ER), 2, len(counts)))
     for s in range(0, samples, cap):
-        n = min(cap, samples - s)
-        blk = np.searchsorted(ends, np.arange(s, s + n), side="right")
-        U2 = _haar_moduli(rng, N, n)
+        blk = blocks[s: s + cap]
+        U2 = _haar_moduli(rng, N, len(blk))
         for p, er in enumerate(ER):
             # tr U E U^dag R = sum_{a,b} E_a R_b |U_{b a}|^2: one product per
             # pair over the whole chunk, since BLAS rounds an entry by where it
             # falls in the call (a product per tile, or one (P, N*N) product
             # for all pairs, would move the phases)
-            vals = np.exp(1j * (er @ U2))
-            sums[p] += [np.bincount(blk, weights=v, minlength=len(counts))
-                        for v in (vals.real, vals.imag)]
+            tr = er @ U2
+            sums[p] += [np.bincount(blk, weights=f(tr), minlength=len(counts))
+                        for f in (np.cos, np.sin)]
         # spent: free them before the next chunk's draws
-        U2 = vals = None
+        U2 = tr = None
     value, err = np.empty(len(ER), complex), np.empty(len(ER))
     for p, pair in enumerate(sums):
         est, e = _jackknife_ratio(pair.T, counts[:, None])

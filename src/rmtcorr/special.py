@@ -316,27 +316,59 @@ def _dawson_asymptotic(a):
 
 def _faddeeva_off(x, y):
     """(Re w, Im w) at z = x + iy with y != 0.  Above the axis, Weideman's
-    series w(z) = 2 p(Z) / (L - iz)^2 + (1/sqrt(pi)) / (L - iz) with
-    Z = (L + iz) / (L - iz) and p of degree 39, in real arithmetic.  Below,
-    w(z) = 2 exp(-z^2) - w(-z), with -z^2 = (y^2 - x^2) - 2ixy carried to
-    two floats each, so exp and its phase lose no digits to the rounding
-    of the squares.  Valid for |z| below about 1e150."""
+    series (_weideman), and past |x|, |y| = _FADDEEVA_FAR, where the
+    series' denominators would overflow from about 1e154 on, the far
+    field (_faddeeva_far).  Below, w(z) = 2 exp(-z^2) - w(-z), with
+    -z^2 = (y^2 - x^2) - 2ixy carried to two floats each, so exp and its
+    phase lose no digits to the rounding of the squares; in the far field
+    exp(-z^2) is dropped where it underflows to 0, x^2 - y^2 > 750.  Far
+    below the axis but there, where |w| is about exp(y^2 - x^2), the value
+    overflows or is NaN."""
     below = y < 0
     xs, ys = -x if below else x, abs(y)
-    s = _WEIDEMAN_L + ys
-    d = s * s + xs * xs
-    zr = ((_WEIDEMAN_L - ys) * s - xs * xs) / d
-    zi = (2.0 * _WEIDEMAN_L) * xs / d
-    ur, ui = s / d, xs / d
+    far = max(abs(xs), ys) >= _FADDEEVA_FAR
+    re, im = (_faddeeva_far if far else _weideman)(xs, ys)
+    if not below:
+        return re, im
+    if far and (abs(x) - ys) * (abs(x) + ys) > 750.0:
+        return -re, -im
+    return _reflect(x, y, re, im)
+
+
+def _weideman(x, y):
+    """(Re w, Im w) at z = x + iy with y > 0: Weideman's series
+    w(z) = 2 p(Z) / (L - iz)^2 + (1/sqrt(pi)) / (L - iz) with
+    Z = (L + iz) / (L - iz) and p of degree 39, in real arithmetic."""
+    s = _WEIDEMAN_L + y
+    d = s * s + x * x
+    zr = ((_WEIDEMAN_L - y) * s - x * x) / d
+    zi = (2.0 * _WEIDEMAN_L) * x / d
+    ur, ui = s / d, x / d
     pr = pi = 0.0
     for c in reversed(_WEIDEMAN):
         pr, pi = pr * zr - pi * zi + c, pr * zi + pi * zr
     u2r, u2i = ur * ur - ui * ui, 2.0 * ur * ui
     re = 2.0 * (pr * u2r - pi * u2i) + _RSQRT_PI[0] * ur
     im = 2.0 * (pr * u2i + pi * u2r) + _RSQRT_PI[0] * ui
-    if below:
-        re, im = _reflect(x, y, re, im)
     return re, im
+
+
+def _faddeeva_far(x, y):
+    """(Re w, Im w) at z = x + iy, y >= 0, |z| >= _FADDEEVA_FAR: the
+    asymptotic series w(z) = (i / (sqrt(pi) z)) (1 + 1/(2z^2) + ...),
+    whose next term, 3/(4z^4), is below 1e-32 there.  u = 1/z by Smith's
+    division, which neither overflows nor underflows while |z| does not."""
+    if abs(x) >= y:
+        r = y / x
+        d = x + y * r
+        ur, ui = 1.0 / d, -r / d
+    else:
+        r = x / y
+        d = y + x * r
+        ur, ui = r / d, -1.0 / d
+    fr, fi = 1.0 + 0.5 * (ur * ur - ui * ui), ur * ui
+    k = _RSQRT_PI[0]
+    return -k * (ur * fi + ui * fr), k * (ur * fr - ui * fi)
 
 
 def _reflect(x, y, re, im):
@@ -743,6 +775,8 @@ _WEIDEMAN = (
     -5.409310282882108e-15, 1.1357687198999245e-14, 1.1280735623643963e-15, -1.8996949473949275e-15,
 )
 _WEIDEMAN_L = math.sqrt(40 / math.sqrt(2))
+# |x| or |y| from which w off the axis is its far field, _faddeeva_far
+_FADDEEVA_FAR = 1e8
 
 
 def _cell_tables():

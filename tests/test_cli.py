@@ -321,9 +321,13 @@ def test_verify_line_ends_with_elapsed(capsys):
     assert re.fullmatch(r"pairing\(N=2\.\.6\): PASS max_deviation=\S+ elapsed=\d+\.\d+s", line)
 
 
-@pytest.mark.parametrize("seed,dev", [("7", "3.259e-01"), ("3", "1.494e-01")])
+@pytest.mark.parametrize("seed,dev", [("7", "6.372e-01"), ("3", "1.157e-01")])
 def test_verify_hciz_draws_one_haar_sample_for_its_three_pairs(capsys, monkeypatch, seed, dev):
     # the line of three single-pair calls on one seed, from one stacked call
+    ER = np.sort(np.random.default_rng(int(seed)).uniform(-2, 2, (3, 2, 2)), axis=-1)
+    single = [cli.hciz_mc(E, R, 200000, int(seed)) for E, R in ER]
+    devs = [abs(v - cli.hciz_exact(E, R)) / (3 * e) for (v, e), (E, R) in zip(single, ER)]
+    assert f"{max(devs):.3e}" == dev
     calls = []
     hciz_mc = cli.hciz_mc
     monkeypatch.setattr(cli, "hciz_mc", lambda E, R, *a: calls.append(np.shape(E)) or hciz_mc(E, R, *a))
@@ -331,6 +335,19 @@ def test_verify_hciz_draws_one_haar_sample_for_its_three_pairs(capsys, monkeypat
     assert code == 0 and calls == [(3, 2)]
     assert re.fullmatch(rf"hciz\(N=2\): PASS max_deviation={dev} elapsed=\d+\.\d+s",
                         out.splitlines()[-1])
+
+
+@pytest.mark.parametrize("N,seed", [("1", "7"), ("1", "3"), ("2", "7"), ("2", "11")])
+def test_verify_hciz_at_small_n(capsys, monkeypatch, N, seed):
+    # at N=1 every phase is exp(i E R), so the jackknife error is 0 and
+    # the deviation is measured against the round-off of the mean; an
+    # exact value off by 1e-9 still fails
+    code, out, _ = run(capsys, "verify", "--suite", "hciz", "--N", N, "--seed", seed)
+    assert code == 0 and f"hciz(N={N}): PASS" in out
+    exact = cli.hciz_exact
+    monkeypatch.setattr(cli, "hciz_exact", lambda E, R: exact(E, R) + (1e-9 if N == "1" else 0.05))
+    code, out, _ = run(capsys, "verify", "--suite", "hciz", "--N", N, "--seed", seed)
+    assert code == 1 and f"hciz(N={N}): FAIL" in out
 
 
 @pytest.mark.parametrize("suite,name", [("hciz", "hciz(N=2)"), ("mc", "mc(N=4)")])

@@ -161,21 +161,45 @@ def test_trace_power_reduced_density_pinned(shape, k, h, value, moment, n_terms)
     assert all(type(c) is float for c, _ in terms)
 
 
-# Monte Carlo estimates pinned from the sampler's own matrix draw, which
-# gaussian_matrices replaced, and from eigenvalue power sums, which
-# _trace_power replaced: same seed, same draw order, same estimate
+def reduced_density_reference(spec, h, k, samples, seed):
+    """The Monte Carlo estimate of reduced_density from the raw stream:
+    per chunk of up to 20,000 matrices one call of N*N - 2k normals a
+    matrix (the free diagonal at variance 1/2, then the upper triangle's
+    real parts, then its imaginary parts, at 1/4), h on the first 2k
+    diagonal entries, and the weight (tr H^M1)^M2 from the eigenvalues."""
+    N, (M1, M2) = spec.N, spec.trace_power
+    iu, ju = np.triu_indices(N, 1)
+    rng = np.random.default_rng(seed)
+    vals = []
+    for s in range(0, samples, 20000):
+        z = rng.standard_normal((min(20000, samples - s), N * N - 2 * k))
+        H = np.zeros((len(z), N, N), dtype=complex)
+        H[:, range(2 * k), range(2 * k)] = h
+        H[:, range(2 * k, N), range(2 * k, N)] = z[:, : N - 2 * k] * np.sqrt(0.5)
+        H[:, iu, ju] = 0.5 * (z[:, N - 2 * k: N - 2 * k + len(iu)] + 1j * z[:, N - 2 * k + len(iu):])
+        H[:, ju, iu] = H[:, iu, ju].conj()
+        vals.append(np.sum(np.linalg.eigvalsh(H) ** M1, axis=1) ** M2)
+    vals = np.concatenate(vals)
+    scale = np.prod(np.pi ** -0.5 * np.exp(-h * h)) / spec.full_moment()
+    return scale * np.mean(vals), scale * np.std(vals) / np.sqrt(samples)
+
+
+# Monte Carlo estimates pinned from N*N - 2k normals a matrix, the fixed
+# diagonal never drawn, and against the same draws through eigenvalue
+# power sums; 25,000 samples take two chunks of draws, the others one
 @pytest.mark.parametrize("shape,k,h,samples,seed,value,err", [
-    ((4, 4, 1), 1, [0.3, -0.5], 3000, 7, 0.18701457341226746, 0.002654788183601248),
+    ((4, 4, 1), 1, [0.3, -0.5], 3000, 7, 0.18443637554791809, 0.0026139506598104423),
     ((4, 2, 2), 2, [0.3, -0.5, 0.1, 0.8], 25000, 2,
-     0.02866881652639849, 0.0001344395373782986),
+     0.028660155954249415, 0.00013230218912084593),
     ((4, 3, 2), 2, [0.4, -0.7, 0.2, 0.9], 20000, 11,
-     0.007892007728521663, 0.00010691267218245006),
+     0.007860564949377915, 0.00010712585055578336),
 ])
 def test_reduced_density_mc_pinned(shape, k, h, samples, seed, value, err):
-    got, got_err = reduced_density(EnsembleSpec.higher_trace(*shape), np.array(h), k,
-                                   method="mc", samples=samples, seed=seed)
-    assert abs(got - value) <= 1e-12 * value
-    assert abs(got_err - err) <= 1e-10 * err
+    spec = EnsembleSpec.higher_trace(*shape)
+    got, got_err = reduced_density(spec, np.array(h), k, method="mc", samples=samples, seed=seed)
+    for v, e in ((value, err), reduced_density_reference(spec, np.array(h), k, samples, seed)):
+        assert abs(got - v) <= 1e-12 * v
+        assert abs(got_err - e) <= 1e-10 * e
 
 
 @pytest.mark.parametrize("N", [1, 2, 4, 5])
@@ -188,7 +212,7 @@ def test_trace_power_matches_eigenvalue_sums(N):
 
 
 # closed forms above the old cap of 8 against the weighted Monte Carlo
-# integral; seeds fixed in advance, z = -1.31, -0.79, -0.66 at these seeds
+# integral; seeds fixed in advance, z = -0.27, 1.79, 1.94 at these seeds
 @pytest.mark.parametrize("N,M1,M2,h,seed", [
     (2, 10, 1, [0.2, 0.1], 5),
     (4, 6, 2, [0.5, -0.3], 2024),

@@ -16,6 +16,7 @@ from rmtcorr.ensembles import EnsembleSpec, reduced_density
 from rmtcorr.engine import CorrelationRequest, evaluate
 from rmtcorr.kernels import IncrementedPoint, hciz_exact
 from rmtcorr.mc import (SampleBatch, sample_batch, estimate_r1, estimate_r2, gaussian_matrices,
+                        gaussian_tiles,
                         haar_unitary, hciz_mc, _haar_columns,
                         _jackknife_ratio)
 
@@ -260,20 +261,95 @@ def test_haar_gram_schmidt_matches_qr(N):
         assert np.max(np.abs(haar_unitary(N, seed) - qr_haar(A1)[0])) < 1e-13
 
 
+def gaussian_reference(z, N, diag=()):
+    """Hermitean matrices built entry by entry from rows z of standard
+    normals: per matrix the free diagonal at variance 1/2, then the real
+    parts of the upper triangle, row by row, then their imaginary parts,
+    at 1/4; the first len(diag) diagonal entries are diag."""
+    k = len(diag)
+    iu, ju = np.triu_indices(N, 1)
+    H = np.zeros((len(z), N, N), dtype=complex)
+    for s, row in enumerate(z):
+        for j in range(N):
+            H[s, j, j] = diag[j] if j < k else row[j - k] * np.sqrt(0.5)
+        for n, (a, b) in enumerate(zip(iu, ju)):
+            H[s, a, b] = complex(0.5 * row[N - k + n], 0.5 * row[N - k + len(iu) + n])
+            H[s, b, a] = H[s, a, b].conjugate()
+    return H
+
+
 @pytest.mark.parametrize("N", [2, 4])
 def test_gaussian_and_haar_draws_are_two_standard_normal_calls(N):
-    # _ginibre's one (2, count, N, N) call draws what two successive
-    # (count, N, N) calls draw: the real parts, then the imaginary parts
+    # gaussian_matrices: one (count, N*N) call, N*N normals a matrix;
+    # haar_unitary: _ginibre's one (2, 1, N, N) call draws what two
+    # successive (1, N, N) calls draw, the real parts, then the imaginary
     count = 6
     for seed in (0, 9):
-        r = np.random.default_rng(seed)
-        A = r.standard_normal((count, N, N)) + 1j * r.standard_normal((count, N, N))
-        H = (A + A.conj().transpose(0, 2, 1)) * (1.0 / np.sqrt(8.0))
-        H[:, range(N), range(N)] = r.standard_normal((count, N)) * np.sqrt(0.5)
-        assert np.array_equal(gaussian_matrices(np.random.default_rng(seed), N, count), H)
+        z = np.random.default_rng(seed).standard_normal((count, N * N))
+        H = gaussian_matrices(np.random.default_rng(seed), N, count)
+        assert np.array_equal(H, gaussian_reference(z, N))
         r = np.random.default_rng(seed)
         parts = np.stack([r.standard_normal((1, N, N)), r.standard_normal((1, N, N))])
         assert np.array_equal(haar_unitary(N, seed), _haar_columns(parts)[:, :, 0].T)
+
+
+@pytest.mark.parametrize("N,diag", [(5, [0.3, -1.7, 2.5e-300]), (4, [0.1, -0.2, 0.3, 0.4]),
+                                    (3, [])])
+def test_gaussian_tiles_keep_the_fixed_diagonal(N, diag):
+    # over several tiles: the fixed entries as given, exactly, and the free
+    # ones from N*N - len(diag) normals a matrix, none drawn for diag
+    count, seed = 3 * (mc.TILE // (N * N)) + 5, 4
+    tiles = list(gaussian_tiles(np.random.default_rng(seed), N, count, diag))
+    assert len(tiles) == 4
+    H = np.concatenate(tiles)
+    k = len(diag)
+    assert np.array_equal(H[:, range(k), range(k)], np.broadcast_to(diag, (count, k)))
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((count, N * N - k))
+    assert np.array_equal(H, gaussian_reference(z, N, diag))
+    # the stream goes on where one call of that size leaves it
+    after = np.random.default_rng(seed)
+    list(gaussian_tiles(after, N, count, diag))
+    assert after.standard_normal() == rng.standard_normal()
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6])
+def test_haar_moduli_doubly_stochastic(N):
+    # every row and column of |U_{b a}|^2 sums to 1 within 4 ulps; the last
+    # column is 1 minus the rows' other entries, so its sum is off by what
+    # the other columns' sums are, plus at most 4 ulps (sums in extended
+    # precision, so that only the moduli's own rounding shows)
+    U2 = mc._haar_moduli(np.random.default_rng(N), N, 20000)
+    assert U2.shape == (N * N, 20000)
+    U2 = U2.reshape(N, N, -1).astype(np.longdouble)
+    ulp = np.spacing(1.0)
+    rows = np.abs(U2.sum(axis=0) - 1)
+    cols = np.abs(U2.sum(axis=1) - 1)
+    assert np.all(U2 > 0)
+    assert rows.max() <= 4 * ulp and cols[:-1].max(initial=0) <= 4 * ulp
+    assert np.max(cols[-1] - cols[:-1].sum(axis=0)) <= 4 * ulp
+
+
+@pytest.mark.parametrize("N", [2, 3, 5])
+def test_haar_moduli_draw_only_the_first_columns(N):
+    # one (2, count, N, N-1) draw, real parts, then imaginary parts; its
+    # columns give the first N-1 columns of the moduli, == those of a full
+    # N x N draw's Gram-Schmidt with any last column, and within 1e-13 of
+    # LAPACK QR's (Gram-Schmidt and Householder round apart)
+    count, seed = mc.TILE // (N * N) + 9, 30 + N
+    U2 = mc._haar_moduli(np.random.default_rng(seed), N, count)
+    rng = np.random.default_rng(seed)
+    re, im = rng.standard_normal((2, count, N, N - 1))
+    last = rng.standard_normal((2, count, N, 1))
+    X = _haar_columns((np.concatenate([re, last[0]], axis=2),
+                       np.concatenate([im, last[1]], axis=2)))
+    head = (X.real ** 2 + X.imag ** 2)[: N - 1].reshape(N * (N - 1), count)
+    assert np.array_equal(U2[: N * (N - 1)], head)
+    qr = haar_moduli_qr(re, im).transpose(2, 1, 0).reshape(N * N, count)
+    assert np.max(np.abs(U2 - qr)) < 1e-13
+    # the last column is that of the whole unitary, completed by LAPACK
+    full = qr_haar(np.concatenate([re, last[0]], axis=2) + 1j * np.concatenate([im, last[1]], axis=2))
+    assert np.max(np.abs(U2 - (np.abs(full) ** 2).transpose(2, 1, 0).reshape(N * N, count))) < 1e-13
 
 
 def test_haar_columns_stay_unitary_when_ill_conditioned():
@@ -367,17 +443,25 @@ def test_histograms_match_block_loop_on_sampled_batch():
         assert np.max(np.abs(hist.errors - err)) <= 1e-12 * np.max(err)
 
 
+def haar_moduli_qr(re, im):
+    """|U_{s, b a}|^2 (count, N, N) of the Haar unitaries whose first N-1
+    columns are LAPACK QR's of the (count, N, N-1) draws, the last from
+    the unit rows."""
+    U2 = np.abs(qr_haar(re + 1j * im)) ** 2
+    return np.concatenate([U2, 1 - U2.sum(axis=2, keepdims=True)], axis=2)
+
+
 def hciz_qr(E, R, samples, seed):
     """hciz_mc's estimate and jackknife error through LAPACK QR, from the
-    same draws: chunks of at most CHUNK // N samples, each drawn as all its
-    real parts, then all its imaginary parts."""
+    same draws: chunks of at most CHUNK // N samples, each drawn as the
+    real parts, then the imaginary parts, of the first N-1 columns of its
+    Ginibre matrices."""
     N, cap = len(E), mc.CHUNK // len(E)
     rng = np.random.default_rng(seed)
     vals = []
     for s in range(0, samples, cap):
-        re, im = rng.standard_normal((2, min(cap, samples - s), N, N))
-        U = qr_haar(re + 1j * im)
-        vals.append(np.exp(1j * np.einsum("sba,a,b->s", np.abs(U) ** 2, E, R)))
+        re, im = rng.standard_normal((2, min(cap, samples - s), N, N - 1))
+        vals.append(np.exp(1j * np.einsum("sba,a,b->s", haar_moduli_qr(re, im), E, R)))
     blocks = np.array_split(np.concatenate(vals), min(200, samples))
     sums = np.array([b.sum() for b in blocks])
     sizes = np.array([len(b) for b in blocks])
@@ -390,11 +474,11 @@ def hciz_qr(E, R, samples, seed):
 # three chunks at N=2, blocks of 62 and 61 samples, and N=4
 @pytest.mark.parametrize("E,R,samples,seed,value,err", [
     ((0.3, -1.1), (0.8, -0.4), 300000, 5,
-     0.8752416085706166 - 0.1414866380585475j, 0.0007710979354337503),
+     0.875526203958274 - 0.14007377775232094j, 0.000815553212144467),
     ((0.2, -0.9, 1.1), (0.5, 1.3, -0.4), 12345, 8,
-     0.8169573319556502 + 0.15284416480401752j, 0.0051316799718866025),
+     0.8178928779292943 + 0.15397523835059598j, 0.005492874508138018),
     ((-1.2, -0.3, 0.4, 1.5), (-0.7, 0.1, 0.6, 1.9), 20000, 3,
-     0.6076105416223271 + 0.10918414168724369j, 0.005576972646276602),
+     0.6096684003386119 + 0.11617122261938138j, 0.0056920855587121524),
 ])
 def test_hciz_mc_pinned(E, R, samples, seed, value, err):
     got, got_err = hciz_mc(E, R, samples, seed)
@@ -406,15 +490,30 @@ def test_hciz_mc_pinned(E, R, samples, seed, value, err):
 def test_hciz_mc_small_count_has_one_sample_per_block():
     E, R = np.array([0.4, -0.6, 1.0]), np.array([1.2, 0.3, -0.8])
     samples, seed = 57, 4
-    # one chunk: every real part, then every imaginary part
-    re, im = np.random.default_rng(seed).standard_normal((2, samples, 3, 3))
-    vals = np.array([np.exp(1j * np.real(np.trace(U @ np.diag(E) @ U.conj().T @ np.diag(R))))
-                     for U in qr_haar(re + 1j * im)])
+    # one chunk: the real parts of every sample's first two columns, then
+    # their imaginary parts; the third column, up to a phase that the
+    # trace does not see, is the conjugate cross product of the first two
+    re, im = np.random.default_rng(seed).standard_normal((2, samples, 3, 2))
+    Q = qr_haar(re + 1j * im)
+    U = np.concatenate([Q, np.cross(Q[:, :, 0], Q[:, :, 1]).conj()[:, :, None]], axis=2)
+    assert np.max(np.abs(U @ U.conj().transpose(0, 2, 1) - np.eye(3))) < 1e-13
+    vals = np.array([np.exp(1j * np.real(np.trace(u @ np.diag(E) @ u.conj().T @ np.diag(R))))
+                     for u in U])
     est, err = hciz_mc(E, R, samples, seed)
     assert abs(est - vals.mean()) < 1e-13
     # delete-1 jackknife of a mean is its standard error
     se = np.hypot(np.std(vals.real, ddof=1), np.std(vals.imag, ddof=1)) / np.sqrt(samples)
     assert abs(err - se) < 1e-12
+
+
+def test_hciz_mc_at_n1_draws_nothing():
+    # one unitary of order 1 has |U|^2 = 1: every phase is exp(i E R)
+    rng = np.random.default_rng(2)
+    before = rng.bit_generator.state
+    assert np.array_equal(mc._haar_moduli(rng, 1, 1000), np.ones((1, 1000)))
+    assert rng.bit_generator.state == before
+    est, err = hciz_mc([0.7], [-1.3], 5000, 2)
+    assert abs(est - np.exp(-0.91j)) <= 5000 * np.spacing(1.0) and err < 1e-12
 
 
 # -- bounded working memory ------------------------------------------------
@@ -449,20 +548,20 @@ def test_sampler_and_histograms_work_in_tiles():
 
 
 def test_hciz_mc_works_in_tiles():
-    # one chunk of 20000 samples at N=8: its draws (2 x 20000 x 64 floats)
-    # and the squared moduli of one product (half as many) are all that
-    # grows with the samples; the Gram-Schmidt runs on one tile at a time
+    # one chunk of 20000 samples at N=8: its draws of seven columns
+    # (2 x 20000 x 56 floats) and the squared moduli (20000 x 64) are all
+    # that grows with the samples; the Gram-Schmidt runs on one tile at a time
     E, R = np.linspace(-1.0, 1.0, 8), np.linspace(-0.5, 1.5, 8)
-    draws = 2 * 20000 * 64 * 8
+    draws, moduli = 2 * 20000 * 56 * 8, 20000 * 64 * 8
     _, peak = traced_peak(hciz_mc, E, R, 20000, 6)
-    assert peak <= 1.5 * draws + 6 * TILE_C16, peak
+    assert peak <= draws + moduli + 6 * TILE_C16, peak
 
 
 def test_reduced_density_mc_works_in_tiles():
-    # one chunk of 20000 samples at N=6: the draws, Ginibre and diagonal,
-    # plus the matrices and powers of one tile at a time
+    # one chunk of 20000 samples at N=6 and k=2: the draws, 36 - 4 normals
+    # a sample, plus the matrices and powers of one tile at a time
     spec = EnsembleSpec.higher_trace(6, 2, 1)
-    draws = 20000 * (2 * 36 + 6) * 8
+    draws = 20000 * (36 - 4) * 8
     _, peak = traced_peak(reduced_density, spec, np.array([0.1, -0.3, 0.4, 0.2]), 2,
                           method="mc", samples=20000, seed=1)
     assert peak <= 1.1 * draws + 6 * TILE_C16, peak
@@ -521,8 +620,8 @@ def test_tiles_and_runs_equal_whole_batch_formulas():
 
 
 def test_histograms_split_a_block_larger_than_a_tile():
-    # N=12: a block of 1000 samples holds 144,000 (value, bin) cells of r2,
-    # over four tiles; the pieces' sums carried from one bincount to the
+    # N=12: a block of 1000 samples holds 132,000 pairs of r2, over five
+    # pieces of a tile; the pieces' sums carried from one bincount to the
     # next add in sample order, as one bincount over the whole block does
     # (uneven weights, so that a sum in another order would round apart)
     batch = sample_batch(EnsembleSpec.higher_trace(12, 2, 1), 200000, 4)
@@ -537,9 +636,9 @@ def test_histograms_split_a_block_larger_than_a_tile():
 
 @pytest.mark.parametrize("tile", [1, 50, 200])
 def test_histograms_split_blocks_of_a_small_tile(monkeypatch, tile):
-    # blocks of 7 and 6 samples at N=4 (4 r1 and 16 r2 cells a sample):
-    # pieces of one sample (TILE 1), r2 pieces of three samples (TILE 50),
-    # and runs of whole blocks (TILE 200)
+    # blocks of 7 and 6 samples at N=4 (4 r1 values and 12 r2 pairs a
+    # sample): pieces of one sample (TILE 1), r2 pieces of four samples
+    # (TILE 50), and runs of whole blocks (TILE 200)
     monkeypatch.setattr(mc, "TILE", tile)
     bins = (-3.5, 3.5, 9)
     batch = edge_batch(1234, 4, bins, seed=5)
@@ -590,3 +689,50 @@ def test_sampler_tile_error_reaches_caller(monkeypatch, cpus):
     with pytest.raises(np.linalg.LinAlgError) as raised:
         sample_batch(EnsembleSpec.gaussian(4), 5 * (mc.TILE // 16), 3)
     assert raised.value is error
+
+
+class RecordingRng:
+    """A Generator whose draws are recorded, with the thread they ran on;
+    before its second chisquare call it waits (up to 10 s) for first_solve."""
+
+    def __init__(self, seed, events, first_solve):
+        self.rng, self.events, self.first_solve = np.random.default_rng(seed), events, first_solve
+
+    def standard_normal(self, *args, **kwargs):
+        self.events.append(("normal", threading.current_thread()))
+        return self.rng.standard_normal(*args, **kwargs)
+
+    def chisquare(self, *args, **kwargs):
+        if any(kind == "draw" for kind, _ in self.events):
+            self.events.append(("waited", self.first_solve.wait(timeout=10)))
+        self.events.append(("draw", threading.current_thread()))
+        return self.rng.chisquare(*args, **kwargs)
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_sampler_solves_a_tile_while_the_next_is_drawn(monkeypatch, cpus):
+    # four tiles: the calling thread draws the diagonal, then each tile's
+    # subdiagonal in turn, and a tile's solve starts as soon as its draw
+    # exists, so the second tile's draw sees the first tile solving (a
+    # sampler that drew the whole chunk first would wait in vain)
+    N, count, seed = 4, 3 * (mc.TILE // 16) + 5, 6
+    events, first_solve = [], threading.Event()
+    eigvalsh = np.linalg.eigvalsh
+
+    def solve(T):
+        events.append(("solve", threading.current_thread()))
+        first_solve.set()
+        return eigvalsh(T)
+
+    monkeypatch.setattr(mc, "_cpu_count", lambda: cpus)
+    monkeypatch.setattr(np.linalg, "eigvalsh", solve)
+    got = mc._gaussian_eigs(RecordingRng(seed, events, first_solve), N, count)
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    assert np.array_equal(got, mc._gaussian_eigs(np.random.default_rng(seed), N, count))
+    kinds = [kind for kind, _ in events]
+    assert kinds.count("draw") == kinds.count("solve") == 4 and kinds[0] == "normal"
+    assert all(value for kind, value in events if kind == "waited")
+    here = threading.current_thread()
+    assert all(thread is here for kind, thread in events if kind in ("normal", "draw"))
+    if cpus == 1:
+        assert kinds == ["normal", "draw", "solve"] + ["waited", "draw", "solve"] * 3

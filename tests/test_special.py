@@ -565,3 +565,27 @@ def test_faddeeva_point_equals_grid():
         point = [special._faddeeva(z) for z in grid.tolist()]
         assert all(type(p) is complex for p in point)
         assert np.array_equal(got, point)
+
+
+def far_field_points():
+    """|z| from 1e8 to 1e300 above the axis, and below it where x^2 - y^2
+    is so large that exp(-z^2) underflows; the points where Weideman's
+    series overflowed, and points just off the axis."""
+    rng = np.random.default_rng(11)
+    upper = 10 ** rng.uniform(8, 300, 60) * np.exp(1j * rng.uniform(1e-3, np.pi - 1e-3, 60))
+    lower = 10 ** rng.uniform(8, 300, 30) * np.exp(1j * rng.uniform(-np.pi / 4 + 0.01, -1e-3, 30))
+    edge = [1e200 + 1j, 1e160 + 1e160j, -1e200 + 1e-5j, 1e200 - 1j, 1e8 + 1e-300j,
+            -1e8 - 1e-300j, 1e8j, 3e10 - 1e5j]
+    return np.concatenate([upper, lower, -lower.conj(), edge])
+
+
+def test_faddeeva_far_field_against_mpmath():
+    # Weideman's denominators overflowed from |z| ~ 1e154 on (NaN); past
+    # |x|, |y| = 1e8 two terms of the asymptotic series are exact
+    zs = far_field_points()
+    got = special._faddeeva(zs)
+    with mp.workdps(50):
+        ref = np.array([complex(mp.exp(-mp.mpc(z) ** 2) * mp.erfc(-1j * mp.mpc(z))) for z in zs])
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got - ref) / np.abs(ref)) <= 2e-15
+    assert np.array_equal(got, [special._faddeeva(z) for z in zs.tolist()])
