@@ -17,7 +17,7 @@ import numpy as np
 
 from . import __version__, CONVENTIONS
 from .ensembles import EnsembleSpec, characteristic_invariants
-from .engine import (METHODS, VARIANTS, CorrelationRequest, evaluate, evaluate_grid)
+from .engine import METHODS, VARIANTS, evaluate_grid
 from .kernels import (IncrementedPoint, fundamental_kernel, kernel_series,
                       hciz_exact, gaussian_pairing)
 from .grassmann import duality_report
@@ -118,29 +118,19 @@ def cmd_corr(args):
 
 def _table_results(spec, k, probe, metric, args):
     """(value, error estimate) per row of probe, or None for a failed row.
-    The rows go in one call; if it raises, each half goes the same way, so
-    that only a failing point ends up evaluated alone, which reports it."""
+    The rows go in one evaluate_grid call; if it raises, each half goes
+    the same way, so only a failing row ends up in a call of its own,
+    whose error is reported."""
     try:
         res = evaluate_grid(spec, k, probe, args.variant, args.method, metric)
         return [(v, res.error_estimate) for v in res.value]
-    except Exception:
+    except Exception as e:
         if len(probe) == 1:
-            return [_point_result(spec, k, probe[0].tolist(), metric, args)]
+            print(f"numeric failure at {tuple(probe[0].tolist())}: {e}", file=sys.stderr)
+            return [None]
     h = len(probe) // 2
     return (_table_results(spec, k, probe[:h], metric, args)
             + _table_results(spec, k, probe[h:], metric, args))
-
-
-def _point_result(spec, k, pt, metric, args):
-    """(value, error estimate) at one point, or None after reporting its
-    failure."""
-    points = [IncrementedPoint(x, side=metric[i]) for i, x in enumerate(pt)]
-    try:
-        res = evaluate(CorrelationRequest(spec, k, points, args.variant, args.method))
-        return res.value, res.error_estimate
-    except Exception as e:
-        print(f"numeric failure at {tuple(pt)}: {e}", file=sys.stderr)
-        return None
 
 
 def _emit(path, fmt, header, rows, k, footer):

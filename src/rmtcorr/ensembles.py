@@ -409,7 +409,7 @@ def _reduced_density_mc(spec, h, k, samples, seed):
     """Integrate the complement variables by sampling them from the
     exp(-tr H^2) Gaussian and averaging the conditional weight.  The 2k
     diagonal entries h are fixed in every matrix and never drawn, so a
-    chunk of up to 20,000 samples draws N^2 - 2k normals a sample
+    sample takes N^2 - 2k normals, drawn a tile at a time
     (gaussian_tiles)."""
     if samples is None or samples < 10 ** 3:
         raise ValueError("mc needs at least 10^3 samples")
@@ -420,12 +420,8 @@ def _reduced_density_mc(spec, h, k, samples, seed):
     gauss = np.prod(np.pi ** -0.5 * np.exp(-h * h))
     from .mc import gaussian_tiles, _int_power
     rng = np.random.default_rng(seed)
-    vals = np.empty(samples)
-    n, chunk = 0, 20000
-    for s in range(0, samples, chunk):
-        for Hm in gaussian_tiles(rng, spec.N, min(chunk, samples - s), h):
-            vals[n: n + len(Hm)] = _int_power(_trace_power(Hm, M1), M2)
-            n += len(Hm)
+    vals = np.concatenate([_int_power(_trace_power(Hm, M1), M2)
+                           for Hm in gaussian_tiles(rng, spec.N, samples, h)])
     mean = float(np.mean(vals))
     err = float(np.std(vals) / np.sqrt(samples))
     full = spec.full_moment()

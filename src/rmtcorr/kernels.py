@@ -235,19 +235,32 @@ def _vandermonde(v):
 
 def hciz_exact(E, R):
     """Unitary group average of exp(i tr U E U^dag R) for nondegenerate
-    spectra E, R, as a ratio of determinants and Vandermondes."""
+    spectra E, R, as a ratio of determinants and Vandermondes, symmetric
+    in E and R.  A spectrum with a gap below DELTA_CONF is sorted and
+    spread by d * rank and 2d * rank, d = 10 DELTA_CONF, to give
+    2 f(d) - f(2d).  The spread keeps a round-off of about eps / (d gap)
+    next to a third entry, eps / d^2 with a gap in both spectra: those,
+    and a third entry within 1e4 d = 1e-3, raise ValueError."""
     E = np.asarray(E, dtype=float)
     R = np.asarray(R, dtype=float)
     N = len(E)
     if len(R) != N:
         raise ValueError("E and R must have equal length")
-    gapE = _min_gap(E)
-    gapR = _min_gap(R)
-    if gapE < DELTA_CONF or gapR < DELTA_CONF:
-        # perturb the confluent entries symmetrically and average
-        vp = _perturbed(E, R, 10 * DELTA_CONF)
-        vm = _perturbed(E, R, -10 * DELTA_CONF)
-        return 0.5 * (vp + vm)
+    confluent = [_min_gap(v) < DELTA_CONF for v in (E, R)]
+    if not any(confluent):
+        return _hciz_ratio(E, R)
+    E, R = (np.sort(R), E) if confluent[1] else (np.sort(E), R)
+    d = 10 * DELTA_CONF
+    if all(confluent) or np.any(E[2:] - E[:-2] < 1e4 * d):
+        raise ValueError("hciz_exact takes a coincidence in one spectrum, of two entries "
+                         "at least 1e-3 from any other")
+    spread = d * np.arange(N)
+    return 2.0 * _hciz_ratio(E + spread, R) - _hciz_ratio(E + 2 * spread, R)
+
+
+def _hciz_ratio(E, R):
+    """The determinant ratio of hciz_exact at spectra E, R."""
+    N = len(E)
     pref = np.prod([math.factorial(n) for n in range(1, N)])
     M = np.exp(1j * np.outer(E, R))
     return pref * np.linalg.det(M) / (
@@ -259,12 +272,6 @@ def _min_gap(v):
         return np.inf
     s = np.sort(v)
     return np.min(np.diff(s))
-
-
-def _perturbed(E, R, d):
-    E2 = E + d * np.arange(len(E))
-    R2 = R + d * np.arange(len(R))
-    return hciz_exact(E2, R2)
 
 
 def hciz_degenerate(E, R2k, N, k):

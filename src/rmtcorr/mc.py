@@ -77,33 +77,28 @@ class BinnedDensity:
 
 def gaussian_tiles(rng, N, count, diag=()):
     """count Hermitean N x N matrices with weight exp(-tr H^2), yielded a
-    tile at a time.  Every draw comes first, one standard_normal call of
-    N*N - len(diag) entries a matrix: per matrix, its free diagonal
-    entries (variance 1/2), then the real parts of its upper triangle,
-    row by row, then their imaginary parts (variance 1/4 each).  The
-    first len(diag) diagonal entries of every matrix are diag, as given,
-    and are not drawn."""
+    tile at a time, each tile's normals drawn as it is built: one
+    standard_normal call of N*N - len(diag) entries a matrix, the stream
+    of one call for all count.  Per matrix, its free diagonal entries
+    (variance 1/2), then the real parts of its upper triangle, row by
+    row, then their imaginary parts (variance 1/4 each).  The first
+    len(diag) diagonal entries of every matrix are diag, as given, and
+    are not drawn."""
     diag = np.asarray(diag, dtype=float)
     k, m = len(diag), N * (N - 1) // 2
-    z = rng.standard_normal((count, N * N - k))
-    z[:, : N - k] *= np.sqrt(0.5)
-    z[:, N - k:] *= 0.5
     ii = np.arange(N)
     iu, ju = np.triu_indices(N, 1)
     for t in _tiles(count, N * N):
-        zt = z[t]
-        H = np.empty((len(zt), N, N), dtype=complex)
+        z = rng.standard_normal((min(t.stop, count) - t.start, N * N - k))
+        z[:, : N - k] *= np.sqrt(0.5)
+        z[:, N - k:] *= 0.5
+        H = np.empty((len(z), N, N), dtype=complex)
         H[:, ii[:k], ii[:k]] = diag
-        H[:, ii[k:], ii[k:]] = zt[:, : N - k]
-        upper = zt[:, N - k: N - k + m] + 1j * zt[:, N - k + m:]
+        H[:, ii[k:], ii[k:]] = z[:, : N - k]
+        upper = z[:, N - k: N - k + m] + 1j * z[:, N - k + m:]
         H[:, iu, ju] = upper
         H[:, ju, iu] = upper.conj()
         yield H
-
-
-def gaussian_matrices(rng, N, count):
-    """The matrices of gaussian_tiles as one (count, N, N) stack."""
-    return np.concatenate(list(gaussian_tiles(rng, N, count)))
 
 
 def _cpu_count():

@@ -131,29 +131,24 @@ def generalized_hermite(n, x):
     imaginary part is H_n(x), defined by the half-line integral
     (i2)^(n+1) pi^(-1/2) exp(x^2) * integral_0^inf exp(-xi^2 - 2ix xi) xi^n dxi.
 
-    Seeded in closed form through the Faddeeva function and grown by the
-    recurrence F_{n+1} = 2x F_n - 2n F_{n-1} (valid from n = 1 up).
-    Accuracy degrades with |x|; n is capped, and where exp(x^2) is not
-    finite (|x| past about 26.6) it raises ValueError.
+    Row n of _osc_hat_tower times (2^n n! sqrt(pi))^(1/2) e^(x^2/2), so it
+    shares the tower's recurrence, order cap and far-tail series.  Where
+    the value is not finite (|x| past about 26.6, where exp(x^2)
+    overflows) it raises ValueError.
     """
-    if n > HERMITE_CAP:
-        raise ValueError(f"order {n} exceeds cap {HERMITE_CAP}")
     x = np.asarray(x, dtype=float)
-    if not np.all(x * x <= _EXP_MAX):
+    row = _osc_hat_tower(n, x)[n]
+    with np.errstate(over="ignore"):
+        f = row * (math.sqrt(2.0 ** n * math.factorial(n) * SQRT_PI) * np.exp(0.5 * x * x))
+    if not np.isfinite(f).all():
         raise ValueError("the companion overflows: exp(x^2) is not finite past |x| ~ 26.6")
-    e = np.exp(x * x)
-    f0 = 1j * e * _faddeeva(_operand(-x, float))
-    if n == 0:
-        return f0
-    f1 = 2.0 * x * f0 - (2.0 / SQRT_PI) * e
-    for j in range(1, n):
-        f0, f1 = f1, 2.0 * x * f1 - 2.0 * j * f0
-    return f1
+    return f
 
 
 def _osc_hat_tower(nmax, x):
     """Normalized companions phi^_n = (2^n n! sqrt(pi))^(-1/2) e^(-x^2/2) F_n
-    for n = 0..nmax, with F_n from generalized_hermite.  Im phi^_n = phi_n.
+    for n = 0..nmax (F_n = generalized_hermite(n, x)), seeded from w(-x)
+    and grown by the normalized recurrence of phi_n.  Im phi^_n = phi_n.
 
     The upward recurrence cancels severely at large |x|; there the tower
     is rebuilt from F_n(x) e^(-x^2) = (1/pi) integral e^(-u^2) H_n(u) /
@@ -321,9 +316,9 @@ def _faddeeva_off(x, y):
     field (_faddeeva_far).  Below, w(z) = 2 exp(-z^2) - w(-z), with
     -z^2 = (y^2 - x^2) - 2ixy carried to two floats each, so exp and its
     phase lose no digits to the rounding of the squares; in the far field
-    exp(-z^2) is dropped where it underflows to 0, x^2 - y^2 > 750.  Far
-    below the axis but there, where |w| is about exp(y^2 - x^2), the value
-    overflows or is NaN."""
+    exp(-z^2) is dropped where it underflows to 0, x^2 - y^2 > 750.
+    Where 2 exp(y^2 - x^2), about |w|, overflows, w is infinite, and
+    nothing is formed that could warn."""
     below = y < 0
     xs, ys = -x if below else x, abs(y)
     far = max(abs(xs), ys) >= _FADDEEVA_FAR
@@ -332,6 +327,13 @@ def _faddeeva_off(x, y):
         return re, im
     if far and (abs(x) - ys) * (abs(x) + ys) > 750.0:
         return -re, -im
+    if (ys - abs(x)) * (ys + abs(x)) > _EXP_MAX - math.log(2.0):
+        # 2 exp(-z^2) overflows: w is infinite in each part that the phase
+        # -2xy reaches, a phase past the floats taken as 0
+        ph = 2.0 * x * y
+        ph = ph if math.isfinite(ph) else 0.0
+        im = -math.copysign(math.inf, math.sin(ph)) if ph else -im
+        return math.copysign(math.inf, math.cos(ph)), im
     return _reflect(x, y, re, im)
 
 

@@ -113,13 +113,19 @@ def test_corr_footer_integrates_r1(capsys, gauss6_cfg, variant, metric, levels):
 
 
 def counting_engine(monkeypatch):
-    """Count the calls the CLI makes into the engine, by name."""
-    calls = {"evaluate": 0, "evaluate_grid": 0}
-    for name in calls:
-        def counted(*args, name=name, fn=getattr(cli, name)):
-            calls[name] += 1
-            return fn(*args)
-        monkeypatch.setattr(cli, name, counted)
+    """Count the CLI's evaluate_grid calls: the rows of each call, and the
+    one-row calls that raise."""
+    calls = {"evaluate_grid": 0, "rows": [], "one_row_failures": 0}
+
+    def counted(spec, k, probe, *args, fn=cli.evaluate_grid):
+        calls["evaluate_grid"] += 1
+        calls["rows"].append(len(probe))
+        try:
+            return fn(spec, k, probe, *args)
+        except Exception:
+            calls["one_row_failures"] += len(probe) == 1
+            raise
+    monkeypatch.setattr(cli, "evaluate_grid", counted)
     return calls
 
 
@@ -129,14 +135,14 @@ def test_corr_bad_format_exits_2_before_evaluating(capsys, monkeypatch, gauss6_c
                          "--method", "closed_form_gue", "--variant", "Rhat",
                          "--format", "xml")
     assert code == 2 and out == "" and "failure" not in err
-    assert calls == {"evaluate": 0, "evaluate_grid": 0}
+    assert calls["evaluate_grid"] == 0
 
 
 def test_corr_evaluates_its_table_in_one_call(capsys, monkeypatch, gauss6_cfg):
     calls = counting_engine(monkeypatch)
     code, out, _ = run(capsys, "corr", "--ensemble", gauss6_cfg, "--k", "2",
                        "--grid", "-3:3:3", "--metric", "+-", "--variant", "Rhat")
-    assert code == 0 and calls == {"evaluate": 0, "evaluate_grid": 1}
+    assert code == 0 and calls["evaluate_grid"] == 1 and calls["rows"] == [9]
     rows = [line.split(",") for line in out.splitlines()
             if line[:1] not in ("#", "m")]
     assert [(float(r[3]), float(r[4])) for r in rows] == \
@@ -151,7 +157,8 @@ def test_corr_grid_keeps_per_point_failures(capsys, monkeypatch, gauss6_cfg):
     calls = counting_engine(monkeypatch)
     code, out, err = run(capsys, "corr", "--ensemble", gauss6_cfg, "--grid", "36:40:5",
                          "--method", "closed_form_gue", "--variant", "Rhat")
-    assert code == 1 and calls == {"evaluate": 3, "evaluate_grid": 7}
+    assert code == 1 and calls["evaluate_grid"] == 7 and calls["one_row_failures"] == 3
+    assert calls["rows"] == [5, 2, 3, 1, 2, 1, 1]
     rows = [line for line in out.splitlines() if line[:1] not in ("#", "m")]
     assert [float(r.split(",")[3]) for r in rows] == [36.0, 37.0]
     failures = err.strip().splitlines()
@@ -179,7 +186,7 @@ def test_corr_evaluates_only_failing_points_alone(capsys, monkeypatch, gauss6_cf
         except ValueError:
             failed.append(f"numeric failure at ({x},)")
     assert code == 1 and len(failed) == 6
-    assert calls["evaluate"] == 6
+    assert calls["one_row_failures"] == 6
     # at most two calls per level of halving for each failing point
     assert calls["evaluate_grid"] <= 1 + 2 * 6 * math.ceil(math.log2(601))
     rows = [line.split(",") for line in out.splitlines() if line[:1] not in ("#", "m")]

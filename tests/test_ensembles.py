@@ -18,7 +18,7 @@ from rmtcorr.ensembles import (EnsembleSpec, flat_gauss_norm,
                                superspace_density_norm_dependent,
                                TRACE_POWER_CAP, _heat_series, _trace_power,
                                _slot_phi_poly)
-from rmtcorr.mc import haar_unitary, gaussian_matrices, sample_batch
+from rmtcorr.mc import haar_unitary, gaussian_tiles, sample_batch
 
 
 def random_hermitean(N, rng):
@@ -162,8 +162,8 @@ def test_trace_power_reduced_density_pinned(shape, k, h, value, moment, n_terms)
 
 
 def reduced_density_reference(spec, h, k, samples, seed):
-    """The Monte Carlo estimate of reduced_density from the raw stream:
-    per chunk of up to 20,000 matrices one call of N*N - 2k normals a
+    """The Monte Carlo estimate of reduced_density from the raw stream,
+    drawn here in chunks of up to 20,000 matrices: N*N - 2k normals a
     matrix (the free diagonal at variance 1/2, then the upper triangle's
     real parts, then its imaginary parts, at 1/4), h on the first 2k
     diagonal entries, and the weight (tr H^M1)^M2 from the eigenvalues."""
@@ -186,7 +186,8 @@ def reduced_density_reference(spec, h, k, samples, seed):
 
 # Monte Carlo estimates pinned from N*N - 2k normals a matrix, the fixed
 # diagonal never drawn, and against the same draws through eigenvalue
-# power sums; 25,000 samples take two chunks of draws, the others one
+# power sums; the reference draws 25,000 samples in two chunks, the
+# stream that gaussian_tiles draws a tile at a time
 @pytest.mark.parametrize("shape,k,h,samples,seed,value,err", [
     ((4, 4, 1), 1, [0.3, -0.5], 3000, 7, 0.18443637554791809, 0.0026139506598104423),
     ((4, 2, 2), 2, [0.3, -0.5, 0.1, 0.8], 25000, 2,
@@ -204,7 +205,7 @@ def test_reduced_density_mc_pinned(shape, k, h, samples, seed, value, err):
 
 @pytest.mark.parametrize("N", [1, 2, 4, 5])
 def test_trace_power_matches_eigenvalue_sums(N):
-    H = gaussian_matrices(np.random.default_rng(N), N, 500)
+    H = np.concatenate(list(gaussian_tiles(np.random.default_rng(N), N, 500)))
     ev = np.linalg.eigvalsh(H)
     for M in range(7):
         scale = np.sum(np.abs(ev) ** M, axis=1)

@@ -3,6 +3,7 @@ half-line/derivative functional, and the unitary group integrals."""
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -262,3 +263,47 @@ def test_hciz_near_confluent_handled():
     ref = hciz_exact(np.array([0.5, 0.5 + 1e-4]), R)
     assert np.isfinite(val)
     assert abs(val - ref) < 1e-3 * abs(ref)
+
+
+def hciz_mpmath(E, R):
+    """The determinant ratio of hciz_exact in 200-digit mpmath, each sorted
+    spectrum spread by 1e-60 * rank, which moves the value by about 1e-60."""
+    with mp.workdps(200):
+        E, R = ([mp.mpf(v) + mp.mpf(10) ** -60 * i for i, v in enumerate(sorted(s))]
+                for s in (E, R))
+        N = len(E)
+        M = mp.matrix([[mp.exp(1j * e * r) for r in R] for e in E])
+
+        def vandermonde(v):
+            return mp.fprod([v[a] - v[b] for a in range(N) for b in range(a + 1, N)])
+
+        pref = mp.fprod([mp.factorial(n) for n in range(1, N)])
+        return complex(pref * mp.det(M) / (mp.mpc(0, 1) ** (N * (N - 1) // 2)
+                                           * vandermonde(E) * vandermonde(R)))
+
+
+@pytest.mark.parametrize("E,R", [
+    ([0.3, 0.3, 1.2], [0.1, 0.5, 1.3]),
+    ([0.1, 0.5, 1.3], [0.3, 1.2, 0.3]),
+    ([-1.0, 0.2, 0.2 + 1e-12, 1.7], [0.6, -1.1, 0.3, 0.9]),
+])
+def test_hciz_coincident_pair_against_mpmath(E, R):
+    # one coincidence, in either spectrum, spread twice and extrapolated
+    ref = hciz_mpmath(E, R)
+    assert abs(hciz_exact(E, R) - ref) <= 1e-7 * abs(ref)
+
+
+@pytest.mark.parametrize("E,R", [
+    # a pair and a third entry 2e-7 away: the spread kept a coincidence
+    # and recursed without end
+    ([0.0, 0.0, 2e-7], [0.1, 0.5, 1.3]),
+    # three and four equal entries, where exp(0.3 i tr R) is exact: the
+    # spread determinant was off by 1.2e-2 and by 3.2e5
+    ([0.3, 0.3, 0.3], [0.1, 0.5, 1.3]),
+    ([0.3, 0.3, 0.3, 0.3], [0.1, 0.5, 1.3, -0.7]),
+    # a coincidence in both spectra: round-off of about eps / d^2
+    ([0.3, 1.2, 0.3], [0.2, 0.2, -0.4]),
+])
+def test_hciz_refuses_clusters_it_cannot_resolve(E, R):
+    with pytest.raises(ValueError, match="coincidence"):
+        hciz_exact(E, R)

@@ -15,10 +15,14 @@ from rmtcorr import mc
 from rmtcorr.ensembles import EnsembleSpec, reduced_density
 from rmtcorr.engine import CorrelationRequest, evaluate
 from rmtcorr.kernels import IncrementedPoint, hciz_exact
-from rmtcorr.mc import (SampleBatch, sample_batch, estimate_r1, estimate_r2, gaussian_matrices,
-                        gaussian_tiles,
+from rmtcorr.mc import (SampleBatch, sample_batch, estimate_r1, estimate_r2, gaussian_tiles,
                         haar_unitary, hciz_mc, _haar_columns,
                         _jackknife_ratio)
+
+
+def gaussian_matrices(rng, N, count):
+    """The matrices of gaussian_tiles as one (count, N, N) stack."""
+    return np.concatenate(list(gaussian_tiles(rng, N, count)))
 
 
 def test_sampling_deterministic_by_seed():
@@ -147,7 +151,7 @@ def test_sample_batch_builds_no_dense_matrix(monkeypatch):
     def dense(*args):
         raise AssertionError("dense matrices built")
 
-    monkeypatch.setattr(mc, "gaussian_matrices", dense)
+    monkeypatch.setattr(mc, "gaussian_tiles", dense)
     monkeypatch.setattr(mc, "_ginibre", dense)
     for spec in (EnsembleSpec.gaussian(4), EnsembleSpec.higher_trace(4, 4, 1),
                  EnsembleSpec.norm_dependent(3, ("spike", 0.4))):
@@ -311,6 +315,32 @@ def test_gaussian_tiles_keep_the_fixed_diagonal(N, diag):
     after = np.random.default_rng(seed)
     list(gaussian_tiles(after, N, count, diag))
     assert after.standard_normal() == rng.standard_normal()
+
+
+class RowRecorder:
+    """A generator's standard_normal that records the rows of each call."""
+
+    def __init__(self, seed):
+        self.rng, self.rows = np.random.default_rng(seed), []
+
+    def standard_normal(self, size):
+        self.rows.append(size[0])
+        return self.rng.standard_normal(size)
+
+
+@pytest.mark.parametrize("N,diag", [(5, [0.3, -1.7]), (3, [])])
+def test_gaussian_tiles_draw_one_tile_a_call(N, diag):
+    # each tile's normals are drawn as the tile is built, at most one tile
+    # of rows a call, and together they are the stream of one call
+    count, seed = 3 * (mc.TILE // (N * N)) + 5, 6
+    rng = RowRecorder(seed)
+    tiles = []
+    for H in gaussian_tiles(rng, N, count, diag):
+        tiles.append(H)
+        assert len(rng.rows) == len(tiles) and rng.rows[-1] == len(H)
+    assert max(rng.rows) <= mc.TILE // (N * N) and sum(rng.rows) == count
+    z = np.random.default_rng(seed).standard_normal((count, N * N - len(diag)))
+    assert np.array_equal(np.concatenate(tiles), gaussian_reference(z, N, diag))
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 6])
@@ -558,13 +588,15 @@ def test_hciz_mc_works_in_tiles():
 
 
 def test_reduced_density_mc_works_in_tiles():
-    # one chunk of 20000 samples at N=6 and k=2: the draws, 36 - 4 normals
-    # a sample, plus the matrices and powers of one tile at a time
+    # 20000 samples at N=6 and k=2: the weights, one float a sample, held
+    # twice (as the tiles' pieces, then joined), plus the draws, matrices
+    # and powers of one tile at a time; the draws of all the samples,
+    # 36 - 4 normals a sample, would pass the bound
     spec = EnsembleSpec.higher_trace(6, 2, 1)
-    draws = 20000 * (36 - 4) * 8
+    weights = 20000 * 8
     _, peak = traced_peak(reduced_density, spec, np.array([0.1, -0.3, 0.4, 0.2]), 2,
                           method="mc", samples=20000, seed=1)
-    assert peak <= 1.1 * draws + 6 * TILE_C16, peak
+    assert peak <= 2 * weights + 6 * TILE_C16 < 20000 * (36 - 4) * 8, peak
 
 
 def whole_chunk_eigs(seed, N, count):

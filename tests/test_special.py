@@ -427,6 +427,31 @@ def test_companion_refuses_overflow():
     assert np.isfinite(generalized_hermite(3, [1.0, -26.0])).all()
 
 
+def companion_mpmath(n, x):
+    """F_n(x) in 50-digit mpmath: F_0 = erfi(x) + i and F_1 = 2x F_0 -
+    (2/sqrt(pi)) e^(x^2), then F_(j+1) = 2x F_j - 2j F_(j-1), which at
+    |x| <= 12 and n <= 5 cancels away fewer than 15 of the digits."""
+    with mp.workdps(50):
+        x = mp.mpf(x)
+        f0, f1 = mp.erfi(x) + 1j, None
+        if n:
+            f1 = 2 * x * f0 - 2 / mp.sqrt(mp.pi) * mp.exp(x * x)
+        for j in range(1, n):
+            f0, f1 = f1, 2 * x * f1 - 2 * j * f0
+        return complex(f1 if n else f0)
+
+
+@pytest.mark.parametrize("x", [7.3, -7.3, 10.0, 12.0, -12.0])
+def test_companion_far_tail_against_mpmath(x):
+    # the upward recurrence in floats lost up to 8.1e-7 of Re F_n here;
+    # the tower's far-tail series keeps it to round-off
+    for n in range(6):
+        ref = companion_mpmath(n, x)
+        got = generalized_hermite(n, x)
+        assert abs(got.real - ref.real) <= 1e-13 * abs(ref.real), n
+        assert abs(got.imag - ref.imag) <= 1e-13 * abs(ref.imag), n
+
+
 @pytest.mark.parametrize("c", [0.0, -0.25, float("nan"), float("inf")])
 def test_half_line_refuses_c_not_finite_and_positive(c):
     with pytest.raises(ValueError, match="c must be finite and > 0"):
@@ -589,3 +614,22 @@ def test_faddeeva_far_field_against_mpmath():
     assert np.all(np.isfinite(got))
     assert np.max(np.abs(got - ref) / np.abs(ref)) <= 2e-15
     assert np.array_equal(got, [special._faddeeva(z) for z in zs.tolist()])
+
+
+@pytest.mark.filterwarnings("error")
+def test_faddeeva_overflow_below_the_axis_is_infinite():
+    # below the axis |w| is about 2 exp(y^2 - x^2), which overflows from
+    # y ~ -26.63 on the imaginary axis on: there w is infinite, with no NaN
+    # part and no warning, and y^2 - x^2 is not formed as inf - inf
+    zs = [-27j, 3 - 27j, -1e8j, 1e-5 - 1e200j, 1e160 - 1.0000001e160j]
+    got = special._faddeeva(np.array(zs))
+    assert np.all(np.abs(got) == np.inf)
+    assert not np.isnan(got.real).any() and not np.isnan(got.imag).any()
+    assert got[0].real == got[2].real == np.inf
+    assert np.array_equal(got, [special._faddeeva(z) for z in zs])
+    # inside the edge the value is finite and as before
+    w = special._faddeeva(3 - 26.5j)
+    assert w == complex(-8.134549958395898e+300, 2.231441370945079e+301)
+    with mp.workdps(50):
+        ref = complex(mp.exp(-mp.mpc(3, -26.5) ** 2) * mp.erfc(-1j * mp.mpc(3, -26.5)))
+    assert abs(w - ref) <= 2e-15 * abs(ref)
