@@ -251,7 +251,8 @@ def build_parser():
     pc.add_argument("--grid", required=True, help="lo:hi:count")
     pc.add_argument("--method", default="convolution", choices=METHODS)
     pc.add_argument("--variant", default="R", choices=VARIANTS)
-    pc.add_argument("--metric", default=None, help="k signs, e.g. +- for k=2")
+    pc.add_argument("--metric", default=None, action=_MetricText,
+                    help="k signs, e.g. +- for k=2")
     pc.add_argument("--output", default="-")
     pc.add_argument("--format", default="csv", choices=("csv", "json"))
 
@@ -261,6 +262,14 @@ def build_parser():
     pv.add_argument("--N", type=int, default=None)
     pv.add_argument("--seed", type=int, default=7)
     return p
+
+
+class _MetricText(argparse.Action):
+    """Stores --metric's text.  argparse before Python 3.12 strips the value
+    '--', the k = 2 metric, from --metric=-- and passes []."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, "--" if values == [] else values)
 
 
 def _join_leading_dash(argv):

@@ -21,6 +21,8 @@ carries prod_p L_p; its value is real.
 """
 
 import cmath
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -113,28 +115,49 @@ def _det_sums(spec, row, col, xs, sides, ys=None):
     coef det[sum_{n<N} row_p(n) col_q(n)], row_p the factor of slot p at
     xs[p] on side sides[p] and col_q that of slot k + q at ys[q] (default
     xs[q]).  Each slot point builds one stack per family of the spec's
-    cached _layout, and each term indexes its rows and columns from them;
-    for k >= 2 all terms' and points' determinants are one stacked call."""
+    cached _layout, and each term indexes its rows and columns from them.
+    Every term's determinant is the permutation sum over the k^2 term-wise
+    entries K_pq = _dot(R_p, C_q) of its (T[, P], N) rows and columns: the
+    entry itself at k = 1, K00 K11 - K01 K10 at k = 2."""
     N, k = spec.N, len(xs)
     if ("layout", k) not in spec._cache:
         spec._cache["layout", k] = _layout(correlation_terms(spec, k))
     coefs, fams, index = spec._cache["layout", k]
     R, C = [], []
     for p in range(k):
-        R.append(_factors(row, N, (xs[p], sides[p]), fams[p])[index[p]])
-        C.append(_factors(col, N, (xs[p] if ys is None else ys[p],), fams[k + p])[index[k + p]])
+        # contiguous operands, so that the order of each dot's sum over n is fixed
+        R.append(np.ascontiguousarray(_factors(row, N, (xs[p], sides[p]), fams[p])[index[p]]))
+        C.append(np.ascontiguousarray(
+            _factors(col, N, (xs[p] if ys is None else ys[p],), fams[k + p])[index[k + p]]))
     if k == 1:
-        # a 1 x 1 determinant is its entry, one dot over n per term and point,
-        # on contiguous operands so that the order of the sum is fixed
-        dets = _dot(np.ascontiguousarray(R[0]), np.ascontiguousarray(C[0]))
+        dets = _dot(R[0], C[0])
     else:
-        # every term's k rows and columns as (T, k, N), or on a grid as
-        # (T, P, k, N): the point axis goes before (k, N)
-        R, C = (np.array(F).swapaxes(0, 1).swapaxes(1, -2) for F in (R, C))
-        dets = np.linalg.det(R @ C.swapaxes(-1, -2))
+        # _dot's sums, with each row conjugated once for its k dots
+        # (np.vecdot conjugates its first argument)
+        R = [Rp.conj() for Rp in R]
+        dets = _permutation_sum([[np.vecdot(Rp, Cq) for Cq in C] for Rp in R])
     # a grid's rows contiguous, so that each point's term sum is the same
     # dot as evaluate's: the sum can cancel to its round-off
     return _dot(np.ascontiguousarray(dets.T), coefs)
+
+
+def _permutation_sum(K):
+    """det K of a k x k nested list of equal-shape arrays, entrywise:
+    sum over the permutations s of sign(s) prod_p K[p][s(p)], k! products."""
+    dets = None
+    for sign, perm in _permutations(len(K)):
+        term = K[0][perm[0]]
+        for p in range(1, len(K)):
+            term = term * K[p][perm[p]]
+        dets = term if dets is None else dets + term if sign > 0 else dets - term
+    return dets
+
+
+@functools.lru_cache(maxsize=8)
+def _permutations(k):
+    """The (sign, permutation) pairs of range(k), the identity first."""
+    return tuple(((-1) ** sum(a > b for i, a in enumerate(perm) for b in perm[i + 1:]), perm)
+                 for perm in itertools.permutations(range(k)))
 
 
 def _layout(terms):
@@ -226,11 +249,20 @@ def _row_r(N, x, L, v, ms):
     if M:
         # member m's rows i >= M - m are C(m, j) u^(m-j) e_(n-j), j = M - i, and 0
         # above them: a sum over the first axis adds them in order, left to right in e
-        i = np.maximum(np.arange(M + 1) - M + np.array(ms)[:, None], 0)
-        w = (_binomials(M + 1)[list(ms), ::-1] * np.asarray(u)[..., None, None] ** i).T
+        i, binom = _leibniz_tables(ms)
+        w = (binom * np.asarray(u)[..., None, None] ** i).T
         d = (e[0, _window(M + 1, N)][:, None] * w[:, :, None]).sum(axis=0)
     # L = +-1 changes signs only, so it may come first
     return L * _members(_row_scales(N, v, ms)[1], x) * d.swapaxes(1, -1)
+
+
+@_read_only(64)
+def _leibniz_tables(ms):
+    """_row_r's point-free (len(ms), max(ms) + 1) tables, read-only: the
+    powers max(m - M + i, 0) of u and the reversed binomial rows C(m, M - i)."""
+    M = ms[-1]
+    return (np.maximum(np.arange(M + 1) - M + np.array(ms)[:, None], 0),
+            _binomials(M + 1)[list(ms), ::-1])
 
 
 @_read_only(8)

@@ -238,22 +238,24 @@ def hciz_exact(E, R):
     spectra E, R, as a ratio of determinants and Vandermondes, symmetric
     in E and R.  A spectrum with a gap below DELTA_CONF is sorted and
     spread by d * rank and 2d * rank, d = 10 DELTA_CONF, to give
-    2 f(d) - f(2d).  The spread keeps a round-off of about eps / (d gap)
-    next to a third entry, eps / d^2 with a gap in both spectra: those,
-    and a third entry within 1e4 d = 1e-3, raise ValueError."""
+    2 f(d) - f(2d).  Three entries of one spectrum within 1e4 d = 1e-3
+    leave the ratio a round-off of about eps / gap^2 (1.6 at the gaps
+    2e-8, 3.6e-4 at 1e-6), and the spread one of about eps / (d gap); a
+    gap in both spectra leaves eps / d^2.  Those raise ValueError."""
     E = np.asarray(E, dtype=float)
     R = np.asarray(R, dtype=float)
     N = len(E)
     if len(R) != N:
         raise ValueError("E and R must have equal length")
     confluent = [_min_gap(v) < DELTA_CONF for v in (E, R)]
+    d = 10 * DELTA_CONF
+    if all(confluent) or any(_min_gap(v, 2) < 1e4 * d for v in (E, R)):
+        raise ValueError("hciz_exact takes a coincidence in one spectrum, of two entries "
+                         "at least 1e-3 from any other, and no three entries of a "
+                         "spectrum within 1e-3")
     if not any(confluent):
         return _hciz_ratio(E, R)
     E, R = (np.sort(R), E) if confluent[1] else (np.sort(E), R)
-    d = 10 * DELTA_CONF
-    if all(confluent) or np.any(E[2:] - E[:-2] < 1e4 * d):
-        raise ValueError("hciz_exact takes a coincidence in one spectrum, of two entries "
-                         "at least 1e-3 from any other")
     spread = d * np.arange(N)
     return 2.0 * _hciz_ratio(E + spread, R) - _hciz_ratio(E + 2 * spread, R)
 
@@ -267,11 +269,12 @@ def _hciz_ratio(E, R):
         (1j ** (N * (N - 1) // 2)) * _vandermonde(E) * _vandermonde(R))
 
 
-def _min_gap(v):
-    if len(v) < 2:
+def _min_gap(v, step=1):
+    """The least spread of step + 1 neighbouring sorted entries of v."""
+    if len(v) <= step:
         return np.inf
     s = np.sort(v)
-    return np.min(np.diff(s))
+    return np.min(s[step:] - s[:-step])
 
 
 def hciz_degenerate(E, R2k, N, k):

@@ -374,16 +374,30 @@ def _faddeeva_far(x, y):
 
 
 def _reflect(x, y, re, im):
-    """(Re, Im) of 2 exp(-z^2) - (re + i im) at z = x + iy."""
+    """(Re, Im) of 2 exp(-z^2) - (re + i im) at z = x + iy.  Where the
+    squares overflow (|x| ~ |y| past 1e154), y^2 - x^2 is formed as
+    (|y| - |x|)(|y| + |x|), and a phase 2xy past the floats is taken as 0,
+    as _faddeeva_off does where |w| overflows: w is finite there, and
+    nothing is formed that could warn.  The phase's low part ph_lo joins
+    by angle addition, which is the first-order sum while |ph_lo| < 1e-8
+    (|xy| below about 3e7) and stays exact where ph_lo passes 1 (|xy|
+    past 2^53, the far field next to the anti-diagonal)."""
     xx, yy, xy = x * x, y * y, x * y
-    s = yy - xx
-    b = s - yy
-    lo = ((yy - (s - b)) + (-xx - b)) + (_product_error(y, y, yy) - _product_error(x, x, xx))
+    if math.isinf(xx) or math.isinf(yy):
+        gap = abs(y) - abs(x)
+        s, lo = (gap * (abs(y) + abs(x)) if gap else 0.0), 0.0
+    else:
+        s = yy - xx
+        b = s - yy
+        lo = ((yy - (s - b)) + (-xx - b)) + (_product_error(y, y, yy) - _product_error(x, x, xx))
     mag = 2.0 * float(np.exp(s))
     mag = mag + mag * lo
-    ph, ph_lo = 2.0 * xy, 2.0 * _product_error(x, y, xy)
+    ph = 2.0 * xy
+    ph, ph_lo = (ph, 2.0 * _product_error(x, y, xy)) if math.isfinite(ph) else (0.0, 0.0)
     cos, sin = float(np.cos(ph)), float(np.sin(ph))
-    return mag * (cos - sin * ph_lo) - re, -(mag * (sin + cos * ph_lo)) - im
+    cos_lo, sin_lo = math.cos(ph_lo), math.sin(ph_lo)
+    return (mag * (cos * cos_lo - sin * sin_lo) - re,
+            -(mag * (sin * cos_lo + cos * sin_lo)) - im)
 
 
 # ---------------------------------------------------------------------------

@@ -439,3 +439,18 @@ def test_cli_import_leaves_scipy_integrate_unloaded(gauss6_cfg):
     codes, modules = out.stdout.splitlines()
     assert codes == str([0] * (2 * len(cli.METHODS) + 1))
     assert modules == "[]"
+
+
+@pytest.mark.parametrize("metric", ["++", "+-", "-+", "--"])
+def test_corr_k2_every_metric(capsys, ht_cfg, metric):
+    # argparse before Python 3.12 turns the value of --metric=-- into []
+    code, out, _ = run(capsys, "corr", "--ensemble", ht_cfg, "--k", "2", "--grid", "-1:1:2",
+                       "--metric", metric, "--variant", "Rhat")
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()
+            if not line.startswith("#") and not line.startswith("method")]
+    got = [complex(float(r[5]), float(r[6])) for r in rows]
+    sides = [1 if s == "+" else -1 for s in metric]
+    pts = [(float(r[3]), float(r[4])) for r in rows]
+    ref = cli.evaluate_grid(cli._load_spec(ht_cfg), 2, pts, "Rhat", "convolution", sides).value
+    assert np.array_equal(got, ref)

@@ -547,6 +547,57 @@ def test_evaluate_matches_term_by_term_reference(name):
     assert checked == len(methods) * 2 * 6
 
 
+# -- determinants ------------------------------------------------------------
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_permutation_sum_is_the_determinant(k):
+    M = np.random.default_rng(k).normal(size=(50, k, k, 2)) @ [1, 1j]
+    got = engine._permutation_sum([[M[:, p, q] for q in range(k)] for p in range(k)])
+    assert got.shape == (50,)
+    assert np.max(np.abs(got - np.linalg.det(M))) <= 1e-13
+
+
+def test_gaussian_three_points_are_the_kernel_determinant():
+    # R_3 = prod L_p det[K_N(x_p, x_q)] with the density kernel and Rhat_3
+    # = det[K^_N(x_p, x_q)], row p conjugated where L_p = -1, at scale
+    # v = the slot variance: K(x_p / sqrt v, x_q / sqrt v) / sqrt v
+    N, sides = 6, (1, -1, 1)
+    spec = EnsembleSpec.gaussian(N)
+    s = math.sqrt(correlation_terms(spec, 3)[0][1][0][0])
+    pts = np.array([(0.3, -1.1, 2.0), (0.3, 0.3, -0.4), (-2.5, 1.7, 0.9), (3.6, -0.2, 1.1)])
+    refs = {}
+    for variant, kernel in (("R", "imaginary_part"), ("Rhat", "full")):
+        u = pts / s
+        K = special.gue_kernel(N, u[:, :, None], u[:, None, :], variant=kernel) / s
+        K = np.where(np.array(sides)[:, None] == 1, K, K.conj())
+        refs[variant] = np.linalg.det(K) * (np.prod(sides) if variant == "R" else 1)
+    for method in GAUSS_METHODS:
+        for variant, ref in refs.items():
+            got = [evaluate(CorrelationRequest(
+                spec, 3, [IncrementedPoint(x, L) for x, L in zip(pt, sides)], variant,
+                method)).value for pt in pts]
+            grid = engine.evaluate_grid(spec, 3, pts, variant, method, sides).value
+            # (the convolution and Fourier Rhat values are off by up to 1e-13 at x = 3.6)
+            for val in (np.array(got), grid):
+                assert np.max(np.abs(val - ref)) <= 1e-12 * np.max(np.abs(ref)), (method, variant)
+
+
+def test_engine_takes_no_lapack_determinant(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("np.linalg.det called")
+    monkeypatch.setattr(np.linalg, "det", refuse)
+    specs = {"g": (EnsembleSpec.gaussian(4), GAUSS_METHODS),
+             "tp41": (EnsembleSpec.higher_trace(4, 4, 1), ROUTES["tp41"])}
+    for spec, methods in specs.values():
+        for method in methods:
+            for variant in ("Rhat", "R"):
+                for k in (1, 2, 3):
+                    pts = np.array([(0.3, -1.1, 0.8), (0.5, 0.5, -0.2)])[:, :k]
+                    evaluate(CorrelationRequest(spec, k, list(pts[0]), variant, method))
+                    engine.evaluate_grid(spec, k, pts, variant, method)
+    generating_function_value(EnsembleSpec.gaussian(4), 1, 0.3, 1e-3)
+
+
 # -- symmetries ------------------------------------------------------------
 
 def test_rhat_side_flip_conjugates():

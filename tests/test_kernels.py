@@ -307,3 +307,16 @@ def test_hciz_coincident_pair_against_mpmath(E, R):
 def test_hciz_refuses_clusters_it_cannot_resolve(E, R):
     with pytest.raises(ValueError, match="coincidence"):
         hciz_exact(E, R)
+
+
+@pytest.mark.parametrize("E", [[0.0, 2e-8, 4e-8], [0.0, 1e-6, 2e-6]])
+def test_hciz_close_distinct_triple_is_refused_or_accurate(E):
+    # every gap is at least DELTA_CONF, so the plain ratio is reached; it
+    # was off by 1.6 and 3.6e-4 with no refusal
+    R = [0.1, 0.5, 1.3]
+    ref = hciz_mpmath(E, R)
+    try:
+        val = hciz_exact(E, R)
+    except ValueError:
+        return
+    assert abs(val - ref) <= 1e-8 * abs(ref)

@@ -633,3 +633,22 @@ def test_faddeeva_overflow_below_the_axis_is_infinite():
     with mp.workdps(50):
         ref = complex(mp.exp(-mp.mpc(3, -26.5) ** 2) * mp.erfc(-1j * mp.mpc(3, -26.5)))
     assert abs(w - ref) <= 2e-15 * abs(ref)
+
+
+@pytest.mark.filterwarnings("error")
+def test_faddeeva_far_anti_diagonal_below_the_axis():
+    # on |x| = |y| below the axis |w| is about 2: where the squares overflow
+    # y^2 - x^2 was inf - inf and the phase 2xy inf (nan+nanj, with
+    # warnings); now the phase past the floats is taken as 0
+    zs = [1e300 - 1e300j, -1e300 - 1e300j, 1e200 - 1e200j, 1.7976931348623157e308 * (1 - 1j)]
+    got = special._faddeeva(np.array(zs))
+    assert np.all(np.isfinite(got))
+    assert np.all(np.abs(np.abs(got) - 2.0) <= 1e-15)
+    assert np.array_equal(got, [special._faddeeva(z) for z in zs])
+    # where 2xy is finite its rounding error, past 1 from |xy| ~ 2^53 on,
+    # joins the phase exactly: |w| was 6.9e7 at 1.23e12 (1 - i)
+    zs = np.array([1.2345678912345e9, 1.2345678912345e12, 3.3333333333e20, 1e150]) * (1 - 1j)
+    got = special._faddeeva(zs)
+    with mp.workdps(1400):
+        ref = np.array([complex(mp.exp(-mp.mpc(z) ** 2) * mp.erfc(-1j * mp.mpc(z))) for z in zs])
+    assert np.max(np.abs(got - ref) / np.abs(ref)) <= 2e-15
