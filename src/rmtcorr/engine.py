@@ -9,15 +9,15 @@ k x k determinants det[sum_{n<N} row_p(n) col_q(n)], taken by one engine
 its normalization (the eigenvalue-integral and factorized routes share
 theirs).
 
-A factor function f(N, x, [L,] v, ms) returns the factors of one slot
-point for every moment m in ms of the slot weight h^m e^(-h^2/v) as one
-stack, (len(ms), N), built from one tower.  evaluate_grid runs the same
-routes on a whole grid: x is then a (P,) array and the stack (len(ms), P, N).
+A factor function f(N, x, v, ms) returns the factors of one slot point
+for every moment m in ms of the slot weight h^m e^(-h^2/v) as one stack,
+(len(ms), N), built from one tower.  evaluate_grid runs the same routes on
+a whole grid: x is then a (P,) array and the stack (len(ms), P, N).
 
-Sides and variants follow one rule.  Row p carries the increment side L_p
-of its point.  Rhat: a row with L = -1 is the complex conjugate of its
-L = +1 row.  R: the rows are the imaginary parts of the sided rows, so R
-carries prod_p L_p; its value is real.
+Sides and variants follow one rule.  Every factor is that of the side
+L = +1 (x - i0).  Rhat: for the real weight an L = -1 row is the complex
+conjugate of its L = +1 row (taken in _det_sums).  R: the rows are their
+imaginary parts, so R carries prod_p L_p (_determinants); its value is real.
 """
 
 import cmath
@@ -113,28 +113,27 @@ def evaluate_grid(spec, k, points, variant="Rhat", method="convolution", sides=N
 def _det_sums(spec, row, col, xs, sides, ys=None):
     """sum over the terms (coef, slots) of correlation_terms(spec, k) of
     coef det[sum_{n<N} row_p(n) col_q(n)], row_p the factor of slot p at
-    xs[p] on side sides[p] and col_q that of slot k + q at ys[q] (default
-    xs[q]).  Each slot point builds one stack per family of the spec's
-    cached _layout, and each term indexes its rows and columns from them.
-    Every term's determinant is the permutation sum over the k^2 term-wise
-    entries K_pq = _dot(R_p, C_q) of its (T[, P], N) rows and columns: the
-    entry itself at k = 1, K00 K11 - K01 K10 at k = 2."""
+    xs[p], conjugated where sides[p] = -1, and col_q that of slot k + q at
+    ys[q] (default xs[q]).  Each slot point builds one stack per family of
+    the spec's cached _layout, and each term indexes its rows and columns
+    from them.  Every term's determinant is the permutation sum over the
+    k^2 term-wise entries K_pq = sum_n R_p(n) C_q(n) of its (T[, P], N) rows
+    and columns: the entry itself at k = 1, K00 K11 - K01 K10 at k = 2."""
     N, k = spec.N, len(xs)
     if ("layout", k) not in spec._cache:
         spec._cache["layout", k] = _layout(correlation_terms(spec, k))
     coefs, fams, index = spec._cache["layout", k]
     R, C = [], []
     for p in range(k):
-        # contiguous operands, so that the order of each dot's sum over n is fixed
-        R.append(np.ascontiguousarray(_factors(row, N, (xs[p], sides[p]), fams[p])[index[p]]))
+        # contiguous operands, so that the order of each dot's sum over n is fixed;
+        # np.vecdot conjugates its first argument: an L = -1 row enters as it is
+        Rp = np.ascontiguousarray(_factors(row, N, xs[p], fams[p])[index[p]])
+        R.append(Rp if sides[p] < 0 else Rp.conj())
         C.append(np.ascontiguousarray(
-            _factors(col, N, (xs[p] if ys is None else ys[p],), fams[k + p])[index[k + p]]))
+            _factors(col, N, xs[p] if ys is None else ys[p], fams[k + p])[index[k + p]]))
     if k == 1:
-        dets = _dot(R[0], C[0])
+        dets = np.vecdot(R[0], C[0])
     else:
-        # _dot's sums, with each row conjugated once for its k dots
-        # (np.vecdot conjugates its first argument)
-        R = [Rp.conj() for Rp in R]
         dets = _permutation_sum([[np.vecdot(Rp, Cq) for Cq in C] for Rp in R])
     # a grid's rows contiguous, so that each point's term sum is the same
     # dot as evaluate's: the sum can cancel to its round-off
@@ -176,11 +175,11 @@ def _layout(terms):
     return np.array([c for c, _ in terms]), fams, index
 
 
-def _factors(f, N, pt, fams):
-    """The stacks f(N, *pt, v, ms) of the families (v, ms) one after the other."""
+def _factors(f, N, x, fams):
+    """The stacks f(N, x, v, ms) of the families (v, ms) one after the other."""
     if len(fams) == 1:
-        return f(N, *pt, *fams[0])
-    return np.concatenate([f(N, *pt, v, ms) for v, ms in fams])
+        return f(N, x, *fams[0])
+    return np.concatenate([f(N, x, v, ms) for v, ms in fams])
 
 
 def _members(table, x):
@@ -197,28 +196,31 @@ def _dot(a, b):
 
 def _determinants(req, rows, col, metadata):
     """Evaluate req as one _det_sums over correlation_terms(req.spec, req.k),
-    with error estimate 0.  rows = (Rhat row, R row) are factor functions
-    f(N, x, L, v, ms); an R row of None is the imaginary part of the Rhat
-    row.  col is a factor function g(N, x, v, ms).  Coincident points need
-    no special case: the term sum is odd under swapping their columns."""
+    with error estimate 0.  rows = (Rhat row, R row) and col are factor
+    functions f(N, x, v, ms); an R row of None is the imaginary part of the
+    Rhat row.  R rows are real, so R takes its sign prod_p L_p here.
+    Coincident points need no special case: the term sum is odd under
+    swapping their columns."""
     rhat, r = rows
     row = rhat if req.variant == "Rhat" else r or (lambda *args: np.imag(rhat(*args)))
     # a point's value is a Python complex, a grid's a complex array
     val = _num(_det_sums(req.spec, row, col, req.xs, req.sides))
     if not _finite(val):
         raise ValueError(f"{req.method} gives a value that is not finite at N = {req.spec.N}")
-    return CorrelationResult(val.real + 0j if req.variant == "R" else val, 0.0, metadata)
+    if req.variant == "R":
+        val = math.prod(req.sides) * val.real + 0j
+    return CorrelationResult(val, 0.0, metadata)
 
 
 # ---------------------------------------------------------------------------
 # Convolution and trace-power closed form: h-space factors
 # ---------------------------------------------------------------------------
 
-def _row_rhat(N, x, L, v, ms):
-    """row_n = (1/pi) integral (pi v)^(-1/2) e^(-a^2/v) a^m / (x - a - i L 0)^(n+1)
+def _row_rhat(N, x, v, ms):
+    """row_n = (1/pi) integral (pi v)^(-1/2) e^(-a^2/v) a^m / (x - a - i0)^(n+1)
     da, n = 0..N-1, for each m in ms, via one table of the scaled Gaussian
     Cauchy transforms to max(ms)."""
-    F = gauss_moment_cauchy(N - 1, ms[-1], x / math.sqrt(v), side=-L)
+    F = gauss_moment_cauchy(N - 1, ms[-1], x / math.sqrt(v))
     F = F.swapaxes(0, 1).take(ms, axis=0).swapaxes(1, -1)
     return _members(_row_scales(N, v, ms)[0], x) * F
 
@@ -232,9 +234,9 @@ def _row_scales(N, v, ms):
             (-1.0) ** n * (np.pi * v) ** -0.5 * v ** ((m - n) / 2.0))
 
 
-def _row_r(N, x, L, v, ms):
+def _row_r(N, x, v, ms):
     """Imaginary-part rows: the distributional limit
-    Im row_n = L * (-1)^n (1/n!) d^n/dx^n [(pi v)^(-1/2) x^m e^(-x^2/v)],
+    Im row_n = (-1)^n (1/n!) d^n/dx^n [(pi v)^(-1/2) x^m e^(-x^2/v)],
     m in ms, by the Leibniz rule sum_j C(m, j) u^(m-j) e_(n-j) over the
     Gaussian derivatives e_n = (1/n!) d^n/du^n e^(-u^2) at u = x / sqrt(v),
     taken from e_(n+1) = -(2u e_n + 2e_(n-1)) / (n+1), after max(ms) zeros."""
@@ -252,8 +254,7 @@ def _row_r(N, x, L, v, ms):
         i, binom = _leibniz_tables(ms)
         w = (binom * np.asarray(u)[..., None, None] ** i).T
         d = (e[0, _window(M + 1, N)][:, None] * w[:, :, None]).sum(axis=0)
-    # L = +-1 changes signs only, so it may come first
-    return L * _members(_row_scales(N, v, ms)[1], x) * d.swapaxes(1, -1)
+    return _members(_row_scales(N, v, ms)[1], x) * d.swapaxes(1, -1)
 
 
 @_read_only(64)
@@ -356,27 +357,25 @@ def correlations_higher_trace(req):
 # Eigenvalue-integral (Fourier/jet) and factorized-kernel paths
 # ---------------------------------------------------------------------------
 
-def _halfline_vec(N, x, L, v, ms):
-    """i I_n, n = 0..N-1, with I_n the integral along the half-line from 0
-    to L infinity of (-i r)^n e^(-i x r) (slot Fourier factor)(r) dr, for
-    each m in ms from one G tower.  The orientation makes the L = -1 row
-    the conjugate of the L = +1 row."""
-    # r -> L r carries the half-line onto r > 0, and the term a_j G_(n+j)
-    # picks up L^(n+j) = L^(n+m): a_j vanishes unless j = m mod 2
-    G = half_gauss_oscillatory(N + ms[-1] - 1, L * x, v / 4.0).T
+def _halfline_vec(N, x, v, ms):
+    """i I_n, n = 0..N-1, with I_n the integral along the half-line r > 0
+    of (-i r)^n e^(-i x r) (slot Fourier factor)(r) dr, for each m in ms
+    from one G tower.  The half-line r < 0 gives the L = -1 row, its
+    conjugate."""
+    G = half_gauss_oscillatory(N + ms[-1] - 1, x, v / 4.0).T
     stack = []
     for m in ms:
         a = _slot_phi_poly(v, m)
-        window, phase = _halfline_layout(N, L, len(a))
-        stack.append(1j * L ** (m + 1) * (phase * (a * G.take(window, axis=-1)).sum(axis=-1)))
+        window, phase = _halfline_layout(N, len(a))
+        stack.append(1j * (phase * (a * G.take(window, axis=-1)).sum(axis=-1)))
     return np.array(stack)
 
 
 @_read_only(64)
-def _halfline_layout(N, L, width):
+def _halfline_layout(N, width):
     """The (N, width) window n + j into the G tower and the phases
-    (-i L)^n, n < N, read-only."""
-    return _window(N, width), (-1j * L) ** np.arange(N)
+    (-i)^n, n < N, read-only."""
+    return _window(N, width), (-1j) ** np.arange(N)
 
 
 @_read_only(64)
@@ -420,10 +419,13 @@ def factorized_kernel(spec, xp, xq, Lp=1):
     """Correlation kernel for factorizing characteristic functions,
     assembled from jet and half-line factors, in the determinant-equivalent
     gauge exp((xp^2 - xq^2)/(2v)) that matches the oscillator-basis kernel
-    entrywise for the Gaussian case."""
+    entrywise for the Gaussian case.  Lp is the side of xp, +1 or -1."""
+    if Lp not in (1, -1):
+        raise ValueError(f"Lp must be +1 or -1, got {Lp!r}")
     v = _factorizing_scale(spec)
     N = spec.N
-    val = np.dot(_halfline_vec(N, xp, Lp, v, (0,))[0], _jet_vec(N, xq, v, (0,))[0])
+    row = _halfline_vec(N, xp, v, (0,))[0]
+    val = np.dot(row if Lp == 1 else row.conj(), _jet_vec(N, xq, v, (0,))[0])
     return val * np.exp((xp * xp - xq * xq) / (2.0 * v))
 
 
@@ -439,12 +441,11 @@ def correlations_factorized(req):
 # GUE closed form: oscillator-basis factors
 # ---------------------------------------------------------------------------
 
-def _row_osc_hat(N, x, L, v, ms):
-    """Sided companion row v^(-1/2) phi^_n(x / sqrt v), n < N
-    (Im phi^_n = phi_n); the L = -1 row is its conjugate; ms = (0,)."""
+def _row_osc_hat(N, x, v, ms):
+    """Companion row v^(-1/2) phi^_n(x / sqrt v), n < N (Im phi^_n = phi_n);
+    ms = (0,)."""
     s = math.sqrt(v)
-    t = _osc_hat_tower(N - 1, x / s).T / s
-    return (t if L == 1 else t.conj())[None]
+    return (_osc_hat_tower(N - 1, x / s).T / s)[None]
 
 
 def _col_osc(N, x, v, ms):
@@ -452,9 +453,9 @@ def _col_osc(N, x, v, ms):
     return _osc_tower(N - 1, x / math.sqrt(v)).T[None]
 
 
-def _row_osc(N, x, L, v, ms):
-    """Imaginary part of the sided companion row: L v^(-1/2) phi_n(x / sqrt v)."""
-    return L / np.sqrt(v) * _col_osc(N, x, v, ms)
+def _row_osc(N, x, v, ms):
+    """Imaginary part of the companion row: v^(-1/2) phi_n(x / sqrt v)."""
+    return 1 / math.sqrt(v) * _col_osc(N, x, v, ms)
 
 
 def correlations_closed_form_gue(req):
@@ -483,6 +484,8 @@ def generating_function_value(spec, k, x, J, metric=None):
     if not len(x) == len(J) == len(metric) == 1:
         raise ValueError(f"k = 1 takes one x, one J and one metric sign, got {len(x)}, "
                          f"{len(J)} and {len(metric)}")
+    if metric[0] not in (1, -1):
+        raise ValueError(f"the metric sign must be +1 or -1, got {metric[0]!r}")
     L, x1, J1 = metric[0], float(x[0]), float(J[0])
     total = _det_sums(spec, _halfline_vec, _jet_vec, [x1 - J1], [L], [x1 + J1])
     return 1.0 + 2.0 * np.pi * J1 * total
@@ -493,8 +496,6 @@ def generating_function_value(spec, k, x, J, metric=None):
 # ---------------------------------------------------------------------------
 
 def _simpson_weights(n, dx):
-    if n % 2 == 0:
-        raise ValueError("Simpson rule needs an odd number of samples")
     w = np.ones(n)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
@@ -505,11 +506,22 @@ def time_domain_transform(grid_in, samples, grid_out, direction):
     """Unitary-convention Fourier pair between energy and time.
 
     direction 'to_time': g(t) = (2pi)^(-1/2) integral e^(itx) f(x) dx;
-    direction 'to_energy': the inverse sign convention.  A Nyquist check
-    rejects grids that cannot resolve the oscillation."""
+    direction 'to_energy': the inverse sign convention.  The Simpson rule
+    takes an increasing, uniformly spaced grid_in of an odd number n >= 3 of
+    points and n samples; a Nyquist check rejects grids that cannot resolve
+    the oscillation."""
     grid_in = np.asarray(grid_in, dtype=float)
     samples = np.asarray(samples, dtype=complex)
     grid_out = np.asarray(grid_out, dtype=float)
+    n = len(grid_in) if grid_in.ndim == 1 else 0
+    if n < 3 or n % 2 == 0:
+        raise ValueError("Simpson rule needs a 1-D grid_in of an odd number >= 3 of points, "
+                         f"got shape {grid_in.shape}")
+    if samples.shape != grid_in.shape:
+        raise ValueError(f"need one sample per grid_in point, got {samples.shape} for {n}")
+    step = (grid_in[-1] - grid_in[0]) / (n - 1)
+    if not (step > 0 and np.all(np.abs(np.diff(grid_in) - step) <= 1e-9 * step)):
+        raise ValueError("grid_in must be increasing and uniformly spaced, to 1e-9 of its step")
     dx = grid_in[1] - grid_in[0]
     if dx * np.max(np.abs(grid_out)) > np.pi:
         raise ValueError("output grid violates the Nyquist limit of the input grid")

@@ -88,8 +88,16 @@ def _read_only(maxsize):
     return cache
 
 
+def _order(n):
+    """n, refused with ValueError if it is negative."""
+    if n < 0:
+        raise ValueError(f"order must be >= 0, got {n}")
+    return n
+
+
 def hermite_poly(n, x):
     """Physicists' Hermite polynomial H_n(x) by three-term recurrence."""
+    _order(n)
     x = np.asarray(x, dtype=float)
     h0 = np.ones_like(x)
     if n == 0:
@@ -104,7 +112,7 @@ def oscillator_wavefunction(n, x):
     """phi_n(x) = (2^n n! sqrt(pi))^(-1/2) exp(-x^2/2) H_n(x).
 
     Evaluated by the normalized recurrence to stay finite at large n."""
-    return _osc_tower(n, x)[n]
+    return _osc_tower(_order(n), x)[n]
 
 
 def _osc_tower(nmax, x):
@@ -407,6 +415,7 @@ def _reflect(x, y, re, im):
 def faddeeva_derivatives(z, nmax):
     """w(z), w'(z), ..., w^(nmax)(z) by the stable upward recurrence
     w^(j+1) = -2 z w^(j) - 2 j w^(j-1)."""
+    _order(nmax)
     z = _operand(z, complex)
     tower = [_faddeeva(z)]
     if nmax >= 1:
@@ -426,7 +435,8 @@ def cauchy_gauss(n, z, side=-1):
 
 
 def cauchy_gauss_tower(nmax, z, side=-1):
-    """C_0(z)..C_nmax(z) stacked.
+    """C_0(z)..C_nmax(z) stacked, computed on the lower side (Im z < 0, or
+    z - i0) only: the upper side at z is the conjugate of the lower at conj z.
 
     The Faddeeva-derivative route loses relative accuracy at large real
     |z| (the recurrence w' = -2zw + 2i/sqrt(pi) cancels severely there);
@@ -434,18 +444,16 @@ def cauchy_gauss_tower(nmax, z, side=-1):
     principal-value asymptotic series plus the exact sided delta part."""
     z = _operand(z, complex)
     upper = (z.imag > 0) | ((z.imag == 0) & (side > 0))
-    lo, hi = _cauchy_coefficients(nmax)
+    z = _select(upper, z.conjugate(), z)
     col = (nmax + 1,) + (1,) * np.ndim(z)
-    coef = _select(upper, hi.reshape(col), lo.reshape(col))
-    fac = coef * faddeeva_derivatives(_select(upper, z, -z), nmax)
+    fac = _cauchy_coefficients(nmax).reshape(col) * faddeeva_derivatives(-z, nmax)
     far = (abs(z.real) >= CAUCHY_ASYMP) & (abs(z.imag) <= 1e-8)
     if _any(far):
         flat = fac.reshape(nmax + 1, -1)
         zf = np.reshape(z, -1)
-        uf = np.reshape(upper, -1)
         for i in np.nonzero(np.reshape(far, -1))[0]:
-            flat[:, i] = _cauchy_gauss_far(nmax, complex(zf[i]), bool(uf[i]))
-    return fac
+            flat[:, i] = _cauchy_gauss_far(nmax, complex(zf[i]))
+    return _select(upper, fac.conj(), fac)
 
 
 CAUCHY_ASYMP = 6.5
@@ -453,21 +461,18 @@ CAUCHY_ASYMP = 6.5
 
 @_read_only(8)
 def _cauchy_coefficients(nmax):
-    """Factors of the Faddeeva derivatives in C_n, n = 0..nmax, read-only:
-    lower half plane (or z - i0): C_n = (i pi / n!) w^(n)(-z);
-    upper half plane (or z + i0): C_n = (-i pi / n!) (-1)^n w^(n)(z)."""
-    n = np.arange(nmax + 1)
+    """Factors of the Faddeeva derivatives in C_n, n = 0..nmax, on the
+    lower side (Im z < 0, or z - i0), read-only: C_n = (i pi / n!) w^(n)(-z)."""
     # n! as the running float product 1 * 1 * 2 * ... * n
-    f = np.cumprod(np.maximum(n, 1).astype(float))
-    lo = 1j * (np.pi / f)
-    return lo, -lo * (-1.0) ** n
+    f = np.cumprod(np.maximum(np.arange(nmax + 1), 1).astype(float))
+    return 1j * (np.pi / f)
 
 
-def _cauchy_gauss_far(nmax, z, upper):
-    """Boundary values of C_n, n = 0..nmax, at large near-real z: principal
-    value by the asymptotic series sum_m C(n+m, n) gamma_m / z^(n+m+1) over
-    even m <= 120, each row cut by _truncated_sums, plus the sided
-    distributional part -+ i pi h_n(x) from 1/(x -+ i0)^(n+1), where
+def _cauchy_gauss_far(nmax, z):
+    """Lower-side boundary values of C_n, n = 0..nmax, at large near-real z:
+    principal value by the asymptotic series sum_m C(n+m, n) gamma_m /
+    z^(n+m+1) over even m <= 120, each row cut by _truncated_sums, plus the
+    distributional part i pi h_n(x) from 1/(x - i0)^(n+1), where
     h_n = H_n(x) e^(-x^2) / n! comes from the recurrence
     h_(n+1) = (2x h_n - 2h_(n-1)) / (n+1)."""
     n = np.arange(nmax + 1)
@@ -487,7 +492,7 @@ def _cauchy_gauss_far(nmax, z, upper):
     for k in range(nmax):
         prev, cur = cur, (2 * x * cur - 2 * prev) / (k + 1)
         h.append(cur)
-    return pv + (-1j if upper else 1j) * (_PI_LONG * np.array(h)).astype(float)
+    return pv + 1j * (_PI_LONG * np.array(h)).astype(float)
 
 
 @_read_only(8)
@@ -580,6 +585,7 @@ def half_gauss_oscillatory(amax, z, c):
     G_{a+1} = (a G_{a-1} - i z G_a) / (2c), with G_1 from the boundary term.
     c must be finite and > 0.
     """
+    _order(amax)
     z = _operand(z, complex)
     c = float(c)
     if not 0.0 < c < math.inf:

@@ -299,9 +299,8 @@ def test_row_r_against_mpmath(N, x):
         ref = mp_row_r(N, x, v, m)
         a = np.pad(np.abs(ref), 1, mode="edge")
         scale = np.max([a[:-2], a[1:-1], a[2:]], axis=0)
-        for L in (1, -1):
-            got = engine._row_r(N, x, L, v, (m,))[0]
-            assert np.all(np.abs(got - L * ref) <= 1e-13 * scale)
+        got = engine._row_r(N, x, v, (m,))[0]
+        assert np.all(np.abs(got - ref) <= 1e-13 * scale)
 
 
 def col_exact_loop(N, x, v, m):
@@ -402,7 +401,7 @@ def test_row_r_keeps_its_own_recurrence(monkeypatch):
     monkeypatch.setattr(engine, "_osc_tower", refuse)
     monkeypatch.setattr(special, "_osc_tower", refuse)
     monkeypatch.setattr(special, "hermite_poly", refuse)
-    assert np.all(np.isfinite(engine._row_r(32, 7.4, 1, 1.0, (2,))))
+    assert np.all(np.isfinite(engine._row_r(32, 7.4, 1.0, (2,))))
 
 
 # -- moment families ---------------------------------------------------------
@@ -435,18 +434,18 @@ def test_factor_family_members_equal_single_factors(M1, M2):
     families = slot_families(EnsembleSpec.higher_trace(N, M1, M2), 1) \
         | slot_families(EnsembleSpec.higher_trace(N, M1, M2), 2)
     assert max(len(ms) for _, ms in families) >= 3
-    rows = {engine._row_rhat, engine._row_r, engine._halfline_vec}
-    cols = {engine._col_rec, engine._col_exact, engine._jet_vec}
+    factors = (engine._row_rhat, engine._row_r, engine._halfline_vec,
+               engine._col_rec, engine._col_exact, engine._jet_vec)
     for x in (0.7, FAMILY_GRID):
         for v, ms in families:
-            for f, args in [(f, (L,)) for f in rows for L in (1, -1)] + [(f, ()) for f in cols]:
-                stack = f(N, x, *args, v, ms)
+            for f in factors:
+                stack = f(N, x, v, ms)
                 assert stack.shape == (len(ms),) + np.shape(x) + (N,), f.__name__
                 for i, m in enumerate(ms):
-                    assert np.array_equal(stack[i], f(N, x, *args, v, (m,))[0]), (f.__name__, m)
+                    assert np.array_equal(stack[i], f(N, x, v, (m,))[0]), (f.__name__, m)
         # the oscillator factors exist for m = 0 only
-        for f, args in ((engine._row_osc_hat, (-1,)), (engine._row_osc, (1,)), (engine._col_osc, ())):
-            assert f(N, x, *args, 0.8, (0,)).shape == (1,) + np.shape(x) + (N,)
+        for f in (engine._row_osc_hat, engine._row_osc, engine._col_osc):
+            assert f(N, x, 0.8, (0,)).shape == (1,) + np.shape(x) + (N,)
 
 
 class CountedFloat(float):
@@ -505,13 +504,15 @@ def test_layout_indexes_each_term_slot(monkeypatch):
 
 def reference_sum(spec, k, xs, sides, variant, method):
     """The route's value summed one term at a time from single-moment
-    factors: coef det[sum_n row_p(n) col_q(n)] per term."""
+    factors: coef det[sum_n row_p(n) col_q(n)] per term, the L = -1 rows
+    conjugated (Rhat) or negated (R)."""
     (rhat, r), col = ROUTE_FACTORS[method]
     row = rhat if variant == "Rhat" else r or (lambda *args: np.imag(rhat(*args)))
+    flip = np.conj if variant == "Rhat" else np.negative
     N, total = spec.N, 0.0
     for coef, slots in correlation_terms(spec, k):
-        R = np.stack([row(N, xs[p], sides[p], slots[p][0], slots[p][1:])[0]
-                      for p in range(k)], axis=-2)
+        rows = [row(N, xs[p], slots[p][0], slots[p][1:])[0] for p in range(k)]
+        R = np.stack([f if L == 1 else flip(f) for f, L in zip(rows, sides)], axis=-2)
         C = np.stack([col(N, xs[q], slots[k + q][0], slots[k + q][1:])[0]
                       for q in range(k)], axis=-2)
         total = total + coef * np.linalg.det(R @ C.swapaxes(-1, -2))
@@ -611,6 +612,40 @@ def test_rhat_side_flip_conjugates():
     a = r2(spec, 0.4, -0.9, "convolution", "Rhat", sides=(1, 1))
     b = r2(spec, 0.4, -0.9, "convolution", "Rhat", sides=(-1, -1))
     assert abs(a - np.conj(b)) < 1e-8
+
+
+SIDE_GRID = np.array([-9.0, -6.6, -1.2, 0.0, 0.7, 2.9, 6.5, 7.3])
+SIDE_PAIRS = np.array([(0.4, -0.9), (0.3, 0.3), (-7.3, 2.0), (6.6, 6.6)])
+
+
+def sided_values(spec, k, table, variant, method, sides):
+    """A route's values at the rows of table on the given sides: one
+    evaluate per row, then one evaluate_grid."""
+    pts = [evaluate(CorrelationRequest(
+        spec, k, [IncrementedPoint(x, L) for x, L in zip(row, sides)], variant, method)).value
+        for row in table]
+    return np.array(pts), engine.evaluate_grid(spec, k, table, variant, method, sides).value
+
+
+@pytest.mark.parametrize("name", list(ROUTES))
+def test_side_rule_on_every_route(route_specs, name):
+    # the L = -1 side mirrors the L = +1 side to the last bit, points and
+    # grids, bulk and past CAUCHY_ASYMP: at k = 1 for the Gaussians and the
+    # spike (real columns) Rhat conjugates and R changes sign; at k = 2 R
+    # under the metric (s1, s2) is s1 s2 R(+, +) for every spec
+    spec = route_specs[name]
+    for method in ROUTES[name]:
+        if name in ("g4", "g4s07", "spike"):
+            for variant, flip in (("Rhat", np.conj), ("R", np.negative)):
+                up = sided_values(spec, 1, SIDE_GRID[:, None], variant, method, (1,))
+                down = sided_values(spec, 1, SIDE_GRID[:, None], variant, method, (-1,))
+                for u, d in zip(up, down):
+                    assert np.array_equal(d, flip(u)), (method, variant)
+        ref = sided_values(spec, 2, SIDE_PAIRS, "R", method, (1, 1))
+        for metric in ((1, -1), (-1, 1), (-1, -1)):
+            got = sided_values(spec, 2, SIDE_PAIRS, "R", method, metric)
+            for g, r in zip(got, ref):
+                assert np.array_equal(g, metric[0] * metric[1] * r), (method, metric)
 
 
 def test_k2_permutation_symmetric():
@@ -845,6 +880,21 @@ def test_factorized_kernel_matches_oscillator():
         assert abs(a - b) < 1e-8 * max(abs(b), 1.0)
 
 
+def test_factorized_kernel_and_generating_function_take_signs_only():
+    # a side is +1 or -1, as evaluate_grid's sides are: other numbers are
+    # refused, not read as one of the two sides
+    spec = EnsembleSpec.gaussian(4)
+    for L in (0, 2, -0.5, 1 + 1e-9):
+        with pytest.raises(ValueError, match="Lp must be"):
+            factorized_kernel(spec, 0.3, -0.2, L)
+        with pytest.raises(ValueError, match="metric sign must be"):
+            generating_function_value(spec, 1, 0.3, 0.01, [L])
+    # the L = -1 kernel row is the conjugate of the L = +1 row
+    for xq in (-0.2, 0.3, 1.4):
+        up, down = (factorized_kernel(spec, 0.3, xq, L) for L in (1, -1))
+        assert down == np.conj(up)
+
+
 def test_factorized_requires_factorizing_spec():
     t = np.linspace(0.2, 1.0, 101)
     f = np.ones_like(t)
@@ -969,3 +1019,29 @@ def test_time_domain_nyquist_guard():
         time_domain_transform(xs, np.exp(-xs * xs), np.linspace(-3, 3, 11),
                               "sideways")
 
+
+def test_time_domain_refuses_grids_the_simpson_rule_cannot_take():
+    # the Simpson rule takes none of these: one point, an even count, a
+    # sample to broadcast across the grid, an uneven or decreasing grid
+    # (0.0798 for the true 0.1995 on [0, 0.1, 0.5])
+    five = np.linspace(-1.0, 1.0, 5)
+    for grid_in, samples, match in (
+            ([0.0], [1.0], "odd number >= 3"),
+            (np.linspace(0, 1, 4), np.ones(4), "odd number >= 3"),
+            (np.ones((3, 3)), np.ones((3, 3)), "odd number >= 3"),
+            (five, [1.0], "one sample per grid_in point"),
+            (five, np.ones((5, 1)), "one sample per grid_in point"),
+            ([0.0, 0.1, 0.5], np.ones(3), "uniformly spaced"),
+            (five[::-1], np.ones(5), "increasing"), (np.zeros(5), np.ones(5), "increasing"),
+            (five + [0, 0, 1e-8, 0, 0], np.ones(5), "uniformly spaced"),
+            ([0.0, math.nan, 1.0], np.ones(3), "uniformly spaced")):
+        with pytest.raises(ValueError, match=match):
+            time_domain_transform(grid_in, samples, [0.0], "to_time")
+    # the bench's 401-node grid lo + offset + h k, and the smallest grid
+    h = 16.0 / 401
+    grid = -8.0 + 0.37 * h + h * np.arange(401)
+    ts = np.array([0.0, 1.0])
+    got = time_domain_transform(grid, np.exp(-grid * grid), ts, "to_time")
+    assert np.max(np.abs(got - np.exp(-ts * ts / 4.0) / math.sqrt(2.0))) < 1e-10
+    got = time_domain_transform([0.0, 0.25, 0.5], np.ones(3), [0.0], "to_time")
+    assert abs(got[0] - 0.5 / np.sqrt(2 * np.pi)) < 1e-15

@@ -652,3 +652,15 @@ def test_faddeeva_far_anti_diagonal_below_the_axis():
     with mp.workdps(1400):
         ref = np.array([complex(mp.exp(-mp.mpc(z) ** 2) * mp.erfc(-1j * mp.mpc(z))) for z in zs])
     assert np.max(np.abs(got - ref) / np.abs(ref)) <= 2e-15
+
+
+@pytest.mark.parametrize("fn, args", [
+    (hermite_poly, (-1, 0.7)), (oscillator_wavefunction, (-1, 0.7)),
+    (faddeeva_derivatives, (0.7, -1)), (half_gauss_oscillatory, (-1, 0.7, 1.0))],
+    ids=["hermite_poly", "oscillator_wavefunction", "faddeeva_derivatives",
+         "half_gauss_oscillatory"])
+def test_negative_orders_are_refused(fn, args):
+    # no order below 0 exists: the recurrences would give 2x, phi_0 and
+    # one-row towers
+    with pytest.raises(ValueError, match="order must be >= 0"):
+        fn(*args)
