@@ -25,7 +25,7 @@ def main():
     # decays fast; the model transforms in closed form
     v0 = float(N)
     model = (N / np.pi) * (np.pi * v0) ** -0.5 \
-        * cauchy_gauss(0, xs / np.sqrt(v0) + 0j, side=-1)
+        * cauchy_gauss(0, xs / np.sqrt(v0) + 0j)
     ts = np.linspace(-5, 5, 201)
     sig = time_domain_transform(xs, rhat - model, ts, "to_time")
     sig = sig + 2j * (ts > 0) * N * np.exp(-v0 * ts * ts / 4.0) / np.sqrt(2 * np.pi)

@@ -415,17 +415,15 @@ def _factorizing_scale(spec):
     raise ValueError("factorized path needs a factorizing spec")
 
 
-def factorized_kernel(spec, xp, xq, Lp=1):
+def factorized_kernel(spec, xp, xq):
     """Correlation kernel for factorizing characteristic functions,
     assembled from jet and half-line factors, in the determinant-equivalent
     gauge exp((xp^2 - xq^2)/(2v)) that matches the oscillator-basis kernel
-    entrywise for the Gaussian case.  Lp is the side of xp, +1 or -1."""
-    if Lp not in (1, -1):
-        raise ValueError(f"Lp must be +1 or -1, got {Lp!r}")
+    entrywise for the Gaussian case.  xp sits on the L = +1 side, x - i0;
+    the L = -1 kernel is its complex conjugate (the jet columns are real)."""
     v = _factorizing_scale(spec)
     N = spec.N
-    row = _halfline_vec(N, xp, v, (0,))[0]
-    val = np.dot(row if Lp == 1 else row.conj(), _jet_vec(N, xq, v, (0,))[0])
+    val = np.dot(_halfline_vec(N, xp, v, (0,))[0], _jet_vec(N, xq, v, (0,))[0])
     return val * np.exp((xp * xp - xq * xq) / (2.0 * v))
 
 
@@ -508,8 +506,8 @@ def time_domain_transform(grid_in, samples, grid_out, direction):
     direction 'to_time': g(t) = (2pi)^(-1/2) integral e^(itx) f(x) dx;
     direction 'to_energy': the inverse sign convention.  The Simpson rule
     takes an increasing, uniformly spaced grid_in of an odd number n >= 3 of
-    points and n samples; a Nyquist check rejects grids that cannot resolve
-    the oscillation."""
+    points and n samples; grid_out is 1-D, of any length.  A Nyquist check
+    rejects grids that cannot resolve the oscillation."""
     grid_in = np.asarray(grid_in, dtype=float)
     samples = np.asarray(samples, dtype=complex)
     grid_out = np.asarray(grid_out, dtype=float)
@@ -522,14 +520,13 @@ def time_domain_transform(grid_in, samples, grid_out, direction):
     step = (grid_in[-1] - grid_in[0]) / (n - 1)
     if not (step > 0 and np.all(np.abs(np.diff(grid_in) - step) <= 1e-9 * step)):
         raise ValueError("grid_in must be increasing and uniformly spaced, to 1e-9 of its step")
+    if grid_out.ndim != 1:
+        raise ValueError(f"grid_out must be 1-D, got shape {grid_out.shape}")
     dx = grid_in[1] - grid_in[0]
-    if dx * np.max(np.abs(grid_out)) > np.pi:
+    if dx * np.max(np.abs(grid_out), initial=0.0) > np.pi:
         raise ValueError("output grid violates the Nyquist limit of the input grid")
-    if direction == "to_time":
-        sign = +1.0
-    elif direction == "to_energy":
-        sign = -1.0
-    else:
+    sign = {"to_time": 1.0, "to_energy": -1.0}.get(direction)
+    if sign is None:
         raise ValueError("direction must be to_time or to_energy")
     w = _simpson_weights(len(grid_in), dx)
     phase = np.exp(sign * 1j * np.outer(grid_out, grid_in))

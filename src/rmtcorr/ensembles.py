@@ -59,6 +59,7 @@ class EnsembleSpec:
         self._cache = {}
         self.trace_power = (0, 0)
         if family == "higher_trace":
+            params["M1"], params["M2"] = _whole("M1", params["M1"]), _whole("M2", params["M2"])
             M1, M2 = self.trace_power = params["M1"], params["M2"]
             if M1 < 0 or M2 < 0:
                 raise ValueError("trace powers must be nonnegative integers")
@@ -87,7 +88,7 @@ class EnsembleSpec:
 
     @classmethod
     def higher_trace(cls, N, M1, M2):
-        return cls(N, "higher_trace", M1=_whole("M1", M1), M2=_whole("M2", M2))
+        return cls(N, "higher_trace", M1=M1, M2=M2)
 
     # -- serialization ------------------------------------------------------
 

@@ -252,7 +252,7 @@ def build_dual_pair(zvals, k, N, L):
 
     A is the N x 2k matrix [z_1..z_k | zeta_1..zeta_k] and A^dagger its
     graded adjoint: the conjugate transpose with the odd (fermion) rows
-    negated.  zvals: sequence of k length-N complex vectors; L: sequence
+    negated.  zvals: exactly k complex vectors of length N; L: sequence
     of k signs, padded with +1 on the fermion side.  The square root of
     a -1 metric entry is taken as +i.
     """
@@ -262,6 +262,8 @@ def build_dual_pair(zvals, k, N, L):
     L = list(L)
     if len(L) != k or any(s not in (1, -1) for s in L):
         raise ValueError("metric must be k signs in {+1,-1}")
+    if len(zvals) != k or any(np.shape(v) != (N,) for v in zvals):
+        raise ValueError(f"zvals must be k = {k} vectors of length N = {N}")
     z = np.array([np.asarray(v, dtype=complex) for v in zvals])
     # A[n][p] = z_p[n], A[n][k + p] = zeta_{p,n}
     n, p = np.divmod(np.arange(N * k), k)

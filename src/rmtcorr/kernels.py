@@ -93,39 +93,34 @@ def fundamental_kernel(N, s1, s2, variant="full"):
     raise ValueError(f"unknown variant {variant!r}")
 
 
-def fundamental_correlations(N, k, s, variant="full"):
-    """Determinant of the k x k matrix of fundamental kernel values.
+def fundamental_correlations(N, s, variant="full"):
+    """Determinant of the k x k matrix of fundamental kernel values, k = len(s).
 
-    s: sequence of k pairs (s1: IncrementedPoint, s2: real/complex);
-    entry (p, q) pairs the first slot of point p with the second slot of
-    point q."""
-    M = np.empty((k, k), dtype=complex)
-    for p in range(k):
-        for q in range(k):
-            M[p, q] = fundamental_kernel(N, s[p][0], s[q][1], variant)
-    return np.linalg.det(M)
+    s: pairs (s1: IncrementedPoint, s2: real/complex); entry (p, q) pairs
+    the first slot of point p with the second slot of point q."""
+    M = [[fundamental_kernel(N, s1, s2, variant) for _, s2 in s] for s1, _ in s]
+    return np.linalg.det(np.array(M, dtype=complex).reshape(len(s), len(s)))
 
 
-def berezinian(k, r1, r2):
-    """Cauchy determinant det[1/(r1_p - i r2_q)]."""
+def berezinian(r1, r2):
+    """Cauchy determinant det[1/(r1_p - i r2_q)], k = len(r1)."""
     r1 = np.asarray(r1, dtype=complex)
     r2 = np.asarray(r2, dtype=complex)
     M = 1.0 / (r1[:, None] - 1j * r2[None, :])
     return np.linalg.det(M)
 
 
-def berezinian_ratio(k, r1, r2):
-    """Vandermonde-ratio form of the same determinant:
+def berezinian_ratio(r1, r2):
+    """Vandermonde-ratio form of the same determinant, k = len(r1):
     (-1)^(k(k-1)/2) prod_{p<q}(r1_p - r1_q)(i r2_p - i r2_q) /
     prod_{p,q}(r1_p - i r2_q)."""
     r1 = np.asarray(r1, dtype=complex)
     r2 = np.asarray(r2, dtype=complex)
-    num = 1.0 + 0j
-    for p in range(k):
-        for q in range(p + 1, k):
-            num *= (r1[p] - r1[q]) * (1j * r2[p] - 1j * r2[q])
+    if r1.shape != r2.shape:
+        raise ValueError(f"r1 and r2 must have one shape, got {r1.shape}, {r2.shape}")
+    k = len(r1)
     den = np.prod(r1[:, None] - 1j * r2[None, :])
-    return (-1.0) ** (k * (k - 1) // 2) * num / den
+    return (-1.0) ** (k * (k - 1) // 2) * _vandermonde(r1) * _vandermonde(1j * r2) / den
 
 
 def ingham_siegel_pair(N, test, metric=None, variant="full", epsilon=0.0):
@@ -135,8 +130,8 @@ def ingham_siegel_pair(N, test, metric=None, variant="full", epsilon=0.0):
 
     test: list of k pairs (f, jet) where f is a callable of the half-line
     variable and jet is a sequence of Taylor coefficients at 0 of the
-    second variable, of order >= N-1.  metric holds the signs L_p (all +1
-    by default).  variant 'full' has the constant
+    second variable, of order >= N-1.  metric holds the k signs L_p, each
+    +1 or -1 (all +1 by default).  variant 'full' has the constant
     c_Nk = 2^(-k(k-1)) (i 2 pi (-1)^(N-1) / (N-1)!)^k; variant
     'imaginary_part' uses 2^(-k(k-1)) (pi (-1)^(N-1) / (N-1)!)^k.
     """
@@ -144,6 +139,8 @@ def ingham_siegel_pair(N, test, metric=None, variant="full", epsilon=0.0):
     from scipy.integrate import IntegrationWarning, quad
     k = len(test)
     metric = list(metric) if metric is not None else [1] * k
+    if len(metric) != k or any(L not in (1, -1) for L in metric):
+        raise ValueError(f"metric must be k = {k} signs of +1 or -1, got {metric!r}")
     if variant not in ("full", "imaginary_part"):
         raise ValueError(f"unknown variant {variant!r}")
     base = (-1.0) ** (N - 1) / math.factorial(N - 1)
@@ -209,8 +206,8 @@ def gaussian_pairing(N, k=1):
     # s1 integrals: int e^(-s1^2/4) (s1 - i0)^(-j) ds1
     #             = 2^(1-j) (-1)^j C_{j-1}(i0+), pole side above the axis
     g = gauss_moments(N)
-    # C_0..C_N at z -> 0 from the upper half plane
-    C = cauchy_gauss_tower(N, 0j, side=1)
+    # C_0..C_N at z -> 0 from the upper half plane, the conjugate of 0 - i0
+    C = cauchy_gauss_tower(N, 0j).conj()
 
     def s1_int(j):
         return 2.0 ** (1 - j) * ((-1.0) ** j) * C[j - 1]
@@ -224,13 +221,10 @@ def gaussian_pairing(N, k=1):
 
 
 def _vandermonde(v):
+    """prod_{a<b} (v_a - v_b)."""
     v = np.asarray(v, dtype=complex)
-    out = 1.0 + 0j
-    n = len(v)
-    for a in range(n):
-        for b in range(a + 1, n):
-            out *= v[a] - v[b]
-    return out
+    a, b = np.triu_indices(len(v), 1)
+    return np.prod(v[a] - v[b])
 
 
 def hciz_exact(E, R):
@@ -277,15 +271,17 @@ def _min_gap(v, step=1):
     return np.min(s[step:] - s[:-step])
 
 
-def hciz_degenerate(E, R2k, N, k):
-    """Group average with only 2k nonzero entries in the second spectrum.
+def hciz_degenerate(E, R2k):
+    """Group average with only 2k = len(R2k) nonzero entries in the
+    second spectrum, of length N = len(E).
 
     Numerator determinant columns: exp(i E_n R_1..R_2k), then the
     monomials 1, E_n, ..., E_n^(N-2k-1)."""
     E = np.asarray(E, dtype=float)
     R = np.asarray(R2k, dtype=float)
-    if len(E) != N or len(R) != 2 * k or 2 * k >= N:
-        raise ValueError("need len(E) = N, len(R2k) = 2k, 2k < N")
+    N, k = len(E), len(R) // 2
+    if len(R) % 2 or 2 * k >= N:
+        raise ValueError(f"need an even len(R2k) = 2k < N = len(E), got {len(R)} and {N}")
     if np.any(np.abs(R) < DELTA_CONF):
         raise ValueError("zero entries in R2k hit the 1/R^(N-2k) pole")
     # constant fixed by the column-confluence limit of the nondegenerate
@@ -294,10 +290,6 @@ def hciz_degenerate(E, R2k, N, k):
     q = N - 2 * k
     pref = np.prod([math.factorial(n) / (1j ** n) for n in range(q, N)])
     pref *= (-1.0) ** (q * (q - 1) // 2)
-    M = np.empty((N, N), dtype=complex)
-    M[:, : 2 * k] = np.exp(1j * np.outer(E, R))
-    for j in range(N - 2 * k):
-        M[:, 2 * k + j] = E ** j
-    den = (_vandermonde(E) * _vandermonde(R)
-           * np.prod(R ** (N - 2 * k)))
+    M = np.column_stack([np.exp(1j * np.outer(E, R))] + [E ** j for j in range(q)])
+    den = _vandermonde(E) * _vandermonde(R) * np.prod(R ** q)
     return pref * np.linalg.det(M) / den

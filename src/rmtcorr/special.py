@@ -425,25 +425,25 @@ def faddeeva_derivatives(z, nmax):
     return np.array(tower)
 
 
-def cauchy_gauss(n, z, side=-1):
+def cauchy_gauss(n, z):
     """C_n(z) = integral exp(-u^2) / (z - u)^(n+1) du over the real line.
 
-    For Im z != 0 the value is unambiguous; for real z the `side` selects
-    the boundary value from below (side=-1, z - i0) or above (side=+1).
+    For Im z != 0 the value is unambiguous; for real z it is the boundary
+    value from below, z - i0.  The one from above, z + i0, is its conjugate.
     """
-    return cauchy_gauss_tower(n, z, side)[n]
+    return cauchy_gauss_tower(n, z)[n]
 
 
-def cauchy_gauss_tower(nmax, z, side=-1):
+def cauchy_gauss_tower(nmax, z):
     """C_0(z)..C_nmax(z) stacked, computed on the lower side (Im z < 0, or
-    z - i0) only: the upper side at z is the conjugate of the lower at conj z.
+    z - i0) only: at Im z > 0 it is the conjugate of the lower at conj z.
 
     The Faddeeva-derivative route loses relative accuracy at large real
     |z| (the recurrence w' = -2zw + 2i/sqrt(pi) cancels severely there);
     boundary values with |Re z| beyond CAUCHY_ASYMP switch to the
     principal-value asymptotic series plus the exact sided delta part."""
     z = _operand(z, complex)
-    upper = (z.imag > 0) | ((z.imag == 0) & (side > 0))
+    upper = z.imag > 0
     z = _select(upper, z.conjugate(), z)
     col = (nmax + 1,) + (1,) * np.ndim(z)
     fac = _cauchy_coefficients(nmax).reshape(col) * faddeeva_derivatives(-z, nmax)
@@ -536,12 +536,12 @@ def gauss_moments(mmax):
     return g
 
 
-def gauss_moment_cauchy(nmax, mmax, z, side=-1):
+def gauss_moment_cauchy(nmax, mmax, z):
     """F[n, m] = integral exp(-u^2) u^m / (z - u)^(n+1) du for
-    n = 0..nmax, m = 0..mmax, via F[n, m] = z F[n, m-1] - F[n-1, m-1];
-    a grid of z adds its axes after (n, m)."""
+    n = 0..nmax, m = 0..mmax, via F[n, m] = z F[n, m-1] - F[n-1, m-1],
+    at z - i0 on the real axis; a grid of z adds its axes after (n, m)."""
     z = _operand(z, complex)
-    C = cauchy_gauss_tower(nmax, z, side)
+    C = cauchy_gauss_tower(nmax, z)
     F = np.empty((nmax + 1, mmax + 1) + C.shape[1:], dtype=complex)
     F[:, 0] = C
     g = gauss_moments(mmax)

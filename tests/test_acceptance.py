@@ -131,7 +131,7 @@ def test_criterion_6_hciz():
     for _ in range(3):
         E = np.sort(rng.uniform(-2, 2, 4))
         R2k = rng.uniform(-2, 2, 2)
-        direct = hciz_degenerate(E, R2k, 4, 1)
+        direct = hciz_degenerate(E, R2k)
         eta0 = 1e-3
         vals = [hciz_exact(E, np.concatenate([R2k, [eta, 2 * eta]]))
                 for eta in (eta0, eta0 / 2, eta0 / 4)]
@@ -195,7 +195,7 @@ def test_criterion_10_time_domain():
     # form to a one-sided Gaussian signal
     v0 = 2.0 * (N * N / 2.0) / N
     model = (N / np.pi) * (np.pi * v0) ** -0.5 \
-        * cauchy_gauss(0, xs / np.sqrt(v0) + 0j, side=-1)
+        * cauchy_gauss(0, xs / np.sqrt(v0) + 0j)
     ts = np.linspace(-6, 6, 241)
     rhat_t_up = time_domain_transform(xs, rhat_up - model, ts, "to_time")
     rhat_t_up = rhat_t_up + 2j * (ts > 0) * N \

@@ -234,6 +234,18 @@ def test_corr_bad_grid_exits_2(capsys, gauss_cfg):
     assert code == 2
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--grid", "1:x:3"], "could not convert"),
+    (["--grid", "1:0:3"], "hi > lo"), (["--grid", "0:1:0"], "count >= 1"),
+    (["--k", "2", "--metric", "+x"], "must be + or -"),
+    (["--k", "2", "--metric", "+"], "exactly k = 2 signs"),
+])
+def test_corr_bad_grid_or_metric_exits_2_with_its_message(capsys, gauss_cfg, args, message):
+    code, out, err = run(capsys, "corr", "--ensemble", gauss_cfg, "--grid", "0:1:3", *args)
+    assert code == 2 and out == ""
+    assert message in err
+
+
 @pytest.mark.parametrize("grid", ["nan:1:3", "-inf:1:3", "0:inf:3", "nan:nan:1"])
 def test_corr_non_finite_grid_exits_2(capsys, gauss_cfg, grid):
     code, out, err = run(capsys, "corr", "--ensemble", gauss_cfg, "--grid", grid)
@@ -271,6 +283,9 @@ def test_corr_invalid_config_exits_2(capsys, tmp_path):
     {"N": 4, "family": "norm_dependent", "spread": {"type": "spike", "t0": 0.4, "f": 1}},
     # above the trace-power cap: refused once on loading, not at every point
     {"N": 4, "family": "higher_trace", "M1": 7, "M2": 2},
+    # an unknown family or spread type
+    {"N": 4, "family": "wishart"},
+    {"N": 4, "family": "norm_dependent", "spread": {"type": "box", "t0": 0.4}},
 ])
 def test_corr_malformed_config_exits_2(capsys, tmp_path, cfg):
     path = tmp_path / "cfg.json"

@@ -882,17 +882,12 @@ def test_factorized_kernel_matches_oscillator():
 
 def test_factorized_kernel_and_generating_function_take_signs_only():
     # a side is +1 or -1, as evaluate_grid's sides are: other numbers are
-    # refused, not read as one of the two sides
+    # refused, not read as one of the two sides.  factorized_kernel takes
+    # no side: it is the L = +1 kernel, and L = -1 is its conjugate
     spec = EnsembleSpec.gaussian(4)
     for L in (0, 2, -0.5, 1 + 1e-9):
-        with pytest.raises(ValueError, match="Lp must be"):
-            factorized_kernel(spec, 0.3, -0.2, L)
         with pytest.raises(ValueError, match="metric sign must be"):
             generating_function_value(spec, 1, 0.3, 0.01, [L])
-    # the L = -1 kernel row is the conjugate of the L = +1 row
-    for xq in (-0.2, 0.3, 1.4):
-        up, down = (factorized_kernel(spec, 0.3, xq, L) for L in (1, -1))
-        assert down == np.conj(up)
 
 
 def test_factorized_requires_factorizing_spec():
@@ -1037,6 +1032,12 @@ def test_time_domain_refuses_grids_the_simpson_rule_cannot_take():
             ([0.0, math.nan, 1.0], np.ones(3), "uniformly spaced")):
         with pytest.raises(ValueError, match=match):
             time_domain_transform(grid_in, samples, [0.0], "to_time")
+    # grid_out is 1-D, of any length: a 2-D or a 0-d one is refused, not
+    # flattened, and an empty one gives an empty array
+    for grid_out in (np.zeros((2, 2)), 0.0):
+        with pytest.raises(ValueError, match="grid_out must be 1-D"):
+            time_domain_transform(five, np.ones(5), grid_out, "to_time")
+    assert time_domain_transform(five, np.ones(5), [], "to_time").shape == (0,)
     # the bench's 401-node grid lo + offset + h k, and the smallest grid
     h = 16.0 / 401
     grid = -8.0 + 0.37 * h + h * np.arange(401)

@@ -572,6 +572,16 @@ def test_reduced_density_mc_refuses_gaussian_mixtures(maker):
         reduced_density(maker(), [0.2, 0.1], 1, method="mc", samples=1000)
 
 
+def test_reduced_density_refuses_a_method_it_does_not_have():
+    spec = EnsembleSpec.higher_trace(4, 4, 1)
+    with pytest.raises(ValueError, match="unknown method 'quad'"):
+        reduced_density(spec, [0.2, 0.1], 1, method="quad")
+    # the Monte Carlo estimate needs at least 10^3 samples, and a count
+    for samples in (None, 999):
+        with pytest.raises(ValueError, match="at least 10\\^3 samples"):
+            reduced_density(spec, [0.2, 0.1], 1, method="mc", samples=samples)
+
+
 def test_constructor_validation():
     with pytest.raises(ValueError):
         EnsembleSpec.gaussian(0)
@@ -583,6 +593,12 @@ def test_constructor_validation():
         EnsembleSpec.higher_trace(3, 1, 1)
     with pytest.raises(ValueError):
         EnsembleSpec.higher_trace(3, 3, 3)
+    # M1 and M2 are checked in the constructor itself, not only in the
+    # named one: M1 = 2.5 built and failed later with a TypeError
+    with pytest.raises(ValueError, match="not an integer"):
+        EnsembleSpec(4, "higher_trace", M1=2.5, M2=1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        EnsembleSpec(4, "higher_trace", M1=-2, M2=1)
     with pytest.raises(ValueError):
         t = np.linspace(0.2, 1.0, 50)
         EnsembleSpec.norm_dependent(3, (t, np.ones_like(t)))
@@ -714,3 +730,6 @@ def test_superspace_value_at_origin():
     assert superspace_density_norm_dependent(EnsembleSpec.gaussian(2), [0.0, 0.0]) == 1.0
     with pytest.raises(ValueError):
         superspace_density_norm_dependent(EnsembleSpec.higher_trace(4, 4, 1), np.zeros(2))
+    # s holds 2k eigenvalues: an odd count has no k
+    with pytest.raises(ValueError, match="even length"):
+        superspace_density_norm_dependent(EnsembleSpec.gaussian(2), [0.1, 0.2, 0.3])

@@ -229,6 +229,16 @@ def test_zero_sources_pure_odd_sector():
     assert diff.max_abs_coeff() < 1e-12
 
 
+def test_dual_pair_refuses_sources_of_another_count_or_length():
+    # k = 1 with two vectors built K from the first, and N = 2 with
+    # length-3 vectors built a 2 x 2 K
+    z = [np.ones(3), np.ones(3)]
+    for zvals, k, N, L in ((z, 1, 3, [1]), (z, 2, 2, [1, 1]), (z[:1], 2, 3, [1, 1]),
+                           ([np.ones(3), np.ones(2)], 2, 3, [1, -1])):
+        with pytest.raises(ValueError, match="zvals must be"):
+            build_dual_pair(zvals, k, N, L)
+
+
 def test_generator_budget_enforced():
     with pytest.raises(ResourceWarning):
         build_dual_pair([np.ones(7), np.ones(7)], 2, 7, [1, 1])

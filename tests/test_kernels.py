@@ -13,7 +13,7 @@ from rmtcorr.kernels import (IncrementedPoint, fundamental_kernel,
                              kernel_series, berezinian, berezinian_ratio,
                              ingham_siegel_pair,
                              ingham_siegel_kernel, gaussian_pairing,
-                             hciz_exact, hciz_degenerate)
+                             hciz_exact, hciz_degenerate, _vandermonde)
 from rmtcorr.mc import hciz_mc
 
 
@@ -95,7 +95,7 @@ def test_imaginary_part_needs_epsilon():
 
 def test_correlations_one_point_is_kernel():
     p = IncrementedPoint(0.4, side=1, epsilon=1e-9)
-    a = fundamental_correlations(5, 1, [(p, 0.7)])
+    a = fundamental_correlations(5, [(p, 0.7)])
     b = fundamental_kernel(5, p, 0.7)
     assert abs(a - b) < 1e-14
 
@@ -103,7 +103,7 @@ def test_correlations_one_point_is_kernel():
 def test_correlations_repeated_rows_vanish():
     p = IncrementedPoint(0.4, side=1, epsilon=1e-9)
     q = IncrementedPoint(0.4, side=1, epsilon=1e-9)
-    val = fundamental_correlations(4, 2, [(p, 0.2), (q, 0.2)])
+    val = fundamental_correlations(4, [(p, 0.2), (q, 0.2)])
     assert abs(val) < 1e-14
 
 
@@ -112,7 +112,7 @@ def test_correlations_cofactor_expansion():
     pts = [(IncrementedPoint(rng.uniform(-2, 2), side=1, epsilon=1e-9),
             rng.uniform(-2, 2)) for _ in range(2)]
     N = 4
-    det = fundamental_correlations(N, 2, pts)
+    det = fundamental_correlations(N, pts)
     k00 = fundamental_kernel(N, pts[0][0], pts[0][1])
     k01 = fundamental_kernel(N, pts[0][0], pts[1][1])
     k10 = fundamental_kernel(N, pts[1][0], pts[0][1])
@@ -121,11 +121,11 @@ def test_correlations_cofactor_expansion():
 
 
 def test_berezinian_k1():
-    assert abs(berezinian(1, [2.0], [0.5]) - 1.0 / (2.0 - 0.5j)) < 1e-14
+    assert abs(berezinian([2.0], [0.5]) - 1.0 / (2.0 - 0.5j)) < 1e-14
 
 
 def test_berezinian_coincident_rows_vanish():
-    val = berezinian(2, [0.7, 0.7], [0.2, 1.4])
+    val = berezinian([0.7, 0.7], [0.2, 1.4])
     assert abs(val) < 1e-12
 
 
@@ -134,9 +134,28 @@ def test_berezinian_forms_agree():
     for k in (2, 3):
         r1 = rng.uniform(-2, 2, k)
         r2 = rng.uniform(-2, 2, k)
-        a = berezinian(k, r1, r2)
-        b = berezinian_ratio(k, r1, r2)
+        a = berezinian(r1, r2)
+        b = berezinian_ratio(r1, r2)
         assert abs(a - b) / abs(b) < 1e-12
+    # k is len(r1): at two entries the ratio is the 2 x 2 determinant,
+    # and an r2 of another length is refused, not truncated
+    r1, r2 = [0.3, -1.1], [0.8, 0.4]
+    assert abs(berezinian_ratio(r1, r2) - berezinian(r1, r2)) < 1e-15
+    with pytest.raises(ValueError, match="one shape"):
+        berezinian_ratio(r1, r2[:1])
+
+
+def test_vandermonde_is_the_pairwise_loop():
+    # one product over the pairs (0, 1), (0, 2), ..., (1, 2), ...: equal to
+    # the double loop it replaced, factor for factor
+    rng = np.random.default_rng(6)
+    for n in range(12):
+        v = rng.uniform(-2, 2, n) + 1j * rng.uniform(-2, 2, n) * (n % 2)
+        ref = 1.0 + 0j
+        for a in range(n):
+            for b in range(a + 1, n):
+                ref *= v[a] - v[b]
+        assert _vandermonde(v) == ref
 
 
 def test_functional_gaussian_pairing_is_one():
@@ -186,6 +205,17 @@ def test_functional_k_from_test_data():
     assert abs(im - a / 2j) < 1e-12 * abs(im)
     with pytest.raises(ValueError):
         ingham_siegel_pair(N, [(f1, jet)], variant="bogus")
+
+
+def test_functional_refuses_a_metric_that_is_not_k_signs():
+    # [0] integrated the lower half-line undamped, [5] raised "did not
+    # converge", [-5] damped five times too hard, [1, 1] was cut to one
+    # sign and [] raised IndexError
+    jet = np.array([1.0, -0.4, 0.3], dtype=complex)
+    for metric in ([0], [5], [-5], [0.5], [1, 1], []):
+        with pytest.raises(ValueError, match="metric must be k = 1 signs"):
+            ingham_siegel_pair(3, [(lambda r: np.exp(-r * r), jet)], metric=metric,
+                               epsilon=0.1)
 
 
 def test_functional_rebuilds_kernel():
@@ -242,7 +272,7 @@ def test_hciz_matches_mc():
 def test_hciz_degenerate_matches_padded_limit():
     E = np.array([-1.0, 0.2, 0.9, 1.7])
     R2k = np.array([0.6, -1.1])
-    direct = hciz_degenerate(E, R2k, 4, 1)
+    direct = hciz_degenerate(E, R2k)
     vals = []
     for eta in (1e-3, 5e-4):
         Rfull = np.concatenate([R2k, [eta, 2 * eta]])
@@ -253,7 +283,20 @@ def test_hciz_degenerate_matches_padded_limit():
 
 def test_hciz_degenerate_rejects_zero_entries():
     with pytest.raises(ValueError):
-        hciz_degenerate([0.0, 1.0, 2.0], [0.0, 1.0], 3, 1)
+        hciz_degenerate([0.0, 1.0, 2.0], [0.0, 1.0])
+
+
+def test_hciz_degenerate_takes_sizes_from_its_spectra():
+    # N = len(E) and 2k = len(R2k): an odd R2k, or 2k >= N, is refused
+    for E, R2k in (([-1.0, 0.2, 0.9, 1.7], [0.6, -1.1, 0.3]),
+                   ([-1.0, 0.2], [0.6, -1.1]), ([0.4], [0.6, -1.1])):
+        with pytest.raises(ValueError, match="even len"):
+            hciz_degenerate(E, R2k)
+
+
+def test_hciz_refuses_spectra_of_unequal_length():
+    with pytest.raises(ValueError, match="equal length"):
+        hciz_exact([0.1, 0.5, 1.3], [0.3, 1.2])
 
 
 def test_hciz_near_confluent_handled():

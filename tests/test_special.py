@@ -142,15 +142,15 @@ def test_cauchy_transform_off_axis_against_quadrature():
 
 
 def test_cauchy_boundary_values_sided():
-    # approaching the axis from below matches side=-1, from above side=+1
+    # approaching the axis from below matches the value on it, x - i0;
+    # from above its conjugate, x + i0
     x = 0.7
     for n in range(3):
         below = cauchy_gauss(n, np.array(x - 1e-9j))
         above = cauchy_gauss(n, np.array(x + 1e-9j))
-        lo = cauchy_gauss(n, np.array(complex(x)), side=-1)
-        hi = cauchy_gauss(n, np.array(complex(x)), side=1)
+        lo = cauchy_gauss(n, np.array(complex(x)))
         assert abs(below - lo) < 1e-6
-        assert abs(above - hi) < 1e-6
+        assert abs(above - lo.conj()) < 1e-6
 
 
 def test_cauchy_boundary_imaginary_part_is_gaussian_derivative():
@@ -158,7 +158,7 @@ def test_cauchy_boundary_imaginary_part_is_gaussian_derivative():
     q = gauss_poly_derivatives(0, 4)
     for x in (0.0, 1.1, -2.3):
         for n in range(5):
-            got = np.imag(cauchy_gauss(n, np.array(complex(x)), side=-1))
+            got = np.imag(cauchy_gauss(n, np.array(complex(x))))
             ref = np.pi * (-1.0) ** n / math.factorial(n) \
                 * polyval_ascending(q[n], x) * np.exp(-x * x)
             assert abs(got - ref) < 1e-10
@@ -172,9 +172,9 @@ def test_cauchy_far_branch_matches_recurrence_at_crossover():
     try:
         for x in (6.6, 7.5, -8.2):
             S.CAUCHY_ASYMP = 1e9
-            rec = cauchy_gauss_tower(5, np.array(complex(x)), side=-1)
+            rec = cauchy_gauss_tower(5, np.array(complex(x)))
             S.CAUCHY_ASYMP = 0.0
-            asym = cauchy_gauss_tower(5, np.array(complex(x)), side=-1)
+            asym = cauchy_gauss_tower(5, np.array(complex(x)))
             rel = np.max(np.abs(rec - asym) / np.abs(asym))
             assert rel < 5e-6
     finally:
@@ -207,8 +207,10 @@ def test_cauchy_tower_pinned_values(nmax, z, side, pins):
     # (sided) parts are those of the Hermite-function recurrence, each at
     # least as close to a 50-digit mpmath value as the earlier pins.  The
     # off-axis row is seeded from Weideman's series; it stays within 4e-13
-    # of mpmath after twelve steps of the upward recurrence.
-    tower = cauchy_gauss_tower(nmax, z, side)
+    # of mpmath after twelve steps of the upward recurrence.  The side +1
+    # rows, x + i0, are the conjugate of the x - i0 tower.
+    tower = cauchy_gauss_tower(nmax, z)
+    tower = tower.conj() if side > 0 else tower
     assert tower.shape == (nmax + 1,)
     for n, val in pins.items():
         assert complex(tower[n]) == val
@@ -216,8 +218,10 @@ def test_cauchy_tower_pinned_values(nmax, z, side, pins):
 
 def test_cauchy_tower_pinned_array_input():
     z = np.array([0.7, 7.4, -1 + 0.5j, -0.3 - 0.2j])
-    tower = cauchy_gauss_tower(4, z, side=1)
+    tower = cauchy_gauss_tower(4, z)
     assert tower.shape == (5, 4)
+    # the pins of the two real entries are x + i0, the conjugate of x - i0
+    tower[:, :2] = tower[:, :2].conj()
     assert [complex(v) for v in tower[4]] == [
         1.0835816331905361 + 0.6157509172248316j,
         9.24406676506039e-05 - 9.80991839101073e-21j,
@@ -331,9 +335,11 @@ def test_cauchy_far_branch_against_mpmath(N, x):
     for row in series:
         s, c = scalar_truncated_sum(row)
         converged.append(c < len(row) and abs(row[c]) <= 1e-20 * abs(s))
+    lower = cauchy_gauss_tower(N - 1, x)
     for side in (1, -1):
+        # x + i0 is the conjugate of the x - i0 tower
         ref = mp_cauchy_tower(N - 1, x, side)
-        got = cauchy_gauss_tower(N - 1, x, side)
+        got = lower.conj() if side > 0 else lower
         # the sided part everywhere, on the scale of its neighbours (its
         # relative error is large next to a zero of H_n); the end orders
         # have one neighbour each
@@ -384,9 +390,8 @@ TOWERS = {
     "osc": lambda N, x: _osc_tower(N - 1, x),
     "osc_hat": lambda N, x: _osc_hat_tower(N - 1, x),
     "faddeeva": lambda N, x: faddeeva_derivatives(x, N - 1),
-    "cauchy_below": lambda N, x: cauchy_gauss_tower(N - 1, x, side=-1),
-    "cauchy_above": lambda N, x: cauchy_gauss_tower(N - 1, x, side=1),
-    "moment_cauchy": lambda N, x: gauss_moment_cauchy(N - 1, 3, x, side=-1),
+    "cauchy_below": lambda N, x: cauchy_gauss_tower(N - 1, x),
+    "moment_cauchy": lambda N, x: gauss_moment_cauchy(N - 1, 3, x),
     "half_line": lambda N, x: half_gauss_oscillatory(N - 1, x, 0.175),
 }
 
