@@ -102,22 +102,26 @@ def fundamental_correlations(N, s, variant="full"):
     return np.linalg.det(np.array(M, dtype=complex).reshape(len(s), len(s)))
 
 
-def berezinian(r1, r2):
-    """Cauchy determinant det[1/(r1_p - i r2_q)], k = len(r1)."""
+def _cauchy_vectors(r1, r2):
+    """r1 and r2 as complex vectors of one length, or a ValueError."""
     r1 = np.asarray(r1, dtype=complex)
     r2 = np.asarray(r2, dtype=complex)
-    M = 1.0 / (r1[:, None] - 1j * r2[None, :])
-    return np.linalg.det(M)
+    if r1.ndim != 1 or r1.shape != r2.shape:
+        raise ValueError(f"r1 and r2 must be 1-D of one shape, got shapes {r1.shape}, {r2.shape}")
+    return r1, r2
+
+
+def berezinian(r1, r2):
+    """Cauchy determinant det[1/(r1_p - i r2_q)], k = len(r1)."""
+    r1, r2 = _cauchy_vectors(r1, r2)
+    return np.linalg.det(1.0 / (r1[:, None] - 1j * r2[None, :]))
 
 
 def berezinian_ratio(r1, r2):
     """Vandermonde-ratio form of the same determinant, k = len(r1):
     (-1)^(k(k-1)/2) prod_{p<q}(r1_p - r1_q)(i r2_p - i r2_q) /
     prod_{p,q}(r1_p - i r2_q)."""
-    r1 = np.asarray(r1, dtype=complex)
-    r2 = np.asarray(r2, dtype=complex)
-    if r1.shape != r2.shape:
-        raise ValueError(f"r1 and r2 must have one shape, got {r1.shape}, {r2.shape}")
+    r1, r2 = _cauchy_vectors(r1, r2)
     k = len(r1)
     den = np.prod(r1[:, None] - 1j * r2[None, :])
     return (-1.0) ** (k * (k - 1) // 2) * _vandermonde(r1) * _vandermonde(1j * r2) / den

@@ -8,16 +8,15 @@ import warnings
 
 import numpy as np
 
-# samples drawn in one go, which fixes the order of the draws
-CHUNK = 200000
-# entries in a working array built from the draws (512 KB when complex)
+# entries in a working array built from the draws (512 KB when complex);
+# the Monte Carlo layer draws, builds and solves a tile at a time
 TILE = 32768
 
 
 def _tiles(count, per_sample):
     """Slices of range(count) of at most TILE entries at per_sample entries
     a sample, and at least one sample."""
-    step = max(TILE // per_sample, 1)
+    step = max(TILE // max(per_sample, 1), 1)
     return [slice(a, a + step) for a in range(0, count, step)]
 
 
@@ -131,40 +130,37 @@ def _each_on_cores(fn, jobs, n):
 
 def _gaussian_eigs(rng, N, count):
     """Eigenvalues of exp(-tr H^2) matrices from the tridiagonal beta = 2
-    model (Dumitriu-Edelman 2002).  Per CHUNK of c samples: the (c, N)
-    diagonal a_j ~ N(0, 1/2), then the (c, N-1) subdiagonal
-    b_j = chi_(2(N-j))/2, j = 1..N-1.  The diagonal is drawn into the
-    output in one call; the subdiagonal is drawn a tile at a time, in
-    order, which is the stream of one call.  Each tile's dense matrices
-    are built and solved as soon as its subdiagonal is drawn, the tile's
-    eigenvalues replacing its diagonal; eigvalsh reads the lower
-    triangle.  Every draw is made in the calling thread; the tiles are
-    solved on up to one thread per CPU (eigvalsh and the draws release
-    the GIL, so the next tile's draw overlaps the solves), each into its
-    own rows, so the result does not depend on the thread count."""
+    model (Dumitriu-Edelman 2002).  Per tile of c samples: the (c, N)
+    diagonal a_j ~ N(0, 1/2), drawn into its rows of the output, then the
+    (c, N-1) subdiagonal b_j = chi_(2(N-j))/2, j = 1..N-1.  Each tile's
+    dense matrices are built and solved as soon as it is drawn, its
+    eigenvalues replacing its diagonal; eigvalsh reads the lower triangle.
+    Every draw is made in the calling thread; the tiles are solved on up
+    to one thread per CPU (eigvalsh and the draws release the GIL, so the
+    next tile's draw overlaps the solves), each into its own rows, so the
+    result does not depend on the thread count."""
     out = np.empty((count, N))
     ii = np.arange(N)
     df = 2.0 * (N - ii[1:])
-    for s in range(0, count, CHUNK):
-        a = rng.standard_normal(out=out[s: s + CHUNK])
-        a *= np.sqrt(0.5)
-        tiles = _tiles(len(a), N * N)
+    tiles = _tiles(count, N * N)
 
-        def draws(a=a):
-            for t in tiles:
-                b = rng.chisquare(df, (len(a[t]), N - 1))
-                np.sqrt(b, out=b)
-                b /= 2
-                yield t, b
+    def draws():
+        for t in tiles:
+            a = rng.standard_normal(out=out[t])
+            a *= np.sqrt(0.5)
+            b = rng.chisquare(df, (len(a), N - 1))
+            np.sqrt(b, out=b)
+            b /= 2
+            yield a, b
 
-        def solve(job, a=a):
-            t, b = job
-            T = np.zeros((len(b), N, N))
-            T[:, ii, ii] = a[t]
-            T[:, ii[1:], ii[:-1]] = b
-            a[t] = np.linalg.eigvalsh(T)
+    def solve(job):
+        a, b = job
+        T = np.zeros((len(a), N, N))
+        T[:, ii, ii] = a
+        T[:, ii[1:], ii[:-1]] = b
+        a[:] = np.linalg.eigvalsh(T)
 
-        _each_on_cores(solve, draws(), len(tiles))
+    _each_on_cores(solve, draws(), len(tiles))
     return out
 
 
@@ -215,9 +211,11 @@ def _block_sizes(count):
 
 def _check_bins(bins):
     lo, hi, nb = bins
+    if not (np.isfinite(hi - lo) and float(nb).is_integer()):
+        raise ValueError(f"bins (lo, hi, count) need a finite hi - lo and a whole count, got {bins!r}")
     if not hi > lo or nb < 1:
         raise ValueError(f"bins (lo, hi, count) need hi > lo and count >= 1, got {bins!r}")
-    return np.linspace(lo, hi, nb + 1)
+    return np.linspace(lo, hi, int(nb) + 1)
 
 
 def _bin_index(x, edges):
@@ -229,7 +227,10 @@ def _bin_index(x, edges):
     lo, hi = edges[0], edges[-1]
     keep = (x >= lo) & (x <= hi)
     x = np.where(keep, x, lo)
-    i = ((x - lo) * (nb / (hi - lo))).astype(np.intp)
+    # scaled in place: one array of x's size fewer at a time
+    i = x - lo
+    i *= nb / (hi - lo)
+    i = i.astype(np.intp)
     i[i == nb] -= 1
     # the arithmetic index is off by at most one next to an edge
     i -= x < edges[i]
@@ -242,45 +243,35 @@ def _block_density(batch, bins, ndim):
     pairs of distinct eigenvalues (ndim 2), normalized by the total weight;
     delete-1 jackknife over the contiguous blocks of _block_sizes.  A
     sample has N values or N(N-1) pairs: the self-pairs are never built.
-    Runs of whole blocks, each of at most TILE values or pairs, are binned
-    with one bincount per run, which adds every (block, bin) sum in sample
-    order; a value or pair outside the bins adds 0.  A block of more than
-    TILE is its own run, binned in pieces of at most TILE: each piece's
-    bincount starts from the sums of the pieces before it, so the sums
-    still add in sample order."""
+    Each tile of at most TILE values or pairs is binned with one bincount
+    over the (block, bin) cells it reaches; a value or pair outside the
+    bins adds 0.  The sums of the tile's first block so far lead its
+    input, so every (block, bin) sum adds in sample order."""
     edges = _check_bins(bins)
     nb, N = len(edges) - 1, batch.eigenvalues.shape[1]
     # the columns of the values, or of the two values of each pair
     cols = (slice(None),) if ndim == 1 else np.nonzero(~np.eye(N, dtype=bool))
-    per = max(N if ndim == 1 else N * (N - 1), 1)
     sizes = _block_sizes(batch.count)
-    starts = np.cumsum(sizes) - sizes
-    num = np.empty((len(sizes), nb ** ndim))
-    step = max(TILE // (sizes[0] * per), 1)
-    piece = max(TILE // per, 1)
-    for b in range(0, len(sizes), step):
-        blocks = sizes[b: b + step]
-        block = np.repeat(np.arange(len(blocks)), blocks)
-        sums = None
-        # a run of several blocks has at most piece samples, so one piece
-        for p in range(0, len(block), piece):
-            run = slice(starts[b] + p, starts[b] + min(p + piece, len(block)))
-            i, keep = _bin_index(batch.eigenvalues[run], edges)
-            # each value's or pair's flat (block, bin) index within the
-            # run, block-major, and its weight, 0 outside the bins (a mask
-            # that dropped those would cost more than binning them)
-            cells, inside = block[p: p + piece, None], True
-            for c in cols:
-                cells = cells * nb + i[:, c]
-                inside = inside & keep[:, c]
-            cells, w = cells.ravel(), (batch.weights[run, None] * inside).ravel()
-            if sums is not None:
-                # 0 + sum is exact, and bincount adds in input order
-                cells = np.concatenate([np.arange(len(sums)), cells])
-                w = np.concatenate([sums, w])
-            sums = np.bincount(cells, weights=w, minlength=len(blocks) * nb ** ndim)
-        num[b: b + step] = sums.reshape(len(blocks), -1)
-    den = np.add.reduceat(batch.weights, starts) * (edges[1] - edges[0]) ** ndim
+    # the block of every sample: at most 200 blocks, so a byte a sample
+    blocks = np.repeat(np.arange(len(sizes), dtype=np.uint8), sizes)
+    num = np.zeros((len(sizes), nb ** ndim))
+    for t in _tiles(batch.count, N if ndim == 1 else N * (N - 1)):
+        i, keep = _bin_index(batch.eigenvalues[t], edges)
+        block = blocks[t]
+        first, stop = int(block[0]), int(block[-1]) + 1
+        # each value's or pair's flat (block, bin) index within the tile,
+        # block-major, and its weight, 0 outside the bins (a mask that
+        # dropped those would cost more than binning them)
+        cells, inside = (block.astype(np.intp) - first)[:, None], True
+        for c in cols:
+            cells = cells * nb + i[:, c]
+            inside = inside & keep[:, c]
+        # 0 + sum is exact, and bincount adds in input order
+        cells = np.concatenate([np.arange(nb ** ndim), cells.ravel()])
+        w = np.concatenate([num[first], (batch.weights[t, None] * inside).ravel()])
+        num[first: stop] = np.bincount(cells, weights=w, minlength=(stop - first) * nb ** ndim
+                                       ).reshape(stop - first, -1)
+    den = np.add.reduceat(batch.weights, np.cumsum(sizes) - sizes) * (edges[1] - edges[0]) ** ndim
     est, err = _jackknife_ratio(num.reshape((-1,) + (nb,) * ndim),
                                 den.reshape((-1,) + (1,) * ndim))
     return BinnedDensity(edges, est, err)
@@ -298,11 +289,11 @@ def estimate_r2(batch, grid):
     return _block_density(batch, grid, 2)
 
 
-def _ginibre(rng, N, count, columns=None):
-    """count complex Ginibre matrices, N x N or N x columns, as their real
-    and imaginary parts, stacked (2, count, N, columns): all real parts,
-    then all imaginary."""
-    return rng.standard_normal((2, count, N, N if columns is None else columns))
+def _ginibre(rng, N, count, columns):
+    """count complex Ginibre matrices, N x columns, as their real and
+    imaginary parts, stacked (2, count, N, columns): all real parts, then
+    all imaginary."""
+    return rng.standard_normal((2, count, N, columns))
 
 
 def _gram_schmidt(X):
@@ -338,26 +329,19 @@ def _haar_columns(A):
 
 def haar_unitary(N, seed):
     rng = np.random.default_rng(seed)
-    return _haar_columns(_ginibre(rng, N, 1))[:, :, 0].T
+    return _haar_columns(_ginibre(rng, N, 1, N))[:, :, 0].T
 
 
 def _haar_moduli(rng, N, count):
     """|U_{b a}|^2 of count Haar U, as an (N*N, count) array with sample
     s in column s and U_{b a} in row a*N + b.  One _ginibre call draws
     the first N-1 columns of every sample's Ginibre matrix, 2N(N-1)
-    normals a sample (all real parts, then all imaginary), and those
-    columns are orthogonalised a tile at a time; the rows of U are unit
-    vectors, so the last column is |U_{b N}|^2 = 1 - sum_{a<N} |U_{b a}|^2.
-    At N = 1 nothing is drawn."""
-    re, im = _ginibre(rng, N, count, N - 1)
-    U2 = np.empty((N * N, count))
-    # views: head[a, b] = |U_{b a}|^2 for a < N - 1, and the last column
-    head, last = U2[: N * (N - 1)].reshape(N - 1, N, count), U2[N * (N - 1):]
-    for t in _tiles(count, N * N):
-        X = _haar_columns((re[t], im[t]))
-        head[:, :, t] = X.real ** 2 + X.imag ** 2
-    np.subtract(1.0, head.sum(axis=0), out=last)
-    return U2
+    normals a sample (all real parts, then all imaginary); the rows of U
+    are unit vectors, so the last column is |U_{b N}|^2 = 1 -
+    sum_{a<N} |U_{b a}|^2.  At N = 1 nothing is drawn."""
+    X = _haar_columns(_ginibre(rng, N, count, N - 1))
+    head = X.real ** 2 + X.imag ** 2
+    return np.concatenate([head, 1.0 - head.sum(axis=0)[None]]).reshape(N * N, count)
 
 
 def hciz_mc(E, R, samples, seed):
@@ -365,10 +349,9 @@ def hciz_mc(E, R, samples, seed):
     standard error over min(200, samples) blocks; returns (value, stderr).
     E and R may also be (P, N) stacks of P pairs, which share the draws;
     then value and stderr are arrays of length P, each entry == the
-    single-pair call.  The samples are drawn in chunks of at most
-    CHUNK // N, one _haar_moduli call a chunk (2N(N-1) normals a sample);
-    each sample's phase, cos and sin of its trace, is added into its
-    block."""
+    single-pair call.  One _haar_moduli call a tile of samples (2N(N-1)
+    normals a sample); each sample's phase, cos and sin of its trace, is
+    added into its block."""
     E = np.asarray(E, dtype=float)
     R = np.asarray(R, dtype=float)
     if E.ndim not in (1, 2) or E.shape != R.shape:
@@ -378,25 +361,21 @@ def hciz_mc(E, R, samples, seed):
         raise ValueError(f"samples must be a positive integer, got {samples}")
     samples, N = int(samples), E.shape[-1]
     ER = (E[..., :, None] * R[..., None, :]).reshape(-1, N * N)
-    cap = CHUNK // max(N, 1)
     rng = np.random.default_rng(seed)
     counts = _block_sizes(samples)
-    blocks = np.repeat(np.arange(len(counts)), counts)
+    blocks = np.repeat(np.arange(len(counts), dtype=np.uint8), counts)
     # per pair, the block sums of the phases' real and imaginary parts
     sums = np.zeros((len(ER), 2, len(counts)))
-    for s in range(0, samples, cap):
-        blk = blocks[s: s + cap]
+    for t in _tiles(samples, N * N):
+        blk = blocks[t]
         U2 = _haar_moduli(rng, N, len(blk))
         for p, er in enumerate(ER):
             # tr U E U^dag R = sum_{a,b} E_a R_b |U_{b a}|^2: one product per
-            # pair over the whole chunk, since BLAS rounds an entry by where it
-            # falls in the call (a product per tile, or one (P, N*N) product
-            # for all pairs, would move the phases)
+            # pair, since BLAS rounds an entry by where it falls in the call
+            # (one (P, N*N) product for all pairs would move the phases)
             tr = er @ U2
             sums[p] += [np.bincount(blk, weights=f(tr), minlength=len(counts))
                         for f in (np.cos, np.sin)]
-        # spent: free them before the next chunk's draws
-        U2 = tr = None
     value, err = np.empty(len(ER), complex), np.empty(len(ER))
     for p, pair in enumerate(sums):
         est, e = _jackknife_ratio(pair.T, counts[:, None])

@@ -976,6 +976,8 @@ def test_generating_function_derivative_is_rhat():
 
 def test_generating_function_refuses_more_than_one_entry():
     spec = EnsembleSpec.gaussian(4)
+    with pytest.raises(NotImplementedError, match="k = 1"):
+        generating_function_value(spec, 2, [0.3, 0.5], [0.01, 0.02])
     assert (generating_function_value(spec, 1, [0.3], [0.01], [-1])
             == generating_function_value(spec, 1, 0.3, 0.01, metric=(-1,)))
     for x, J, metric in (([0.3, 5.0], 0.01, None), (0.3, [0.01, 7.0], None),

@@ -404,6 +404,8 @@ def test_characteristic_gaussian_value():
     spec = EnsembleSpec.gaussian(5, 1.0)
     val, _ = characteristic_function(spec, [2.0], 0)
     assert abs(val - np.exp(-1.0)) < 1e-14
+    with pytest.raises(ValueError, match="jet order 65 exceeds cap 64"):
+        characteristic_function(spec, [0.3], 65)
 
 
 def test_characteristic_spike_is_rescaled_gaussian():

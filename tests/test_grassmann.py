@@ -37,6 +37,9 @@ def test_nilquadratic_bivector_squares_add():
     sq = ge_mul(e, e)
     expect = one + 2.0 * t12
     assert (sq - expect).max_abs_coeff() < 1e-14
+    # the operators: * of two elements is ge_mul, and a number adds on the left
+    assert (e * e - sq).max_abs_coeff() == 0.0
+    assert (2 + t12 - (t12 + 2.0 * one)).max_abs_coeff() == 0.0
 
 
 def test_conjugate_scalar():
@@ -237,6 +240,14 @@ def test_dual_pair_refuses_sources_of_another_count_or_length():
                            ([np.ones(3), np.ones(2)], 2, 3, [1, -1])):
         with pytest.raises(ValueError, match="zvals must be"):
             build_dual_pair(zvals, k, N, L)
+
+
+def test_dual_pair_refuses_a_metric_sign_and_trace_a_power_below_one():
+    with pytest.raises(ValueError, match="metric must be k signs"):
+        build_dual_pair([np.ones(2)], 1, 2, [2])
+    K, _ = build_dual_pair([np.ones(2)], 1, 2, [1])
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        tr_power(K, 0)
 
 
 def test_generator_budget_enforced():

@@ -91,6 +91,8 @@ def test_imaginary_part_variant_epsilon_limit():
 def test_imaginary_part_needs_epsilon():
     with pytest.raises(ValueError):
         fundamental_kernel(3, IncrementedPoint(0.0), 0.1, variant="imaginary_part")
+    with pytest.raises(ValueError, match="unknown variant 'x'"):
+        fundamental_kernel(3, IncrementedPoint(0.0, 1, 0.1), 0.1, variant="x")
 
 
 def test_correlations_one_point_is_kernel():
@@ -145,6 +147,17 @@ def test_berezinian_forms_agree():
         berezinian_ratio(r1, r2[:1])
 
 
+@pytest.mark.parametrize("r1,r2", [
+    ([[0.3, 1.1], [1.0, 2.0]], [[0.5, 1.0], [1.0, 2.0]]),   # 2-D
+    ([0.3, 1.1], [0.5, 1.0, 2.0]),                           # unequal lengths
+    (0.3, 0.5),                                              # scalars
+])
+def test_berezinian_forms_refuse_what_is_not_two_vectors_of_one_length(r1, r2):
+    for form in (berezinian, berezinian_ratio):
+        with pytest.raises(ValueError, match="1-D of one shape"):
+            form(r1, r2)
+
+
 def test_vandermonde_is_the_pairwise_loop():
     # one product over the pairs (0, 1), (0, 2), ..., (1, 2), ...: equal to
     # the double loop it replaced, factor for factor
@@ -161,6 +174,8 @@ def test_vandermonde_is_the_pairwise_loop():
 def test_functional_gaussian_pairing_is_one():
     for N in range(2, 7):
         assert abs(gaussian_pairing(N) - 1.0) < 1e-8
+    with pytest.raises(NotImplementedError, match="k = 1"):
+        gaussian_pairing(3, 2)
 
 
 def test_functional_constant_jet_vanishes():

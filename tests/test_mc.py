@@ -208,7 +208,7 @@ def test_int_power_squares_repeatedly():
     assert np.array_equal(batch.weights, np.sum((batch.eigenvalues ** 2) ** 2, axis=1))
 
 
-# three chunks at N=2, and N=3 with blocks of 61 and 60 samples
+# 37 tiles at N=2, and N=3 with blocks of 61 and 60 samples
 @pytest.mark.parametrize("N,samples,seed", [(2, 300000, 5), (3, 12150, 8)])
 def test_hciz_mc_stacked_pairs_equal_single_pair_calls(N, samples, seed):
     rng = np.random.default_rng(N)
@@ -230,13 +230,28 @@ def test_hciz_mc_rejects_mismatched_stacks(E, R):
         hciz_mc(E, R, 1000, seed=1)
 
 
-@pytest.mark.parametrize("bins", [(1.0, 1.0, 10), (2.0, -1.0, 10), (-1.0, 1.0, 0)])
+@pytest.mark.parametrize("bins", [(1.0, 1.0, 10), (2.0, -1.0, 10), (-1.0, 1.0, 0),
+                                  (-3.0, np.inf, 4), (np.nan, 1.0, 4), (-1e308, 1e308, 4),
+                                  (-1.0, 1.0, 2.5), (-1.0, 1.0, np.nan), (-1.0, 1.0, np.inf)])
 def test_histograms_reject_bad_bins(bins):
+    # a span hi - lo that is not finite (an end that is not, or ends too far
+    # apart), or a count that is not a whole number, has its own refusal
+    whole = np.isfinite(bins[1] - bins[0]) and float(bins[2]).is_integer()
+    message = "hi > lo" if whole else "a finite hi - lo and a whole count"
     batch = sample_batch(EnsembleSpec.gaussian(2), 500, 3)
-    with pytest.raises(ValueError, match="hi > lo"):
+    with pytest.raises(ValueError, match=message):
         estimate_r1(batch, bins)
-    with pytest.raises(ValueError, match="hi > lo"):
+    with pytest.raises(ValueError, match=message):
         estimate_r2(batch, bins)
+
+
+def test_histograms_take_a_whole_count_of_any_type():
+    batch = sample_batch(EnsembleSpec.gaussian(2), 500, 3)
+    for estimate in (estimate_r1, estimate_r2):
+        want = estimate(batch, (-2.0, 2.0, 8))
+        for nb in (8.0, np.int64(8), np.float32(8)):
+            got = estimate(batch, (-2.0, 2.0, nb))
+            assert np.array_equal(got.density, want.density) and np.array_equal(got.edges, want.edges)
 
 
 # -- batched kernels against the per-block code they replaced ------------
@@ -483,14 +498,14 @@ def haar_moduli_qr(re, im):
 
 def hciz_qr(E, R, samples, seed):
     """hciz_mc's estimate and jackknife error through LAPACK QR, from the
-    same draws: chunks of at most CHUNK // N samples, each drawn as the
-    real parts, then the imaginary parts, of the first N-1 columns of its
-    Ginibre matrices."""
-    N, cap = len(E), mc.CHUNK // len(E)
+    same draws: tiles of TILE // N^2 samples, each drawn as the real parts,
+    then the imaginary parts, of the first N-1 columns of its Ginibre
+    matrices."""
+    N, step = len(E), mc.TILE // len(E) ** 2
     rng = np.random.default_rng(seed)
     vals = []
-    for s in range(0, samples, cap):
-        re, im = rng.standard_normal((2, min(cap, samples - s), N, N - 1))
+    for s in range(0, samples, step):
+        re, im = rng.standard_normal((2, min(step, samples - s), N, N - 1))
         vals.append(np.exp(1j * np.einsum("sba,a,b->s", haar_moduli_qr(re, im), E, R)))
     blocks = np.array_split(np.concatenate(vals), min(200, samples))
     sums = np.array([b.sum() for b in blocks])
@@ -501,14 +516,15 @@ def hciz_qr(E, R, samples, seed):
     return est, np.sqrt((B - 1) / B * np.sum(np.abs(loo - est) ** 2))
 
 
-# three chunks at N=2, blocks of 62 and 61 samples, and N=4
+# 37 tiles at N=2, four tiles with blocks of 62 and 61 samples at N=3,
+# and ten tiles at N=4
 @pytest.mark.parametrize("E,R,samples,seed,value,err", [
     ((0.3, -1.1), (0.8, -0.4), 300000, 5,
-     0.875526203958274 - 0.14007377775232094j, 0.000815553212144467),
+     0.875773160039344 - 0.14017332314220765j, 0.0008119632275281233),
     ((0.2, -0.9, 1.1), (0.5, 1.3, -0.4), 12345, 8,
-     0.8178928779292943 + 0.15397523835059598j, 0.005492874508138018),
+     0.8165922623047991 + 0.16137407370263576j, 0.005076172177219557),
     ((-1.2, -0.3, 0.4, 1.5), (-0.7, 0.1, 0.6, 1.9), 20000, 3,
-     0.6096684003386119 + 0.11617122261938138j, 0.0056920855587121524),
+     0.6100002289095133 + 0.11370300103167995j, 0.005525042396708752),
 ])
 def test_hciz_mc_pinned(E, R, samples, seed, value, err):
     got, got_err = hciz_mc(E, R, samples, seed)
@@ -520,7 +536,7 @@ def test_hciz_mc_pinned(E, R, samples, seed, value, err):
 def test_hciz_mc_small_count_has_one_sample_per_block():
     E, R = np.array([0.4, -0.6, 1.0]), np.array([1.2, 0.3, -0.8])
     samples, seed = 57, 4
-    # one chunk: the real parts of every sample's first two columns, then
+    # one tile: the real parts of every sample's first two columns, then
     # their imaginary parts; the third column, up to a phase that the
     # trace does not see, is the conjugate cross product of the first two
     re, im = np.random.default_rng(seed).standard_normal((2, samples, 3, 2))
@@ -567,8 +583,8 @@ TILE_F8, TILE_C16 = 8 * mc.TILE, 16 * mc.TILE
 
 def test_sampler_and_histograms_work_in_tiles():
     # N=12: one dense (count, 12, 12) stack is 12 times the eigenvalues;
-    # the sampler holds its output, one chunk's subdiagonal and a few tiles,
-    # the histograms a few arrays of one run of blocks
+    # the sampler holds its output and a few tiles, the histograms a few
+    # arrays of one tile
     spec = EnsembleSpec.gaussian(12)
     batch, peak = traced_peak(sample_batch, spec, 20000, 4)
     assert peak <= 2 * batch.eigenvalues.nbytes + 8 * TILE_F8, peak
@@ -578,9 +594,9 @@ def test_sampler_and_histograms_work_in_tiles():
 
 
 def test_hciz_mc_works_in_tiles():
-    # one chunk of 20000 samples at N=8: its draws of seven columns
-    # (2 x 20000 x 56 floats) and the squared moduli (20000 x 64) are all
-    # that grows with the samples; the Gram-Schmidt runs on one tile at a time
+    # 20000 samples at N=8: the bound is what the draws of seven columns
+    # (2 x 20000 x 56 floats) and the squared moduli (20000 x 64) of all the
+    # samples would hold at once; they are drawn and used a tile at a time
     E, R = np.linspace(-1.0, 1.0, 8), np.linspace(-0.5, 1.5, 8)
     draws, moduli = 2 * 20000 * 56 * 8, 20000 * 64 * 8
     _, peak = traced_peak(hciz_mc, E, R, 20000, 6)
@@ -599,16 +615,19 @@ def test_reduced_density_mc_works_in_tiles():
     assert peak <= 2 * weights + 6 * TILE_C16 < 20000 * (36 - 4) * 8, peak
 
 
-def whole_chunk_eigs(seed, N, count):
-    """The sampler's draws solved as one dense stack per CHUNK."""
+def tile_eigs(seed, N, count):
+    """The sampler's draws rebuilt from the generator's stream: per tile of
+    TILE // N^2 samples, its diagonal, then its subdiagonal, solved as one
+    dense stack."""
     rng = np.random.default_rng(seed)
     out = np.empty((count, N))
     ii = np.arange(N)
-    for s in range(0, count, mc.CHUNK):
-        T = np.zeros((min(mc.CHUNK, count - s), N, N))
+    step = mc.TILE // (N * N)
+    for s in range(0, count, step):
+        T = np.zeros((min(step, count - s), N, N))
         T[:, ii, ii] = rng.standard_normal(T.shape[:2]) * np.sqrt(0.5)
         T[:, ii[1:], ii[:-1]] = np.sqrt(rng.chisquare(2.0 * (N - ii[1:]), (len(T), N - 1))) / 2
-        out[s: s + mc.CHUNK] = np.linalg.eigvalsh(T)
+        out[s: s + step] = np.linalg.eigvalsh(T)
     return out
 
 
@@ -638,12 +657,12 @@ def whole_batch_density(batch, bins, ndim, per_block=False):
 
 
 def test_tiles_and_runs_equal_whole_batch_formulas():
-    # a count past CHUNK: two chunks of draws, tiles of the dense matrices,
-    # and 20 runs of r1 and 67 runs of r2 blocks, all equal to the
-    # whole-chunk and whole-batch formulas
-    spec, count, seed = EnsembleSpec.higher_trace(3, 4, 1), mc.CHUNK + 1, 17
+    # seven tiles of draws and a part of one, and three tiles of r1 and
+    # five of r2 that cut blocks of 127 and 128 samples, all equal to the
+    # tile-by-tile and whole-batch formulas
+    spec, count, seed = EnsembleSpec.higher_trace(3, 4, 1), 7 * (mc.TILE // 9) + 11, 17
     batch = sample_batch(spec, count, seed)
-    assert np.array_equal(batch.eigenvalues, whole_chunk_eigs(seed, 3, count))
+    assert np.array_equal(batch.eigenvalues, tile_eigs(seed, 3, count))
     for estimate, bins, ndim in ((estimate_r1, (-3.0, 3.0, 30), 1),
                                  (estimate_r2, (-2.4, 2.4, 8), 2)):
         hist = estimate(batch, bins)
@@ -653,7 +672,7 @@ def test_tiles_and_runs_equal_whole_batch_formulas():
 
 def test_histograms_split_a_block_larger_than_a_tile():
     # N=12: a block of 1000 samples holds 132,000 pairs of r2, over five
-    # pieces of a tile; the pieces' sums carried from one bincount to the
+    # tiles; the block's sums carried from one tile's bincount to the
     # next add in sample order, as one bincount over the whole block does
     # (uneven weights, so that a sum in another order would round apart)
     batch = sample_batch(EnsembleSpec.higher_trace(12, 2, 1), 200000, 4)
@@ -669,8 +688,8 @@ def test_histograms_split_a_block_larger_than_a_tile():
 @pytest.mark.parametrize("tile", [1, 50, 200])
 def test_histograms_split_blocks_of_a_small_tile(monkeypatch, tile):
     # blocks of 7 and 6 samples at N=4 (4 r1 values and 12 r2 pairs a
-    # sample): pieces of one sample (TILE 1), r2 pieces of four samples
-    # (TILE 50), and runs of whole blocks (TILE 200)
+    # sample): tiles of one sample (TILE 1), r2 tiles of four samples
+    # (TILE 50), and r1 tiles of 50 samples over several blocks (TILE 200)
     monkeypatch.setattr(mc, "TILE", tile)
     bins = (-3.5, 3.5, 9)
     batch = edge_batch(1234, 4, bins, seed=5)
@@ -682,11 +701,19 @@ def test_histograms_split_blocks_of_a_small_tile(monkeypatch, tile):
 
 # -- tile solves on a thread pool ------------------------------------------
 
+@pytest.mark.parametrize("cpus,count", [(None, 1), (5, 5)])
+def test_cpu_count_without_affinity(monkeypatch, cpus, count):
+    # where os has no sched_getaffinity, os.cpu_count, or 1 when unknown
+    monkeypatch.delattr(mc.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(mc.os, "cpu_count", lambda: cpus)
+    assert mc._cpu_count() == count
+
+
 @pytest.mark.parametrize("N", [2, 5])
 @pytest.mark.parametrize("cpus", [1, 3])
 def test_sampler_does_not_depend_on_worker_count(monkeypatch, N, cpus):
-    # two CHUNKs, the second of three whole tiles and a part of one
-    count, seed = mc.CHUNK + 3 * (mc.TILE // N ** 2) + 7, 21
+    # three whole tiles and a part of one
+    count, seed = 3 * (mc.TILE // N ** 2) + 7, 21
     spec = EnsembleSpec.higher_trace(N, 4, 1)
     eigs = mc._gaussian_eigs(np.random.default_rng(seed), N, count)
     batch = sample_batch(spec, count, seed)
@@ -743,10 +770,10 @@ class RecordingRng:
 
 @pytest.mark.parametrize("cpus", [1, 3])
 def test_sampler_solves_a_tile_while_the_next_is_drawn(monkeypatch, cpus):
-    # four tiles: the calling thread draws the diagonal, then each tile's
-    # subdiagonal in turn, and a tile's solve starts as soon as its draw
-    # exists, so the second tile's draw sees the first tile solving (a
-    # sampler that drew the whole chunk first would wait in vain)
+    # four tiles: the calling thread draws each tile's diagonal, then its
+    # subdiagonal, and a tile's solve starts as soon as its draw exists, so
+    # the second tile's draw sees the first tile solving (a sampler that
+    # drew every tile first would wait in vain)
     N, count, seed = 4, 3 * (mc.TILE // 16) + 5, 6
     events, first_solve = [], threading.Event()
     eigvalsh = np.linalg.eigvalsh
@@ -762,9 +789,9 @@ def test_sampler_solves_a_tile_while_the_next_is_drawn(monkeypatch, cpus):
     monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
     assert np.array_equal(got, mc._gaussian_eigs(np.random.default_rng(seed), N, count))
     kinds = [kind for kind, _ in events]
-    assert kinds.count("draw") == kinds.count("solve") == 4 and kinds[0] == "normal"
+    assert kinds.count("normal") == kinds.count("draw") == kinds.count("solve") == 4
     assert all(value for kind, value in events if kind == "waited")
     here = threading.current_thread()
     assert all(thread is here for kind, thread in events if kind in ("normal", "draw"))
     if cpus == 1:
-        assert kinds == ["normal", "draw", "solve"] + ["waited", "draw", "solve"] * 3
+        assert kinds == ["normal", "draw", "solve"] + ["normal", "waited", "draw", "solve"] * 3

@@ -669,3 +669,10 @@ def test_negative_orders_are_refused(fn, args):
     # one-row towers
     with pytest.raises(ValueError, match="order must be >= 0"):
         fn(*args)
+
+
+@pytest.mark.parametrize("N, variant, message", [(0, "full", "N must be >= 1"),
+                                                 (3, "x", "unknown variant")])
+def test_gue_kernel_refuses_an_empty_sum_or_an_unknown_variant(N, variant, message):
+    with pytest.raises(ValueError, match=message):
+        gue_kernel(N, np.array(0.3), np.array(-0.2), variant=variant)
