@@ -12,7 +12,10 @@ theirs).
 A factor function f(N, x, v, ms) returns the factors of one slot point
 for every moment m in ms of the slot weight h^m e^(-h^2/v) as one stack,
 (len(ms), N), built from one tower.  evaluate_grid runs the same routes on
-a whole grid: x is then a (P,) array and the stack (len(ms), P, N).
+a whole grid: x is then a (P,) array and the stack (len(ms), P, N).  A
+point's stacks are kept in a bounded cache (_point_factors), so the
+variants, metrics and routes at one point that take the same factor
+function build it once; a grid builds its own every time.
 
 Sides and variants follow one rule.  Every factor is that of the side
 L = +1 (x - i0).  Rhat: for the real weight an L = -1 row is the complex
@@ -33,8 +36,21 @@ from .special import (SQRT_PI, _factorials, _num, _osc_tower, _osc_hat_tower, _r
                       gauss_moments, gauss_moment_cauchy, half_gauss_oscillatory)
 
 VARIANTS = ("Rhat", "R")
-METHODS = ("convolution", "eigenvalue_integral", "factorized",
-           "closed_form_gue", "closed_form_higher_trace")
+# each route's function, by its name in this module: evaluate looks it up
+# at the call, so a function replaced on the module is the one it runs
+_ROUTES = {"convolution": "correlations_convolution",
+           "eigenvalue_integral": "correlations_eigenvalue_integral",
+           "factorized": "correlations_factorized",
+           "closed_form_gue": "correlations_closed_form_gue",
+           "closed_form_higher_trace": "correlations_higher_trace"}
+METHODS = tuple(_ROUTES)
+
+# point stacks _point_factors keeps: the benchmark's k = 2 tables find 95%
+# of theirs built, its Monte Carlo reference points 74%, from 128 entries
+# on, and a one-point table, visiting each point once a route in random
+# order, 13% at 512.  An entry is 0.9 KB at N = 32 for one moment, so 512
+# stay below 4 MB up to the twelve moments of the trace-power cap.
+_FACTOR_CACHE = 512
 
 
 class CorrelationRequest:
@@ -81,12 +97,7 @@ class CorrelationResult:
 
 
 def evaluate(req):
-    fn = {"convolution": correlations_convolution,
-          "eigenvalue_integral": correlations_eigenvalue_integral,
-          "factorized": correlations_factorized,
-          "closed_form_gue": correlations_closed_form_gue,
-          "closed_form_higher_trace": correlations_higher_trace}[req.method]
-    return fn(req)
+    return globals()[_ROUTES[req.method]](req)
 
 
 def evaluate_grid(spec, k, points, variant="Rhat", method="convolution", sides=None):
@@ -120,9 +131,7 @@ def _det_sums(spec, row, col, xs, sides, ys=None):
     k^2 term-wise entries K_pq = sum_n R_p(n) C_q(n) of its (T[, P], N) rows
     and columns: the entry itself at k = 1, K00 K11 - K01 K10 at k = 2."""
     N, k = spec.N, len(xs)
-    if ("layout", k) not in spec._cache:
-        spec._cache["layout", k] = _layout(correlation_terms(spec, k))
-    coefs, fams, index = spec._cache["layout", k]
+    coefs, fams, index = _spec_layout(spec, k)
     R, C = [], []
     for p in range(k):
         # contiguous operands, so that the order of each dot's sum over n is fixed;
@@ -159,16 +168,23 @@ def _permutations(k):
                  for perm in itertools.permutations(range(k)))
 
 
+def _spec_layout(spec, k):
+    """The _layout of correlation_terms(spec, k), cached on the spec."""
+    if ("layout", k) not in spec._cache:
+        spec._cache["layout", k] = _layout(correlation_terms(spec, k))
+    return spec._cache["layout", k]
+
+
 def _layout(terms):
-    """A term list's coefficients; per slot the families [(v, ms)], ms the
-    sorted moments the slot takes at variance v; per slot each term's index
-    into the stacked families (a slice where term t takes member t)."""
+    """A term list's coefficients; per slot the families ((v, ms), ...), ms
+    the sorted moments the slot takes at variance v; per slot each term's
+    index into the stacked families (a slice where term t takes member t)."""
     fams, index = [], []
     for slot in zip(*(slots for _, slots in terms)):
         ms = {}
         for v, m in slot:
             ms.setdefault(v, set()).add(m)
-        fams.append([(v, tuple(sorted(family))) for v, family in ms.items()])
+        fams.append(tuple((v, tuple(sorted(family))) for v, family in ms.items()))
         order = [(v, m) for v, family in fams[-1] for m in family]
         at = {vm: i for i, vm in enumerate(order)}
         index.append(slice(None) if order == list(slot) else np.array([at[vm] for vm in slot]))
@@ -176,7 +192,25 @@ def _layout(terms):
 
 
 def _factors(f, N, x, fams):
-    """The stacks f(N, x, v, ms) of the families (v, ms) one after the other."""
+    """The stacks f(N, x, v, ms) of the families (v, ms) one after the other;
+    at a point, read-only and kept in _point_factors."""
+    if isinstance(x, np.ndarray):
+        return _stack(f, N, x, fams)
+    return _point_factors(f, N, x, math.copysign(1.0, x), fams)
+
+
+@functools.lru_cache(maxsize=_FACTOR_CACHE)
+def _point_factors(f, N, x, sign, fams):
+    """_stack at a point x, read-only, kept under (f, N, x, sign, fams).  The
+    key holds the factor function itself, so a route reads only stacks its
+    own factor functions built; the sign of x keeps -0.0 apart from 0.0,
+    whose factors differ in the signs of their zeros."""
+    out = _stack(f, N, x, fams)
+    out.setflags(write=False)
+    return out
+
+
+def _stack(f, N, x, fams):
     if len(fams) == 1:
         return f(N, x, *fams[0])
     return np.concatenate([f(N, x, v, ms) for v, ms in fams])
@@ -197,12 +231,12 @@ def _dot(a, b):
 def _determinants(req, rows, col, metadata):
     """Evaluate req as one _det_sums over correlation_terms(req.spec, req.k),
     with error estimate 0.  rows = (Rhat row, R row) and col are factor
-    functions f(N, x, v, ms); an R row of None is the imaginary part of the
-    Rhat row.  R rows are real, so R takes its sign prod_p L_p here.
+    functions f(N, x, v, ms).  R rows are real, so R takes its sign
+    prod_p L_p here.
     Coincident points need no special case: the term sum is odd under
     swapping their columns."""
     rhat, r = rows
-    row = rhat if req.variant == "Rhat" else r or (lambda *args: np.imag(rhat(*args)))
+    row = rhat if req.variant == "Rhat" else r
     # a point's value is a Python complex, a grid's a complex array
     val = _num(_det_sums(req.spec, row, col, req.xs, req.sides))
     if not _finite(val):
@@ -371,6 +405,12 @@ def _halfline_vec(N, x, v, ms):
     return np.array(stack)
 
 
+def _halfline_im(N, x, v, ms):
+    """The R rows of the half-line routes: Im i I_n, the imaginary part of
+    _halfline_vec."""
+    return np.imag(_halfline_vec(N, x, v, ms))
+
+
 @_read_only(64)
 def _halfline_layout(N, width):
     """The (N, width) window n + j into the G tower and the phases
@@ -403,7 +443,7 @@ def correlations_eigenvalue_integral(req):
     """Fourier-side route: half-line r1 integrals against r2 jets of the
     characteristic function; R takes the imaginary part of the half-line
     rows."""
-    return _determinants(req, (_halfline_vec, None), _jet_vec, {"path": "fourier-jet"})
+    return _determinants(req, (_halfline_vec, _halfline_im), _jet_vec, {"path": "fourier-jet"})
 
 
 def _factorizing_scale(spec):
@@ -432,7 +472,8 @@ def correlations_factorized(req):
     columns are real); only specs whose correlation_terms are the one term
     of that kernel, with m = 0 on every slot."""
     _factorizing_scale(req.spec)
-    return _determinants(req, (_halfline_vec, None), _jet_vec, {"path": "factorized-kernel"})
+    return _determinants(req, (_halfline_vec, _halfline_im), _jet_vec,
+                         {"path": "factorized-kernel"})
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +502,8 @@ def correlations_closed_form_gue(req):
     functions are linear in P(H), so a variance mixture is
     sum_i w_i R_k^Gauss(scale v_i) over its terms (w_i, v_i); slots with
     m > 0 have no oscillator factor and are refused."""
-    if any(m for _, slots in correlation_terms(req.spec, req.k) for _, m in slots):
+    _, fams, _ = _spec_layout(req.spec, req.k)
+    if any(ms[-1] for slot in fams for _, ms in slot):
         raise ValueError("closed_form_gue needs a Gaussian mixture: a slot with m > 0 "
                          "has no oscillator factor")
     return _determinants(req, (_row_osc_hat, _row_osc), _col_osc,

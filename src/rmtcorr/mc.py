@@ -5,6 +5,7 @@ group-integral estimation.
 
 import os
 import warnings
+from collections import deque
 
 import numpy as np
 
@@ -112,9 +113,11 @@ def _each_on_cores(fn, jobs, n):
     thread per CPU (_cpu_count); with one CPU or one job, in the calling
     thread and with no thread started.  jobs is read in the calling
     thread, and each job is handed to a thread as soon as it is read, so
-    the work of making the next job overlaps fn on the ones before it.
-    The threads overlap only where fn and the reading of jobs release the
-    GIL.  The first exception a job raises reaches the caller unchanged."""
+    the work of making the next job overlaps fn on the ones before it;
+    at most one job a thread waits behind the running ones, so jobs is
+    read no further ahead.  The threads overlap only where fn and the
+    reading of jobs release the GIL.  The first exception a job raises
+    reaches the caller unchanged."""
     workers = min(_cpu_count(), n)
     if workers <= 1:
         for job in jobs:
@@ -123,9 +126,14 @@ def _each_on_cores(fn, jobs, n):
     # imported where a pool starts: loading it alone takes about 9 ms
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(workers) as pool:
-        # map submits every job as jobs yields it, then waits in order
-        for _ in pool.map(fn, jobs):
-            pass
+        pending = deque()
+        for job in jobs:
+            pending.append(pool.submit(fn, job))
+            # the oldest first, so the first job to fail raises first
+            if len(pending) == 2 * workers:
+                pending.popleft().result()
+        for future in pending:
+            future.result()
 
 
 def _gaussian_eigs(rng, N, count):

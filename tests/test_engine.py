@@ -406,12 +406,11 @@ def test_row_r_keeps_its_own_recurrence(monkeypatch):
 
 # -- moment families ---------------------------------------------------------
 
-# each route's (Rhat row, R row) and column factor functions; an R row of
-# None is the imaginary part of the Rhat row
+# each route's (Rhat row, R row) and column factor functions
 ROUTE_FACTORS = {
     "convolution": ((engine._row_rhat, engine._row_r), engine._col_rec),
     "closed_form_higher_trace": ((engine._row_rhat, engine._row_r), engine._col_exact),
-    "eigenvalue_integral": ((engine._halfline_vec, None), engine._jet_vec),
+    "eigenvalue_integral": ((engine._halfline_vec, engine._halfline_im), engine._jet_vec),
     "closed_form_gue": ((engine._row_osc_hat, engine._row_osc), engine._col_osc)}
 FAMILY_GRID = np.array([-7.3, -1.2, 0.0, 0.7, 2.9, 7.3])
 
@@ -507,7 +506,7 @@ def reference_sum(spec, k, xs, sides, variant, method):
     factors: coef det[sum_n row_p(n) col_q(n)] per term, the L = -1 rows
     conjugated (Rhat) or negated (R)."""
     (rhat, r), col = ROUTE_FACTORS[method]
-    row = rhat if variant == "Rhat" else r or (lambda *args: np.imag(rhat(*args)))
+    row = rhat if variant == "Rhat" else r
     flip = np.conj if variant == "Rhat" else np.negative
     N, total = spec.N, 0.0
     for coef, slots in correlation_terms(spec, k):
@@ -752,6 +751,8 @@ def test_route_reference_values(reference_specs, method, name, xs, metric, varia
 
 
 def test_closed_form_gue_builds_one_hat_tower_per_point(monkeypatch):
+    # every metric reads the L = +1 rows: the first builds one tower per
+    # point, and the others read its stacks from the point factor cache
     calls = collections.Counter()
     tower = engine._osc_hat_tower
 
@@ -760,10 +761,13 @@ def test_closed_form_gue_builds_one_hat_tower_per_point(monkeypatch):
         return tower(nmax, x)
 
     monkeypatch.setattr(engine, "_osc_hat_tower", counting)
+    engine._point_factors.cache_clear()
+    built = {0.4: 1, -0.9: 1}
     for metric in ((1, 1), (1, -1), (-1, -1)):
         calls.clear()
         r2(EnsembleSpec.gaussian(6), 0.4, -0.9, "closed_form_gue", "Rhat", metric)
-        assert calls == {0.4: 1, -0.9: 1}
+        assert calls == built, metric
+        built = {}
 
 
 @pytest.mark.parametrize("spec", [EnsembleSpec.gaussian(4, 0.02),
@@ -773,6 +777,99 @@ def test_closed_form_gue_refuses_overflowing_companion_tower(spec):
     with np.errstate(all="ignore"), pytest.raises(ValueError, match="overflows"):
         r1(spec, 5.5, "closed_form_gue", "Rhat")
     assert r1(spec, 5.5, "closed_form_gue", "R") == 0.0
+
+
+# -- the point factor cache --------------------------------------------------
+
+def same_bits(a, b):
+    """a and b equal, with equal signs on the real and imaginary parts."""
+    return a == b and all(np.signbit(getattr(a, part)) == np.signbit(getattr(b, part))
+                          for part in ("real", "imag"))
+
+
+def point_value(spec, k, pt, sides, variant, method):
+    """evaluate's value at one point, or its refusal."""
+    try:
+        return evaluate(CorrelationRequest(
+            spec, k, [IncrementedPoint(x, s) for x, s in zip(pt, sides)], variant, method)).value
+    except ValueError as e:
+        return str(e)
+
+
+@pytest.mark.parametrize("N", [2, 6, 32])
+def test_warm_factor_cache_gives_cold_values(N):
+    # every route, variant and metric on the grid cases and x = -0.0: a
+    # value read from cached stacks, in any order, is the value built from
+    # an empty cache to the bit and the sign of each zero; the factors at
+    # -0.0 and 0.0 compare equal but differ in the signs of their zeros
+    specs = {"g": EnsembleSpec.gaussian(N),
+             "spike": EnsembleSpec.norm_dependent(N, ("spike", 0.4)),
+             "tp41": EnsembleSpec.higher_trace(N, 4, 1)}
+    cases = grid_cases(N)
+    cases[1].append((-0.0,))
+    cases[2] += [(-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)]
+    rng = np.random.default_rng(N)
+    hits = 0
+    for spec in specs.values():
+        requests = [(k, pt, sides, variant, method) for method in engine.METHODS
+                    for variant in ("Rhat", "R") for k, pts in cases.items()
+                    for sides in itertools.product((1, -1), repeat=k) for pt in pts]
+        cold = []
+        for req in requests:
+            engine._point_factors.cache_clear()
+            cold.append(point_value(spec, *req))
+        engine._point_factors.cache_clear()
+        for i in rng.permutation(len(requests)):
+            warm = point_value(spec, *requests[i])
+            if isinstance(warm, str):
+                assert warm == cold[i], requests[i]
+            else:
+                assert same_bits(warm, cold[i]), (requests[i], warm, cold[i])
+        hits += engine._point_factors.cache_info().hits
+    assert hits > 0
+
+
+def test_point_factor_cache_is_bounded_read_only_and_point_only():
+    spec = EnsembleSpec.higher_trace(6, 4, 1)
+    for method in ROUTES["tp41"]:
+        for variant in ("Rhat", "R"):
+            r2(spec, 0.4, -0.9, method, variant)
+    _, fams, _ = engine._spec_layout(spec, 2)
+    for f in (engine._row_rhat, engine._row_r, engine._col_rec, engine._col_exact,
+              engine._halfline_vec, engine._halfline_im, engine._jet_vec):
+        for x in (0.4, -0.9):
+            misses = engine._point_factors.cache_info().misses
+            stack = engine._factors(f, 6, x, fams[0])
+            assert engine._point_factors.cache_info().misses == misses, f.__name__
+            assert not stack.flags.writeable
+            with pytest.raises(ValueError):
+                stack[...] = 0
+    # the stacks at 0.0 and -0.0 compare equal but differ in the signs of
+    # their zeros: each point reads its own
+    factors = [f for (rhat, r), col in ROUTE_FACTORS.values() for f in (rhat, r, col)]
+    for f in factors:
+        for x in (0.0, -0.0, 0.0):
+            stack, fresh = engine._factors(f, 6, x, ((0.5, (0,)),)), f(6, x, 0.5, (0,))
+            assert np.array_equal(stack, fresh), f.__name__
+            for part in (np.real, np.imag):
+                assert np.array_equal(np.signbit(part(stack)), np.signbit(part(fresh))), \
+                    (f.__name__, x)
+    assert any(np.signbit(f(6, -0.0, 0.5, (0,)).real).any() for f in factors)
+    # more distinct points than the bound: the cache keeps its bound
+    bound = engine._FACTOR_CACHE
+    info = engine._point_factors.cache_info()
+    assert info.maxsize == bound and info.currsize <= bound
+    g = EnsembleSpec.gaussian(2)
+    for x in np.linspace(-3.0, 3.0, bound + 40):
+        r1(g, float(x), "closed_form_gue", "Rhat")
+    assert engine._point_factors.cache_info().currsize == bound
+    # a grid neither reads nor adds an entry
+    engine._point_factors.cache_clear()
+    for method in engine.METHODS:
+        for k, pts in grid_cases(6).items():
+            engine.evaluate_grid(EnsembleSpec.gaussian(6), k, pts, "Rhat", method)
+    info = engine._point_factors.cache_info()
+    assert info.currsize == info.hits == info.misses == 0
 
 
 # -- whole grids ------------------------------------------------------------

@@ -3,6 +3,7 @@ Haar-unitary group averages."""
 
 import itertools
 import threading
+import time
 import tracemalloc
 import warnings
 
@@ -795,3 +796,42 @@ def test_sampler_solves_a_tile_while_the_next_is_drawn(monkeypatch, cpus):
     assert all(thread is here for kind, thread in events if kind in ("normal", "draw"))
     if cpus == 1:
         assert kinds == ["normal", "draw", "solve"] + ["normal", "waited", "draw", "solve"] * 3
+
+
+def test_sampler_draws_one_tile_a_worker_ahead(monkeypatch):
+    # solves slower than draws: a pool that took every job as it was read
+    # held the subdiagonals of all 60 tiles (2.9 MB) at once; with one tile
+    # a worker queued behind the running ones, two workers hold no more
+    # than 2 x 2 tiles of TILE floats beyond what one worker holds
+    spec, count = EnsembleSpec.gaussian(4), 60 * (mc.TILE // 16)
+    eigvalsh = np.linalg.eigvalsh
+    peaks = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(mc, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda T: time.sleep(0.01 * (cpus > 1)) or eigvalsh(T))
+        batch, peaks[cpus] = traced_peak(sample_batch, spec, count, 8)
+        assert np.array_equal(batch.eigenvalues, sample_batch(spec, count, 8).eigenvalues)
+    assert peaks[2] <= peaks[1] + 2 * 2 * TILE_F8, peaks
+
+
+def test_each_on_cores_reads_jobs_one_a_worker_ahead(monkeypatch):
+    # jobs read and not yet done: the running ones and one queued a worker
+    monkeypatch.setattr(mc, "_cpu_count", lambda: 3)
+    lock, open_jobs, most, done = threading.Lock(), [0], [0], []
+
+    def jobs():
+        for j in range(30):
+            with lock:
+                open_jobs[0] += 1
+                most[0] = max(most[0], open_jobs[0])
+            yield j
+
+    def fn(j):
+        time.sleep(0.001)
+        with lock:
+            open_jobs[0] -= 1
+            done.append(j)
+
+    mc._each_on_cores(fn, jobs(), 30)
+    assert sorted(done) == list(range(30)) and most[0] <= 2 * 3, most
