@@ -32,8 +32,8 @@ import numpy as np
 
 from .ensembles import correlation_terms, slot_phi_jet, _jet_mul_index, _slot_phi_poly
 from .kernels import IncrementedPoint
-from .special import (SQRT_PI, _factorials, _num, _osc_tower, _osc_hat_tower, _read_only,
-                      gauss_moments, gauss_moment_cauchy, half_gauss_oscillatory)
+from .special import (SQRT_PI, _factorials, _gauss_derivatives, _num, _osc_tower, _osc_hat_tower,
+                      _read_only, gauss_moments, gauss_moment_cauchy, half_gauss_oscillatory)
 
 VARIANTS = ("Rhat", "R")
 # each route's function, by its name in this module: evaluate looks it up
@@ -271,33 +271,20 @@ def _row_scales(N, v, ms):
 def _row_r(N, x, v, ms):
     """Imaginary-part rows: the distributional limit
     Im row_n = (-1)^n (1/n!) d^n/dx^n [(pi v)^(-1/2) x^m e^(-x^2/v)],
-    m in ms, by the Leibniz rule sum_j C(m, j) u^(m-j) e_(n-j) over the
-    Gaussian derivatives e_n = (1/n!) d^n/du^n e^(-u^2) at u = x / sqrt(v),
-    taken from e_(n+1) = -(2u e_n + 2e_(n-1)) / (n+1), after max(ms) zeros."""
-    M = ms[-1]
+    m in ms, from D_n(m) = (1/n!) d^n/du^n [u^m e^(-u^2)] at u = x / sqrt(v):
+    D_n(0) is the Gaussian-derivative tower, and each higher moment is one
+    Leibniz step D_n(m) = u D_n(m-1) + D_(n-1)(m-1), one array operation
+    over n (and a grid's points) per moment."""
     u = x / math.sqrt(v)
-    prev, cur = 0.0, _num(np.exp(-u * u))
-    e = [0.0 * cur] * M + [cur]
-    for n in range(N - 1):
-        prev, cur = cur, -(2.0 * u * cur + 2.0 * prev) / (n + 1)
-        e.append(cur)
-    d = e = np.array(e)[None]
-    if M:
-        # member m's rows i >= M - m are C(m, j) u^(m-j) e_(n-j), j = M - i, and 0
-        # above them: a sum over the first axis adds them in order, left to right in e
-        i, binom = _leibniz_tables(ms)
-        w = (binom * np.asarray(u)[..., None, None] ** i).T
-        d = (e[0, _window(M + 1, N)][:, None] * w[:, :, None]).sum(axis=0)
-    return _members(_row_scales(N, v, ms)[1], x) * d.swapaxes(1, -1)
-
-
-@_read_only(64)
-def _leibniz_tables(ms):
-    """_row_r's point-free (len(ms), max(ms) + 1) tables, read-only: the
-    powers max(m - M + i, 0) of u and the reversed binomial rows C(m, M - i)."""
-    M = ms[-1]
-    return (np.maximum(np.arange(M + 1) - M + np.array(ms)[:, None], 0),
-            _binomials(M + 1)[list(ms), ::-1])
+    d = np.array(_gauss_derivatives(N - 1, u, _num(np.exp(-u * u))))
+    stack = []
+    for m in range(ms[-1] + 1):
+        if m:
+            d, prev = u * d, d
+            d[1:] += prev[:-1]
+        if m in ms:
+            stack.append(d)
+    return _members(_row_scales(N, v, ms)[1], x) * np.array(stack).swapaxes(1, -1)
 
 
 @_read_only(8)
@@ -449,9 +436,9 @@ def correlations_eigenvalue_integral(req):
 def _factorizing_scale(spec):
     # one term whose slots all have m = 0 is a single Gaussian of slot
     # variance v: the Gaussian, a spike, or a constant trace-power weight
-    terms = correlation_terms(spec, 1)
-    if len(terms) == 1 and not any(m for _, m in terms[0][1]):
-        return terms[0][1][0][0]
+    coefs, fams, _ = _spec_layout(spec, 1)
+    if len(coefs) == 1 and len(set(fams)) == 1 and fams[0][0][1] == (0,):
+        return fams[0][0][0]
     raise ValueError("factorized path needs a factorizing spec")
 
 

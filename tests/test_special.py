@@ -15,7 +15,7 @@ from rmtcorr.special import (SQRT_PI, hermite_poly,
                              gauss_moments, gauss_moment_cauchy,
                              gauss_poly_derivatives, polyval_ascending,
                              half_gauss_oscillatory, CAUCHY_ASYMP,
-                             _far_coefficients, _osc_hat_tower, _osc_tower,
+                             _far_coefficients, _gauss_derivatives, _osc_hat_tower, _osc_tower,
                              _truncated_sums, faddeeva_derivatives, HERMITE_CAP)
 from rmtcorr import special
 
@@ -346,8 +346,40 @@ def test_cauchy_far_branch_against_mpmath(N, x):
         a = np.pad(np.abs(ref.imag), 1, mode="edge")
         scale = np.max([a[:-2], a[1:-1], a[2:]], axis=0)
         assert np.all(np.abs(got.imag - ref.imag) <= 1e-13 * scale)
+        if np.finfo(np.longdouble).nmant > 52:
+            # with the Gaussian-derivative tower in long double it is
+            # correctly rounded here (the float tower at 5-28% of the orders)
+            assert np.array_equal(got.imag, ref.imag)
         # the principal value where the series reaches round-off
         assert np.all(np.abs(got.real - ref.real)[converged] <= 2e-15 * np.abs(ref.real)[converged])
+
+
+# -- the Gaussian-derivative tower in any arithmetic -----------------------
+# (its long-double run is checked in test_cauchy_far_branch_against_mpmath)
+
+@pytest.mark.parametrize("u", [0.7, 5.5, -9.25, 20.0])
+def test_gauss_derivatives_on_mpmath_numbers(u):
+    # the body converts nothing: on 50-digit mpmath numbers it gives
+    # D_n = (-1)^n H_n(u) e^(-u^2) / n! to the working precision
+    with mp.workdps(50):
+        u = mp.mpf(u)
+        tower = _gauss_derivatives(40, u, mp.exp(-u * u))
+        assert len(tower) == 41
+        for n, d in enumerate(tower):
+            ref = (-1) ** n * mp.hermite(n, u) * mp.exp(-u * u) / mp.factorial(n)
+            assert isinstance(d, mp.mpf) and abs(d - ref) <= 1e-48 * abs(ref), n
+
+
+def test_gauss_derivatives_grid_equals_points():
+    # a float grid runs the point's operations entry by entry: each grid
+    # entry is its point's value, zero signs included
+    us = np.array([0.0, -0.0, 0.7, -3.1, 5.5, -9.25, 20.0, 27.5, -40.0])
+    grid = np.array(_gauss_derivatives(63, us, np.exp(-us * us)))
+    for i, u in enumerate(us.tolist()):
+        point = _gauss_derivatives(63, u, float(np.exp(-u * u)))
+        assert all(type(d) is float for d in point)
+        assert np.array_equal(grid[:, i], point)
+        assert np.array_equal(np.signbit(grid[:, i]), np.signbit(point))
 
 
 def osc_hat_far_loop(nmax, x):
