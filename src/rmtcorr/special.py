@@ -140,7 +140,7 @@ def generalized_hermite(n, x):
     (i2)^(n+1) pi^(-1/2) exp(x^2) * integral_0^inf exp(-xi^2 - 2ix xi) xi^n dxi.
 
     Row n of _osc_hat_tower times (2^n n! sqrt(pi))^(1/2) e^(x^2/2), so it
-    shares the tower's recurrence, order cap and far-tail series.  Where
+    shares the tower's recurrence, order cap and far-tail branch.  Where
     the value is not finite (|x| past about 26.6, where exp(x^2)
     overflows) it raises ValueError.
     """
@@ -155,13 +155,13 @@ def generalized_hermite(n, x):
 
 def _osc_hat_tower(nmax, x):
     """Normalized companions phi^_n = (2^n n! sqrt(pi))^(-1/2) e^(-x^2/2) F_n
-    for n = 0..nmax (F_n = generalized_hermite(n, x)), seeded from w(-x)
-    and grown by the normalized recurrence of phi_n.  Im phi^_n = phi_n.
+    for n = 0..nmax (F_n = generalized_hermite(n, x)) by the normalized
+    recurrence of phi_n, from Re phi^_0 = pi^(-1/4) e^(x^2/2) Re(i w(-x))
+    and phi_0's own seed: Im phi^_n = phi_n to the bit.
 
-    The upward recurrence cancels severely at large |x|; there the tower
-    is rebuilt from F_n(x) e^(-x^2) = (1/pi) integral e^(-u^2) H_n(u) /
-    (x - u - i0) du (both sides share the recurrence and the n = 0, 1
-    seeds), whose Cauchy transforms stay accurate in the far tail.  Past
+    The recurrence cancels severely in the real parts at large |x|; at a
+    far point (|x| >= CAUCHY_ASYMP, 2x^2 >= (nmax+1)(nmax+2)) it runs on
+    the imaginary parts alone and _osc_hat_far gives the real parts.  Past
     |x| ~ 37.7, where exp(x^2/2) overflows, it raises ValueError."""
     if nmax > HERMITE_CAP:
         raise ValueError(f"order {nmax} exceeds cap {HERMITE_CAP}")
@@ -170,40 +170,51 @@ def _osc_hat_tower(nmax, x):
     if _any(half > _EXP_MAX):
         raise ValueError(_OVERFLOW)
     e = _num(np.exp(half))
-    tower = [np.pi ** -0.25 * 1j * e * _faddeeva(-x)]
+    seed = (np.pi ** -0.25 * 1j * e * _faddeeva(-x)).real
+    far = (x * x >= CAUCHY_ASYMP ** 2) & (2.0 * x * x >= (nmax + 1.0) * (nmax + 2.0))
+    tower = [_select(far, 0.0, seed) + 1j * (np.pi ** -0.25 * _num(np.exp(-0.5 * x * x)))]
     if nmax >= 1:
-        tower.append(_SQRT2 * x * tower[0] - _SQRT2 * np.pi ** -0.75 * e)
+        tower.append(_SQRT2 * x * tower[0] - _SQRT2 * np.pi ** -0.75 * _select(far, 0.0, e))
     for a, b in _osc_steps(nmax)[1:]:
         tower.append(x * a * tower[-1] - b * tower[-2])
-    out = np.array(tower)
-    # far tail: principal value by the sign-definite asymptotic series
-    # PV_n(x) = sum_t sqrt(pi) (n+2t)!/(2^(2t) t!) x^(-(n+2t+1)), using
-    # the Hermite moments int u^(n+2t) H_n e^(-u^2) du; valid while the
-    # t = 0 term ratio (n+1)(n+2)/(4x^2) stays well below 1
-    far = (x * x >= CAUCHY_ASYMP ** 2) & (2.0 * x * x >= (nmax + 1.0) * (nmax + 2.0))
-    if _any(far):
-        flat = out.reshape(nmax + 1, -1)
-        xf = np.reshape(x, -1)
-        ph = _osc_tower(nmax, x).reshape(nmax + 1, -1)
-        n = np.arange(nmax + 1)
-        t = np.arange(199)
-        # pi^(-1/4) / sqrt(2^n n!), divided down one n at a time
-        d = np.sqrt(2.0 * n)
-        d[0] = np.pi ** -0.25
-        norm = np.divide.accumulate(d)
-        for i in np.nonzero(np.reshape(far, -1))[0]:
-            xi = float(xf[i])
-            # (n, t) term table: the first terms, then the term ratios,
-            # multiplied up along t
-            terms = np.empty((nmax + 1, 200))
-            terms[:, 0] = SQRT_PI * _factorials(nmax) * xi ** -(n + 1.0)
-            terms[:, 1:] = (n[:, None] + 2 * t + 1) * (n[:, None] + 2 * t + 2) \
-                / (4.0 * (t + 1) * xi * xi)
-            pv, _ = _truncated_sums(np.cumprod(terms, axis=1))
-            flat[:, i] = norm * (np.exp(0.5 * xi * xi) / np.pi) * pv + 1j * ph[:, i]
+    if isinstance(far, np.ndarray):  # a grid: each far point through the point's body
+        out = np.array(tower)
+        flat, xf, sf = out.reshape(nmax + 1, -1), np.reshape(x, -1), np.reshape(seed, -1)
+        for i in np.flatnonzero(far).tolist():
+            flat.real[:, i] = _osc_hat_far(nmax, float(xf[i]), float(sf[i]))
+    else:
+        out = np.array([complex(r, t.imag) for r, t in zip(_osc_hat_far(nmax, x, seed), tower)]
+                       if far else tower)
     if not np.isfinite(out).all():
         raise ValueError(_OVERFLOW)
     return out
+
+
+def _osc_hat_far(nmax, x, seed):
+    """Re phi^_0..Re phi^_nmax at a far point x, as a list, from Re phi^_0 =
+    seed.  They are pi^(-3/4) e^(x^2/2) sqrt(n!/2^n) x^(-(n+1)) S_n, S_n =
+    sum_t (n+2t)!/(n! t! (2x)^(2t)) by the Hermite moments, and the minimal
+    solution of the tower's recurrence where n <= sqrt(2)|x|: S_n, cut at
+    its first term that does not decrease or falls to 1e-20 of the sum
+    before it, gives the top two orders, the recurrence run downward the
+    rest (Gautschi, SIAM Rev. 9 (1967) 24), and the run is scaled to end on
+    the seed, which takes the series' error out of the lower orders."""
+    down = []  # from order nmax down
+    q = 0.25 / (x * x)
+    for n in range(max(nmax - 1, 0), nmax + 1):
+        acc, prev, t = 0.0, math.inf, 1.0
+        for k in range(1, 201):
+            if t >= prev or t <= 1e-20 * acc:
+                break
+            acc, prev = acc + t, t
+            t *= (n + 2 * k - 1) * (n + 2 * k) / k * q
+        down.insert(0, acc)
+    if nmax:
+        down[0] *= math.sqrt(0.5 * nmax) / x
+    for a, b in reversed(_osc_steps(nmax)[1:]):
+        down.append((x * a * down[-1] - down[-2]) / b)
+    f = seed / down[-1]
+    return [f * v for v in reversed(down)]
 
 
 _EXP_MAX = math.log(sys.float_info.max)

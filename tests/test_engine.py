@@ -775,6 +775,27 @@ def test_closed_form_gue_builds_one_hat_tower_per_point(monkeypatch):
         built = {}
 
 
+@pytest.mark.parametrize("N", [2, 6, 32, 64])
+def test_closed_form_gue_density_of_rhat_is_r(N):
+    # Im phi^_n = phi_n to the bit, so Im Rhat_1 is R_1, at a point and on a
+    # grid, on either side.  From N = 32 the complex and the real dot sum
+    # their N products in different orders: the two agree to round-off.
+    # At N = 64, x = 28 and 30, e^(-x^2) underflows and the density does not
+    cases = [(28.0,), (30.0,)] if N == 64 else grid_cases(N)[1]
+    spec = EnsembleSpec.gaussian(N)
+    for side in (1, -1):
+        rhat = engine.evaluate_grid(spec, 1, cases, "Rhat", "closed_form_gue", (side,)).value
+        r = engine.evaluate_grid(spec, 1, cases, "R", "closed_form_gue", (side,)).value
+        points = np.array([[r1(spec, x, "closed_form_gue", variant, side) for (x,) in cases]
+                           for variant in ("Rhat", "R")])
+        assert np.array_equal(points, [rhat, r])
+        if N <= 6:
+            assert np.array_equal(rhat.imag, r.real)
+        else:
+            assert np.all(r.real != 0.0)
+            assert np.all(np.abs(rhat.imag - r.real) <= 1e-15 * np.abs(r.real))
+
+
 @pytest.mark.parametrize("spec", [EnsembleSpec.gaussian(4, 0.02),
                                   EnsembleSpec.norm_dependent(4, ("spike", 0.01))])
 def test_closed_form_gue_refuses_overflowing_companion_tower(spec):

@@ -411,6 +411,65 @@ def test_osc_hat_far_branch_matches_series_loop(nmax, x):
     assert np.array_equal(got.imag, _osc_tower(nmax, np.array(x)))
 
 
+def osc_hat_real_mpmath(nmax, x):
+    """Re phi^_0..Re phi^_nmax from F_n of companion_mpmath's recurrence,
+    with the x^2 / ln 10 digits of e^(x^2) added to 50: the upward
+    recurrence cancels fewer than those in the far tail."""
+    with mp.workdps(50 + int(x * x / math.log(10))):
+        x = mp.mpf(x)
+        f = [mp.erfi(x), 2 * x * mp.erfi(x) - 2 / mp.sqrt(mp.pi) * mp.exp(x * x)]
+        for j in range(1, nmax):
+            f.append(2 * x * f[j] - 2 * j * f[j - 1])
+        return np.array([float(f[n] * mp.exp(-x * x / 2)
+                               / mp.sqrt(2 ** n * mp.factorial(n) * mp.sqrt(mp.pi)))
+                         for n in range(nmax + 1)])
+
+
+@pytest.mark.parametrize("nmax", [5, 12, 20, 40])
+def test_osc_hat_far_orders_against_mpmath(nmax):
+    # every order of the far branch: the series at the top two, the
+    # downward recurrence below them; both signs of x, out to |x| = 30
+    checked = 0
+    for x in (7.3, 8.0, 9.6, 12.0, 15.3, 20.0, 25.0, 29.5, 30.0):
+        if 2 * x * x < (nmax + 1) * (nmax + 2):
+            continue
+        for x in (x, -x):
+            ref = osc_hat_real_mpmath(nmax, x)
+            got = _osc_hat_tower(nmax, x).real
+            # 5.7e-15 at |x| = 15.3, mostly the rounding of x^2/2 in e^(x^2/2)
+            assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref)), x
+            checked += 1
+    assert checked >= 4
+
+
+def test_osc_hat_far_orders_at_the_series_limit():
+    # next to the far branch's bounds the series stops on a growing term
+    # before it reaches round-off: 1.1e-11 at (5, 6.5), 2.9e-10 at order 7
+    # of (7, 6.54).  Scaled onto the seed, the orders the downward
+    # recurrence brings down from the top two keep their own accuracy,
+    # falling off towards the top as the series does; without the scaling
+    # every order of (7, 6.54) would carry 1.2e-10
+    for nmax, x in ((5, 6.5), (5, -6.5), (5, 6.6), (7, 6.54), (7, -6.54), (8, 6.77)):
+        ref = osc_hat_real_mpmath(nmax, x)
+        err = np.abs(_osc_hat_tower(nmax, x).real - ref) / np.abs(ref)
+        assert np.all(err[:nmax - 3] <= 1e-13) and np.all(err <= 1e-9), (nmax, x, err)
+
+
+@pytest.mark.parametrize("nmax", [0, 1, 2, 5, 12, 31, 63])
+def test_osc_hat_imaginary_part_is_osc_tower(nmax):
+    # the companion's imaginary parts start from phi_0's own seed, so they
+    # are phi_n to the bit, bulk and far, at a point and on a grid: next to
+    # zeros of phi_n too, and past |x| = 27.3, where e^(-x^2) underflows.
+    # At nmax >= 50 the real parts of the bulk recurrence overflow from
+    # |x| ~ 35; a far point keeps its tower up to where exp(x^2/2) overflows
+    xs = np.concatenate([np.linspace(-34.5, 34.5, 277),
+                         np.random.default_rng(nmax).uniform(-10.0, 10.0, 200),
+                         [37.6, -37.6] if nmax <= 40 else []])
+    assert np.array_equal(_osc_hat_tower(nmax, xs).imag, _osc_tower(nmax, xs))
+    for x in xs[::7].tolist():
+        assert np.array_equal(_osc_hat_tower(nmax, x).imag, _osc_tower(nmax, x)), x
+
+
 # -- one tower body for a point and a grid ---------------------------------
 
 # bulk, edge and past CAUCHY_ASYMP; the far series of _osc_hat_tower needs
