@@ -20,7 +20,7 @@ from .ensembles import EnsembleSpec, characteristic_invariants
 from .engine import METHODS, VARIANTS, evaluate_grid
 from .kernels import (IncrementedPoint, fundamental_kernel, kernel_series,
                       hciz_exact, gaussian_pairing)
-from .grassmann import duality_report
+from .grassmann import GENERATOR_BUDGET, duality_report
 from .mc import sample_batch, estimate_r1, hciz_mc
 
 
@@ -167,17 +167,22 @@ def _write(path, text):
 
 
 SUITES = ("duality", "kernel-identity", "pairing", "hciz", "mc", "all")
+# the options each suite reads, with their defaults
+_SUITE_OPTIONS = {"duality": {"k": 1, "N": 2}, "kernel-identity": {"N": 20},
+                  "pairing": {}, "hciz": {"N": 2}, "mc": {"N": 4}}
 
 
 def cmd_verify(args):
     run = [args.suite] if args.suite != "all" else list(SUITES[:-1])
+    # every option checked before any suite runs
+    options = {suite: _suite_options(suite, args) for suite in run}
     header = _header(args, seed=args.seed)
     for key, v in header.items():
         print(f"# {key}: {v}")
     ok = True
     for suite in run:
         t0 = time.perf_counter()
-        name, passed, dev = _run_suite(suite, args)
+        name, passed, dev = _run_suite(suite, args.seed, **options[suite])
         elapsed = time.perf_counter() - t0
         ok = ok and passed
         print(f"{name}: {'PASS' if passed else 'FAIL'} max_deviation={dev:.3e}"
@@ -185,17 +190,32 @@ def cmd_verify(args):
     return 0 if ok else 1
 
 
-def _run_suite(suite, args):
+def _suite_options(suite, args):
+    """The --k and --N that suite reads, its defaults where they are not
+    given.  A value below 1, an option a single --suite does not read (all
+    passes each suite the ones it reads) and a duality pair past the
+    Grassmann generator budget are configuration errors."""
+    given = {name: getattr(args, name) for name in ("k", "N") if getattr(args, name) is not None}
+    for name, value in given.items():
+        if value < 1:
+            raise ConfigError(f"--{name} must be >= 1, got {value}")
+        if args.suite != "all" and name not in _SUITE_OPTIONS[suite]:
+            raise ConfigError(f"--suite {suite} does not read --{name}")
+    options = {name: given.get(name, default) for name, default in _SUITE_OPTIONS[suite].items()}
+    if suite == "duality" and 2 * options["k"] * options["N"] > GENERATOR_BUDGET:
+        raise ConfigError(f"--suite duality needs 2kN <= {GENERATOR_BUDGET} Grassmann "
+                          f"generators, got k = {options['k']}, N = {options['N']}")
+    return options
+
+
+def _run_suite(suite, seed, k=None, N=None):
     if suite == "duality":
-        k = args.k or 1
-        N = args.N or 2
-        rep, scale = duality_report(k, N, 4, args.seed)
+        rep, scale = duality_report(k, N, 4, seed)
         dev = max(rep.values())
         # round-off on coefficients of tr K^m that reach 1e5 at N=4
         return f"duality(k={k},N={N})", dev <= 1e-13 * scale, dev
     if suite == "kernel-identity":
-        N = args.N or 20
-        rng = np.random.default_rng(args.seed)
+        rng = np.random.default_rng(seed)
         dev = 0.0
         for _ in range(200):
             x = rng.uniform(-3, 3)
@@ -214,11 +234,10 @@ def _run_suite(suite, args):
             dev = max(dev, abs(gaussian_pairing(N) - 1.0))
         return "pairing(N=2..6)", dev < 1e-8, dev
     if suite == "hciz":
-        N = args.N or 2
         # three pairs (E, R), drawn E, R, E, R, E, R, on one Haar sample
-        ER = np.sort(np.random.default_rng(args.seed).uniform(-2, 2, (3, 2, N)), axis=-1)
+        ER = np.sort(np.random.default_rng(seed).uniform(-2, 2, (3, 2, N)), axis=-1)
         samples = 200000
-        est, err = hciz_mc(ER[:, 0], ER[:, 1], samples, args.seed)
+        est, err = hciz_mc(ER[:, 0], ER[:, 1], samples, seed)
         exact = np.array([hciz_exact(E, R) for E, R in ER])
         # at N=1 every phase is the same and the jackknife error is 0:
         # floor it at the round-off of a mean of that many unit phases
@@ -226,8 +245,8 @@ def _run_suite(suite, args):
         dev = float(np.max(np.abs(est - exact) / (3 * err)))
         return f"hciz(N={N})", dev < 1.0, dev
     if suite == "mc":
-        spec = EnsembleSpec.gaussian(args.N or 4)
-        batch = sample_batch(spec, 200000, args.seed)
+        spec = EnsembleSpec.gaussian(N)
+        batch = sample_batch(spec, 200000, seed)
         hist = estimate_r1(batch, (-3.5, 3.5, 40))
         xs = hist.centers()
         width = np.diff(hist.edges)

@@ -12,10 +12,14 @@ theirs).
 A factor function f(N, x, v, ms) returns the factors of one slot point
 for every moment m in ms of the slot weight h^m e^(-h^2/v) as one stack,
 (len(ms), N), built from one tower.  evaluate_grid runs the same routes on
-a whole grid: x is then a (P,) array and the stack (len(ms), P, N).  A
-point's stacks are kept in a bounded cache (_point_factors), so the
-variants, metrics and routes at one point that take the same factor
-function build it once; a grid builds its own every time.
+a whole grid: x is then a (P,) array and the stack (len(ms), P, N).  The
+terms read a slot's stack as it is where they take its members in stack
+order (every slot of a Gaussian mixture), and gather their rows or columns
+from it only where they do not (the moment families of a trace power).  A point's stacks are kept in
+a bounded cache (_point_factors), so the variants, metrics and routes at
+one point that take the same factor function build it once, and an R row
+that is a function of its route's other stack is read off that stack; a
+grid builds its own every time.
 
 Sides and variants follow one rule.  Every factor is that of the side
 L = +1 (x - i0).  Rhat: for the real weight an L = -1 row is the complex
@@ -126,27 +130,42 @@ def _det_sums(spec, row, col, xs, sides, ys=None):
     coef det[sum_{n<N} row_p(n) col_q(n)], row_p the factor of slot p at
     xs[p], conjugated where sides[p] = -1, and col_q that of slot k + q at
     ys[q] (default xs[q]).  Each slot point builds one stack per family of
-    the spec's cached _layout, and each term indexes its rows and columns
-    from them.  Every term's determinant is the permutation sum over the
-    k^2 term-wise entries K_pq = sum_n R_p(n) C_q(n) of its (T[, P], N) rows
-    and columns: the entry itself at k = 1, K00 K11 - K01 K10 at k = 2."""
+    the spec's cached _layout.  Where the terms take a slot's members in
+    stack order, they read the stack as it is; elsewhere each term's rows
+    or columns are gathered from it.  _term_dets takes every term's
+    determinant from the k^2 term-wise dots of its (T[, P], N) rows and
+    columns."""
     N, k = spec.N, len(xs)
     coefs, fams, index = _spec_layout(spec, k)
     R, C = [], []
     for p in range(k):
-        # contiguous operands, so that the order of each dot's sum over n is fixed;
+        # the stacks are contiguous, and so their gathers, so that the order
+        # of each dot's sum over n is fixed; slice(None) takes every member
+        Rp = _factors(row, N, xs[p], fams[p])
+        Cp = _factors(col, N, xs[p] if ys is None else ys[p], fams[k + p])
+        Rp = Rp if isinstance(index[p], slice) else Rp[index[p]]
         # np.vecdot conjugates its first argument: an L = -1 row enters as it is
-        Rp = np.ascontiguousarray(_factors(row, N, xs[p], fams[p])[index[p]])
         R.append(Rp if sides[p] < 0 else Rp.conj())
-        C.append(np.ascontiguousarray(
-            _factors(col, N, xs[p] if ys is None else ys[p], fams[k + p])[index[k + p]]))
-    if k == 1:
-        dets = np.vecdot(R[0], C[0])
-    else:
-        dets = _permutation_sum([[np.vecdot(Rp, Cq) for Cq in C] for Rp in R])
+        C.append(Cp if isinstance(index[k + p], slice) else Cp[index[k + p]])
+    dets = _term_dets(R, C)
+    if dets.ndim == 1:
+        return dets.dot(coefs)
     # a grid's rows contiguous, so that each point's term sum is the same
     # dot as evaluate's: the sum can cancel to its round-off
-    return _dot(np.ascontiguousarray(dets.T), coefs)
+    return np.vecdot(np.ascontiguousarray(dets.T).conj(), coefs)
+
+
+def _term_dets(R, C):
+    """Each term's det K, K_pq = sum_n R_p(n) C_q(n) over the k (T[, P], N)
+    rows R and columns C (np.vecdot conjugates R): the entry itself at
+    k = 1, K00 K11 - K01 K10 written out at k = 2 (the operations of
+    _permutation_sum in its order), the permutation sum from k = 3."""
+    if len(R) == 1:
+        return np.vecdot(R[0], C[0])
+    if len(R) == 2:
+        return np.vecdot(R[0], C[0]) * np.vecdot(R[1], C[1]) \
+            - np.vecdot(R[0], C[1]) * np.vecdot(R[1], C[0])
+    return _permutation_sum([[np.vecdot(Rp, Cq) for Cq in C] for Rp in R])
 
 
 def _permutation_sum(K):
@@ -178,7 +197,8 @@ def _spec_layout(spec, k):
 def _layout(terms):
     """A term list's coefficients; per slot the families ((v, ms), ...), ms
     the sorted moments the slot takes at variance v; per slot each term's
-    index into the stacked families (a slice where term t takes member t)."""
+    index into the stacked families (slice(None) where term t takes member
+    t, so that the stack needs no gather)."""
     fams, index = [], []
     for slot in zip(*(slots for _, slots in terms)):
         ms = {}
@@ -192,8 +212,8 @@ def _layout(terms):
 
 
 def _factors(f, N, x, fams):
-    """The stacks f(N, x, v, ms) of the families (v, ms) one after the other;
-    at a point, read-only and kept in _point_factors."""
+    """The stacks f(N, x, v, ms) of the families (v, ms) one after the other,
+    contiguous; at a point, read-only and kept in _point_factors."""
     if isinstance(x, np.ndarray):
         return _stack(f, N, x, fams)
     return _point_factors(f, N, x, math.copysign(1.0, x), fams)
@@ -204,28 +224,29 @@ def _point_factors(f, N, x, sign, fams):
     """_stack at a point x, read-only, kept under (f, N, x, sign, fams).  The
     key holds the factor function itself, so a route reads only stacks its
     own factor functions built; the sign of x keeps -0.0 apart from 0.0,
-    whose factors differ in the signs of their zeros."""
-    out = _stack(f, N, x, fams)
+    whose factors differ in the signs of their zeros.  An R row that is a
+    function of its route's other stack (_FROM_STACK) is taken from that
+    stack, read from this cache at the same key."""
+    if f in _FROM_STACK:
+        source, take = _FROM_STACK[f]
+        out = np.ascontiguousarray(take(_point_factors(source, N, x, sign, fams), fams))
+    else:
+        out = _stack(f, N, x, fams)
     out.setflags(write=False)
     return out
 
 
 def _stack(f, N, x, fams):
-    if len(fams) == 1:
-        return f(N, x, *fams[0])
-    return np.concatenate([f(N, x, v, ms) for v, ms in fams])
+    """The stacks f(N, x, v, ms) of the families one after the other, in
+    C order: a grid's factors and their concatenation need not be."""
+    stack = f(N, x, *fams[0]) if len(fams) == 1 else np.concatenate(
+        [f(N, x, v, ms) for v, ms in fams])
+    return np.ascontiguousarray(stack)
 
 
 def _members(table, x):
     """A point-free (len(ms), ...) table, with a point axis after the first on a grid."""
     return table[:, None] if isinstance(x, np.ndarray) else table
-
-
-def _dot(a, b):
-    """a.dot(b) over the last axis of a: the ndarray method for a vector,
-    fastest for one call; else one such dot per leading index (np.vecdot
-    conjugates its first argument), which sums as the method does."""
-    return a.dot(b) if a.ndim == 1 else np.vecdot(a.conj(), b)
 
 
 def _determinants(req, rows, col, metadata):
@@ -489,12 +510,36 @@ def correlations_closed_form_gue(req):
     functions are linear in P(H), so a variance mixture is
     sum_i w_i R_k^Gauss(scale v_i) over its terms (w_i, v_i); slots with
     m > 0 have no oscillator factor and are refused."""
-    _, fams, _ = _spec_layout(req.spec, req.k)
-    if any(ms[-1] for slot in fams for _, ms in slot):
+    if not _gaussian_mixture(req.spec, req.k):
         raise ValueError("closed_form_gue needs a Gaussian mixture: a slot with m > 0 "
                          "has no oscillator factor")
     return _determinants(req, (_row_osc_hat, _row_osc), _col_osc,
                          {"path": "oscillator-determinant"})
+
+
+def _gaussian_mixture(spec, k):
+    """Whether every slot of correlation_terms(spec, k) takes m = 0 alone,
+    decided once per (spec, k) by _moment_free and cached on the spec."""
+    if ("gaussian mixture", k) not in spec._cache:
+        spec._cache["gaussian mixture", k] = _moment_free(_spec_layout(spec, k)[1])
+    return spec._cache["gaussian mixture", k]
+
+
+def _moment_free(fams):
+    """Whether every family of every slot takes the moment m = 0 alone."""
+    return not any(ms[-1] for slot in fams for _, ms in slot)
+
+
+def _osc_scaled(col, fams):
+    """_row_osc's stack from _col_osc's: each family's members times v^(-1/2)."""
+    return np.array([1 / math.sqrt(v) for v, ms in fams for _ in ms])[:, None] * col
+
+
+# the R rows that are a function of their own route's other stack, by the
+# map from that stack: at a point, _point_factors reads the stack from its
+# cache rather than building the tower again
+_FROM_STACK = {_row_osc: (_col_osc, _osc_scaled),
+               _halfline_im: (_halfline_vec, lambda vec, fams: vec.imag)}
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ below, within a relative 6.4e-16 on |z| < 10 and 9.7e-16 for
 0 < Im z < 1e-3 on the test points.
 """
 
+import cmath
 import functools
 import math
 import sys
@@ -182,12 +183,15 @@ def _osc_hat_tower(nmax, x):
         flat, xf, sf = out.reshape(nmax + 1, -1), np.reshape(x, -1), np.reshape(seed, -1)
         for i in np.flatnonzero(far).tolist():
             flat.real[:, i] = _osc_hat_far(nmax, float(xf[i]), float(sf[i]))
-    else:
-        out = np.array([complex(r, t.imag) for r, t in zip(_osc_hat_far(nmax, x, seed), tower)]
-                       if far else tower)
-    if not np.isfinite(out).all():
+        if not np.isfinite(out).all():
+            raise ValueError(_OVERFLOW)
+        return out
+    if far:
+        tower = [complex(r, t.imag) for r, t in zip(_osc_hat_far(nmax, x, seed), tower)]
+    # a point's tower is Python numbers: checked before it becomes an array
+    if not all(map(cmath.isfinite, tower)):
         raise ValueError(_OVERFLOW)
-    return out
+    return np.array(tower)
 
 
 def _osc_hat_far(nmax, x, seed):

@@ -426,6 +426,49 @@ def test_verify_unknown_suite_exits_2(capsys):
     assert code == 2
 
 
+def refuse_suite(*args, **options):
+    raise AssertionError("a suite ran")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--suite", "mc", "--N", "0"], "--N must be >= 1, got 0"),
+    (["--suite", "mc", "--N", "-2"], "--N must be >= 1, got -2"),
+    (["--suite", "duality", "--k", "0"], "--k must be >= 1, got 0"),
+    (["--suite", "all", "--N", "0"], "--N must be >= 1, got 0"),
+    (["--suite", "mc", "--k", "2"], "--suite mc does not read --k"),
+    (["--suite", "hciz", "--k", "1"], "--suite hciz does not read --k"),
+    (["--suite", "kernel-identity", "--k", "2"], "--suite kernel-identity does not read --k"),
+    (["--suite", "pairing", "--k", "1"], "--suite pairing does not read --k"),
+    (["--suite", "pairing", "--N", "3"], "--suite pairing does not read --N"),
+    (["--suite", "duality", "--k", "9"],
+     "--suite duality needs 2kN <= 24 Grassmann generators, got k = 9, N = 2"),
+    (["--suite", "all", "--k", "3", "--N", "5"],
+     "--suite duality needs 2kN <= 24 Grassmann generators, got k = 3, N = 5"),
+])
+def test_verify_refuses_an_option_it_cannot_use(capsys, monkeypatch, argv, message):
+    # a usage error: exit 2 with one line on standard error, before any
+    # suite runs or the header is printed
+    monkeypatch.setattr(cli, "_run_suite", refuse_suite)
+    code, out, err = run(capsys, "verify", *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_verify_all_passes_each_suite_the_options_it_reads(capsys, monkeypatch):
+    seen = {}
+
+    def record(suite, seed, **options):
+        seen[suite] = (seed, options)
+        return suite, True, 0.0
+
+    monkeypatch.setattr(cli, "_run_suite", record)
+    assert run(capsys, "verify", "--suite", "all", "--k", "2", "--N", "3")[0] == 0
+    assert seen == {"duality": (7, {"k": 2, "N": 3}), "kernel-identity": (7, {"N": 3}),
+                    "pairing": (7, {}), "hciz": (7, {"N": 3}), "mc": (7, {"N": 3})}
+    assert run(capsys, "verify", "--suite", "all", "--seed", "3")[0] == 0
+    assert seen == {"duality": (3, {"k": 1, "N": 2}), "kernel-identity": (3, {"N": 20}),
+                    "pairing": (3, {}), "hciz": (3, {"N": 2}), "mc": (3, {"N": 4})}
+
+
 CLI_WITHOUT_SCIPY = """
 import contextlib, io, sys
 import rmtcorr.cli

@@ -898,6 +898,123 @@ def test_point_factor_cache_is_bounded_read_only_and_point_only():
     assert info.currsize == info.hits == info.misses == 0
 
 
+@pytest.mark.parametrize("name", ["g", "table"])
+def test_closed_form_gue_r_point_builds_one_oscillator_tower(monkeypatch, name):
+    # the R rows are v^(-1/2) times the columns: from an empty cache a
+    # point builds one oscillator tower per slot family, where building its
+    # rows and its columns apart took two
+    spec = {"g": EnsembleSpec.gaussian(6),
+            "table": EnsembleSpec.norm_dependent(6, spread_table(21))}[name]
+    calls = collections.Counter()
+    tower = engine._osc_tower
+
+    def counting(nmax, x):
+        calls["built"] += 1
+        return tower(nmax, x)
+
+    monkeypatch.setattr(engine, "_osc_tower", counting)
+    for k, pt in ((1, (0.4,)), (2, (0.4, -0.9))):
+        _, fams, _ = engine._spec_layout(spec, k)
+        engine._point_factors.cache_clear()
+        calls.clear()
+        point_value(spec, k, pt, (1,) * k, "R", "closed_form_gue")
+        assert calls["built"] == k * len(fams[0]), (k, calls)
+
+
+def test_closed_form_gue_decides_the_mixture_once_per_spec_and_k(monkeypatch):
+    # the scan of the slot families for a moment m > 0 runs once per
+    # (spec, k); every request after it, refused or not, reads its answer
+    calls = collections.Counter()
+    scan = engine._moment_free
+    monkeypatch.setattr(engine, "_moment_free",
+                        lambda fams: calls.update([len(fams)]) or scan(fams))
+    specs = (EnsembleSpec.gaussian(4), EnsembleSpec.higher_trace(4, 4, 1))
+    for _ in range(3):
+        for spec in specs:
+            for variant in ("Rhat", "R"):
+                for k, pt in ((1, (0.3,)), (2, (0.4, -0.9))):
+                    value = point_value(spec, k, pt, (1,) * k, variant, "closed_form_gue")
+                    if spec.family == "higher_trace":
+                        assert value.startswith("closed_form_gue needs a Gaussian mixture")
+                    else:
+                        assert isinstance(value, complex)
+    # one scan per spec of the 2k slots' families
+    assert calls == {2: 2, 4: 2}
+
+
+def permutation_dets(R, C):
+    """Every term determinant as the permutation sum of the k^2 dots."""
+    return engine._permutation_sum([[np.vecdot(Rp, Cq) for Cq in C] for Rp in R])
+
+
+@pytest.mark.parametrize("N", [2, 6, 32])
+def test_written_out_2x2_determinant_is_the_permutation_sum(monkeypatch, N):
+    # every route, variant and metric at k = 2, points and grids: the
+    # determinant written out is the permutation sum to the bit
+    specs = {"g": (EnsembleSpec.gaussian(N), GAUSS_METHODS),
+             "tp41": (EnsembleSpec.higher_trace(N, 4, 1), ROUTES["tp41"]),
+             "tp62": (EnsembleSpec.higher_trace(N, 6, 2), ROUTES["tp41"])}
+    pts = grid_cases(N)[2]
+    requests = [(spec, method, variant, sides) for spec, methods in specs.values()
+                for method in methods for variant in ("Rhat", "R")
+                for sides in itertools.product((1, -1), repeat=2)]
+
+    def values():
+        points, grids = [], []
+        for spec, method, variant, sides in requests:
+            points += [point_value(spec, 2, pt, sides, variant, method) for pt in pts]
+            grids.append(engine.evaluate_grid(spec, 2, pts, variant, method, sides).value)
+        return points, grids
+
+    written, written_grids = values()
+    monkeypatch.setattr(engine, "_term_dets", permutation_dets)
+    engine._point_factors.cache_clear()
+    summed, summed_grids = values()
+    assert all(same_bits(a, b) for a, b in zip(written, summed))
+    for a, b in zip(written_grids, summed_grids):
+        assert all(same_bits(u, v) for u, v in zip(a.tolist(), b.tolist()))
+    assert len(written) == len(requests) * len(pts) == (5 + 3 + 3) * 2 * 4 * len(pts)
+
+
+def test_r_rows_read_their_routes_cached_stacks(monkeypatch):
+    # closed_form_gue's R rows are v^(-1/2) times its columns, and the
+    # half-line routes' the imaginary parts of their Rhat rows: at a point
+    # after an Rhat request, an R request builds no tower for them, on
+    # every family of a 21-node table spread; its value is the grid's,
+    # whose R rows are built by their own functions
+    builds = collections.Counter()
+    for name in ("_osc_tower", "half_gauss_oscillatory"):
+        tower = getattr(engine, name)
+        monkeypatch.setattr(engine, name, lambda *a, _name=name, _tower=tower:
+                            builds.update([_name]) or _tower(*a))
+    table = EnsembleSpec.norm_dependent(6, spread_table(21))
+    assert len(engine._spec_layout(table, 2)[1][0]) == 21
+    rows = {"closed_form_gue": engine._row_osc, "eigenvalue_integral": engine._halfline_im,
+            "factorized": engine._halfline_im}
+    cases = [(table, ("closed_form_gue", "eigenvalue_integral")),
+             (EnsembleSpec.gaussian(6, 0.7), tuple(rows))]
+    hits = 0
+    for spec, methods in cases:
+        for method in methods:
+            for k, pts in ((1, [(0.0,), (-0.0,), (0.7,), (-2.9,), (7.3,)]),
+                           (2, [(0.7, -2.9), (-0.0, 7.3)])):
+                grid = engine.evaluate_grid(spec, k, pts, "R", method).value
+                _, fams, _ = engine._spec_layout(spec, k)
+                for pt, want in zip(pts, grid.tolist()):
+                    engine._point_factors.cache_clear()
+                    point_value(spec, k, pt, (1,) * k, "Rhat", method)
+                    builds.clear()
+                    got = point_value(spec, k, pt, (1,) * k, "R", method)
+                    assert not builds and same_bits(got, want), (method, pt, builds)
+                    hits += engine._point_factors.cache_info().hits
+                    for x, f in zip(pt, fams):
+                        stack = engine._factors(rows[method], spec.N, x, f)
+                        fresh = engine._stack(rows[method], spec.N, x, f)
+                        assert np.array_equal(stack, fresh) and np.array_equal(
+                            np.signbit(stack), np.signbit(fresh)), (method, x)
+    assert hits > 0
+
+
 # -- whole grids ------------------------------------------------------------
 
 def grid_cases(N):
