@@ -15,11 +15,12 @@ for every moment m in ms of the slot weight h^m e^(-h^2/v) as one stack,
 a whole grid: x is then a (P,) array and the stack (len(ms), P, N).  The
 terms read a slot's stack as it is where they take its members in stack
 order (every slot of a Gaussian mixture), and gather their rows or columns
-from it only where they do not (the moment families of a trace power).  A point's stacks are kept in
-a bounded cache (_point_factors), so the variants, metrics and routes at
-one point that take the same factor function build it once, and an R row
-that is a function of its route's other stack is read off that stack; a
-grid builds its own every time.
+from it only where they do not (the moment families of a trace power).  An
+R row that is a function of its route's other stack is declared as
+(source factor, map).  A point's stacks are kept in a bounded cache
+(_point_factors), so the routes, variants and metrics at one point build
+each factor function's stack once, and a derived R row reads its source's;
+a grid builds its own every time.
 
 Sides and variants follow one rule.  Every factor is that of the side
 L = +1 (x - i0).  Rhat: for the real weight an L = -1 row is the complex
@@ -224,21 +225,20 @@ def _point_factors(f, N, x, sign, fams):
     """_stack at a point x, read-only, kept under (f, N, x, sign, fams).  The
     key holds the factor function itself, so a route reads only stacks its
     own factor functions built; the sign of x keeps -0.0 apart from 0.0,
-    whose factors differ in the signs of their zeros.  An R row that is a
-    function of its route's other stack (_FROM_STACK) is taken from that
-    stack, read from this cache at the same key."""
-    if f in _FROM_STACK:
-        source, take = _FROM_STACK[f]
-        out = np.ascontiguousarray(take(_point_factors(source, N, x, sign, fams), fams))
-    else:
-        out = _stack(f, N, x, fams)
+    whose factors differ in the signs of their zeros."""
+    out = _stack(f, N, x, fams)
     out.setflags(write=False)
     return out
 
 
 def _stack(f, N, x, fams):
     """The stacks f(N, x, v, ms) of the families one after the other, in
-    C order: a grid's factors and their concatenation need not be."""
+    C order: a grid's factors and their concatenation need not be.  A derived
+    row f = (source, map) is map of the source's stack from _factors, which
+    at a point is the cached one."""
+    if isinstance(f, tuple):
+        source, take = f
+        return np.ascontiguousarray(take(_factors(source, N, x, fams), fams))
     stack = f(N, x, *fams[0]) if len(fams) == 1 else np.concatenate(
         [f(N, x, v, ms) for v, ms in fams])
     return np.ascontiguousarray(stack)
@@ -252,8 +252,8 @@ def _members(table, x):
 def _determinants(req, rows, col, metadata):
     """Evaluate req as one _det_sums over correlation_terms(req.spec, req.k),
     with error estimate 0.  rows = (Rhat row, R row) and col are factor
-    functions f(N, x, v, ms).  R rows are real, so R takes its sign
-    prod_p L_p here.
+    functions f(N, x, v, ms), or for a derived R row (source, map) (see
+    _stack).  R rows are real, so R takes its sign prod_p L_p here.
     Coincident points need no special case: the term sum is odd under
     swapping their columns."""
     rhat, r = rows
@@ -413,23 +413,16 @@ def _halfline_vec(N, x, v, ms):
     return np.array(stack)
 
 
-def _halfline_im(N, x, v, ms):
-    """The R rows of the half-line routes: Im i I_n, the imaginary part of
-    _halfline_vec."""
-    return np.imag(_halfline_vec(N, x, v, ms))
+def _imag(stack, fams):
+    """The half-line routes' R rows Im i I_n from their Rhat rows' stack."""
+    return stack.imag
 
 
 @_read_only(64)
 def _halfline_layout(N, width):
     """The (N, width) window n + j into the G tower and the phases
     (-i)^n, n < N, read-only."""
-    return _window(N, width), (-1j) ** np.arange(N)
-
-
-@_read_only(64)
-def _window(rows, width):
-    """The (rows, width) index table r + j, read-only."""
-    return np.arange(rows)[:, None] + np.arange(width)
+    return np.arange(N)[:, None] + np.arange(width), (-1j) ** np.arange(N)
 
 
 def _jet_vec(N, x, v, ms):
@@ -451,7 +444,8 @@ def correlations_eigenvalue_integral(req):
     """Fourier-side route: half-line r1 integrals against r2 jets of the
     characteristic function; R takes the imaginary part of the half-line
     rows."""
-    return _determinants(req, (_halfline_vec, _halfline_im), _jet_vec, {"path": "fourier-jet"})
+    return _determinants(req, (_halfline_vec, (_halfline_vec, _imag)), _jet_vec,
+                         {"path": "fourier-jet"})
 
 
 def _factorizing_scale(spec):
@@ -480,7 +474,7 @@ def correlations_factorized(req):
     columns are real); only specs whose correlation_terms are the one term
     of that kernel, with m = 0 on every slot."""
     _factorizing_scale(req.spec)
-    return _determinants(req, (_halfline_vec, _halfline_im), _jet_vec,
+    return _determinants(req, (_halfline_vec, (_halfline_vec, _imag)), _jet_vec,
                          {"path": "factorized-kernel"})
 
 
@@ -500,11 +494,6 @@ def _col_osc(N, x, v, ms):
     return _osc_tower(N - 1, x / math.sqrt(v)).T[None]
 
 
-def _row_osc(N, x, v, ms):
-    """Imaginary part of the companion row: v^(-1/2) phi_n(x / sqrt v)."""
-    return 1 / math.sqrt(v) * _col_osc(N, x, v, ms)
-
-
 def correlations_closed_form_gue(req):
     """Oscillator-basis determinant for Gaussian mixtures.  Correlation
     functions are linear in P(H), so a variance mixture is
@@ -513,7 +502,7 @@ def correlations_closed_form_gue(req):
     if not _gaussian_mixture(req.spec, req.k):
         raise ValueError("closed_form_gue needs a Gaussian mixture: a slot with m > 0 "
                          "has no oscillator factor")
-    return _determinants(req, (_row_osc_hat, _row_osc), _col_osc,
+    return _determinants(req, (_row_osc_hat, (_col_osc, _osc_scaled)), _col_osc,
                          {"path": "oscillator-determinant"})
 
 
@@ -531,15 +520,16 @@ def _moment_free(fams):
 
 
 def _osc_scaled(col, fams):
-    """_row_osc's stack from _col_osc's: each family's members times v^(-1/2)."""
-    return np.array([1 / math.sqrt(v) for v, ms in fams for _ in ms])[:, None] * col
+    """closed_form_gue's R rows from its columns' stack: each member times v^(-1/2)."""
+    scale = _osc_scales(fams)
+    return (scale if col.ndim == 2 else scale[:, None]) * col
 
 
-# the R rows that are a function of their own route's other stack, by the
-# map from that stack: at a point, _point_factors reads the stack from its
-# cache rather than building the tower again
-_FROM_STACK = {_row_osc: (_col_osc, _osc_scaled),
-               _halfline_im: (_halfline_vec, lambda vec, fams: vec.imag)}
+@_read_only(64)
+def _osc_scales(fams):
+    """The (len, 1) table of v^(-1/2), a row per member of the families, read-only:
+    kept per family tuple, so that a cold R point does not rebuild it."""
+    return np.array([[1 / math.sqrt(v)] for v, ms in fams for _ in ms])
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,8 @@ HERMITE_CAP = 64
 # which the towers write out.  At a real point the tower also equals the
 # matching element of a grid's; off the real axis numpy's array loops
 # multiply two complex numbers with fused multiply-adds, and its scalars
-# and Python do not.
+# and Python do not.  _osc_body and _gauss_derivatives take their seeds
+# from their callers and convert nothing, so they run on mpmath numbers too.
 
 def _operand(x, dtype):
     """x as the towers take it: a Python number for a point (a number or a
@@ -119,12 +120,21 @@ def oscillator_wavefunction(n, x):
 def _osc_tower(nmax, x):
     """phi_0..phi_nmax stacked, via the normalized recurrence."""
     x = _operand(x, float)
-    tower = [np.pi ** -0.25 * _num(np.exp(-0.5 * x * x))]
-    if nmax >= 1:
-        tower.append(_SQRT2 * x * tower[0])
-    for a, b in _osc_steps(nmax)[1:]:
+    return np.array(_osc_body(x, np.pi ** -0.25 * _num(np.exp(-0.5 * x * x)), 0.0,
+                              _osc_steps(nmax)))
+
+
+def _osc_body(x, phi0, c1, steps):
+    """phi_0..phi_nmax of the normalized recurrence, as a list, from the
+    seeds phi_0 and c1: phi_1 = x a_0 phi_0 - c1 and phi_(n+1) = x a_n phi_n
+    - b_n phi_(n-1), steps the (a_n, b_n) of _osc_steps(nmax).  Real seeds
+    (c1 = 0) give phi_n, complex ones the companions phi^_n."""
+    tower = [phi0]
+    if steps:
+        tower.append(x * steps[0][0] * phi0 - c1)
+    for a, b in steps[1:]:
         tower.append(x * a * tower[-1] - b * tower[-2])
-    return np.array(tower)
+    return tower
 
 
 @functools.lru_cache(maxsize=16)
@@ -146,7 +156,7 @@ def generalized_hermite(n, x):
     overflows) it raises ValueError.
     """
     x = np.asarray(x, dtype=float)
-    row = _osc_hat_tower(n, x)[n]
+    row = _osc_hat_tower(_order(n), x)[n]
     with np.errstate(over="ignore"):
         f = row * (math.sqrt(2.0 ** n * math.factorial(n) * SQRT_PI) * np.exp(0.5 * x * x))
     if not np.isfinite(f).all():
@@ -173,11 +183,8 @@ def _osc_hat_tower(nmax, x):
     e = _num(np.exp(half))
     seed = (np.pi ** -0.25 * 1j * e * _faddeeva(-x)).real
     far = (x * x >= CAUCHY_ASYMP ** 2) & (2.0 * x * x >= (nmax + 1.0) * (nmax + 2.0))
-    tower = [_select(far, 0.0, seed) + 1j * (np.pi ** -0.25 * _num(np.exp(-0.5 * x * x)))]
-    if nmax >= 1:
-        tower.append(_SQRT2 * x * tower[0] - _SQRT2 * np.pi ** -0.75 * _select(far, 0.0, e))
-    for a, b in _osc_steps(nmax)[1:]:
-        tower.append(x * a * tower[-1] - b * tower[-2])
+    phi0 = _select(far, 0.0, seed) + 1j * (np.pi ** -0.25 * _num(np.exp(-0.5 * x * x)))
+    tower = _osc_body(x, phi0, _SQRT2 * np.pi ** -0.75 * _select(far, 0.0, e), _osc_steps(nmax))
     if isinstance(far, np.ndarray):  # a grid: each far point through the point's body
         out = np.array(tower)
         flat, xf, sf = out.reshape(nmax + 1, -1), np.reshape(x, -1), np.reshape(seed, -1)
@@ -554,7 +561,7 @@ def _truncated_sums(terms):
 
 def gauss_moments(mmax):
     """gamma_m = integral u^m exp(-u^2) du for m = 0..mmax."""
-    g = np.zeros(mmax + 1)
+    g = np.zeros(_order(mmax) + 1)
     g[0] = SQRT_PI
     for m in range(2, mmax + 1, 2):
         g[m] = g[m - 2] * (m - 1) / 2.0
@@ -567,9 +574,9 @@ def gauss_moment_cauchy(nmax, mmax, z):
     at z - i0 on the real axis; a grid of z adds its axes after (n, m)."""
     z = _operand(z, complex)
     C = cauchy_gauss_tower(nmax, z)
+    g = gauss_moments(mmax)
     F = np.empty((nmax + 1, mmax + 1) + C.shape[1:], dtype=complex)
     F[:, 0] = C
-    g = gauss_moments(mmax)
     for m in range(1, mmax + 1):
         F[0, m] = z * F[0, m - 1] - g[m - 1]
         F[1:, m] = z * F[1:, m - 1] - F[:-1, m - 1]
@@ -583,10 +590,10 @@ def gauss_poly_derivatives(m, nmax):
     Returned as a list of numpy coefficient arrays (ascending powers).
     Keeping the exp(-x^2) factor explicit preserves relative accuracy in
     the far tail."""
-    q = np.zeros(m + 1)
+    q = np.zeros(_order(m) + 1)
     q[m] = 1.0
     rows = [q]
-    for _ in range(nmax):
+    for _ in range(_order(nmax)):
         p = rows[-1]
         dp = np.array([p[j] * j for j in range(1, len(p))]) if len(p) > 1 else np.zeros(0)
         new = np.zeros(len(p) + 1)

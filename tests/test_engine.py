@@ -5,6 +5,7 @@ time-domain transform."""
 import collections
 import itertools
 import math
+import unittest.mock
 
 import mpmath as mp
 import numpy as np
@@ -411,13 +412,37 @@ def test_row_r_keeps_its_own_recurrence(monkeypatch):
 
 # -- moment families ---------------------------------------------------------
 
-# each route's (Rhat row, R row) and column factor functions
-ROUTE_FACTORS = {
-    "convolution": ((engine._row_rhat, engine._row_r), engine._col_rec),
-    "closed_form_higher_trace": ((engine._row_rhat, engine._row_r), engine._col_exact),
-    "eigenvalue_integral": ((engine._halfline_vec, engine._halfline_im), engine._jet_vec),
-    "closed_form_gue": ((engine._row_osc_hat, engine._row_osc), engine._col_osc)}
+def route_factors(method):
+    """The (Rhat row, R row) and column that a route hands _determinants,
+    read off a Gaussian request: a factor function, or for a derived R row
+    (source, map)."""
+    declared = []
+    req = CorrelationRequest(EnsembleSpec.gaussian(2), 1, [0.3], "Rhat", method)
+    with unittest.mock.patch.object(engine, "_determinants",
+                                    lambda req, rows, col, metadata: declared.append((rows, col))):
+        evaluate(req)
+    return declared[0]
+
+
+ROUTE_FACTORS = {method: route_factors(method) for method in engine.METHODS}
 FAMILY_GRID = np.array([-7.3, -1.2, 0.0, 0.7, 2.9, 7.3])
+
+
+def factor(f, N, x, v, ms):
+    """The stack of one family (v, ms) of a factor function, built fresh (no
+    point factor cache).  A derived R row (source, map) is written out here
+    apart from its route's map: closed_form_gue's are v^(-1/2) times its
+    columns, the half-line routes' the imaginary parts of their Rhat rows."""
+    if f == ROUTE_FACTORS["closed_form_gue"][0][1]:
+        return 1 / math.sqrt(v) * engine._col_osc(N, x, v, ms)
+    if f == ROUTE_FACTORS["eigenvalue_integral"][0][1]:
+        return np.imag(engine._halfline_vec(N, x, v, ms))
+    return f(N, x, v, ms)
+
+
+def written_out(f, N, x, fams):
+    """factor's stacks of the families fams one after the other."""
+    return np.concatenate([factor(f, N, x, v, ms) for v, ms in fams])
 
 
 def slot_families(spec, k):
@@ -448,8 +473,9 @@ def test_factor_family_members_equal_single_factors(M1, M2):
                 for i, m in enumerate(ms):
                     assert np.array_equal(stack[i], f(N, x, v, (m,))[0]), (f.__name__, m)
         # the oscillator factors exist for m = 0 only
-        for f in (engine._row_osc_hat, engine._row_osc, engine._col_osc):
-            assert f(N, x, 0.8, (0,)).shape == (1,) + np.shape(x) + (N,)
+        (rhat, r), col = ROUTE_FACTORS["closed_form_gue"]
+        for f in (rhat, r, col):
+            assert engine._factors(f, N, x, ((0.8, (0,)),)).shape == (1,) + np.shape(x) + (N,)
 
 
 class CountedFloat(float):
@@ -515,9 +541,9 @@ def reference_sum(spec, k, xs, sides, variant, method):
     flip = np.conj if variant == "Rhat" else np.negative
     N, total = spec.N, 0.0
     for coef, slots in correlation_terms(spec, k):
-        rows = [row(N, xs[p], slots[p][0], slots[p][1:])[0] for p in range(k)]
+        rows = [factor(row, N, xs[p], slots[p][0], slots[p][1:])[0] for p in range(k)]
         R = np.stack([f if L == 1 else flip(f) for f, L in zip(rows, sides)], axis=-2)
-        C = np.stack([col(N, xs[q], slots[k + q][0], slots[k + q][1:])[0]
+        C = np.stack([factor(col, N, xs[q], slots[k + q][0], slots[k + q][1:])[0]
                       for q in range(k)], axis=-2)
         total = total + coef * np.linalg.det(R @ C.swapaxes(-1, -2))
     return total.real + 0j if variant == "R" else total
@@ -780,20 +806,26 @@ def test_closed_form_gue_density_of_rhat_is_r(N):
     # Im phi^_n = phi_n to the bit, so Im Rhat_1 is R_1, at a point and on a
     # grid, on either side.  From N = 32 the complex and the real dot sum
     # their N products in different orders: the two agree to round-off.
-    # At N = 64, x = 28 and 30, e^(-x^2) underflows and the density does not
-    cases = [(28.0,), (30.0,)] if N == 64 else grid_cases(N)[1]
-    spec = EnsembleSpec.gaussian(N)
-    for side in (1, -1):
-        rhat = engine.evaluate_grid(spec, 1, cases, "Rhat", "closed_form_gue", (side,)).value
-        r = engine.evaluate_grid(spec, 1, cases, "R", "closed_form_gue", (side,)).value
-        points = np.array([[r1(spec, x, "closed_form_gue", variant, side) for (x,) in cases]
-                           for variant in ("Rhat", "R")])
-        assert np.array_equal(points, [rhat, r])
-        if N <= 6:
-            assert np.array_equal(rhat.imag, r.real)
-        else:
-            assert np.all(r.real != 0.0)
-            assert np.all(np.abs(rhat.imag - r.real) <= 1e-15 * np.abs(r.real))
+    # On the mixtures (v != 1, and the table's 21 families) the R rows and
+    # the Rhat rows are scaled by v^(-1/2) apart.  For the Gaussian at
+    # N = 64, x = 28 and 30, e^(-x^2) underflows and the density does not
+    specs = {"g": EnsembleSpec.gaussian(N), "g07": EnsembleSpec.gaussian(N, 0.7),
+             "table": EnsembleSpec.norm_dependent(N, spread_table(21))}
+    for name, spec in specs.items():
+        cases = [(28.0,), (30.0,)] if N == 64 and name == "g" else grid_cases(N)[1]
+        if N == 6:
+            cases = cases + [(x,) for x in np.linspace(-4.0, 4.0, 161).tolist()]
+        for side in (1, -1):
+            rhat = engine.evaluate_grid(spec, 1, cases, "Rhat", "closed_form_gue", (side,)).value
+            r = engine.evaluate_grid(spec, 1, cases, "R", "closed_form_gue", (side,)).value
+            points = np.array([[r1(spec, x, "closed_form_gue", variant, side) for (x,) in cases]
+                               for variant in ("Rhat", "R")])
+            assert np.array_equal(points, [rhat, r]), name
+            if N <= 6:
+                assert np.array_equal(rhat.imag, r.real), name
+            else:
+                assert np.all(r.real != 0.0)
+                assert np.all(np.abs(rhat.imag - r.real) <= 1e-15 * np.abs(r.real)), name
 
 
 @pytest.mark.parametrize("spec", [EnsembleSpec.gaussian(4, 0.02),
@@ -861,8 +893,9 @@ def test_point_factor_cache_is_bounded_read_only_and_point_only():
         for variant in ("Rhat", "R"):
             r2(spec, 0.4, -0.9, method, variant)
     _, fams, _ = engine._spec_layout(spec, 2)
+    (_, halfline_r), _ = ROUTE_FACTORS["eigenvalue_integral"]
     for f in (engine._row_rhat, engine._row_r, engine._col_rec, engine._col_exact,
-              engine._halfline_vec, engine._halfline_im, engine._jet_vec):
+              engine._halfline_vec, halfline_r, engine._jet_vec):
         for x in (0.4, -0.9):
             misses = engine._point_factors.cache_info().misses
             stack = engine._factors(f, 6, x, fams[0])
@@ -873,14 +906,14 @@ def test_point_factor_cache_is_bounded_read_only_and_point_only():
     # the stacks at 0.0 and -0.0 compare equal but differ in the signs of
     # their zeros: each point reads its own
     factors = [f for (rhat, r), col in ROUTE_FACTORS.values() for f in (rhat, r, col)]
+    assert any(isinstance(f, tuple) for f in factors)
     for f in factors:
         for x in (0.0, -0.0, 0.0):
-            stack, fresh = engine._factors(f, 6, x, ((0.5, (0,)),)), f(6, x, 0.5, (0,))
-            assert np.array_equal(stack, fresh), f.__name__
+            stack, fresh = engine._factors(f, 6, x, ((0.5, (0,)),)), factor(f, 6, x, 0.5, (0,))
+            assert np.array_equal(stack, fresh), f
             for part in (np.real, np.imag):
-                assert np.array_equal(np.signbit(part(stack)), np.signbit(part(fresh))), \
-                    (f.__name__, x)
-    assert any(np.signbit(f(6, -0.0, 0.5, (0,)).real).any() for f in factors)
+                assert np.array_equal(np.signbit(part(stack)), np.signbit(part(fresh))), (f, x)
+    assert any(np.signbit(factor(f, 6, -0.0, 0.5, (0,)).real).any() for f in factors)
     # more distinct points than the bound: the cache keeps its bound
     bound = engine._FACTOR_CACHE
     info = engine._point_factors.cache_info()
@@ -980,8 +1013,9 @@ def test_r_rows_read_their_routes_cached_stacks(monkeypatch):
     # closed_form_gue's R rows are v^(-1/2) times its columns, and the
     # half-line routes' the imaginary parts of their Rhat rows: at a point
     # after an Rhat request, an R request builds no tower for them, on
-    # every family of a 21-node table spread; its value is the grid's,
-    # whose R rows are built by their own functions
+    # every family of a 21-node table spread; its value is the grid's, and
+    # its cached stacks and the grid's are those the test writes out apart
+    # from the routes' maps (factor), zero signs included
     builds = collections.Counter()
     for name in ("_osc_tower", "half_gauss_oscillatory"):
         tower = getattr(engine, name)
@@ -989,8 +1023,9 @@ def test_r_rows_read_their_routes_cached_stacks(monkeypatch):
                             builds.update([_name]) or _tower(*a))
     table = EnsembleSpec.norm_dependent(6, spread_table(21))
     assert len(engine._spec_layout(table, 2)[1][0]) == 21
-    rows = {"closed_form_gue": engine._row_osc, "eigenvalue_integral": engine._halfline_im,
-            "factorized": engine._halfline_im}
+    rows = {method: ROUTE_FACTORS[method][0][1]
+            for method in ("closed_form_gue", "eigenvalue_integral", "factorized")}
+    assert all(isinstance(r, tuple) for r in rows.values())
     cases = [(table, ("closed_form_gue", "eigenvalue_integral")),
              (EnsembleSpec.gaussian(6, 0.7), tuple(rows))]
     hits = 0
@@ -1000,6 +1035,12 @@ def test_r_rows_read_their_routes_cached_stacks(monkeypatch):
                            (2, [(0.7, -2.9), (-0.0, 7.3)])):
                 grid = engine.evaluate_grid(spec, k, pts, "R", method).value
                 _, fams, _ = engine._spec_layout(spec, k)
+                for p, f in enumerate(fams[:k]):
+                    x = np.array([pt[p] for pt in pts])
+                    stack = engine._factors(rows[method], spec.N, x, f)
+                    fresh = written_out(rows[method], spec.N, x, f)
+                    assert np.array_equal(stack, fresh) and np.array_equal(
+                        np.signbit(stack), np.signbit(fresh)), (method, k)
                 for pt, want in zip(pts, grid.tolist()):
                     engine._point_factors.cache_clear()
                     point_value(spec, k, pt, (1,) * k, "Rhat", method)
@@ -1009,7 +1050,7 @@ def test_r_rows_read_their_routes_cached_stacks(monkeypatch):
                     hits += engine._point_factors.cache_info().hits
                     for x, f in zip(pt, fams):
                         stack = engine._factors(rows[method], spec.N, x, f)
-                        fresh = engine._stack(rows[method], spec.N, x, f)
+                        fresh = written_out(rows[method], spec.N, x, f)
                         assert np.array_equal(stack, fresh) and np.array_equal(
                             np.signbit(stack), np.signbit(fresh)), (method, x)
     assert hits > 0

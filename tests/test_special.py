@@ -16,7 +16,8 @@ from rmtcorr.special import (SQRT_PI, hermite_poly,
                              gauss_poly_derivatives, polyval_ascending,
                              half_gauss_oscillatory, CAUCHY_ASYMP,
                              _far_coefficients, _gauss_derivatives, _osc_hat_tower, _osc_tower,
-                             _truncated_sums, faddeeva_derivatives, HERMITE_CAP)
+                             _truncated_sums, faddeeva_derivatives, HERMITE_CAP,
+                             _osc_body)
 from rmtcorr import special
 
 
@@ -368,6 +369,44 @@ def test_gauss_derivatives_on_mpmath_numbers(u):
         for n, d in enumerate(tower):
             ref = (-1) ** n * mp.hermite(n, u) * mp.exp(-u * u) / mp.factorial(n)
             assert isinstance(d, mp.mpf) and abs(d - ref) <= 1e-48 * abs(ref), n
+
+
+# -- the oscillator body in any arithmetic -----------------------------------
+# _osc_body runs from seeds its float entry points compute; here the seeds
+# and the recurrence coefficients are 50-digit mpmath numbers, and the
+# references are written apart from the recurrence.
+
+def half_line_mpmath(a, z, c):
+    """G_a(z, c) = integral_0^inf r^a e^(-c r^2 - i z r) dr from the parabolic
+    cylinder function: (2c)^(-(a+1)/2) a! e^(s^2/4) D_(-a-1)(s), s = i z / sqrt(2c)."""
+    s = 1j * z / mp.sqrt(2 * c)
+    return (2 * c) ** (-(mp.mpf(a) + 1) / 2) * mp.factorial(a) * mp.exp(s * s / 4) \
+        * mp.pcfd(-a - 1, s)
+
+
+def assert_close(tower, ref, kind):
+    assert len(tower) == len(ref)
+    for n, (got, want) in enumerate(zip(tower, ref)):
+        assert isinstance(got, kind) and abs(got - want) <= 1e-45 * abs(want), n
+
+
+@pytest.mark.parametrize("x", [0.0, 0.7, -2.3, 3.1])
+def test_oscillator_body_on_mpmath_numbers(x):
+    # real seeds give phi_n = H_n(x) e^(-x^2/2) / sqrt(2^n n! sqrt(pi)),
+    # complex ones the companions phi^_n, F_n of generalized_hermite scaled
+    # the same way, F_n = (2i)^(n+1) pi^(-1/2) e^(x^2) G_n(2x, 1)
+    with mp.workdps(50):
+        x = mp.mpf(x)
+        steps = [(mp.sqrt(mp.mpf(2) / (n + 1)), mp.sqrt(mp.mpf(n) / (n + 1))) for n in range(30)]
+        norm = [mp.exp(-x * x / 2) / mp.sqrt(2 ** n * mp.factorial(n) * mp.sqrt(mp.pi))
+                for n in range(31)]
+        phi = _osc_body(x, mp.pi ** mp.mpf(-0.25) * mp.exp(-x * x / 2), 0, steps)
+        assert_close(phi, [mp.hermite(n, x) * norm[n] for n in range(31)], mp.mpf)
+        e = mp.exp(x * x / 2)
+        hat = _osc_body(x, mp.pi ** mp.mpf(-0.25) * e * 1j * mp.exp(-x * x) * mp.erfc(1j * x),
+                        mp.sqrt(2) * mp.pi ** mp.mpf(-0.75) * e, steps)
+        assert_close(hat, [(2j) ** (n + 1) / mp.sqrt(mp.pi) * mp.exp(x * x)
+                           * half_line_mpmath(n, 2 * x, 1) * norm[n] for n in range(31)], mp.mpc)
 
 
 def test_gauss_derivatives_grid_equals_points():
@@ -752,12 +791,16 @@ def test_faddeeva_far_anti_diagonal_below_the_axis():
 
 @pytest.mark.parametrize("fn, args", [
     (hermite_poly, (-1, 0.7)), (oscillator_wavefunction, (-1, 0.7)),
-    (faddeeva_derivatives, (0.7, -1)), (half_gauss_oscillatory, (-1, 0.7, 1.0))],
+    (faddeeva_derivatives, (0.7, -1)), (half_gauss_oscillatory, (-1, 0.7, 1.0)),
+    (gauss_moments, (-1,)), (gauss_moments, (-3,)), (gauss_moment_cauchy, (3, -1, 0.5)),
+    (gauss_poly_derivatives, (-1, 2)), (gauss_poly_derivatives, (2, -1)),
+    (generalized_hermite, (-1, 0.5))],
     ids=["hermite_poly", "oscillator_wavefunction", "faddeeva_derivatives",
-         "half_gauss_oscillatory"])
+         "half_gauss_oscillatory", "gauss_moments", "gauss_moments_-3", "gauss_moment_cauchy",
+         "gauss_poly_derivatives_m", "gauss_poly_derivatives_nmax", "generalized_hermite"])
 def test_negative_orders_are_refused(fn, args):
     # no order below 0 exists: the recurrences would give 2x, phi_0 and
-    # one-row towers
+    # one-row towers, or fail on an index or a shape
     with pytest.raises(ValueError, match="order must be >= 0"):
         fn(*args)
 
